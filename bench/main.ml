@@ -2020,7 +2020,8 @@ let e22 () =
      router) only through the backend's framed sockets, exactly as the
      multi-process [oasis_cli serve] deployment does.  The clock is the
      wall clock; acks ride real fsyncs. *)
-  let b = Backend_unix.create () in
+  Backend_unix.with_temp_data_dir @@ fun data_dir ->
+  let b = Backend_unix.create ~data_dir () in
   let backend = Backend_unix.pack b in
   let net = Backend.net backend in
   let engine = Backend.engine backend in
@@ -2095,8 +2096,7 @@ User(u) <- Login(u)* |>* Admin
   (* Wall-clock safety net: a wedged socket loop must fail the bench, not
      hang CI. *)
   Engine.schedule engine ~delay:600.0 (fun () -> finish ());
-  Backend.run backend;
-  Backend_unix.shutdown b;
+  Fun.protect ~finally:(fun () -> Backend_unix.shutdown b) (fun () -> Backend.run backend);
   if !committed <> members then
     failwith (Printf.sprintf "e22: only %d/%d entries committed" !committed members);
   let thpt = float_of_int members /. !wall in

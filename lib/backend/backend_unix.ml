@@ -2,63 +2,32 @@ module Engine = Oasis_sim.Engine
 module Net = Oasis_sim.Net
 module Disk = Oasis_store.Disk
 module Siphash = Oasis_util.Siphash
+module Frame = Oasis_util.Frame
+module Hex = Oasis_util.Hex
 
 (* ------------------------------------------------------------------ *)
-(* Wire framing: the WAL's length+SipHash idiom (lib/store/wal.ml),    *)
-(* applied to a TCP byte stream.  A frame is                           *)
-(*   [length: 8 hex][SipHash-2-4 of payload: 16 hex][payload]          *)
-(* and the checksum provides integrity against a desynchronized or     *)
-(* truncated stream, not secrecy.                                      *)
+(* Wire framing: the WAL's checksummed frame (Oasis_util.Frame) over a *)
+(* TCP byte stream.  The checksum provides integrity against a         *)
+(* desynchronized or truncated stream, not secrecy.                    *)
 (* ------------------------------------------------------------------ *)
 
 let frame_key = Siphash.key_of_string "oasis.wal:tcp"
 
 let max_frame = 1 lsl 26 (* 64 MiB: anything larger is a desynced stream *)
 
-let frame payload =
-  Printf.sprintf "%08x%s%s" (String.length payload) (Siphash.hash_hex frame_key payload) payload
-
-let hex_val = function
-  | '0' .. '9' as c -> Char.code c - Char.code '0'
-  | 'a' .. 'f' as c -> Char.code c - Char.code 'a' + 10
-  | _ -> -1
-
-exception Corrupt_stream
-
-(* One frame from [buf] starting at [off], if complete: (payload, next_off).
-   Raises [Corrupt_stream] on a bad header or checksum — the connection is
-   beyond recovery and must be dropped. *)
-let decode_frame buf off =
-  let total = Buffer.length buf in
-  if off + 24 > total then None
-  else begin
-    let len =
-      let rec go i acc =
-        if i = 8 then acc
-        else
-          let v = hex_val (Buffer.nth buf (off + i)) in
-          if v < 0 then raise Corrupt_stream else go (i + 1) ((acc * 16) + v)
-      in
-      go 0 0
-    in
-    if len > max_frame then raise Corrupt_stream
-    else if off + 24 + len > total then None
-    else
-      let sum = Buffer.sub buf (off + 8) 16 in
-      let payload = Buffer.sub buf (off + 24) len in
-      if String.equal (Siphash.hash_hex frame_key payload) sum then Some (payload, off + 24 + len)
-      else raise Corrupt_stream
-  end
-
-(* Length-prefixed field packing for the RPC envelope (8-bit clean). *)
+(* Length-prefixed field packing for the RPC envelope (8-bit clean): each
+   field is its length in 8 hex digits, then its bytes. *)
 let enc_fields fields =
-  let b = Buffer.create 128 in
-  List.iter
-    (fun f ->
-      Buffer.add_string b (Printf.sprintf "%08x" (String.length f));
-      Buffer.add_string b f)
-    fields;
-  Buffer.contents b
+  let b = Bytes.create (List.fold_left (fun acc f -> acc + 8 + String.length f) 0 fields) in
+  ignore
+    (List.fold_left
+       (fun off f ->
+         let n = String.length f in
+         Hex.put_int b off ~width:8 n;
+         Bytes.blit_string f 0 b (off + 8) n;
+         off + 8 + n)
+       0 fields);
+  Bytes.unsafe_to_string b
 
 let dec_fields s =
   let total = String.length s in
@@ -66,15 +35,7 @@ let dec_fields s =
     if off = total then Some (List.rev acc)
     else if off + 8 > total then None
     else
-      let len =
-        let rec h i acc =
-          if i = 8 then acc
-          else
-            let v = hex_val s.[off + i] in
-            if v < 0 then -1 else h (i + 1) ((acc * 16) + v)
-        in
-        h 0 0
-      in
+      let len = Hex.get_int s off ~width:8 in
       if len < 0 || off + 8 + len > total then None
       else go (off + 8 + len) (String.sub s (off + 8) len :: acc)
   in
@@ -86,10 +47,12 @@ let dec_fields s =
 
 type conn = {
   c_fd : Unix.file_descr;
-  c_buf : Buffer.t;  (* received, not yet decoded *)
-  mutable c_off : int;  (* decoded prefix of c_buf *)
+  c_frames : Frame.Reader.t;  (* received, not yet decoded *)
   mutable c_alive : bool;
 }
+
+let new_conn fd =
+  { c_fd = fd; c_frames = Frame.Reader.create ~max_len:max_frame frame_key; c_alive = true }
 
 type t = {
   b_engine : Engine.t Lazy.t ref;
@@ -123,11 +86,10 @@ let close_conn t c =
   end
 
 let write_all t c s =
-  let bytes = Bytes.of_string s in
-  let len = Bytes.length bytes in
+  let len = String.length s in
   let rec go off =
     if off < len then
-      match Unix.write c.c_fd bytes off (len - off) with
+      match Unix.write_substring c.c_fd s off (len - off) with
       | n -> go (off + n)
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
       | exception Unix.Unix_error (_, _, _) -> close_conn t c
@@ -145,7 +107,7 @@ let write_all t c s =
 let send_reply t c id result =
   if c.c_alive then
     let body = match result with Ok s -> "K" ^ s | Error e -> "E" ^ e in
-    write_all t c (frame (enc_fields [ "R"; id; body ]))
+    write_all t c (Frame.encode frame_key (enc_fields [ "R"; id; body ]))
 
 let on_frame t c payload =
   match dec_fields payload with
@@ -166,22 +128,16 @@ let on_frame t c payload =
           else k (Error "malformed reply"))
   | _ -> close_conn t c
 
+(* A bad header or checksum means the stream lost frame sync: drop the
+   connection; its outstanding calls are answered by their timeouts. *)
 let drain_conn t c =
   let rec go () =
-    match decode_frame c.c_buf c.c_off with
-    | None ->
-        (* Compact once the decoded prefix dominates the buffer. *)
-        if c.c_off > 65536 then begin
-          let rest = Buffer.sub c.c_buf c.c_off (Buffer.length c.c_buf - c.c_off) in
-          Buffer.clear c.c_buf;
-          Buffer.add_string c.c_buf rest;
-          c.c_off <- 0
-        end
-    | Some (payload, next) ->
-        c.c_off <- next;
+    match Frame.Reader.next c.c_frames with
+    | None -> ()
+    | Some payload ->
         on_frame t c payload;
         if c.c_alive then go ()
-    | exception Corrupt_stream -> close_conn t c
+    | exception Frame.Corrupt -> close_conn t c
   in
   go ()
 
@@ -191,7 +147,7 @@ let on_readable t c =
   match Unix.read c.c_fd read_chunk 0 (Bytes.length read_chunk) with
   | 0 -> close_conn t c
   | n ->
-      Buffer.add_subbytes c.c_buf read_chunk 0 n;
+      Frame.Reader.feed c.c_frames read_chunk 0 n;
       drain_conn t c
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
   | exception Unix.Unix_error (_, _, _) -> close_conn t c
@@ -200,7 +156,7 @@ let accept_conn t lfd =
   match Unix.accept lfd with
   | fd, _ ->
       Unix.setsockopt fd Unix.TCP_NODELAY true;
-      t.b_conns <- { c_fd = fd; c_buf = Buffer.create 4096; c_off = 0; c_alive = true } :: t.b_conns
+      t.b_conns <- new_conn fd :: t.b_conns
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
   | exception Unix.Unix_error (_, _, _) -> ()
 
@@ -215,7 +171,7 @@ let connect_to t name =
           match Unix.connect fd addr with
           | () ->
               Unix.setsockopt fd Unix.TCP_NODELAY true;
-              let c = { c_fd = fd; c_buf = Buffer.create 4096; c_off = 0; c_alive = true } in
+              let c = new_conn fd in
               t.b_conns <- c :: t.b_conns;
               Hashtbl.replace t.b_outgoing name c;
               Some c
@@ -227,10 +183,10 @@ let rm_call t ~src ~dst ~port payload k =
   match connect_to t dst with
   | None -> () (* unreachable peer: the caller's timeout answers *)
   | Some c ->
-      let id = Printf.sprintf "%016x" t.b_next_id in
+      let id = Hex.of_int ~width:16 t.b_next_id in
       t.b_next_id <- t.b_next_id + 1;
       Hashtbl.replace t.b_pending id k;
-      write_all t c (frame (enc_fields [ "Q"; id; src; dst; port; payload ]))
+      write_all t c (Frame.encode frame_key (enc_fields [ "Q"; id; src; dst; port; payload ]))
 
 (* ------------------------------------------------------------------ *)
 (* The waiter: the engine's real-time run loop parks here between      *)
@@ -279,6 +235,13 @@ let mkdir_p dir =
   in
   go dir
 
+let write_file fd data =
+  let rec go off =
+    if off < String.length data then
+      go (off + Unix.write_substring fd data off (String.length data - off))
+  in
+  go 0
+
 type rfile = {
   rf_path : string;
   mutable rf_fd : Unix.file_descr;
@@ -311,12 +274,7 @@ let disk_ops dir =
           let data = Buffer.contents f.rf_pending in
           Buffer.clear f.rf_pending;
           ignore (Unix.lseek f.rf_fd 0 Unix.SEEK_END);
-          let bytes = Bytes.of_string data in
-          let rec go off =
-            if off < Bytes.length bytes then
-              go (off + Unix.write f.rf_fd bytes off (Bytes.length bytes - off))
-          in
-          go 0;
+          write_file f.rf_fd data;
           Unix.fsync f.rf_fd;
           f.rf_durable <- f.rf_durable + String.length data
         end;
@@ -326,12 +284,7 @@ let disk_ops dir =
         let f = rfile file in
         let tmp = f.rf_path ^ ".tmp" in
         let fd = Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
-        let bytes = Bytes.of_string data in
-        let rec go off =
-          if off < Bytes.length bytes then
-            go (off + Unix.write fd bytes off (Bytes.length bytes - off))
-        in
-        go 0;
+        write_file fd data;
         Unix.fsync fd;
         Unix.close fd;
         Unix.rename tmp f.rf_path;
@@ -378,6 +331,17 @@ let disk_ops dir =
 let default_data_dir () =
   Filename.concat (Filename.get_temp_dir_name ())
     (Printf.sprintf "oasis-unix-%d" (Unix.getpid ()))
+
+let rec remove_tree path =
+  if Sys.is_directory path then begin
+    Array.iter (fun f -> remove_tree (Filename.concat path f)) (Sys.readdir path);
+    Sys.rmdir path
+  end
+  else Sys.remove path
+
+let with_temp_data_dir f =
+  let dir = Filename.temp_dir "oasis-unix-" "" in
+  Fun.protect ~finally:(fun () -> if Sys.file_exists dir then remove_tree dir) (fun () -> f dir)
 
 let create ?data_dir ?seed ?(latency = Net.Fixed 0.0) () =
   let t =

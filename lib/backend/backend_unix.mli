@@ -9,11 +9,12 @@
     {b Messaging} — in-process hosts talk through {!Oasis_sim.Net}
     unchanged (zero latency); the serialized named-port surface
     ({!Oasis_sim.Net.call}) additionally reaches {e remote} hosts
-    registered with {!peer}.  Frames on the wire reuse the WAL's
-    length+SipHash framing idiom: [%08x] payload length, 16 hex chars of
-    SipHash-2-4 over the payload, then the payload.  A checksum mismatch
-    means a desynchronized stream and drops the connection; outstanding
-    calls are answered by their {!Oasis_sim.Net} timeouts.
+    registered with {!peer}.  Frames on the wire are the WAL's
+    checksummed frames ({!Oasis_util.Frame}: 8 hex digits of payload
+    length, 16 hex digits of SipHash-2-4 over the payload, then the
+    payload).  A bad header or checksum means a desynchronized stream and
+    drops the connection; outstanding calls are answered by their
+    {!Oasis_sim.Net} timeouts.
 
     {b Storage} — one directory per host under {!data_dir}.  [append]
     buffers in memory (the page-cache analogue); [fsync] writes the
@@ -24,10 +25,17 @@ type t
 
 val create :
   ?data_dir:string -> ?seed:int64 -> ?latency:Oasis_sim.Net.latency -> unit -> t
-(** [data_dir] defaults to a fresh per-pid directory under the system temp
-    dir.  [latency] (default [Fixed 0.0]) applies to {e in-process}
-    delivery only — the wire provides its own, real, latency.  [seed]
-    seeds retry jitter. *)
+(** [data_dir] defaults to a per-pid directory under the system temp dir,
+    shared by every backend the process creates without one and never
+    removed: durable state outlives the process.  [latency] (default
+    [Fixed 0.0]) applies to {e in-process} delivery only — the wire
+    provides its own, real, latency.  [seed] seeds retry jitter. *)
+
+val with_temp_data_dir : (string -> 'a) -> 'a
+(** [with_temp_data_dir f] calls [f dir] on a fresh, empty directory under
+    the system temp dir, for a short-lived backend's [data_dir] (tests,
+    benches), and removes the directory and everything in it when [f]
+    returns or raises. *)
 
 val pack : t -> Backend.t
 

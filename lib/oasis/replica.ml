@@ -31,6 +31,8 @@ module Net = Oasis_sim.Net
 module Engine = Oasis_sim.Engine
 module Stats = Oasis_sim.Stats
 module Wal = Oasis_store.Wal
+module Frame = Oasis_util.Frame
+module Siphash = Oasis_util.Siphash
 
 type member = {
   m_svc : Service.t;
@@ -52,7 +54,7 @@ type t = {
   g_heartbeat : float;
   g_lease : float;
   g_stagger : float;
-  g_stream_key : string;  (* checksum-key name for shipped record batches *)
+  g_stream_key : Siphash.key;  (* checksum key of shipped record batches *)
   mutable g_primary : int;
   mutable g_epoch : int;
   mutable g_ready : bool;  (* primary finished its promotion replay *)
@@ -165,9 +167,7 @@ let rec ship_to t j =
     let records = Array.to_list (Array.sub t.g_log start n) in
     (* Framed exactly as the WAL frames them (length + SipHash under the
        group's stream key): the receiver re-validates before applying. *)
-    let payload =
-      String.concat "" (List.map (Wal.frame_with ~key:t.g_stream_key) records)
-    in
+    let payload = Frame.encode_all t.g_stream_key records in
     Net.rpc_async t.g_net ~category:"repl.ship"
       ~size:(32 + String.length payload)
       ~timeout:(3.0 *. t.g_heartbeat) ~src:p.m_host ~dst:m.m_host
@@ -187,7 +187,7 @@ let rec ship_to t j =
                   reply (Ok m.m_have)
                 else begin
                   let records =
-                    Array.of_list (Wal.decode_with ~key:t.g_stream_key payload)
+                    Array.of_list (Frame.decode t.g_stream_key payload)
                   in
                   let n = Array.length records in
                   (* Verify the overlap against the stream instead of
@@ -482,7 +482,7 @@ let create net ~members:svcs ?(heartbeat = 0.2) ?(lease = 0.45) ?(stagger = 0.15
       g_heartbeat = heartbeat;
       g_lease = lease;
       g_stagger = stagger;
-      g_stream_key = "repl:" ^ name;
+      g_stream_key = Wal.key ("repl:" ^ name);
       g_primary = 0;
       g_epoch = 0;
       g_ready = true;

@@ -87,10 +87,10 @@ type dep =
 
 type issued = {
   mutable i_alive : bool;  (* False once explicitly invalidated *)
-  i_deps : dep list;
-  i_rbrs : (string * string * string) list;
-      (* (role, marshalled args, revoker role): §4.11 revocation arms to
-         re-create on recovery *)
+  i_line : string;
+      (* the record's [I] journal line, as logged: its dependency list and
+         its (role, marshalled args, revoker role) §4.11 revocation arms,
+         decoded only when recovery re-creates them; checkpoints copy it *)
 }
 
 type durable = {
@@ -249,6 +249,13 @@ let rec_issue key deps rbrs =
 
 let split_items s = if s = "" then [] else String.split_on_char '\x1e' s
 
+(* The dependency list and revocation arms of an [I] line. *)
+let dec_issue line =
+  match String.split_on_char '\x1f' line with
+  | [ "I"; _; deps; rbrs ] ->
+      (List.filter_map dec_dep (split_items deps), List.filter_map dec_rbr (split_items rbrs))
+  | _ -> ([], [])
+
 (* Apply one log record to the durable mirror (blacklist + issued table).
    Total and idempotent: recovery replays snapshot then log in order. *)
 let apply_record t du line =
@@ -261,10 +268,7 @@ let apply_record t du line =
       match (Hex.decode role, Hex.decode argskey) with
       | Some role, Some argskey -> Hashtbl.remove t.sv_blacklist (role, argskey)
       | _ -> ())
-  | [ "I"; key; deps; rbrs ] ->
-      let deps = List.filter_map dec_dep (split_items deps) in
-      let rbrs = List.filter_map dec_rbr (split_items rbrs) in
-      Hashtbl.replace du.du_issued key { i_alive = true; i_deps = deps; i_rbrs = rbrs }
+  | [ "I"; key; _; _ ] -> Hashtbl.replace du.du_issued key { i_alive = true; i_line = line }
   | [ "V"; key ] -> (
       match Hashtbl.find_opt du.du_issued key with
       | Some i -> i.i_alive <- false
@@ -288,7 +292,7 @@ let serialize_mirror t du =
     |> List.sort String.compare
   in
   let issues =
-    Hashtbl.fold (fun key i acc -> rec_issue key i.i_deps i.i_rbrs :: acc) du.du_issued []
+    Hashtbl.fold (fun _ i acc -> i.i_line :: acc) du.du_issued []
     |> List.sort String.compare
   in
   String.concat "\x1c" (fires @ issues)
@@ -1407,10 +1411,9 @@ let persist_issue t ~crr ~deps ~rbrs =
   | Some du ->
       let key = Credrec.marshal_ref crr in
       if not (Hashtbl.mem du.du_issued key) then begin
-        let deps = List.sort_uniq compare deps in
-        let rbrs = List.sort_uniq compare rbrs in
-        Hashtbl.replace du.du_issued key { i_alive = true; i_deps = deps; i_rbrs = rbrs };
-        persist_line t du (rec_issue key deps rbrs)
+        let line = rec_issue key (List.sort_uniq compare deps) (List.sort_uniq compare rbrs) in
+        Hashtbl.replace du.du_issued key { i_alive = true; i_line = line };
+        persist_line t du line
       end
 
 let issue_cert t ?(deps = []) ?(rbrs = []) ~client ~roles ~args ~crr () =
@@ -2051,6 +2054,7 @@ let recover ?on_done t =
                          Credrec.invalidate t.sv_table cref
                      | Some i when not i.i_alive -> Credrec.invalidate t.sv_table cref
                      | Some i -> begin
+                       let deps, rbrs = dec_issue i.i_line in
                        List.iter
                          (fun dep ->
                            match dep with
@@ -2067,7 +2071,7 @@ let recover ?on_done t =
                                        ~initial:Credrec.Unknown
                                    in
                                    Credrec.add_parent t.sv_table ~child:cref local))
-                         i.i_deps;
+                         deps;
                        List.iter
                          (fun (role, argskey, revoker_role) ->
                            let rbr = Credrec.leaf t.sv_table ~state:Credrec.True () in
@@ -2094,7 +2098,7 @@ let recover ?on_done t =
                              in
                              cell := (revoker_ref, rbr) :: !cell
                            end)
-                         i.i_rbrs
+                         rbrs
                      end)
                    restored;
                  (* Kick the reread machinery: every re-mirrored external is

@@ -9,7 +9,8 @@ type signature = string
 let sign ?(length = 16) secret payload =
   if length < 4 || length > 32 then invalid_arg "Signing.sign: length must be in [4, 32]";
   let h1 = Siphash.hash_hex secret payload in
-  if length <= 16 then String.sub h1 0 length
+  if length = 16 then h1
+  else if length < 16 then String.sub h1 0 length
   else
     let h2 = Siphash.hash_hex secret (h1 ^ payload) in
     h1 ^ String.sub h2 0 (length - 16)
@@ -51,18 +52,21 @@ module Rolling = struct
 
   let sign ?length t payload =
     let s = current t in
-    Printf.sprintf "%04x%s" (s.id land 0xffff) (sign ?length s.secret payload)
+    Hex.of_int ~width:4 (s.id land 0xffff) ^ sign ?length s.secret payload
 
+  (* The key id is exactly the four lowercase hex digits [sign] writes:
+     a lenient parse would let several spellings ("0_00", "000A") of one
+     id verify as the same signature. *)
   let verify ?length t payload signature =
     if String.length signature < 4 then false
     else
-      match int_of_string_opt ("0x" ^ String.sub signature 0 4) with
-      | None -> false
-      | Some id -> (
-          let body = String.sub signature 4 (String.length signature - 4) in
-          match List.find_opt (fun s -> s.id land 0xffff = id) t.slots with
-          | None -> false
-          | Some s -> verify ?length s.secret payload body)
+      let id = Hex.get_int signature 0 ~width:4 in
+      if id < 0 then false
+      else
+        let body = String.sub signature 4 (String.length signature - 4) in
+        match List.find_opt (fun s -> s.id land 0xffff = id) t.slots with
+        | None -> false
+        | Some s -> verify ?length s.secret payload body
 
   let generation t = t.next_id - 1
 end

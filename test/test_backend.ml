@@ -27,11 +27,17 @@ type flavour = Sim | Ux
 
 let flavour_name = function Sim -> "sim" | Ux -> "unix"
 
-let make = function
-  | Sim -> (Backend_sim.create (), None)
+(* [with_backend fl f] runs [f] on a fresh backend of the flavour; a unix
+   backend gets its own data directory, removed with it afterwards. *)
+let with_backend fl f =
+  match fl with
+  | Sim -> f (Backend_sim.create ()) None
   | Ux ->
-      let b = Backend_unix.create () in
-      (Backend_unix.pack b, Some b)
+      Backend_unix.with_temp_data_dir (fun dir ->
+          let b = Backend_unix.create ~data_dir:dir () in
+          Fun.protect
+            ~finally:(fun () -> Backend_unix.shutdown b)
+            (fun () -> f (Backend_unix.pack b) (Some b)))
 
 (* Run until [p] holds or the deadline passes.  The sim jumps virtual
    time; the unix backend waits out the real clock, so deadlines here are
@@ -51,7 +57,7 @@ let run_until_done backend ~deadline p =
   checkb "completed before deadline" true (p ())
 
 let test_clock_domain fl () =
-  let backend, _ = make fl in
+  with_backend fl @@ fun backend _ ->
   let label = Backend.clock_domain_label backend in
   checks "label matches flavour"
     (match fl with Sim -> "sim" | Ux -> "wall")
@@ -59,7 +65,7 @@ let test_clock_domain fl () =
   checkb "real_time agrees" (fl = Ux) (Engine.real_time (Backend.engine backend))
 
 let test_send_delivery fl () =
-  let backend, _ = make fl in
+  with_backend fl @@ fun backend _ ->
   let net = Backend.net backend in
   let a = Net.add_host net "a" and b = Net.add_host net "b" in
   ignore b;
@@ -69,7 +75,7 @@ let test_send_delivery fl () =
   run_until_done backend ~deadline:2.0 (fun () -> !got = 2)
 
 let test_call_roundtrip fl () =
-  let backend, _ = make fl in
+  with_backend fl @@ fun backend _ ->
   let net = Backend.net backend in
   let a = Net.add_host net "a" and b = Net.add_host net "b" in
   Net.bind net b ~port:"echo" (fun req reply -> reply (Ok ("echo:" ^ req)));
@@ -81,7 +87,7 @@ let test_call_roundtrip fl () =
   checks "served by the bound handler" "echo:hi" !answer
 
 let test_call_error_paths fl () =
-  let backend, _ = make fl in
+  with_backend fl @@ fun backend _ ->
   let net = Backend.net backend in
   let a = Net.add_host net "a" and b = Net.add_host net "b" in
   (* A silent handler: the caller's timeout must answer. *)
@@ -106,7 +112,7 @@ let test_call_error_paths fl () =
   checks "unreachable destination fails closed" "unknown host: elsewhere" !unknown
 
 let test_timer_cancel fl () =
-  let backend, _ = make fl in
+  with_backend fl @@ fun backend _ ->
   let engine = Backend.engine backend in
   let fired = ref 0 and cancelled_fired = ref false in
   let t = Engine.timer engine ~delay:0.02 (fun () -> cancelled_fired := true) in
@@ -116,7 +122,7 @@ let test_timer_cancel fl () =
   checkb "cancelled timer never fires" false !cancelled_fired
 
 let test_every_cancel fl () =
-  let backend, _ = make fl in
+  with_backend fl @@ fun backend _ ->
   let engine = Backend.engine backend in
   let ticks = ref 0 in
   let t = ref None in
@@ -137,7 +143,7 @@ let test_every_cancel fl () =
    the unsynced tail does not outlive the device (the sim may keep a torn
    seeded prefix of it; the real device loses buffered bytes wholesale). *)
 let test_fsync_crash_tail fl () =
-  let backend, ub = make fl in
+  with_backend fl @@ fun backend ub ->
   let net = Backend.net backend in
   let h = Net.add_host net "h" in
   let disk = Backend.disk backend h in
@@ -190,7 +196,8 @@ let test_unix_loopback_call () =
      the wire name is not a local host, so the frame goes out through the
      loopback listener and is dispatched back in via the alias, exactly
      the path a remote process takes. *)
-  let b = Backend_unix.create () in
+  Backend_unix.with_temp_data_dir @@ fun dir ->
+  let b = Backend_unix.create ~data_dir:dir () in
   let backend = Backend_unix.pack b in
   let net = Backend.net backend in
   let a = Net.add_host net "a" and srv = Net.add_host net "srv" in
@@ -210,7 +217,8 @@ let test_unix_loopback_call () =
 
 let test_unix_wal_roundtrip () =
   let module Wal = Oasis_store.Wal in
-  let b = Backend_unix.create () in
+  Backend_unix.with_temp_data_dir @@ fun dir ->
+  let b = Backend_unix.create ~data_dir:dir () in
   let backend = Backend_unix.pack b in
   let net = Backend.net backend in
   let h = Net.add_host net "h" in

@@ -12,6 +12,7 @@ module Prng = Oasis_util.Prng
 module Disk = Oasis_store.Disk
 module Wal = Oasis_store.Wal
 module Snapshot = Oasis_store.Snapshot
+module Frame = Oasis_util.Frame
 module Service = Oasis_core.Service
 module Group = Oasis_core.Group
 module Principal = Oasis_core.Principal
@@ -138,34 +139,98 @@ let test_wal_rewrite_refuses_pending_callbacks () =
   checkb "rewrite goes through once the buffer is drained" true
     (Wal.recover wal = [ "fresh" ])
 
-(* Property: the recovery scan is total and prefix-stable under arbitrary
-   single-byte corruption and truncation of the framed bytes. *)
+(* Feed [bytes] to a stream reader in seeded pieces of 1..[max_piece]
+   bytes, the way TCP reads arrive, collecting payloads until the reader
+   reports corruption (the connection would be dropped there). *)
+let read_stream ?(max_len = 4096) ~prng ~max_piece key bytes =
+  let r = Frame.Reader.create ~max_len key in
+  let src = Bytes.of_string bytes in
+  let rec go off acc =
+    match Frame.Reader.next r with
+    | Some p -> go off (p :: acc)
+    | exception Frame.Corrupt -> (List.rev acc, `Corrupt)
+    | None ->
+        if off = Bytes.length src then (List.rev acc, `Waiting)
+        else begin
+          let n = min (Bytes.length src - off) (1 + Prng.int prng max_piece) in
+          Frame.Reader.feed r src off n;
+          go (off + n) acc
+        end
+  in
+  go 0 []
+
+(* Property: the one frame decoder is total and prefix-stable under
+   arbitrary single-byte corruption and truncation, both as the recovery
+   scan reads a log and as TCP reads a stream split across reads.  A
+   corrupt header or checksum never yields its payload: the scan stops
+   there, keeping the valid prefix, and the stream reader reports the
+   corruption (the connection is dropped) without delivering it. *)
 let test_wal_decoder_fuzz () =
   let records = List.init 12 (fun i -> Printf.sprintf "payload-%d-%s" i (String.make i 'y')) in
   let framed = String.concat "" (List.map (Wal.frame_with ~key:"log") records) in
-  let is_prefix l = records = l @ List.filteri (fun i _ -> i >= List.length l) records in
+  let key = Wal.key "log" in
+  (* The offset just past each frame. *)
+  let frame_end =
+    List.rev
+      (snd
+         (List.fold_left
+            (fun (off, acc) r ->
+              let e = off + Frame.header + String.length r in
+              (e, e :: acc))
+            (0, []) records))
+  in
+  let frames_before pos = List.length (List.filter (fun e -> e <= pos) frame_end) in
+  let prefix k = List.filteri (fun i _ -> i < k) records in
   for seed = 1 to 50 do
     let prng = Prng.create (Int64.of_int seed) in
-    let mutated =
+    let flipped, mutated =
       if Prng.bool prng then begin
         (* Flip one random byte. *)
         let b = Bytes.of_string framed in
         let i = Prng.int prng (Bytes.length b) in
         Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 + Prng.int prng 255)));
-        Bytes.to_string b
+        (Some i, Bytes.to_string b)
       end
-      else String.sub framed 0 (Prng.int prng (String.length framed + 1))
+      else (None, String.sub framed 0 (Prng.int prng (String.length framed + 1)))
+    in
+    (* Frames wholly before the damage: all of them must come through. *)
+    let intact =
+      match flipped with Some i -> frames_before i | None -> frames_before (String.length mutated)
     in
     let decoded =
       try Wal.decode_with ~key:"log" mutated
       with e -> Alcotest.failf "decoder raised on seed %d: %s" seed (Printexc.to_string e)
     in
-    checkb
-      (Printf.sprintf "seed %d decodes to a prefix" seed)
-      true (is_prefix decoded);
+    Alcotest.(check (list string))
+      (Printf.sprintf "seed %d: scan keeps the valid prefix" seed)
+      (prefix intact) decoded;
     (* Wrong key: nothing validates. *)
-    checkb "other file's key rejects all" true (Wal.decode_with ~key:"other" mutated = [])
-  done
+    checkb "other file's key rejects all" true (Wal.decode_with ~key:"other" mutated = []);
+    let streamed, ending = read_stream ~prng ~max_piece:40 key mutated in
+    Alcotest.(check (list string))
+      (Printf.sprintf "seed %d: stream delivers the valid prefix" seed)
+      (prefix intact) streamed;
+    (match flipped with
+    | None ->
+        checkb (Printf.sprintf "seed %d: truncated stream waits" seed) true (ending = `Waiting)
+    | Some i ->
+        let frame_start = if intact = 0 then 0 else List.nth frame_end (intact - 1) in
+        (* A flipped checksum or payload byte is corruption; a flipped
+           length digit is too, unless it now claims more bytes than the
+           stream holds, in which case the reader waits for them. *)
+        if i - frame_start >= 8 then
+          checkb
+            (Printf.sprintf "seed %d: bad checksum drops the stream" seed)
+            true (ending = `Corrupt))
+  done;
+  (* A header claiming more than the cap is corrupt as soon as it is
+     complete, before any of the payload arrives. *)
+  let big = Frame.encode key (String.make 100 'b') in
+  let streamed, ending =
+    read_stream ~max_len:64 ~prng:(Prng.create 7L) ~max_piece:1 key (String.sub big 0 Frame.header)
+  in
+  checkb "over-cap header delivers nothing" true (streamed = []);
+  checkb "over-cap header drops the stream" true (ending = `Corrupt)
 
 (* --- snapshots --- *)
 

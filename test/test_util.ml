@@ -1,15 +1,18 @@
-(* Unit and property tests for lib/util: prng, siphash, signing, bitset,
-   pqueue. *)
+(* Unit and property tests for lib/util: prng, siphash, signing, hex,
+   frame, bitset, pqueue. *)
 
 module Prng = Oasis_util.Prng
 module Siphash = Oasis_util.Siphash
 module Signing = Oasis_util.Signing
 module Bitset = Oasis_util.Bitset
 module Pqueue = Oasis_util.Pqueue
+module Hex = Oasis_util.Hex
+module Frame = Oasis_util.Frame
 
 let check = Alcotest.check
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
+let checks = Alcotest.(check string)
 
 (* --- prng --- *)
 
@@ -82,12 +85,84 @@ let test_prng_pick_shuffle () =
 
 (* --- siphash --- *)
 
+(* The published SipHash-2-4 vectors from the Aumasson/Bernstein paper:
+   key = 000102...0f, input = 00 01 02 ... (n-1). *)
 let test_siphash_reference_vector () =
-  (* SipHash-2-4 reference test vector from the Aumasson/Bernstein paper:
-     key = 000102...0f, input = 00 01 02 ... 0e (15 bytes). *)
   let key = Siphash.key_of_int64s 0x0706050403020100L 0x0f0e0d0c0b0a0908L in
-  let input = String.init 15 Char.chr in
-  Alcotest.(check string) "reference vector" "a129ca6149be45e5" (Siphash.hash_hex key input)
+  List.iter
+    (fun (n, want) ->
+      Alcotest.(check string)
+        (Printf.sprintf "reference vector n=%d" n)
+        want
+        (Siphash.hash_hex key (String.init n Char.chr)))
+    [
+      (0, "726fdb47dd0e0e31");
+      (1, "74f839c593dc67fd");
+      (7, "ab0200f58b01d137");
+      (8, "93f5f5799a932462");
+      (15, "a129ca6149be45e5");
+      (63, "958a324ceb064572");
+    ]
+
+(* Outputs of the closure-based implementation this one replaced, for every
+   length 0..64 under the same key: every tail length, and one to eight full
+   blocks. *)
+let siphash_pinned =
+  [|
+    "726fdb47dd0e0e31"; "74f839c593dc67fd"; "0d6c8009d9a94f5a"; "85676696d7fb7e2d";
+    "cf2794e0277187b7"; "18765564cd99a68d"; "cbc9466e58fee3ce"; "ab0200f58b01d137";
+    "93f5f5799a932462"; "9e0082df0ba9e4b0"; "7a5dbbc594ddb9f3"; "f4b32f46226bada7";
+    "751e8fbc860ee5fb"; "14ea5627c0843d90"; "f723ca908e7af2ee"; "a129ca6149be45e5";
+    "3f2acc7f57c29bdb"; "699ae9f52cbe4794"; "4bc1b3f0968dd39c"; "bb6dc91da77961bd";
+    "bed65cf21aa2ee98"; "d0f2cbb02e3b67c7"; "93536795e3a33e88"; "a80c038ccd5ccec8";
+    "b8ad50c6f649af94"; "bce192de8a85b8ea"; "17d835b85bbb15f3"; "2f2e6163076bcfad";
+    "de4daaaca71dc9a5"; "a6a2506687956571"; "ad87a3535c49ef28"; "32d892fad841c342";
+    "7127512f72f27cce"; "a7f32346f95978e3"; "12e0b01abb051238"; "15e034d40fa197ae";
+    "314dffbe0815a3b4"; "027990f029623981"; "cadcd4e59ef40c4d"; "9abfd8766a33735c";
+    "0e3ea96b5304a7d0"; "ad0c42d6fc585992"; "187306c89bc215a9"; "d4a60abcf3792b95";
+    "f935451de4f21df2"; "a9538f0419755787"; "db9acddff56ca510"; "d06c98cd5c0975eb";
+    "e612a3cb9ecba951"; "c766e62cfcadaf96"; "ee64435a9752fe72"; "a192d576b245165a";
+    "0a8787bf8ecb74b2"; "81b3e73d20b49b6f"; "7fa8220ba3b2ecea"; "245731c13ca42499";
+    "b78dbfaf3a8d83bd"; "ea1ad565322a1a0b"; "60e61c23a3795013"; "6606d7e446282b93";
+    "6ca4ecb15c5f91e1"; "9f626da15c9625f3"; "e51b38608ef25f57"; "958a324ceb064572";
+    "acd2c40b8502cad8";
+  |]
+
+let test_siphash_pinned_lengths () =
+  let key = Siphash.key_of_int64s 0x0706050403020100L 0x0f0e0d0c0b0a0908L in
+  Array.iteri
+    (fun n want ->
+      let msg = String.init n Char.chr in
+      Alcotest.(check string) (Printf.sprintf "n=%d" n) want (Siphash.hash_hex key msg);
+      Alcotest.(check string) "hash_hex renders hash"
+        (Printf.sprintf "%016Lx" (Siphash.hash key msg))
+        want)
+    siphash_pinned
+
+let test_siphash_key_derivation_pinned () =
+  List.iter
+    (fun (s, k0, k1) ->
+      let k = Siphash.key_of_string s in
+      Alcotest.(check int64) (s ^ " k0") k0 k.Siphash.k0;
+      Alcotest.(check int64) (s ^ " k1") k1 k.Siphash.k1)
+    [
+      ("", 0x2c792a9a14aa38d5L, 0x80324924a5bf7817L);
+      ("a", 0x3c1c17d11d3e59dcL, 0x80324924a5bf7817L);
+      ("oasis.wal:tcp", 0x3defebc277799c35L, 0xb140da41d9306e33L);
+      ("hunter2", 0x6bb2a2a3ea228d44L, 0xdf53916a75d92dcbL);
+    ]
+
+(* A closure capturing the state words would box every 64-bit step (about
+   100 KB for this input); the unboxed kernel allocates only its result. *)
+let test_siphash_allocation () =
+  if Sys.backend_type = Sys.Native then begin
+    let k = Siphash.key_of_string "alloc" and msg = String.make 4096 'x' in
+    ignore (Siphash.hash k msg);
+    let before = Gc.minor_words () in
+    ignore (Sys.opaque_identity (Siphash.hash k msg));
+    let words = Gc.minor_words () -. before in
+    checkb (Printf.sprintf "hashing 4 KiB allocated %.0f words (< 64)" words) true (words < 64.0)
+  end
 
 let test_siphash_key_sensitivity () =
   let k1 = Siphash.key_of_string "secret-1" and k2 = Siphash.key_of_string "secret-2" in
@@ -198,6 +273,79 @@ let test_rolling_rejects_truncated () =
     (Signing.Rolling.verify ~length:16 t "payload" (String.sub signature 0 4));
   checkb "truncated rejected at default" false
     (Signing.Rolling.verify t "payload" (String.sub signature 0 4))
+
+(* The key id is exactly four lowercase hex digits: other spellings of the
+   same number are not the signature [sign] wrote. *)
+let test_rolling_rejects_noncanonical_key_id () =
+  let t = Signing.Rolling.create ~capacity:16 (Prng.create 6L) in
+  let s0 = Signing.Rolling.sign t "payload" in
+  checkb "canonical id 0000 verifies" true (Signing.Rolling.verify t "payload" s0);
+  let body0 = String.sub s0 4 (String.length s0 - 4) in
+  checkb "0_00 refused" false (Signing.Rolling.verify t "payload" ("0_00" ^ body0));
+  for _ = 1 to 10 do
+    Signing.Rolling.roll t
+  done;
+  let s10 = Signing.Rolling.sign t "payload" in
+  checks "id 10 is written 000a" "000a" (String.sub s10 0 4);
+  checkb "canonical id 000a verifies" true (Signing.Rolling.verify t "payload" s10);
+  let body10 = String.sub s10 4 (String.length s10 - 4) in
+  checkb "000A refused" false (Signing.Rolling.verify t "payload" ("000A" ^ body10));
+  checkb "+00a refused" false (Signing.Rolling.verify t "payload" ("+00a" ^ body10))
+
+(* Signatures are unchanged by the rewrite of the kernels under them. *)
+let test_rolling_signatures_pinned () =
+  let t = Signing.Rolling.create (Prng.create 5L) in
+  checks "length 16" "0000708d855fb11eedcc" (Signing.Rolling.sign ~length:16 t "payload");
+  checks "length 32" "0000708d855fb11eedcceed20de97dcaf389"
+    (Signing.Rolling.sign ~length:32 t "payload");
+  checks "length 6" "0000708d85" (Signing.Rolling.sign ~length:6 t "payload")
+
+(* --- hex --- *)
+
+let prop_hex_encode_matches_printf =
+  QCheck.Test.make ~name:"hex encode = per-byte %02x" ~count:300 QCheck.string (fun s ->
+      let per_byte = String.to_seq s |> Seq.map (fun c -> Printf.sprintf "%02x" (Char.code c)) in
+      Hex.encode s = String.concat "" (List.of_seq per_byte)
+      && Hex.decode (Hex.encode s) = Some s)
+
+let prop_hex_fixed_width_matches_printf =
+  QCheck.Test.make ~name:"fixed-width hex = %0*x, and parses back" ~count:500
+    QCheck.(pair (int_range 1 15) (int_bound max_int))
+    (fun (width, n) ->
+      let n = n land ((1 lsl (4 * width)) - 1) in
+      let s = Hex.of_int ~width n in
+      s = Printf.sprintf "%0*x" width n && Hex.get_int s 0 ~width = n)
+
+let prop_hex_int64_matches_printf =
+  QCheck.Test.make ~name:"put_int64 = %016Lx, equal_int64 agrees" ~count:500 QCheck.int64 (fun x ->
+      let b = Bytes.create 16 in
+      Hex.put_int64 b 0 x;
+      let s = Bytes.to_string b in
+      s = Printf.sprintf "%016Lx" x
+      && Hex.equal_int64 s 0 x
+      && not (Hex.equal_int64 s 0 (Int64.logxor x 1L)))
+
+let test_hex_strict_fields () =
+  checki "lowercase parses" 0xbeef (Hex.get_int "beef" 0 ~width:4);
+  checki "uppercase refused" (-1) (Hex.get_int "BEEF" 0 ~width:4);
+  checki "underscore refused" (-1) (Hex.get_int "0_00" 0 ~width:4);
+  checki "sign refused" (-1) (Hex.get_int "+000" 0 ~width:4);
+  checkb "uppercase digest refused" false
+    (Hex.equal_int64 "0123456789ABCDEF" 0 0x0123456789abcdefL);
+  Alcotest.check_raises "too wide" (Invalid_argument "Hex.put_int: value does not fit the width")
+    (fun () -> ignore (Hex.of_int ~width:4 0x10000))
+
+(* --- frame --- *)
+
+let test_frame_pinned () =
+  let key = Siphash.key_of_string "oasis.wal:log" in
+  checks "one frame" "0000000b0b79128bf1fc39e1hello\000world" (Frame.encode key "hello\000world");
+  checks "empty payload" "000000001f2b26ce1c10bd48"
+    (Frame.encode (Siphash.key_of_string "oasis.wal:") "");
+  let payloads = [ ""; "a"; String.make 300 'z'; "x\000y" ] in
+  let framed = Frame.encode_all key payloads in
+  checks "encode_all concatenates" (String.concat "" (List.map (Frame.encode key) payloads)) framed;
+  Alcotest.(check (list string)) "decode inverts" payloads (Frame.decode key framed)
 
 (* --- bitset --- *)
 
@@ -385,6 +533,9 @@ let () =
       ( "siphash",
         [
           Alcotest.test_case "reference vector" `Quick test_siphash_reference_vector;
+          Alcotest.test_case "pinned outputs, lengths 0..64" `Quick test_siphash_pinned_lengths;
+          Alcotest.test_case "pinned key derivation" `Quick test_siphash_key_derivation_pinned;
+          Alcotest.test_case "4 KiB hash allocates < 64 words" `Quick test_siphash_allocation;
           Alcotest.test_case "key sensitivity" `Quick test_siphash_key_sensitivity;
           Alcotest.test_case "input sensitivity" `Quick test_siphash_input_sensitivity;
           Alcotest.test_case "empty and long" `Quick test_siphash_empty_and_long;
@@ -404,7 +555,18 @@ let () =
           Alcotest.test_case "rolling new signs" `Quick test_rolling_new_secret_signs;
           Alcotest.test_case "rolling garbage" `Quick test_rolling_garbage_signature;
           Alcotest.test_case "rolling truncated rejected" `Quick test_rolling_rejects_truncated;
+          Alcotest.test_case "rolling non-canonical key id rejected" `Quick
+            test_rolling_rejects_noncanonical_key_id;
+          Alcotest.test_case "rolling signatures pinned" `Quick test_rolling_signatures_pinned;
         ] );
+      ( "hex",
+        [
+          qt prop_hex_encode_matches_printf;
+          qt prop_hex_fixed_width_matches_printf;
+          qt prop_hex_int64_matches_printf;
+          Alcotest.test_case "strict fields" `Quick test_hex_strict_fields;
+        ] );
+      ("frame", [ Alcotest.test_case "pinned bytes, round trip" `Quick test_frame_pinned ]);
       ( "bitset",
         [
           qt prop_bitset_roundtrip;
