@@ -36,6 +36,24 @@ module V = Oasis_rdl.Value
 let header title = Printf.printf "\n=== %s ===\n" title
 let row fmt = Printf.printf fmt
 
+(* Write BENCH_<experiment>_<size>.json for the perf archive: [fields]
+   stamped with the experiment and the backend and clock domain it ran
+   on, keys sorted so snapshots diff cleanly; then say so in the table. *)
+let write_snapshot ?(backend = "sim") ?(clock_domain = "sim") experiment size fields =
+  let file = Printf.sprintf "BENCH_%s_%d.json" experiment size in
+  let oc = open_out file in
+  output_string oc
+    (J.to_string
+       (J.sorted
+          (J.Obj
+             (("experiment", J.Str experiment)
+             :: ("backend", J.Str backend)
+             :: ("clock_domain", J.Str clock_domain)
+             :: fields))));
+  output_string oc "\n";
+  close_out oc;
+  row "         snapshot written to %s\n" file
+
 let fresh_vci =
   let host = Principal.Host.create "benchclient" in
   let domain = Principal.Host.boot_domain host in
@@ -1110,42 +1128,34 @@ Member(u) <- Login.LoggedOn(u, h)*
     let reparse what s =
       match J.parse s with Ok j -> j | Error e -> failwith ("e16 " ^ what ^ " json: " ^ e)
     in
-    let oc = open_out (Printf.sprintf "BENCH_e16_%d.json" n) in
-    output_string oc
-      (J.to_string
-         (J.sorted
-            (J.Obj
-               [
-                 ("experiment", J.Str "e16");
-                 ("backend", J.Str "sim");
-                 ("clock_domain", J.Str "sim");
-                 ("n", J.Int n);
-                 ("burst", J.Int burst);
-                 ("heartbeat", J.Float heartbeat);
-                 ( "e2e",
-                   J.Obj
-                     [
-                       ("samples", J.Int samples);
-                       ("p50", J.Float (pct 50.0));
-                       ("p99", J.Float (pct 99.0));
-                       ("max", J.Float mx);
-                     ] );
-                 ("stats", reparse "stats" (Stats.to_json s));
-                 ("trace", reparse "trace" (Trace.to_json tr));
-               ])));
-    output_string oc "\n";
-    close_out oc;
+    let snapshot =
+      [
+        ("n", J.Int n);
+        ("burst", J.Int burst);
+        ("heartbeat", J.Float heartbeat);
+        ( "e2e",
+          J.Obj
+            [
+              ("samples", J.Int samples);
+              ("p50", J.Float (pct 50.0));
+              ("p99", J.Float (pct 99.0));
+              ("max", J.Float mx);
+            ] );
+        ("stats", reparse "stats" (Stats.to_json s));
+        ("trace", reparse "trace" (Trace.to_json tr));
+      ]
+    in
     (samples, pct 50.0, pct 99.0, mx,
      Stats.percentile s "oasis.revoke.e2e" 50.0,
-     Stats.percentile s "oasis.revoke.e2e" 99.0)
+     Stats.percentile s "oasis.revoke.e2e" 99.0, snapshot)
   in
   row "%8s %9s %12s %12s %12s %14s %14s\n" "n" "windows" "span p50 (s)" "span p99 (s)"
     "span max (s)" "hist p50 (s)" "hist p99 (s)";
   List.iter
     (fun n ->
-      let samples, p50, p99, mx, h50, h99 = scenario ~n in
+      let samples, p50, p99, mx, h50, h99, snapshot = scenario ~n in
       row "%8d %9d %12.4f %12.4f %12.4f %14.4f %14.4f\n" n samples p50 p99 mx h50 h99;
-      row "         snapshot written to BENCH_e16_%d.json\n" n)
+      write_snapshot "e16" n snapshot)
     sizes;
   row "shape: propagation is bounded by one heartbeat of coalescing delay plus delivery\n";
   row "       latency, independent of membership count; the histogram percentiles agree\n";
@@ -1260,7 +1270,7 @@ Member(u) <- Login.LoggedOn(u, h)* |>* Chair : u in staff
       (function Ok _ -> fired := true | Error e -> failwith ("e17 fire: " ^ e));
     run_for w 2.0;
     if not !fired then failwith "e17: fire stalled";
-    Service.durable_flush meet;
+    Option.iter Oasis_core.Journal.flush (Service.journal meet);
     run_for w 1.0;
     let log_bytes = Disk.durable_size disk ~file:"svc.Meet.wal" in
     let snap_bytes = Disk.durable_size disk ~file:"svc.Meet.snap" in
@@ -1306,32 +1316,22 @@ Member(u) <- Login.LoggedOn(u, h)* |>* Chair : u in staff
               ("recover_latency_s", J.Float lat);
             ] )
       in
-      let oc = open_out (Printf.sprintf "BENCH_e17_%d.json" n) in
-      output_string oc
-        (J.to_string
-           (J.sorted
-           (J.Obj
+      write_snapshot "e17" n
+        [
+          ("n", J.Int n);
+          ("churn_rounds", J.Int rounds);
+          ("members", J.Int members);
+          ( "group_commit",
+            J.Obj
               [
-                ("experiment", J.Str "e17");
-                 ("backend", J.Str "sim");
-                 ("clock_domain", J.Str "sim");
-                ("n", J.Int n);
-                ("churn_rounds", J.Int rounds);
-                ("members", J.Int members);
-                ( "group_commit",
-                  J.Obj
-                    [
-                      ("appends", J.Int appends);
-                      ("fsyncs_coalesced", J.Int grouped);
-                      ("fsyncs_per_append", J.Int baseline);
-                      ("reduction", J.Float (float_of_int baseline /. float_of_int grouped));
-                    ] );
-                mode "full_replay" (flog, fsnap, frec, flat);
-                mode "snapshot" (slog, ssnap, srec, slat);
-              ])));
-      output_string oc "\n";
-      close_out oc;
-      row "         snapshot written to BENCH_e17_%d.json\n" n)
+                ("appends", J.Int appends);
+                ("fsyncs_coalesced", J.Int grouped);
+                ("fsyncs_per_append", J.Int baseline);
+                ("reduction", J.Float (float_of_int baseline /. float_of_int grouped));
+              ] );
+          mode "full_replay" (flog, fsnap, frec, flat);
+          mode "snapshot" (slog, ssnap, srec, slat);
+        ])
     sizes;
   row "shape: group commit turns 1k appends into O(elapsed/flush-interval) fsyncs (>=5x\n";
   row "       fewer); recovery time grows with durable log length, and checkpointing\n";
@@ -1439,25 +1439,15 @@ Lonely(u) <- Y(u) : u in nowhere and not (u in nowhere)|});
       let total = roles_per_service * List.length members in
       row "%12d %12d %12d %14.2f %14.2f\n" total (List.length members) (List.length diags) dt
         (dt *. 1000.0 /. float_of_int total);
-      let oc = open_out (Printf.sprintf "BENCH_e18_%d.json" total) in
-      output_string oc
-        (J.to_string
-           (J.sorted
-           (J.Obj
-              [
-                ("experiment", J.Str "e18");
-                 ("backend", J.Str "sim");
-                 ("clock_domain", J.Str "sim");
-                ("roles", J.Int total);
-                ("services", J.Int (List.length members));
-                ("roles_per_service", J.Int roles_per_service);
-                ("diagnostics", J.Int (List.length diags));
-                ("lint_ms", J.Float dt);
-                ("us_per_role", J.Float (dt *. 1000.0 /. float_of_int total));
-              ])));
-      output_string oc "\n";
-      close_out oc;
-      row "         snapshot written to BENCH_e18_%d.json\n" total)
+      write_snapshot "e18" total
+        [
+          ("roles", J.Int total);
+          ("services", J.Int (List.length members));
+          ("roles_per_service", J.Int roles_per_service);
+          ("diagnostics", J.Int (List.length diags));
+          ("lint_ms", J.Float dt);
+          ("us_per_role", J.Float (dt *. 1000.0 /. float_of_int total));
+        ])
     sizes;
   row "shape: analyzer cost is near-linear in total roles (per-file passes are\n";
   row "       per-entry; the federation fixpoint converges along the chain).\n"
@@ -1537,32 +1527,21 @@ let e19 () =
         (String.concat ";" (List.map string_of_int m.Explore.cx_schedule)));
   List.iter
     (fun (name, depth, rp, dt) ->
-      if name = "golf-club" then begin
-        let oc = open_out (Printf.sprintf "BENCH_e19_%d.json" depth) in
-        output_string oc
-          (J.to_string
-             (J.sorted
-             (J.Obj
-                [
-                  ("experiment", J.Str "e19");
-                 ("backend", J.Str "sim");
-                 ("clock_domain", J.Str "sim");
-                  ("scenario", J.Str name);
-                  ("depth", J.Int depth);
-                  ("runs", J.Int rp.Explore.rp_runs);
-                  ("decisions", J.Int rp.Explore.rp_decisions);
-                  ("distinct_states", J.Int rp.Explore.rp_distinct_states);
-                  ("pruned_sleep", J.Int rp.Explore.rp_pruned_sleep);
-                  ("pruned_fp", J.Int rp.Explore.rp_pruned_fp);
-                  ("wall_ms", J.Float dt);
-                  ("naive_runs_at_ratio_depth", J.Int naive.Explore.rp_runs);
-                  ("reduced_runs_at_ratio_depth", J.Int reduced.Explore.rp_runs);
-                  ("reduction_ratio", J.Float ratio);
-                ])));
-        output_string oc "\n";
-        close_out oc;
-        row "         snapshot written to BENCH_e19_%d.json\n" depth
-      end)
+      if name = "golf-club" then
+        write_snapshot "e19" depth
+          [
+            ("scenario", J.Str name);
+            ("depth", J.Int depth);
+            ("runs", J.Int rp.Explore.rp_runs);
+            ("decisions", J.Int rp.Explore.rp_decisions);
+            ("distinct_states", J.Int rp.Explore.rp_distinct_states);
+            ("pruned_sleep", J.Int rp.Explore.rp_pruned_sleep);
+            ("pruned_fp", J.Int rp.Explore.rp_pruned_fp);
+            ("wall_ms", J.Float dt);
+            ("naive_runs_at_ratio_depth", J.Int naive.Explore.rp_runs);
+            ("reduced_runs_at_ratio_depth", J.Int reduced.Explore.rp_runs);
+            ("reduction_ratio", J.Float ratio);
+          ])
     scenario_rows;
   row "shape: the explored state space grows geometrically with depth; sleep sets +\n";
   row "       fingerprint pruning keep exhaustive coverage >=5x cheaper than naive\n";
@@ -1693,41 +1672,33 @@ Member(u) <- Login.LoggedOn(u, h)*
     let reparse what str =
       match J.parse str with Ok j -> j | Error e -> failwith ("e20 " ^ what ^ " json: " ^ e)
     in
-    let oc = open_out (Printf.sprintf "BENCH_e20_%d.json" n) in
-    output_string oc
-      (J.to_string
-         (J.sorted
-            (J.Obj
-               [
-                 ("experiment", J.Str "e20");
-                 ("backend", J.Str "sim");
-                 ("clock_domain", J.Str "sim");
-                 ("shards", J.Int n);
-                 ("members", J.Int members);
-                 ("heartbeat", J.Float heartbeat);
-                 ("issue_wall_s", J.Float wall);
-                 ("issues_per_s", J.Float thpt);
-                 ( "e2e",
-                   J.Obj
-                     [
-                       ("samples", J.Int samples);
-                       ("p50", J.Float (pct 50.0));
-                       ("p99", J.Float (pct 99.0));
-                       ("max", J.Float mx);
-                     ] );
-                 ("stats", reparse "stats" (Stats.to_json s));
-               ])));
-    output_string oc "\n";
-    close_out oc;
-    (thpt, pct 50.0, pct 99.0, mx)
+    let snapshot =
+      [
+        ("shards", J.Int n);
+        ("members", J.Int members);
+        ("heartbeat", J.Float heartbeat);
+        ("issue_wall_s", J.Float wall);
+        ("issues_per_s", J.Float thpt);
+        ( "e2e",
+          J.Obj
+            [
+              ("samples", J.Int samples);
+              ("p50", J.Float (pct 50.0));
+              ("p99", J.Float (pct 99.0));
+              ("max", J.Float mx);
+            ] );
+        ("stats", reparse "stats" (Stats.to_json s));
+      ]
+    in
+    (thpt, pct 50.0, pct 99.0, mx, snapshot)
   in
   row "%8s %10s %14s %12s %12s %12s\n" "shards" "members" "issues/s" "p50 (s)" "p99 (s)" "max (s)";
   let results =
     List.map
       (fun n ->
-        let thpt, p50, p99, mx = run ~shards:n in
+        let thpt, p50, p99, mx, snapshot = run ~shards:n in
         row "%8d %10d %14.0f %12.4f %12.4f %12.4f\n" n members thpt p50 p99 mx;
-        row "         snapshot written to BENCH_e20_%d.json\n" n;
+        write_snapshot "e20" n snapshot;
         (n, thpt, p99))
       shard_counts
   in
@@ -1961,38 +1932,28 @@ Member(u) <- Login.LoggedOn(u, h)* |>* Chair
             (Printf.sprintf "e21: K=%d probe p99 %.4fs exceeds crash-free %.4fs + 1 heartbeat" k
                p99 p99_f)
       end;
-      let oc = open_out (Printf.sprintf "BENCH_e21_%d.json" k) in
-      output_string oc
-        (J.to_string
-           (J.sorted
-              (J.Obj
-                 [
-                   ("experiment", J.Str "e21");
-                 ("backend", J.Str "sim");
-                 ("clock_domain", J.Str "sim");
-                   ("replicas", J.Int k);
-                   ("shards", J.Int shards);
-                   ("members", J.Int members);
-                   ("heartbeat", J.Float heartbeat);
-                   ("duration_s", J.Float duration);
-                   ("lost_acked", J.Int lost);
-                   ("acked_extra_entries", J.Int extra);
-                   ("acked_fires", J.Int fires);
-                   ( "probe",
-                     J.Obj
-                       [
-                         ("samples", J.Int samples);
-                         ("errors", J.Int err);
-                         ("p50", J.Float p50);
-                         ("p99", J.Float p99);
-                         ("max", J.Float mx);
-                         ("crash_free_samples", J.Int samples_f);
-                         ("crash_free_p99", J.Float p99_f);
-                       ] );
-                 ])));
-      output_string oc "\n";
-      close_out oc;
-      row "         snapshot written to BENCH_e21_%d.json\n" k)
+      write_snapshot "e21" k
+        [
+          ("replicas", J.Int k);
+          ("shards", J.Int shards);
+          ("members", J.Int members);
+          ("heartbeat", J.Float heartbeat);
+          ("duration_s", J.Float duration);
+          ("lost_acked", J.Int lost);
+          ("acked_extra_entries", J.Int extra);
+          ("acked_fires", J.Int fires);
+          ( "probe",
+            J.Obj
+              [
+                ("samples", J.Int samples);
+                ("errors", J.Int err);
+                ("p50", J.Float p50);
+                ("p99", J.Float p99);
+                ("max", J.Float mx);
+                ("crash_free_samples", J.Int samples_f);
+                ("crash_free_p99", J.Float p99_f);
+              ] );
+        ])
     ks;
   row "shape: K=1 pays the full outage (probes fail closed until the restart); K=3\n";
   row "       absorbs the same crash inside the lease window — zero lost acks, zero\n";
@@ -2102,24 +2063,16 @@ User(u) <- Login(u)* |>* Admin
   let thpt = float_of_int members /. !wall in
   row "%d members over %d shards: %.2fs wall, %.0f issues/s (loopback TCP, real fsync)\n"
     members shards !wall thpt;
-  let oc = open_out (Printf.sprintf "BENCH_e22_%d.json" shards) in
-  output_string oc
-    (J.to_string
-       (J.sorted
-          (J.Obj
-             [
-               ("experiment", J.Str "e22");
-               ("backend", J.Str (Backend.name backend));
-               ("clock_domain", J.Str (Backend.clock_domain_label backend));
-               ("shards", J.Int shards);
-               ("members", J.Int members);
-               ("window", J.Int window);
-               ("issue_wall_s", J.Float !wall);
-               ("issues_per_s", J.Float thpt);
-             ])));
-  output_string oc "\n";
-  close_out oc;
-  row "         snapshot written to BENCH_e22_%d.json\n" shards;
+  write_snapshot ~backend:(Backend.name backend)
+    ~clock_domain:(Backend.clock_domain_label backend)
+    "e22" shards
+    [
+      ("shards", J.Int shards);
+      ("members", J.Int members);
+      ("window", J.Int window);
+      ("issue_wall_s", J.Float !wall);
+      ("issues_per_s", J.Float thpt);
+    ];
   row "shape: same protocol modules as e20, different substrate — the sim measures\n";
   row "       algorithmic cost in virtual time; this measures the deployed plane's\n";
   row "       real throughput: syscalls, TCP framing and fsyncs included.\n"
@@ -2244,26 +2197,16 @@ C(u) <- B(u)* : u = "b"
         wits;
       row "%12d %12d %12d %14.2f %14.2f\n" total (List.length members) (List.length wits) dt
         (dt *. 1000.0 /. float_of_int total);
-      let oc = open_out (Printf.sprintf "BENCH_e23_%d.json" total) in
-      output_string oc
-        (J.to_string
-           (J.sorted
-              (J.Obj
-                 [
-                   ("experiment", J.Str "e23");
-                   ("backend", J.Str "sim");
-                   ("clock_domain", J.Str "sim");
-                   ("roles", J.Int total);
-                   ("services", J.Int (List.length members));
-                   ("roles_per_service", J.Int roles_per_service);
-                   ("witnesses", J.Int (List.length wits));
-                   ("prove_ms", J.Float dt);
-                   ("us_per_role", J.Float (dt *. 1000.0 /. float_of_int total));
-                   ("planted_recall", J.Int (List.length planted));
-                 ])));
-      output_string oc "\n";
-      close_out oc;
-      row "         snapshot written to BENCH_e23_%d.json\n" total)
+      write_snapshot "e23" total
+        [
+          ("roles", J.Int total);
+          ("services", J.Int (List.length members));
+          ("roles_per_service", J.Int roles_per_service);
+          ("witnesses", J.Int (List.length wits));
+          ("prove_ms", J.Float dt);
+          ("us_per_role", J.Float (dt *. 1000.0 /. float_of_int total));
+          ("planted_recall", J.Int (List.length planted));
+        ])
     sizes;
   row "shape: the agenda visits each (entry, witness) pair once (<=4 witnesses per\n";
   row "       node), but a witness carries its full chain, so on a single deep chain\n";

@@ -109,24 +109,33 @@ Guest(u) <- Login.LoggedOn(u, h)* <|* Member(m)
 
   (* --------------------------------------------------------------- *)
   say "\n--- golf club quorum (§3.4.5) ---";
+  (* Membership needs two members' recommendations, so someone must be a
+     member first.  The bootstrap is declared in the rolefile — logged-on
+     founders enter directly — rather than issued outside the policy:
+     without it the Member/Rec cycle can never start, and the federation
+     linter refuses the service as a deadlock (OASIS001). *)
   let golf =
     Result.get_ok
       (Service.create net (host "golf") registry ~name:"Golf"
          ~rolefile:
            {|
 def Person(p) p: String
+def Founder(p) p: String
 Person(p) <- Login.LoggedOn(p, h)
+Founder(p) <- Login.LoggedOn(p, h) : p in founders
 Rec1(p, q) <- Person(p) <| Member(q)
 Rec2(p, q) <- Person(p) <| Member(q)
+Member(p) <- Founder(p)*
 Member(p) <- Rec1(p, q1)* /\ Rec2(p, q2)* : q1 <> q2
 |}
          ())
   in
-  let alice, _ = user "alice" in
-  let bertie, _ = user "bertie" in
+  List.iter (fun u -> Group.add (Service.group golf "founders") (V.Str u)) [ "alice"; "bertie" ];
+  let alice, alice_login = user "alice" in
+  let bertie, bertie_login = user "bertie" in
   let charlie, charlie_login = user "charlie" in
-  let alice_m = Service.issue_arbitrary golf ~client:alice ~roles:[ "Member" ] ~args:[ V.Str "alice" ] in
-  let bertie_m = Service.issue_arbitrary golf ~client:bertie ~roles:[ "Member" ] ~args:[ V.Str "bertie" ] in
+  let alice_m = Result.get_ok (enter golf alice "Member" [ alice_login ]) in
+  let bertie_m = Result.get_ok (enter golf bertie "Member" [ bertie_login ]) in
   say "alice and bertie are founding members";
   let recommend member_vci member_cert role =
     let d = ref None in

@@ -2,7 +2,6 @@ module Broker = Oasis_events.Broker
 module Event = Oasis_events.Event
 module Service = Oasis_core.Service
 module Cert = Oasis_core.Cert
-module Net = Oasis_sim.Net
 
 (* Token conveyance for certificates-in-session-credentials.  The token
    embeds the marshalled payload; a side table recovers the full
@@ -40,9 +39,6 @@ let install broker ~registry ~rules =
 module Proxy = struct
   type t = {
     p_broker : Broker.server;
-    p_upstream : Broker.server;
-    p_net : Net.t;
-    p_host : Net.host;
     mutable p_session : Broker.session option;
     mutable p_upstream_regs : int;
     mutable p_pending : (unit -> unit) list;
@@ -56,9 +52,6 @@ module Proxy = struct
     let t =
       {
         p_broker = proxy_broker;
-        p_upstream = upstream;
-        p_net = net;
-        p_host = host;
         p_session = None;
         p_upstream_regs = 0;
         p_pending = [];

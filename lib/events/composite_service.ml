@@ -1,5 +1,3 @@
-module Net = Oasis_sim.Net
-
 type definition = {
   d_name : string;
   d_vars : string list;  (* parameter order of the re-signalled event *)

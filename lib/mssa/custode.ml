@@ -12,7 +12,7 @@ type value = Value.t
 type file = {
   f_id : int;
   f_kind : Types.kind;
-  mutable f_acl : string;
+  f_acl : string;
   f_container : string;
   mutable f_segment : int option;
   mutable f_data : string;

@@ -28,7 +28,6 @@ type record = {
   mutable st : state;
   mutable permanent : bool;
   mutable direct_use : bool;
-  mutable auto_revoke : bool;
   mutable hooks : (state -> unit) list;
   mutable gen : int;  (* cascade generation this record is queued under *)
 }
@@ -59,7 +58,6 @@ let blank () =
     st = True;
     permanent = false;
     direct_use = false;
-    auto_revoke = false;
     hooks = [];
     gen = 0;
   }
@@ -113,7 +111,6 @@ let fresh t =
   slot.st <- True;
   slot.permanent <- false;
   slot.direct_use <- false;
-  slot.auto_revoke <- false;
   slot.hooks <- [];
   slot.gen <- 0;
   ({ index = i; magic = slot.magic }, slot)
@@ -291,7 +288,6 @@ let invalidate t r =
       end
 
 let set_direct_use t r v = match get t r with Some slot -> slot.direct_use <- v | None -> ()
-let set_auto_revoke t r v = match get t r with Some slot -> slot.auto_revoke <- v | None -> ()
 
 let on_change t r hook =
   match get t r with Some slot -> slot.hooks <- hook :: slot.hooks | None -> ()
@@ -494,7 +490,6 @@ let restore t r =
       slot.st <- True;
       slot.permanent <- false;
       slot.direct_use <- false;
-      slot.auto_revoke <- false;
       slot.hooks <- [];
       slot.gen <- 0;
       true

@@ -74,8 +74,6 @@ val make_permanent : table -> cref -> unit
 val set_direct_use : table -> cref -> bool -> unit
 (** The record backs an issued certificate; protects it from GC. *)
 
-val set_auto_revoke : table -> cref -> bool -> unit
-
 val on_change : table -> cref -> (state -> unit) -> unit
 (** Notify hook (sets the paper's [Notify] flag); fires after every state
     change of this record. *)

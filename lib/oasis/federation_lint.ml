@@ -67,13 +67,6 @@ let make members =
     members;
   { members; sigs; sym_base = None }
 
-let of_registry reg =
-  make
-    (List.map
-       (fun s ->
-         { fl_name = Service.name s; fl_file = Service.name s; fl_rolefile = Service.rolefile s })
-       (Service.services reg))
-
 let members t = t.members
 
 let member_names t = List.map (fun m -> m.fl_name) t.members
@@ -760,22 +753,3 @@ let check ?(per_file = false) ?(collusion_threshold = 1) t =
       compare (a.Analyze.file, a.Analyze.line, a.Analyze.code)
         (b.Analyze.file, b.Analyze.line, b.Analyze.code))
     (List.rev !diags)
-
-(* Extend [Service.create ?lint] gating to the federation-wide codes: the
-   candidate service joins the already registered members and the combined
-   federation is checked (the caller keeps only the candidate-anchored
-   diagnostics).  Installed here because this module depends on [Service];
-   see [Service.set_federation_linter]. *)
-let () =
-  Service.set_federation_linter (fun reg ~name ~rolefile ->
-      let peers =
-        List.map
-          (fun s ->
-            {
-              fl_name = Service.name s;
-              fl_file = Service.name s;
-              fl_rolefile = Service.rolefile s;
-            })
-          (Service.services reg)
-      in
-      check (make (peers @ [ { fl_name = name; fl_file = name; fl_rolefile = rolefile } ])))

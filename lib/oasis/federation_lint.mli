@@ -60,9 +60,6 @@ val make : member list -> t
     inference fails keep unknown signatures; the per-file pass reports the
     error itself). *)
 
-val of_registry : Service.registry -> t
-(** The federation of every service currently registered. *)
-
 val members : t -> member list
 
 val member_context : t -> Oasis_rdl.Analyze.context

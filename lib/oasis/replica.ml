@@ -36,6 +36,7 @@ module Siphash = Oasis_util.Siphash
 
 type member = {
   m_svc : Service.t;
+  m_journal : Journal.t option;  (* present in every K >= 2 group (checked by [create]) *)
   m_host : Net.host;
   mutable m_acked : int;  (* primary's view: stream records durable at this member *)
   mutable m_have : int;  (* receiver's view: records in its local log *)
@@ -65,6 +66,9 @@ type t = {
   mutable g_on_promote : (Service.t -> unit) list;
   mutable g_promotions : int;
 }
+
+(* The member's journal; only K >= 2 groups ship, sync or repair. *)
+let journal m = Option.get m.m_journal
 
 let primary t = t.g_members.(t.g_primary).m_svc
 let primary_index t = t.g_primary
@@ -108,7 +112,7 @@ let check_waiters t =
 (* --- epoch barriers --- *)
 
 (* A barrier is an ordinary stream record shaped like a journal record with
-   the reserved tag "B" (Service.apply_record ignores unknown tags), so a
+   the reserved tag "B" ({!Journal.replay} skips unknown tags), so a
    log's content carries its own reconciliation history: [last_barrier] of
    a member's log is the last epoch whose stream the log is known to be a
    prefix of. *)
@@ -132,7 +136,7 @@ let set_cache m recs =
   m.m_have <- n;
   m.m_have_dirty <- false
 
-let reload m = if m.m_have_dirty then set_cache m (Service.durable_log_records m.m_svc)
+let reload m = if m.m_have_dirty then set_cache m (Journal.log_records (journal m))
 
 let cache_push m r =
   if m.m_have = Array.length m.m_log then begin
@@ -177,7 +181,7 @@ let rec ship_to t j =
            buffered append from an earlier epoch's ship. *)
         if t.g_epoch <> epoch then reply (Error "stale epoch")
         else
-          Service.durable_sync m.m_svc (fun () ->
+          Journal.sync (journal m) (fun () ->
               if t.g_epoch <> epoch then reply (Error "stale epoch")
               else begin
                 reload m;
@@ -202,7 +206,7 @@ let rec ship_to t j =
                     else Some i
                   in
                   let repair fixed =
-                    Service.durable_log_rewrite m.m_svc fixed (fun () ->
+                    Journal.log_rewrite (journal m) fixed (fun () ->
                         set_cache m fixed;
                         Stats.incr (Net.stats t.g_net) "repl.repair";
                         reply (Ok m.m_have))
@@ -217,7 +221,7 @@ let rec ship_to t j =
                         @ Array.to_list (Array.sub records i (n - i)))
                   | None ->
                       for i = m.m_have - start to n - 1 do
-                        Service.follower_append m.m_svc records.(i);
+                        Journal.follower_append (journal m) records.(i);
                         cache_push m records.(i)
                       done;
                       if start + n >= total && m.m_have > start + n then
@@ -239,7 +243,7 @@ let rec ship_to t j =
                         (* The ack rides the backup's own group commit: an
                            acked record is durable AT THIS MEMBER, not
                            merely received. *)
-                        Service.durable_sync m.m_svc (fun () -> reply (Ok have))
+                        Journal.sync (journal m) (fun () -> reply (Ok have))
                       end
                 end
               end))
@@ -257,19 +261,19 @@ let rec ship_to t j =
 
 let ship_all t = Array.iteri (fun j _ -> ship_to t j) t.g_members
 
-(* --- the quorum ack hook (Service.ack_when_durable lands here) --- *)
+(* --- the quorum ack hook ({!Journal.ack} lands here) --- *)
 
 let quorum_sync t j k =
   let m = t.g_members.(j) in
   if t.g_primary <> j then
     (* Direct (unrouted) use of a non-primary member: degrade to local
        durability rather than hanging; the routed path never gets here. *)
-    Service.durable_sync m.m_svc k
+    Journal.sync (journal m) k
   else begin
     let s = t.g_count in
     let epoch = t.g_epoch in
     t.g_waiters <- (s, k) :: t.g_waiters;
-    Service.durable_sync m.m_svc (fun () ->
+    Journal.sync (journal m) (fun () ->
         if t.g_primary = j && t.g_epoch = epoch then begin
           if s > t.g_local_durable then t.g_local_durable <- s;
           check_waiters t
@@ -339,10 +343,10 @@ let promote t ~member:j ~from_epoch =
             if i <> j then begin
               m.m_have_dirty <- true;
               m.m_acked <- 0;
-              Service.set_ship m.m_svc None
+              Journal.set_ship (journal m) None
             end)
           t.g_members;
-        Service.set_ship cand.m_svc
+        Journal.set_ship (journal cand)
           (Some
              (fun line ->
                push_log t line;
@@ -352,9 +356,9 @@ let promote t ~member:j ~from_epoch =
            durable (shipped records still in its group-commit window must
            be on disk before the logs are compared), then select, rewrite,
            replay. *)
-        Service.durable_sync cand.m_svc (fun () ->
+        Journal.sync (journal cand) (fun () ->
             if t.g_epoch = target && Net.host_up t.g_net cand.m_host then begin
-              let mine = Service.durable_log_records cand.m_svc in
+              let mine = Journal.log_records (journal cand) in
               let won =
                 List.fold_left
                   (fun best log ->
@@ -367,7 +371,7 @@ let promote t ~member:j ~from_epoch =
                 |> function Some (_, log) -> log | None -> mine
               in
               let full = won @ [ barrier target ] in
-              Service.durable_log_rewrite cand.m_svc full (fun () ->
+              Journal.log_rewrite (journal cand) full (fun () ->
                   if t.g_epoch = target && Net.host_up t.g_net cand.m_host then
                     Service.recover cand.m_svc ~on_done:(fun () ->
                         if t.g_epoch = target && Net.host_up t.g_net cand.m_host then begin
@@ -397,7 +401,7 @@ let promote t ~member:j ~from_epoch =
         (fun (i, other) ->
           Net.rpc t.g_net ~category:"repl.fetch" ~size:64
             ~timeout:(2.0 *. t.g_heartbeat) ~src:cand.m_host ~dst:other.m_host
-            (fun () -> Ok (Service.durable_log_records other.m_svc))
+            (fun () -> Ok (Journal.log_records (journal other)))
             (fun result ->
               (match result with
               | Ok log -> replies := (i, log) :: !replies
@@ -454,6 +458,8 @@ let tick t j () =
 
 let create net ~members:svcs ?(heartbeat = 0.2) ?(lease = 0.45) ?(stagger = 0.15) () =
   if Array.length svcs = 0 then invalid_arg "Replica.create: empty group";
+  if Array.length svcs > 1 && Array.exists (fun s -> Option.is_none (Service.journal s)) svcs then
+    invalid_arg "Replica.create: every member of a replicated group needs a disk";
   let engine = Net.engine net in
   let now = Engine.now engine in
   let members =
@@ -461,6 +467,7 @@ let create net ~members:svcs ?(heartbeat = 0.2) ?(lease = 0.45) ?(stagger = 0.15
       (fun svc ->
         {
           m_svc = svc;
+          m_journal = Service.journal svc;
           m_host = Service.host svc;
           m_acked = 0;
           m_have = 0;
@@ -498,7 +505,7 @@ let create net ~members:svcs ?(heartbeat = 0.2) ?(lease = 0.45) ?(stagger = 0.15
     Array.iteri
       (fun j m ->
         Service.set_auto_recover m.m_svc false;
-        Service.set_replication m.m_svc ~sync:(fun k -> quorum_sync t j k);
+        Journal.set_quorum (journal m) (fun k -> quorum_sync t j k);
         Net.on_crash net m.m_host (fun () ->
             m.m_have_dirty <- true;
             m.m_inflight <- false;
@@ -523,7 +530,7 @@ let create net ~members:svcs ?(heartbeat = 0.2) ?(lease = 0.45) ?(stagger = 0.15
              ~tag:("t:" ^ Net.host_name m.m_host)
              ~period:heartbeat (tick t j)))
       members;
-    Service.set_ship members.(0).m_svc
+    Journal.set_ship (journal members.(0))
       (Some
          (fun line ->
            push_log t line;

@@ -5,13 +5,13 @@
     share name-derived signing secrets: certificates issued by any epoch's
     primary verify at every later primary) on K distinct hosts.  The
     primary serves every request; its WAL append stream — in {e global}
-    record coordinates, compaction disabled (see {!Service.set_replication})
+    record coordinates, compaction disabled (see {!Journal.set_quorum})
     — is shipped to backups as checksum-framed batches over the simulated
-    network ({!Oasis_store.Wal.frame_with}), journalled by
-    {!Service.follower_append}, and acked only once durable at the
-    receiver.  Client acks ({!Service.ack_when_durable}) wait for a
-    majority write quorum (⌈(K+1)/2⌉): losing any minority of replicas —
-    including the primary and its disk — loses no acknowledged operation.
+    network ({!Oasis_util.Frame}), journalled by {!Journal.follower_append},
+    and acked only once durable at the receiver.  Client acks
+    ({!Journal.ack}) wait for a majority write quorum (⌈(K+1)/2⌉): losing
+    any minority of replicas — including the primary and its disk — loses
+    no acknowledged operation.
 
     {b Failover} is deterministic lease/epoch promotion on the sim clock:
     the primary heartbeats every [heartbeat]; a backup whose lease
@@ -24,7 +24,7 @@
     winning log is the greatest (last barrier, length) — VSR's view-change
     rule — so a dead epoch's unacked tail on a rejoining disk can never
     outrank a log carrying later acked records; shipping then repairs such
-    tails by content comparison ({!Service.durable_log_rewrite}).  Double
+    tails by content comparison ({!Journal.log_rewrite}).  Double
     promotion in one epoch commits exactly once; a candidate that dies
     mid-replay is superseded at the next lease expiry.  A restarted
     ex-primary re-promotes itself through the same path, re-fetching any
@@ -54,8 +54,10 @@ val create :
   t
 (** Wrap [members] (same name, distinct hosts; index 0 is the initial
     primary, and only it should be registry-registered) into a group.  For
-    K >= 2 installs the quorum-ack and ship hooks, disables per-member
-    auto-recovery, and arms the static heartbeat/lease timers.  Defaults:
+    K >= 2 every member needs a journal (raises [Invalid_argument]
+    otherwise); [create] installs the quorum-ack and ship hooks on the
+    journals, disables per-member auto-recovery, and arms the static
+    heartbeat/lease timers.  Defaults:
     [heartbeat] 0.2 s, [lease] 0.45 s, [stagger] 0.15 s — failover in
     under a second of sim time.  Use odd K: an even K tolerates no more
     crashes than K-1. *)
@@ -82,7 +84,7 @@ val promotions : t -> int
 val stream : t -> string list
 (** The authoritative record stream, oldest first (epoch barriers
     included).  At quiescence every live member's durable log
-    ({!Service.durable_log_records}) is a prefix of it — the log-shipping
+    ({!Journal.log_records}) is a prefix of it — the log-shipping
     invariant; a freshly rejoined member may briefly hold a dead epoch's
     tail until shipping repairs it. *)
 

@@ -16,10 +16,6 @@ module Engine = Oasis_sim.Engine
 module Clock = Oasis_sim.Clock
 module Broker = Oasis_events.Broker
 module Event = Oasis_events.Event
-module Disk = Oasis_store.Disk
-module Wal = Oasis_store.Wal
-module Snapshot = Oasis_store.Snapshot
-module Hex = Oasis_util.Hex
 
 type value = Value.t
 
@@ -68,45 +64,6 @@ type peer_link = {
    credential record seen through an optional negation. *)
 type compiled = Const of bool | Ref of Credrec.cref * bool  (* negated *)
 
-(* --- durable-state plane (§4.11 databases + issued memberships) ---
-
-   With [~disk] the service journals the facts it promises to remember
-   across failures — §4.11's hire/fire databases (the blacklist) and the
-   certificates it has issued — to a write-ahead log on simulated stable
-   storage, checkpointed by snapshots.  What a certificate's validity
-   {e depends on} is recorded as a small dependency list so recovery can
-   re-materialise the credential-record subgraph backing issued
-   certificates; delegation ties and group-derived residuals are NOT
-   persisted (a recovered record that depended on them reads the dangling
-   reference as permanently False — fail closed, per the reference-magic
-   convention). *)
-
-type dep =
-  | Dext of string * string  (* issuing peer service, remote record key *)
-  | Dloc of string  (* key of a local record (itself issued/durable) *)
-
-type issued = {
-  mutable i_alive : bool;  (* False once explicitly invalidated *)
-  i_line : string;
-      (* the record's [I] journal line, as logged: its dependency list and
-         its (role, marshalled args, revoker role) §4.11 revocation arms,
-         decoded only when recovery re-creates them; checkpoints copy it *)
-}
-
-type durable = {
-  du_disk : Disk.t;
-  du_wal : Wal.t;
-  du_snap : Snapshot.t;
-  du_snapshot_every : int;
-  du_issued : (string, issued) Hashtbl.t;  (* marshalled local ref -> record *)
-  mutable du_appends : int;  (* WAL appends since the last snapshot *)
-  mutable du_tail : string list;
-      (* newest-first records appended since the last checkpoint's
-         serialize point — exactly what the log must still hold once that
-         checkpoint's snapshot is durable *)
-  mutable du_compacting : bool;  (* a snapshot+rewrite cycle is in flight *)
-}
-
 type t = {
   sv_net : Net.t;
   sv_host : Net.host;
@@ -117,8 +74,6 @@ type t = {
   sv_sigs : Infer.result;
   sv_role_bits : (string * int) list;
   sv_secrets : Signing.Rolling.t;
-  sv_sig_length : int;
-  sv_cache : bool;
   sv_compound : bool;
   sv_fixpoint : bool;
   sv_table : Credrec.table;
@@ -145,12 +100,9 @@ type t = {
       (* trace context ambient when each pending mod was recorded, so the
          digest flush can join the revocation trace that caused it *)
   sv_residuals : (string, compiled) Cache.t;
-  sv_durable : durable option;
-  mutable sv_repl_sync : ((unit -> unit) -> unit) option;
-      (* replication quorum hook (see {!Replica}): when set, client acks
-         wait for a write quorum instead of just the local group commit,
-         and log compaction is disabled so the WAL stays in the replica
-         group's global stream coordinates *)
+  sv_journal : Journal.t option;
+      (* §4.11 databases and issued certificates on stable storage, with
+         [~disk]; the blacklist it mirrors is [sv_blacklist] *)
   mutable sv_auto_recover : bool;
       (* run [recover] automatically from the host-restart hook; a replica
          group disables this and drives recovery through its epoch/promote
@@ -193,211 +145,22 @@ let audit t kind detail = t.sv_audit <- { at = now t; kind; detail } :: t.sv_aud
 let stats t = Net.stats t.sv_net
 let tracer t = Net.trace t.sv_net
 
-(* --- write-ahead-log records for the durable plane ---
+(* Signature length in hex characters (§4.2's per-service trade-off). *)
+let sig_length = 16
 
-   One record per logged transition; fields are separated by ['\x1f'],
-   list items by ['\x1e'], item subfields by ['\x1d'].  Free-form bytes
-   (role names, marshalled argument strings, peer names) are hex-encoded
-   so they cannot collide with the separators; record keys are already
-   separator-free ([Credrec.marshal_ref] is hex plus a dot).  The grammar:
+(* --- the journal (see {!Journal}) --- *)
 
-   - [F role args]       fire: blacklist the role instance (§4.11)
-   - [H role args]       re-hire: drop the blacklist entry
-   - [I key deps rbrs]   certificate issued over record [key]
-   - [V key]             record [key] explicitly invalidated
+let journal t = t.sv_journal
 
-   A snapshot payload is the same records (current blacklist, then each
-   issued record followed by its [V] if dead) joined with ['\x1c'];
-   replaying the full log over a snapshot is idempotent because every
-   record is an upsert. *)
-
-let rec_fire (role, argskey) = String.concat "\x1f" [ "F"; Hex.encode role; Hex.encode argskey ]
-let rec_hire (role, argskey) = String.concat "\x1f" [ "H"; Hex.encode role; Hex.encode argskey ]
-let rec_invalidate key = String.concat "\x1f" [ "V"; key ]
-
-let enc_dep = function
-  | Dext (peer, rkey) -> String.concat "\x1d" [ "E"; Hex.encode peer; rkey ]
-  | Dloc key -> String.concat "\x1d" [ "L"; key ]
-
-let dec_dep s =
-  match String.split_on_char '\x1d' s with
-  | [ "E"; peer; rkey ] -> Option.map (fun p -> Dext (p, rkey)) (Hex.decode peer)
-  | [ "L"; key ] -> Some (Dloc key)
-  | _ -> None
-
-let enc_rbr (role, argskey, revoker) =
-  String.concat "\x1d" [ Hex.encode role; Hex.encode argskey; Hex.encode revoker ]
-
-let dec_rbr s =
-  match String.split_on_char '\x1d' s with
-  | [ role; argskey; revoker ] ->
-      let ( let* ) = Option.bind in
-      let* role = Hex.decode role in
-      let* argskey = Hex.decode argskey in
-      let* revoker = Hex.decode revoker in
-      Some (role, argskey, revoker)
-  | _ -> None
-
-let rec_issue key deps rbrs =
-  String.concat "\x1f"
-    [
-      "I";
-      key;
-      String.concat "\x1e" (List.map enc_dep deps);
-      String.concat "\x1e" (List.map enc_rbr rbrs);
-    ]
-
-let split_items s = if s = "" then [] else String.split_on_char '\x1e' s
-
-(* The dependency list and revocation arms of an [I] line. *)
-let dec_issue line =
-  match String.split_on_char '\x1f' line with
-  | [ "I"; _; deps; rbrs ] ->
-      (List.filter_map dec_dep (split_items deps), List.filter_map dec_rbr (split_items rbrs))
-  | _ -> ([], [])
-
-(* Apply one log record to the durable mirror (blacklist + issued table).
-   Total and idempotent: recovery replays snapshot then log in order. *)
-let apply_record t du line =
-  match String.split_on_char '\x1f' line with
-  | [ "F"; role; argskey ] -> (
-      match (Hex.decode role, Hex.decode argskey) with
-      | Some role, Some argskey -> Hashtbl.replace t.sv_blacklist (role, argskey) ()
-      | _ -> ())
-  | [ "H"; role; argskey ] -> (
-      match (Hex.decode role, Hex.decode argskey) with
-      | Some role, Some argskey -> Hashtbl.remove t.sv_blacklist (role, argskey)
-      | _ -> ())
-  | [ "I"; key; _; _ ] -> Hashtbl.replace du.du_issued key { i_alive = true; i_line = line }
-  | [ "V"; key ] -> (
-      match Hashtbl.find_opt du.du_issued key with
-      | Some i -> i.i_alive <- false
-      | None -> ())
-  | _ -> ()
-
-(* Dead issued records are dropped from the checkpoint (and purged from
-   the in-memory mirror), so the snapshot stays O(live state) under churn
-   instead of O(history).  Dropping is safe: a dropped identity is never
-   restored, so references to it dangle and read permanently False — the
-   paper's licence to delete records whose value is false forever — and a
-   later fresh allocation of the slot bumps the magic past the dropped
-   identity, so old references cannot resurrect against new records. *)
-let serialize_mirror t du =
-  let dead =
-    Hashtbl.fold (fun key i acc -> if i.i_alive then acc else key :: acc) du.du_issued []
-  in
-  List.iter (Hashtbl.remove du.du_issued) dead;
-  let fires =
-    Hashtbl.fold (fun key () acc -> rec_fire key :: acc) t.sv_blacklist []
-    |> List.sort String.compare
-  in
-  let issues =
-    Hashtbl.fold (fun _ i acc -> i.i_line :: acc) du.du_issued []
-    |> List.sort String.compare
-  in
-  String.concat "\x1c" (fires @ issues)
-
-(* Checkpoint: serialize the mirror (covering every record up to this
-   instant), save it, then compact the log down to the records appended
-   since the serialize point — [du_tail], which keeps accumulating while
-   the snapshot write is in flight, and whose racing appends also survive
-   the rewrite's atomic replace by {!Disk.write_atomic}'s append-preserving
-   semantics.  Crash windows are safe at every step: before the snapshot
-   is durable the old snapshot + old log recover; between snapshot and
-   rewrite the new snapshot + old log recover (the log is a contiguous
-   history suffix reaching past the snapshot point, so in-order replay
-   over the snapshot converges on the pre-crash state). *)
-let maybe_snapshot t du =
-  (* Replicated services never compact: the WAL is the replica group's
-     shipped record stream, and every member's log must stay a prefix of it
-     in GLOBAL coordinates — a compacted primary and an uncompacted backup
-     would disagree about what "record #n" is.  Recovery is O(history)
-     for them; the replica protocol (tail fetch at promotion) depends on
-     exactly that full history being present. *)
-  if t.sv_repl_sync = None && du.du_appends >= du.du_snapshot_every && not du.du_compacting
-  then begin
-    du.du_appends <- 0;
-    du.du_compacting <- true;
-    du.du_tail <- [];
-    Snapshot.save du.du_snap (serialize_mirror t du) (fun () ->
-        Wal.rewrite du.du_wal (List.rev du.du_tail) (fun () -> du.du_compacting <- false))
-  end
-
-let persist_line t du line =
-  Wal.append du.du_wal line;
-  du.du_tail <- line :: du.du_tail;
-  du.du_appends <- du.du_appends + 1;
-  maybe_snapshot t du
-
-let persist_fire t key =
-  match t.sv_durable with Some du -> persist_line t du (rec_fire key) | None -> ()
-
-let persist_hire t key =
-  match t.sv_durable with Some du -> persist_line t du (rec_hire key) | None -> ()
-
-(* Fire/re-hire acks must not outrun the WAL: if the service crashed in the
-   group-commit window after replying Ok, recovery would resurrect a
+(* Fire/re-hire acks must not outrun the journal: if the service crashed in
+   the group-commit window after replying Ok, recovery would resurrect a
    membership the revoker was told is gone.  So success replies ride the
-   next fsync; a crash that loses the record also swallows the ack.  Under
-   replication the bar is higher still: the ack waits for a write quorum
-   of the replica group (the [sv_repl_sync] hook), so even losing the
-   primary's disk entirely cannot lose an acknowledged transition. *)
-let ack_when_durable t k =
-  match t.sv_repl_sync with
-  | Some quorum -> quorum k
-  | None -> (
-      match t.sv_durable with None -> k () | Some du -> Wal.sync du.du_wal k)
-
-(* --- replication hooks (the {!Replica} module drives these) --- *)
-
-let set_replication t ~sync = t.sv_repl_sync <- Some sync
-
-let set_ship t obs =
-  match t.sv_durable with Some du -> Wal.on_append du.du_wal obs | None -> ()
+   next fsync — or, in a replica group, a write quorum; a crash that loses
+   the record also swallows the ack. *)
+let ack_when_durable t k = match t.sv_journal with None -> k () | Some j -> Journal.ack j k
 
 let set_auto_recover t b = t.sv_auto_recover <- b
-
-let durable_sync t k =
-  match t.sv_durable with None -> k () | Some du -> Wal.sync du.du_wal k
-
-let follower_append t line =
-  (* A record arriving FROM the replication stream: journal it verbatim
-     (same framing and group commit), but bypass the durable-mirror
-     bookkeeping — a backup's in-memory state is rebuilt from the log at
-     promotion time, not maintained incrementally — and bypass the ship
-     observer, so a follower never re-ships. *)
-  match t.sv_durable with None -> () | Some du -> Wal.follower_append du.du_wal line
-
-let durable_log_records t =
-  match t.sv_durable with None -> [] | Some du -> Wal.recover du.du_wal
-
-let durable_log_rewrite t records k =
-  (* Replace the WAL wholesale with a reconciled stream prefix (divergence
-     repair / promotion adoption).  Callers guarantee the group-commit
-     buffer is empty (everything durable) before rewriting, so the atomic
-     replace cannot race a buffered append.  Mirror bookkeeping is not
-     rebuilt here: only replicated services rewrite, and they never
-     compact, so the counters are inert. *)
-  match t.sv_durable with None -> k () | Some du -> Wal.rewrite du.du_wal records k
-
 let reregister t = Hashtbl.replace t.sv_registry t.sv_name t
-
-let registered t =
-  match find_service t.sv_registry t.sv_name with Some s -> s == t | None -> false
-
-(* Only records backing issued certificates are logged: an invalidation of
-   anything else either cascades from a logged fact at recovery or is
-   reconstructed conservatively (dangling -> False). *)
-let persist_invalidate t cref =
-  match t.sv_durable with
-  | None -> ()
-  | Some du -> (
-      let key = Credrec.marshal_ref cref in
-      match Hashtbl.find_opt du.du_issued key with
-      | Some i when i.i_alive ->
-          i.i_alive <- false;
-          persist_line t du (rec_invalidate key)
-      | _ -> ())
 
 (* Root a revocation trace at an invalidation entry point: the cascade runs
    inside the span, so the record-change hooks, the buffered digest, the
@@ -413,7 +176,7 @@ let with_revocation_span t ~reason f =
 
 let invalidate_traced t ~reason cref =
   with_revocation_span t ~reason (fun () -> Credrec.invalidate t.sv_table cref);
-  persist_invalidate t cref
+  match t.sv_journal with Some j -> Journal.invalidate j (Credrec.marshal_ref cref) | None -> ()
 
 let roll_secret t =
   Signing.Rolling.roll t.sv_secrets;
@@ -429,241 +192,6 @@ let group t gname =
       let g = Group.create t.sv_table gname in
       Hashtbl.replace t.sv_groups gname g;
       g
-
-(* --- creation --- *)
-
-let assign_role_bits rolefile =
-  let from_entries = Ast.defined_roles rolefile in
-  let from_defs = List.map (fun d -> d.Ast.decl_name) (Ast.defs rolefile) in
-  let all = List.sort_uniq String.compare (from_entries @ from_defs) in
-  (* Deterministic mapping fixed at initialisation (§4.3). *)
-  if List.length all > 62 then Error "too many roles for the role bit-set (max 62)"
-  else Ok (List.mapi (fun i r -> (r, i)) all)
-
-(* Forward reference: [recover] needs the whole credential pipeline
-   (external_record, reread, issue plumbing) defined below, but the restart
-   hook is registered at creation time. *)
-let recover_ref : (t -> unit) ref = ref (fun _ -> ())
-
-(* Federation-wide lint hook.  [Federation_lint] depends on this module
-   (its [of_registry] reads registered services), so registration gating on
-   the OASIS00n codes cannot call it directly; the linter installs itself
-   here at link time.  Until then the hook reports nothing, which matches
-   the pre-federation-lint behaviour. *)
-let federation_linter :
-    (registry -> name:string -> rolefile:Ast.rolefile -> Analyze.diag list) ref =
-  ref (fun _ ~name:_ ~rolefile:_ -> [])
-
-let set_federation_linter f = federation_linter := f
-
-let create net host reg ~name:sv_name ?(rolefile_id = "main") ~rolefile ?(funcs = [])
-    ?resolve_literal ?(sig_length = 16) ?(cache_validation = true)
-    ?(compound_certificates = true) ?(fixpoint_entry = false) ?(heartbeat = 1.0)
-    ?(batch_notifications = true) ?(sig_cache_cap = 1024) ?disk ?(snapshot_every = 128)
-    ?(lint = `Warn) ?(register = true) () =
-  match Parser.parse_result ?resolve_literal rolefile with
-  | Error e -> Error e
-  | Ok parsed -> (
-      let callbacks =
-        {
-          Infer.no_callbacks with
-          Infer.external_sig =
-            (fun ~service ~role ->
-              match find_service reg service with
-              | None -> None
-              | Some peer ->
-                  Option.map (fun tys -> tys) (Infer.signature peer.sv_sigs role));
-        }
-      in
-      match Infer.infer ~callbacks parsed with
-      | Error e -> Error ("type error: " ^ e)
-      | Ok sigs -> (
-          let lint_gate =
-            match lint with
-            | `Off -> None
-            | (`Warn | `Strict) as mode ->
-                let context =
-                  {
-                    Analyze.default_context with
-                    Analyze.infer = callbacks;
-                    known_funcs = Some (List.map fst funcs @ [ "unixacl"; "acl" ]);
-                  }
-                in
-                let diags = Analyze.check ~file:sv_name ~context parsed in
-                (* Federation-wide codes (OASIS001-008) over the already
-                   registered peers plus this service, keeping only the
-                   diagnostics anchored at this service: joining must not
-                   fail on a defect that is a peer's alone. *)
-                let diags =
-                  if register then
-                    diags
-                    @ List.filter
-                        (fun d -> String.equal d.Analyze.file sv_name)
-                        (!federation_linter reg ~name:sv_name ~rolefile:parsed)
-                  else diags
-                in
-                let gating = List.filter (Analyze.gates ~strict:(mode = `Strict)) diags in
-                (match gating with
-                | [] ->
-                    (* Non-gating findings are logged, not fatal. *)
-                    List.iter
-                      (fun d -> Logs.warn (fun m -> m "%s" (Analyze.diag_to_string d)))
-                      diags;
-                    None
-                | d :: _ ->
-                    Some
-                      (Printf.sprintf "lint: %s%s" (Analyze.diag_to_string d)
-                         (match List.length gating with
-                         | 1 -> ""
-                         | n -> Printf.sprintf " (and %d more issue(s))" (n - 1))))
-          in
-          match lint_gate with
-          | Some e -> Error e
-          | None -> (
-          match assign_role_bits parsed with
-          | Error e -> Error e
-          | Ok bits ->
-              let prng = Prng.create (Int64.of_int (Hashtbl.hash sv_name + 7)) in
-              let durable =
-                Option.map
-                  (fun d ->
-                    {
-                      du_disk = d;
-                      du_wal = Wal.create d ~file:("svc." ^ sv_name ^ ".wal") ();
-                      du_snap = Snapshot.create d ~file:("svc." ^ sv_name ^ ".snap");
-                      du_snapshot_every = snapshot_every;
-                      du_issued = Hashtbl.create 64;
-                      du_appends = 0;
-                      du_tail = [];
-                      du_compacting = false;
-                    })
-                  disk
-              in
-              let t =
-                {
-                  sv_net = net;
-                  sv_host = host;
-                  sv_registry = reg;
-                  sv_name;
-                  sv_rolefile_id = rolefile_id;
-                  sv_rolefile = parsed;
-                  sv_sigs = sigs;
-                  sv_role_bits = bits;
-                  sv_secrets = Signing.Rolling.create prng;
-                  sv_sig_length = sig_length;
-                  sv_cache = cache_validation;
-                  sv_compound = compound_certificates;
-                  sv_fixpoint = fixpoint_entry;
-                  sv_table = Credrec.create_table ();
-                  sv_groups = Hashtbl.create 8;
-                  sv_funcs = funcs;
-                  sv_broker =
-                    Broker.create_server net host ~name:sv_name ~heartbeat
-                      ~coalesce:batch_notifications ?disk ();
-                  sv_peers = Hashtbl.create 8;
-                  sv_notifying = Hashtbl.create 64;
-                  sv_family = Hashtbl.create 4;
-                  sv_rbr = Hashtbl.create 16;
-                  sv_blacklist = Hashtbl.create 16;
-                  sv_audit = [];
-                  sv_sig_cache = Cache.create sig_cache_cap;
-                  sv_batch = batch_notifications;
-                  sv_policy_hash = Hashtbl.hash rolefile;
-                  sv_pending_mods = Hashtbl.create 64;
-                  sv_pending_ctx = Hashtbl.create 64;
-                  sv_residuals = Cache.create 4096;
-                  sv_durable = durable;
-                  sv_repl_sync = None;
-                  sv_auto_recover = true;
-                  sv_crypto_checks = 0;
-                  sv_cache_hits = 0;
-                }
-              in
-              (* Backup replicas share the primary's name but must not
-                 shadow it in the registry; promotion re-registers. *)
-              if register then Hashtbl.replace reg sv_name t;
-              (match durable with
-              | None -> ()
-              | Some du ->
-                  (* Crash: volatile state dies.  Every credential record
-                     backing an issued certificate, every §4.11 revoker arm
-                     and every external surrogate is forgotten from the
-                     in-memory table (their children now read a dangling —
-                     permanently False — reference: fail closed), sessions
-                     drop, caches clear.  The durable mirror on [disk]
-                     survives and is replayed by the restart hook. *)
-                  Net.on_crash net host (fun () ->
-                      Hashtbl.iter
-                        (fun _ pl ->
-                          Option.iter Broker.close pl.pl_session;
-                          Hashtbl.iter
-                            (fun _ surrogate -> Credrec.forget t.sv_table surrogate)
-                            pl.pl_externals)
-                        t.sv_peers;
-                      Hashtbl.iter
-                        (fun _ cell ->
-                          List.iter (fun (_, rbr) -> Credrec.forget t.sv_table rbr) !cell)
-                        t.sv_rbr;
-                      Hashtbl.iter
-                        (fun key _ ->
-                          Hashtbl.remove t.sv_notifying key;
-                          match Credrec.unmarshal_ref key with
-                          | Some cref -> Credrec.forget t.sv_table cref
-                          | None -> ())
-                        du.du_issued;
-                      Hashtbl.reset t.sv_peers;
-                      Hashtbl.reset t.sv_rbr;
-                      Hashtbl.reset t.sv_blacklist;
-                      Hashtbl.reset du.du_issued;
-                      Hashtbl.reset t.sv_pending_mods;
-                      Hashtbl.reset t.sv_pending_ctx;
-                      Cache.clear t.sv_sig_cache;
-                      Cache.clear t.sv_residuals;
-                      du.du_appends <- 0;
-                      du.du_tail <- [];
-                      du.du_compacting <- false);
-                  Net.on_restart net host (fun () -> if t.sv_auto_recover then !recover_ref t));
-              (* Batched notification: record changes accumulate in
-                 [sv_pending_mods] and are flushed as ONE ModifiedBatch
-                 digest at the top of each broker heartbeat tick, so the
-                 digest rides that very tick's coalesced heartbeat message
-                 (steady-state: O(peers) messages per period, §4.10). *)
-              if batch_notifications then
-                Broker.on_heartbeat_tick t.sv_broker (fun () ->
-                    if Hashtbl.length t.sv_pending_mods > 0 then begin
-                      let mods =
-                        Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.sv_pending_mods []
-                        |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-                      in
-                      Hashtbl.reset t.sv_pending_mods;
-                      Stats.observe (Net.stats net) "oasis.mods.flush" (List.length mods);
-                      let digest =
-                        String.concat ";" (List.map (fun (k, v) -> k ^ "=" ^ v) mods)
-                      in
-                      (* The flush span's parent is the buffered context
-                         with the earliest origin: a digest merging several
-                         bursts is attributed to the oldest one it carries,
-                         so no end-to-end latency is under-reported. *)
-                      let tr = Net.trace net in
-                      let parent =
-                        Hashtbl.fold
-                          (fun _ c acc ->
-                            match acc with
-                            | Some best when Trace.origin best <= Trace.origin c -> acc
-                            | _ -> Some c)
-                          t.sv_pending_ctx None
-                      in
-                      Hashtbl.reset t.sv_pending_ctx;
-                      let sp = Trace.start tr ?parent "revoke.flush" in
-                      Trace.add_attr sp "mods" (string_of_int (List.length mods));
-                      Trace.with_ctx tr
-                        (Some (Trace.ctx_of sp))
-                        (fun () ->
-                          ignore
-                            (Broker.signal t.sv_broker "ModifiedBatch" [ Value.Str digest ]));
-                      Trace.finish tr sp
-                    end);
-              Ok t)))
 
 (* --- Modified event notification for records other services depend on --- *)
 
@@ -691,16 +219,16 @@ let arm_notification t cref =
 
 let verify_rmc_sig t cert =
   let key = cert.Cert.rmc_sig ^ "|" ^ Cert.rmc_payload cert in
-  if t.sv_cache && Cache.find t.sv_sig_cache key <> None then begin
+  if Cache.find t.sv_sig_cache key <> None then begin
     t.sv_cache_hits <- t.sv_cache_hits + 1;
     Stats.incr (stats t) "oasis.sigcache.hit";
     true
   end
   else begin
     t.sv_crypto_checks <- t.sv_crypto_checks + 1;
-    if t.sv_cache then Stats.incr (stats t) "oasis.sigcache.miss";
-    let ok = Cert.verify_rmc ~length:t.sv_sig_length t.sv_secrets cert in
-    if ok && t.sv_cache then Cache.set t.sv_sig_cache key ();
+    Stats.incr (stats t) "oasis.sigcache.miss";
+    let ok = Cert.verify_rmc ~length:sig_length t.sv_secrets cert in
+    if ok then Cache.set t.sv_sig_cache key ();
     ok
   end
 
@@ -826,85 +354,6 @@ let rec reread_pending t pl peer session =
       end
   | _ -> pl.pl_rereading <- false
 
-(* Forward reference: the stale-session registry watch needs the whole
-   link plumbing (batch registration, reread) defined below, but is armed
-   from the staleness hook installed at connect time. *)
-let retarget_ref : (t -> peer_link -> Broker.session -> unit) ref = ref (fun _ _ _ -> ())
-
-(* One connect attempt to a peer's broker.  Failure does not abandon the
-   link: if continuations are still queued (a recovery-time reread, a
-   pending notification registration) the attempt is retried after a peer
-   heartbeat, for as long as this link is still the live one in
-   [sv_peers] — a crash on our side resets the peer table and orphans the
-   loop, which then stops. *)
-let rec connect_peer t pl peer =
-  pl.pl_connecting <- true;
-  Broker.connect t.sv_net t.sv_host (broker peer)
-    ~credentials:[ "service:" ^ t.sv_name ]
-    ~on_result:(fun result ->
-      pl.pl_connecting <- false;
-      match result with
-      | Error _ ->
-          if pl.pl_queued <> [] then
-            Engine.schedule (Net.engine t.sv_net)
-              ~delay:(Broker.server_heartbeat (broker peer))
-              (fun () ->
-                let live =
-                  match Hashtbl.find_opt t.sv_peers pl.pl_peer with
-                  | Some pl' -> pl' == pl
-                  | None -> false
-                in
-                if
-                  live && pl.pl_session = None && (not pl.pl_connecting)
-                  && pl.pl_queued <> []
-                then connect_peer t pl peer)
-      | Ok session ->
-          pl.pl_session <- Some session;
-          pl.pl_bound_host <- Net.host_name peer.sv_host;
-          (* §4.10: missed heartbeats mark every external record
-             from this peer Unknown; recovery batch-rereads the
-             states over one reliable RPC per link. *)
-          Broker.on_staleness session (fun is_stale ->
-              if is_stale then begin
-                Hashtbl.iter
-                  (fun _ local_ref ->
-                    Credrec.set_leaf t.sv_table local_ref Credrec.Unknown)
-                  pl.pl_externals;
-                (* While stale, watch the registry: if the peer's entry
-                   moves to another host (replica failover), this session
-                   can never heal — the watch rebinds the link to the new
-                   primary's broker. *)
-                if not pl.pl_retargeting then begin
-                  pl.pl_retargeting <- true;
-                  Engine.schedule (Net.engine t.sv_net)
-                    ~delay:(Broker.server_heartbeat t.sv_broker)
-                    (fun () -> !retarget_ref t pl session)
-                end
-              end
-              else begin
-                Hashtbl.iter
-                  (fun key _ -> Hashtbl.replace pl.pl_reread_pending key ())
-                  pl.pl_externals;
-                match find_service t.sv_registry pl.pl_peer with
-                | None -> ()
-                | Some peer ->
-                    if not pl.pl_rereading then reread_pending t pl peer session
-              end);
-          let queued = List.rev pl.pl_queued in
-          pl.pl_queued <- [];
-          List.iter (fun k -> k session) queued)
-    ()
-
-let with_peer_session t pl k =
-  match pl.pl_session with
-  | Some s -> k s
-  | None ->
-      pl.pl_queued <- k :: pl.pl_queued;
-      if not pl.pl_connecting then (
-        match find_service t.sv_registry pl.pl_peer with
-        | None -> () (* unknown peer: queued actions never run; externals stay Unknown *)
-        | Some peer -> connect_peer t pl peer)
-
 let state_of_string = function
   | "true" -> Credrec.True
   | "false" -> Credrec.False
@@ -935,12 +384,98 @@ let apply_mod_digest t pl digest =
       | Some ctx -> Stats.observe_latency (stats t) "oasis.revoke.e2e" (Trace.since_origin tr ctx)
       | None -> ())
 
-(* One registration per peer link covers every mirrored record when the
-   issuer batches; otherwise external records would each need their own
-   template and the issuer's signal path would scan O(records)
-   registrations per change. *)
-let ensure_batch_registration t pl =
-  if not pl.pl_batch_reg then begin
+let live_link t pl =
+  match Hashtbl.find_opt t.sv_peers pl.pl_peer with Some pl' -> pl' == pl | None -> false
+
+(* One connect attempt to a peer's broker.  Failure does not abandon the
+   link: if continuations are still queued (a recovery-time reread, a
+   pending notification registration) the attempt is retried after a peer
+   heartbeat, for as long as this link is still the live one in
+   [sv_peers] — a crash on our side resets the peer table and orphans the
+   loop, which then stops. *)
+let rec connect_peer t pl peer =
+  pl.pl_connecting <- true;
+  Broker.connect t.sv_net t.sv_host (broker peer)
+    ~credentials:[ "service:" ^ t.sv_name ]
+    ~on_result:(fun result ->
+      pl.pl_connecting <- false;
+      match result with
+      | Error _ ->
+          if pl.pl_queued <> [] then
+            Engine.schedule (Net.engine t.sv_net)
+              ~delay:(Broker.server_heartbeat (broker peer))
+              (fun () ->
+                if
+                  live_link t pl && pl.pl_session = None && (not pl.pl_connecting)
+                  && pl.pl_queued <> []
+                then connect_peer t pl peer)
+      | Ok session ->
+          pl.pl_session <- Some session;
+          pl.pl_bound_host <- Net.host_name peer.sv_host;
+          (* §4.10: missed heartbeats mark every external record
+             from this peer Unknown; recovery batch-rereads the
+             states over one reliable RPC per link. *)
+          Broker.on_staleness session (fun is_stale ->
+              if is_stale then begin
+                Hashtbl.iter
+                  (fun _ local_ref ->
+                    Credrec.set_leaf t.sv_table local_ref Credrec.Unknown)
+                  pl.pl_externals;
+                (* While stale, watch the registry: if the peer's entry
+                   moves to another host (replica failover), this session
+                   can never heal — the watch rebinds the link to the new
+                   primary's broker. *)
+                if not pl.pl_retargeting then begin
+                  pl.pl_retargeting <- true;
+                  Engine.schedule (Net.engine t.sv_net)
+                    ~delay:(Broker.server_heartbeat t.sv_broker)
+                    (fun () -> retarget_watch t pl session)
+                end
+              end
+              else begin
+                Hashtbl.iter
+                  (fun key _ -> Hashtbl.replace pl.pl_reread_pending key ())
+                  pl.pl_externals;
+                match find_service t.sv_registry pl.pl_peer with
+                | None -> ()
+                | Some peer ->
+                    if not pl.pl_rereading then reread_pending t pl peer session
+              end);
+          let queued = List.rev pl.pl_queued in
+          pl.pl_queued <- [];
+          List.iter (fun k -> k session) queued)
+    ()
+
+and with_peer_session t pl k =
+  match pl.pl_session with
+  | Some s -> k s
+  | None ->
+      pl.pl_queued <- k :: pl.pl_queued;
+      if not pl.pl_connecting then (
+        match find_service t.sv_registry pl.pl_peer with
+        | None -> () (* unknown peer: queued actions never run; externals stay Unknown *)
+        | Some peer -> connect_peer t pl peer)
+
+(* Subscribe the link to changes of the mirrored record [key], whose local
+   surrogate is [local] — on first mirroring, and again for every mirrored
+   record when a failover rebinds the link to another broker.  A batching
+   issuer needs one ModifiedBatch registration per link, covering every
+   record; otherwise each record needs its own Modified template (and the
+   issuer's signal path scans O(records) registrations per change). *)
+and subscribe t pl key local =
+  let issuer_batches =
+    match find_service t.sv_registry pl.pl_peer with Some peer -> peer.sv_batch | None -> false
+  in
+  if not issuer_batches then
+    with_peer_session t pl (fun session ->
+        let tpl = Event.template "Modified" [ Event.Lit (Value.Str key); Event.Any ] in
+        ignore
+          (Broker.register session tpl (fun e ->
+               match e.Event.params with
+               | [| _; Value.Str state |] ->
+                   Credrec.set_leaf t.sv_table local (state_of_string state)
+               | _ -> ())))
+  else if not pl.pl_batch_reg then begin
     pl.pl_batch_reg <- true;
     with_peer_session t pl (fun session ->
         let tpl = Event.template "ModifiedBatch" [ Event.Any ] in
@@ -955,19 +490,16 @@ let ensure_batch_registration t pl =
    [connect_peer]): while a peer session is stale, poll the registry once
    per heartbeat.  If the peer's registered service has moved to a
    different host — a replica group promoted a backup — drop the dead
-   session and rebind the link: re-register the ModifiedBatch template at
-   the new primary's broker and queue every mirrored external for a
-   reread there, so revocation digests flow again.  If the peer heals in
-   place (same host restarted), the ordinary §4.10 reread path takes over
-   and the watch stands down. *)
-let rec retarget_watch t pl session =
-  let live =
-    match Hashtbl.find_opt t.sv_peers pl.pl_peer with Some pl' -> pl' == pl | None -> false
-  in
+   session and rebind the link: re-subscribe every mirrored external at the
+   new primary's broker and queue each for a reread there, so revocation
+   notifications flow again.  If the peer heals in place (same host
+   restarted), the ordinary §4.10 reread path takes over and the watch
+   stands down. *)
+and retarget_watch t pl session =
   let current =
     match pl.pl_session with Some s -> s == session | None -> false
   in
-  if not (live && current) then pl.pl_retargeting <- false
+  if not (live_link t pl && current) then pl.pl_retargeting <- false
   else if not (Broker.stale session) then pl.pl_retargeting <- false
   else
     match find_service t.sv_registry pl.pl_peer with
@@ -981,10 +513,7 @@ let rec retarget_watch t pl session =
         Hashtbl.iter
           (fun key _ -> Hashtbl.replace pl.pl_reread_pending key ())
           pl.pl_externals;
-        (* Per-record (unbatched) Modified templates are not re-registered
-           here: every replicated deployment batches.  The reread below
-           still heals current states once. *)
-        if peer.sv_batch then ensure_batch_registration t pl;
+        Hashtbl.iter (subscribe t pl) pl.pl_externals;
         with_peer_session t pl (fun s ->
             if not pl.pl_rereading then reread_pending t pl peer s)
     | _ ->
@@ -992,10 +521,8 @@ let rec retarget_watch t pl session =
           ~delay:(Broker.server_heartbeat t.sv_broker)
           (fun () -> retarget_watch t pl session)
 
-let () = retarget_ref := retarget_watch
-
 (* Create (or reuse) the local surrogate for a remote credential record and
-   arm event notification for its changes. *)
+   subscribe to its changes. *)
 let external_record t ~peer_name ~remote_ref ~initial =
   let pl = peer_link t peer_name in
   let key = Credrec.marshal_ref remote_ref in
@@ -1006,21 +533,7 @@ let external_record t ~peer_name ~remote_ref ~initial =
   | _ ->
       let local = Credrec.leaf t.sv_table ~state:initial () in
       Hashtbl.replace pl.pl_externals key local;
-      let issuer_batches =
-        match find_service t.sv_registry peer_name with
-        | Some peer -> peer.sv_batch
-        | None -> false
-      in
-      if issuer_batches then ensure_batch_registration t pl
-      else
-        with_peer_session t pl (fun session ->
-            let tpl = Event.template "Modified" [ Event.Lit (Value.Str key); Event.Any ] in
-            ignore
-              (Broker.register session tpl (fun e ->
-                   match e.Event.params with
-                   | [| _; Value.Str state |] ->
-                       Credrec.set_leaf t.sv_table local (state_of_string state)
-                   | _ -> ())));
+      subscribe t pl key local;
       local
 
 (* --- constraint-evaluation context --- *)
@@ -1145,7 +658,7 @@ type membership = {
   m_args : value list;
   m_crr : Credrec.cref;
   m_fresh : bool;  (* produced during this request (eligible for compounding) *)
-  m_deps : dep list;  (* durable dependencies feeding [m_crr] *)
+  m_deps : Journal.dep list;  (* durable dependencies feeding [m_crr] *)
   m_rbrs : (string * string * string) list;  (* §4.11 revoker arms under [m_crr] *)
 }
 
@@ -1162,23 +675,6 @@ let match_args env ref_args actual =
     in
     go env (List.combine ref_args actual)
 
-let find_credential t env (role_ref : Ast.role_ref) memberships =
-  let service_matches m =
-    match role_ref.Ast.sref.Ast.service with
-    | None -> in_family t m.m_service
-    | Some svc -> String.equal m.m_service svc
-  in
-  let rec go = function
-    | [] -> None
-    | m :: rest -> (
-        if service_matches m && List.mem role_ref.Ast.role m.m_roles then
-          match match_args env role_ref.Ast.ref_args m.m_args with
-          | Some env' -> Some (env', m)
-          | None -> go rest
-        else go rest)
-  in
-  go memberships
-
 let head_args_values env args =
   let rec go acc = function
     | [] -> Some (List.rev acc)
@@ -1189,6 +685,15 @@ let head_args_values env args =
   go [] args
 
 let blacklist_key role args = (role, String.concat "\x01" (List.map Value.marshal args))
+
+(* The §4.11 revoker arms of one role instance, created empty on first use. *)
+let rbr_cell t key =
+  match Hashtbl.find_opt t.sv_rbr key with
+  | Some c -> c
+  | None ->
+      let c = ref [] in
+      Hashtbl.replace t.sv_rbr key c;
+      c
 
 (* Enumerate the ways a statement's credential references can be matched
    against the membership list.  Single-pass (fig 3.2) semantics use only
@@ -1296,14 +801,7 @@ let complete_match t (entry : Ast.entry) dcerts (env, used) =
                     Credrec.set_direct_use t.sv_table rbr true;
                     parents := (rbr, false) :: !parents;
                     let key = blacklist_key head_name args in
-                    let cell =
-                      match Hashtbl.find_opt t.sv_rbr key with
-                      | Some c -> c
-                      | None ->
-                          let c = ref [] in
-                          Hashtbl.replace t.sv_rbr key c;
-                          c
-                    in
+                    let cell = rbr_cell t key in
                     cell := (revoker, rbr) :: !cell;
                     rbrs := (head_name, snd key, revoker.Ast.role) :: !rbrs);
                 let crr =
@@ -1401,24 +899,13 @@ let run_entry_engine t ~delegation ~deleg_required_ok ~initial =
 
 (* --- certificate issue --- *)
 
-(* Log the issue to stable storage: the record's identity plus what it
-   depends on, so recovery can re-materialise the backing subgraph.
-   Records already logged (re-validation of an outstanding certificate)
-   are not re-logged. *)
-let persist_issue t ~crr ~deps ~rbrs =
-  match t.sv_durable with
-  | None -> ()
-  | Some du ->
-      let key = Credrec.marshal_ref crr in
-      if not (Hashtbl.mem du.du_issued key) then begin
-        let line = rec_issue key (List.sort_uniq compare deps) (List.sort_uniq compare rbrs) in
-        Hashtbl.replace du.du_issued key { i_alive = true; i_line = line };
-        persist_line t du line
-      end
-
+(* Journal the issue: the record's identity plus what it depends on, so
+   recovery can re-materialise the backing subgraph. *)
 let issue_cert t ?(deps = []) ?(rbrs = []) ~client ~roles ~args ~crr () =
   Credrec.set_direct_use t.sv_table crr true;
-  persist_issue t ~crr ~deps ~rbrs;
+  (match t.sv_journal with
+  | Some j -> Journal.issue j ~key:(Credrec.marshal_ref crr) ~deps ~rbrs
+  | None -> ());
   let bits =
     List.fold_left
       (fun acc role ->
@@ -1439,13 +926,37 @@ let issue_cert t ?(deps = []) ?(rbrs = []) ~client ~roles ~args ~crr () =
       rmc_sig = "";
     }
   in
-  Cert.sign_rmc t.sv_secrets ~length:t.sv_sig_length cert
+  Cert.sign_rmc t.sv_secrets ~length:sig_length cert
 
 (* Sequentially run an async action over a list. *)
 let rec seq_map f list k =
   match list with
   | [] -> k []
   | x :: rest -> f x (fun y -> seq_map f rest (fun ys -> k (y :: ys)))
+
+(* Check a certificate at its issuing service over the reliable validation
+   RPC (§2.10), then mirror its credential record here as an external
+   record, so a later revocation at the issuer propagates like any other
+   external dependency.  Reliable because a dropped reply would reject a
+   perfectly good credential; [validate_for_peer] is idempotent (the
+   Modified-notification arm is guarded), so retries are safe.  The budget
+   is kept short (~7.5 s worst case): validation gates a decision, which
+   must still fail closed promptly when the issuer is genuinely
+   unreachable (§4.2). *)
+let validate_at_issuer t issuer (cert : Cert.rmc) k =
+  Net.rpc_retry t.sv_net ~category:"oasis.validate" ~attempts:3 ~backoff:0.5 ~src:t.sv_host
+    ~dst:issuer.sv_host
+    (fun () ->
+      match validate_for_peer issuer cert with
+      | Ok r -> Ok r
+      | Error f -> Error (Format.asprintf "%a" pp_failure f))
+    (function
+      | Error e -> k (Error e)
+      | Ok (roles, args, remote_ref) ->
+          let local =
+            external_record t ~peer_name:cert.Cert.service ~remote_ref ~initial:Credrec.True
+          in
+          k (Ok (roles, args, remote_ref, local)))
 
 (* Validate one supplied credential, local or external, producing a
    membership (or None, with audit). *)
@@ -1468,47 +979,30 @@ let validate_credential t (cert : Cert.rmc) k =
                  m_args = cert.Cert.args;
                  m_crr = cert.Cert.crr;
                  m_fresh = false;
-                 m_deps = [ Dloc (Credrec.marshal_ref cert.Cert.crr) ];
+                 m_deps = [ Journal.Loc (Credrec.marshal_ref cert.Cert.crr) ];
                  m_rbrs = [];
                }))
   else
-    (* External certificate: RPC to the issuing service (§2.10), then mirror
-       its credential record locally. *)
+    (* External certificate: checked at its issuer, mirrored locally. *)
     match find_service t.sv_registry cert.Cert.service with
     | None ->
         audit t Erroneous ("credential from unknown service " ^ cert.Cert.service);
         k None
     | Some issuer ->
-        (* Reliable: a dropped validation reply would reject a perfectly
-           good credential.  [validate_for_peer] is idempotent (the
-           Modified-notification arm is guarded), so retries are safe.  The
-           budget is kept short (~7.5 s worst case): validation gates an
-           entry decision, which must still fail closed promptly when the
-           issuer is genuinely unreachable (§4.2). *)
-        Net.rpc_retry t.sv_net ~category:"oasis.validate" ~attempts:3 ~backoff:0.5
-          ~src:t.sv_host ~dst:issuer.sv_host
-          (fun () ->
-            match validate_for_peer issuer cert with
-            | Ok r -> Ok r
-            | Error f -> Error (Format.asprintf "%a" pp_failure f))
-          (function
-            | Error _ -> k None
-            | Ok (roles, args, remote_ref) ->
-                let local =
-                  external_record t ~peer_name:cert.Cert.service ~remote_ref
-                    ~initial:Credrec.True
-                in
-                k
-                  (Some
-                     {
-                       m_service = cert.Cert.service;
-                       m_roles = roles;
-                       m_args = args;
-                       m_crr = local;
-                       m_fresh = false;
-                       m_deps = [ Dext (cert.Cert.service, Credrec.marshal_ref remote_ref) ];
-                       m_rbrs = [];
-                     }))
+        validate_at_issuer t issuer cert (function
+          | Error _ -> k None
+          | Ok (roles, args, remote_ref, local) ->
+              k
+                (Some
+                   {
+                     m_service = cert.Cert.service;
+                     m_roles = roles;
+                     m_args = args;
+                     m_crr = local;
+                     m_fresh = false;
+                     m_deps = [ Journal.Ext (cert.Cert.service, Credrec.marshal_ref remote_ref) ];
+                     m_rbrs = [];
+                   }))
 
 let delegation_required_ok t (d : Cert.delegation) memberships =
   (* Every required (service, role, args) must be covered by a validated
@@ -1542,7 +1036,7 @@ let request_entry t ~client_host ~client ~role ?args ?(creds = []) ?delegation k
             | None -> Ok None
             | Some d ->
                 if not (String.equal d.Cert.d_service t.sv_name) then Error "delegation for another service"
-                else if not (Cert.verify_delegation ~length:t.sv_sig_length t.sv_secrets d) then
+                else if not (Cert.verify_delegation ~length:sig_length t.sv_secrets d) then
                   Error "bad delegation signature"
                 else (
                   match d.Cert.d_expires with
@@ -1612,6 +1106,31 @@ let request_entry t ~client_host ~client ~role ?args ?(creds = []) ?delegation k
 
 (* --- delegation (§4.4) --- *)
 
+(* A delegation's own credential record and the revocation certificate
+   that kills it: tied to the delegator's record when [revoke_on_exit],
+   invalidated [expire_after] seconds from now when given. *)
+let mint_delegation t ~delegator_crr ~revoker_role ~revoke_on_exit ~expire_after =
+  let d_crr =
+    if revoke_on_exit then Credrec.combine_fresh t.sv_table [ (delegator_crr, false) ]
+    else Credrec.leaf t.sv_table ()
+  in
+  Credrec.set_direct_use t.sv_table d_crr true;
+  Option.iter
+    (fun delay ->
+      Engine.schedule (Net.engine t.sv_net) ~delay (fun () ->
+          invalidate_traced t ~reason:"expire" d_crr))
+    expire_after;
+  let r =
+    {
+      Cert.r_service = t.sv_name;
+      r_role = revoker_role;
+      r_delegator_crr = delegator_crr;
+      r_target_crr = d_crr;
+      r_sig = "";
+    }
+  in
+  (d_crr, Cert.sign_revocation t.sv_secrets ~length:sig_length r)
+
 let election_statements t role =
   List.filter
     (fun (e : Ast.entry) -> fst e.Ast.head = role && e.Ast.elector <> None)
@@ -1662,24 +1181,12 @@ let request_delegation t ~client_host ~delegator ~using ~role ~required ?expires
                 reply (Error ("statement defining " ^ role ^ " has no elector"))
             | Some er ->
               let delegator_role = er.Ast.role in
-              (* The delegation's own credential record; tied to the
-                 delegator's membership when revoke_on_exit is set. *)
-              let d_crr =
-                if revoke_on_exit then begin
-                  let r = Credrec.combine_fresh t.sv_table [ (using.Cert.crr, false) ] in
-                  Credrec.set_auto_revoke t.sv_table r true;
-                  r
-                end
-                else Credrec.leaf t.sv_table ()
-              in
-              Credrec.set_direct_use t.sv_table d_crr true;
               let expires = Option.map (fun dt -> now t +. dt) expires_in in
-              (match expires with
-              | Some at ->
-                  Engine.schedule (Net.engine t.sv_net)
-                    ~delay:(max 0.0 (at -. now t))
-                    (fun () -> invalidate_traced t ~reason:"expire" d_crr)
-              | None -> ());
+              let d_crr, r =
+                mint_delegation t ~delegator_crr:using.Cert.crr ~revoker_role:delegator_role
+                  ~revoke_on_exit
+                  ~expire_after:(Option.map (fun at -> max 0.0 (at -. now t)) expires)
+              in
               let d =
                 {
                   Cert.d_service = t.sv_name;
@@ -1694,17 +1201,7 @@ let request_delegation t ~client_host ~delegator ~using ~role ~required ?expires
                   d_sig = "";
                 }
               in
-              let d = Cert.sign_delegation t.sv_secrets ~length:t.sv_sig_length d in
-              let r =
-                {
-                  Cert.r_service = t.sv_name;
-                  r_role = delegator_role;
-                  r_delegator_crr = using.Cert.crr;
-                  r_target_crr = d_crr;
-                  r_sig = "";
-                }
-              in
-              let r = Cert.sign_revocation t.sv_secrets ~length:t.sv_sig_length r in
+              let d = Cert.sign_delegation t.sv_secrets ~length:sig_length d in
               audit t Delegation
                 (Printf.sprintf "%s delegated %s" (Principal.vci_to_string delegator) role);
               reply (Ok (d, r)))))
@@ -1717,7 +1214,7 @@ let request_revocation t ~client_host (rcert : Cert.revocation) k =
       in
       if not (String.equal rcert.Cert.r_service t.sv_name) then
         reply (Error "revocation certificate for another service")
-      else if not (Cert.verify_revocation ~length:t.sv_sig_length t.sv_secrets rcert) then begin
+      else if not (Cert.verify_revocation ~length:sig_length t.sv_secrets rcert) then begin
         audit t Fraud "forged revocation certificate";
         reply (Error "bad revocation signature")
       end
@@ -1752,6 +1249,14 @@ let revoker_matches t (revoker_ref : Ast.role_ref) (cert : Cert.rmc) =
   revoker_ref.Ast.sref.Ast.service = None
   && Cert.has_role ~role_bits:t.sv_role_bits cert revoker_ref.Ast.role
 
+(* Does the rolefile give [revoker]'s holder the right to fire [role]? *)
+let may_revoke t ~role revoker =
+  List.exists
+    (fun (e : Ast.entry) ->
+      fst e.Ast.head = role
+      && match e.Ast.revoker with Some r -> revoker_matches t r revoker | None -> false)
+    (Ast.entries t.sv_rolefile)
+
 (* Validate a fire/re-hire revoker credential, which may have been issued
    by a sibling shard of the same logical service (see {!Shard}).  Sibling
    certificates are checked at their issuer over the reliable validation
@@ -1772,23 +1277,7 @@ let validate_revoker t (revoker : Cert.rmc) k =
   else
     match find_service t.sv_registry revoker.Cert.service with
     | None -> k (Error ("unknown sibling shard " ^ revoker.Cert.service))
-    | Some issuer ->
-        Net.rpc_retry t.sv_net ~category:"oasis.validate" ~attempts:3 ~backoff:0.5
-          ~src:t.sv_host ~dst:issuer.sv_host
-          (fun () ->
-            match validate_for_peer issuer revoker with
-            | Ok r -> Ok r
-            | Error f -> Error (Format.asprintf "%a" pp_failure f))
-          (function
-            | Error e -> k (Error e)
-            | Ok (_roles, _args, remote_ref) ->
-                (* Mirror the revoker's record so a later revocation of the
-                   revoker's own role propagates here like any other
-                   external dependency. *)
-                ignore
-                  (external_record t ~peer_name:revoker.Cert.service ~remote_ref
-                     ~initial:Credrec.True);
-                k (Ok ()))
+    | Some issuer -> validate_at_issuer t issuer revoker (fun r -> k (Result.map ignore r))
 
 let revoke_role_instance t ~client_host ~revoker ~role ~args k =
   Net.send t.sv_net ~category:"oasis.rbr" ~size:128 ~src:client_host ~dst:t.sv_host (fun () ->
@@ -1804,19 +1293,9 @@ let revoke_role_instance t ~client_host ~revoker ~role ~args k =
           | None ->
               (* No live memberships; still blacklist if the rolefile allows
                  this revoker for the role. *)
-              let allowed =
-                List.exists
-                  (fun (e : Ast.entry) ->
-                    fst e.Ast.head = role
-                    &&
-                    match e.Ast.revoker with
-                    | Some r -> revoker_matches t r revoker
-                    | None -> false)
-                  (Ast.entries t.sv_rolefile)
-              in
-              if allowed then begin
+              if may_revoke t ~role revoker then begin
                 Hashtbl.replace t.sv_blacklist key ();
-                persist_fire t key;
+                (match t.sv_journal with Some j -> Journal.fire j key | None -> ());
                 audit t Revocation (Printf.sprintf "%s(%s) blacklisted" role "");
                 ack_when_durable t (fun () -> reply (Ok 0))
               end
@@ -1834,17 +1313,7 @@ let revoke_role_instance t ~client_host ~revoker ~role ~args k =
                    no-membership branch; re-firing a blacklisted instance
                    is idempotent success, acked durably like the original
                    (the ack waits out any still-pending group commit). *)
-                let allowed =
-                  List.exists
-                    (fun (e : Ast.entry) ->
-                      fst e.Ast.head = role
-                      &&
-                      match e.Ast.revoker with
-                      | Some r -> revoker_matches t r revoker
-                      | None -> false)
-                    (Ast.entries t.sv_rolefile)
-                in
-                if allowed && Hashtbl.mem t.sv_blacklist key then
+                if may_revoke t ~role revoker && Hashtbl.mem t.sv_blacklist key then
                   ack_when_durable t (fun () -> reply (Ok 0))
                 else reply (Error "revoker role does not match")
               end
@@ -1856,20 +1325,19 @@ let revoke_role_instance t ~client_host ~revoker ~role ~args k =
                    recovery would then re-arm the revoker records and
                    resurrect the fired memberships.  Persist the death of
                    each issued record the cascade just killed. *)
-                (match t.sv_durable with
+                (match t.sv_journal with
                 | None -> ()
-                | Some du ->
-                    Hashtbl.fold
-                      (fun key i acc -> if i.i_alive then key :: acc else acc)
-                      du.du_issued []
-                    |> List.iter (fun key ->
-                           match Credrec.unmarshal_ref key with
-                           | Some cref when Credrec.state t.sv_table cref = Credrec.False ->
-                               persist_invalidate t cref
-                           | _ -> ()));
+                | Some j ->
+                    List.iter
+                      (fun issued ->
+                        match Credrec.unmarshal_ref issued with
+                        | Some cref when Credrec.state t.sv_table cref = Credrec.False ->
+                            Journal.invalidate j issued
+                        | _ -> ())
+                      (Journal.live_issued j));
                 cell := rest;
                 Hashtbl.replace t.sv_blacklist key ();
-                persist_fire t key;
+                (match t.sv_journal with Some j -> Journal.fire j key | None -> ());
                 audit t Revocation
                   (Printf.sprintf "%d membership(s) of %s revoked by role" (List.length eligible)
                      role);
@@ -1885,17 +1353,12 @@ let reinstate_role_instance t ~client_host ~revoker ~role ~args k =
       validate_revoker t revoker (function
       | Error e -> reply (Error ("revoker credential: " ^ e))
       | Ok () ->
-          let allowed =
-            List.exists
-              (fun (e : Ast.entry) ->
-                fst e.Ast.head = role
-                && match e.Ast.revoker with Some r -> revoker_matches t r revoker | None -> false)
-              (Ast.entries t.sv_rolefile)
-          in
-          if not allowed then reply (Error "no revocation right for this role")
+          if not (may_revoke t ~role revoker) then reply (Error "no revocation right for this role")
           else begin
             Hashtbl.remove t.sv_blacklist (blacklist_key role args);
-            persist_hire t (blacklist_key role args);
+            (match t.sv_journal with
+            | Some j -> Journal.hire j (blacklist_key role args)
+            | None -> ());
             ack_when_durable t (fun () -> reply (Ok ()))
           end))
 
@@ -1911,30 +1374,7 @@ let import_remote_record t ~peer ~remote =
   external_record t ~peer_name:peer ~remote_ref:remote ~initial:Credrec.True
 
 let mint_delegation_record t ~delegator_crr ?expires_in ?(revoke_on_exit = false) () =
-  let d_crr =
-    if revoke_on_exit then begin
-      let r = Credrec.combine_fresh t.sv_table [ (delegator_crr, false) ] in
-      Credrec.set_auto_revoke t.sv_table r true;
-      r
-    end
-    else Credrec.leaf t.sv_table ()
-  in
-  Credrec.set_direct_use t.sv_table d_crr true;
-  (match expires_in with
-  | Some dt ->
-      Engine.schedule (Net.engine t.sv_net) ~delay:dt (fun () ->
-          invalidate_traced t ~reason:"expire" d_crr)
-  | None -> ());
-  let r =
-    {
-      Cert.r_service = t.sv_name;
-      r_role = "";
-      r_delegator_crr = delegator_crr;
-      r_target_crr = d_crr;
-      r_sig = "";
-    }
-  in
-  (d_crr, Cert.sign_revocation t.sv_secrets ~length:t.sv_sig_length r)
+  mint_delegation t ~delegator_crr ~revoker_role:"" ~revoke_on_exit ~expire_after:expires_in
 
 let revoke_certificate t (cert : Cert.rmc) =
   invalidate_traced t ~reason:"certificate" cert.Cert.crr
@@ -1951,7 +1391,7 @@ let delegate_revocation t ~client_host ~rcert ~to_cert k =
       in
       if not (String.equal rcert.Cert.r_service t.sv_name) then
         reply (Error "revocation certificate for another service")
-      else if not (Cert.verify_revocation ~length:t.sv_sig_length t.sv_secrets rcert) then
+      else if not (Cert.verify_revocation ~length:sig_length t.sv_secrets rcert) then
         reply (Error "bad revocation signature")
       else if String.equal rcert.Cert.r_role "" then
         reply (Error "this revocation certificate cannot be re-delegated")
@@ -1973,17 +1413,16 @@ let delegate_revocation t ~client_host ~rcert ~to_cert k =
           }
         in
         audit t Delegation ("revocation right re-delegated for role " ^ rcert.Cert.r_role);
-        reply (Ok (Cert.sign_revocation t.sv_secrets ~length:t.sv_sig_length fresh))
+        reply (Ok (Cert.sign_revocation t.sv_secrets ~length:sig_length fresh))
       end)
 
-(* --- crash recovery (the restart hook registered in [create]) --- *)
+(* --- crash recovery (the restart hook registered by [create]) --- *)
 
-(* Replay snapshot + log suffix and re-materialise the credential-record
-   subgraph backing issued certificates:
+(* Replay the journal and re-materialise the credential-record subgraph
+   backing issued certificates:
 
-   1. Rebuild the durable mirror (blacklist + issued table) by applying
-      the snapshot's records, then the whole log — idempotent upserts, so
-      an un-truncated log over a snapshot is harmless.
+   1. Rebuild the journal's mirror (blacklist + issued table) from the
+      snapshot, then the whole log ({!Journal.replay}).
    2. Restore EVERY persisted record identity (alive and dead) before any
       fresh allocation, so a fresh record can never mint an (index, magic)
       pair colliding with a reference embedded in an outstanding
@@ -1995,38 +1434,23 @@ let delegate_revocation t ~client_host ~rcert ~to_cert k =
       machinery, and §4.11 revoker arms — re-armed, or invalidated
       outright when the instance is blacklisted.
 
-   The whole pass is charged [Disk.scan_delay] for the durable bytes read
-   and traced as one [oasis.recover.e2e] span. *)
+   The whole pass is charged the device's scan time for the durable bytes
+   read and traced as one [oasis.recover.e2e] span. *)
 let recover ?on_done t =
-  match t.sv_durable with
+  match t.sv_journal with
   | None -> Option.iter (fun k -> k ()) on_done
-  | Some du ->
-      let disk = du.du_disk in
-      let bytes =
-        Disk.durable_size disk ~file:(Wal.file du.du_wal)
-        + Disk.durable_size disk ~file:(Snapshot.file du.du_snap)
-      in
+  | Some j ->
       let tr = tracer t in
       let sp = Trace.start tr "oasis.recover.e2e" in
-      Trace.add_attr sp "bytes" (string_of_int bytes);
+      Trace.add_attr sp "bytes" (string_of_int (Journal.stored_bytes j));
       let t0 = Engine.now (Net.engine t.sv_net) in
-      Engine.schedule (Net.engine t.sv_net) ~delay:(Disk.scan_delay disk ~bytes) (fun () ->
+      Engine.schedule (Net.engine t.sv_net) ~delay:(Journal.scan_delay j) (fun () ->
           let up = Net.host_up t.sv_net t.sv_host in
           (if up then
              Trace.with_ctx tr
                (Some (Trace.ctx_of sp))
                (fun () ->
-                 let snap_records =
-                   match Snapshot.load du.du_snap with
-                   | None | Some "" -> []
-                   | Some payload -> String.split_on_char '\x1c' payload
-                 in
-                 let log_records = Wal.recover du.du_wal in
-                 List.iter (apply_record t du) (snap_records @ log_records);
-                 let keys =
-                   Hashtbl.fold (fun k _ acc -> k :: acc) du.du_issued []
-                   |> List.sort String.compare
-                 in
+                 let replayed = Journal.replay j in
                  let restored =
                    List.filter_map
                      (fun key ->
@@ -2039,11 +1463,11 @@ let recover ?on_done t =
                              Some (key, cref)
                            end
                            else None)
-                     keys
+                     (Journal.issued_keys j)
                  in
                  List.iter
                    (fun (key, cref) ->
-                     match Hashtbl.find_opt du.du_issued key with
+                     match Journal.lookup j key with
                      | None ->
                          (* The mirror lost this record between the restore
                             scan and re-attachment (a crash racing the
@@ -2052,54 +1476,44 @@ let recover ?on_done t =
                             audit instead of raising out of the engine. *)
                          audit t Erroneous ("recovery: issued record vanished: " ^ key);
                          Credrec.invalidate t.sv_table cref
-                     | Some i when not i.i_alive -> Credrec.invalidate t.sv_table cref
-                     | Some i -> begin
-                       let deps, rbrs = dec_issue i.i_line in
-                       List.iter
-                         (fun dep ->
-                           match dep with
-                           | Dloc dkey -> (
-                               match Credrec.unmarshal_ref dkey with
-                               | Some dref -> Credrec.add_parent t.sv_table ~child:cref dref
-                               | None -> ())
-                           | Dext (peer_name, rkey) -> (
-                               match Credrec.unmarshal_ref rkey with
-                               | None -> ()
-                               | Some remote_ref ->
-                                   let local =
-                                     external_record t ~peer_name ~remote_ref
-                                       ~initial:Credrec.Unknown
-                                   in
-                                   Credrec.add_parent t.sv_table ~child:cref local))
-                         deps;
-                       List.iter
-                         (fun (role, argskey, revoker_role) ->
-                           let rbr = Credrec.leaf t.sv_table ~state:Credrec.True () in
-                           Credrec.set_direct_use t.sv_table rbr true;
-                           Credrec.add_parent t.sv_table ~child:cref rbr;
-                           if Hashtbl.mem t.sv_blacklist (role, argskey) then
-                             Credrec.invalidate t.sv_table rbr
-                           else begin
-                             let cell =
-                               match Hashtbl.find_opt t.sv_rbr (role, argskey) with
-                               | Some c -> c
-                               | None ->
-                                   let c = ref [] in
-                                   Hashtbl.replace t.sv_rbr (role, argskey) c;
-                                   c
-                             in
-                             let revoker_ref =
-                               {
-                                 Ast.sref = Ast.local_service;
-                                 role = revoker_role;
-                                 ref_args = [];
-                                 starred = false;
-                               }
-                             in
-                             cell := (revoker_ref, rbr) :: !cell
-                           end)
-                         rbrs
-                     end)
+                     | Some Journal.Dead -> Credrec.invalidate t.sv_table cref
+                     | Some (Journal.Live (deps, rbrs)) ->
+                         List.iter
+                           (fun dep ->
+                             match dep with
+                             | Journal.Loc dkey -> (
+                                 match Credrec.unmarshal_ref dkey with
+                                 | Some dref -> Credrec.add_parent t.sv_table ~child:cref dref
+                                 | None -> ())
+                             | Journal.Ext (peer_name, rkey) -> (
+                                 match Credrec.unmarshal_ref rkey with
+                                 | None -> ()
+                                 | Some remote_ref ->
+                                     let local =
+                                       external_record t ~peer_name ~remote_ref
+                                         ~initial:Credrec.Unknown
+                                     in
+                                     Credrec.add_parent t.sv_table ~child:cref local))
+                           deps;
+                         List.iter
+                           (fun (role, argskey, revoker_role) ->
+                             let rbr = Credrec.leaf t.sv_table ~state:Credrec.True () in
+                             Credrec.set_direct_use t.sv_table rbr true;
+                             Credrec.add_parent t.sv_table ~child:cref rbr;
+                             if Hashtbl.mem t.sv_blacklist (role, argskey) then
+                               Credrec.invalidate t.sv_table rbr
+                             else
+                               let revoker_ref =
+                                 {
+                                   Ast.sref = Ast.local_service;
+                                   role = revoker_role;
+                                   ref_args = [];
+                                   starred = false;
+                                 }
+                               in
+                               let cell = rbr_cell t (role, argskey) in
+                               cell := (revoker_ref, rbr) :: !cell)
+                           rbrs)
                    restored;
                  (* Kick the reread machinery: every re-mirrored external is
                     Unknown until its issuer answers (§4.10). *)
@@ -2115,8 +1529,7 @@ let recover ?on_done t =
                              if not pl.pl_rereading then reread_pending t pl peer session))
                    t.sv_peers;
                  Stats.incr (stats t) "oasis.recover";
-                 Stats.observe (stats t) "oasis.recover.records"
-                   (List.length snap_records + List.length log_records)));
+                 Stats.observe (stats t) "oasis.recover.records" replayed));
           Trace.finish tr sp;
           Stats.observe_latency (stats t) "oasis.recover.e2e"
             (Engine.now (Net.engine t.sv_net) -. t0);
@@ -2125,20 +1538,199 @@ let recover ?on_done t =
              caller (a replica promotion) must not treat it as finished. *)
           if up then Option.iter (fun k -> k ()) on_done)
 
-let () = recover_ref := fun t -> recover t
+(* --- creation --- *)
+
+let assign_role_bits rolefile =
+  let from_entries = Ast.defined_roles rolefile in
+  let from_defs = List.map (fun d -> d.Ast.decl_name) (Ast.defs rolefile) in
+  let all = List.sort_uniq String.compare (from_entries @ from_defs) in
+  (* Deterministic mapping fixed at initialisation (§4.3). *)
+  if List.length all > 62 then Error "too many roles for the role bit-set (max 62)"
+  else Ok (List.mapi (fun i r -> (r, i)) all)
+
+(* The registration gate: the per-rolefile analyzer, plus — when the
+   service joins the registry — the federation-wide codes (OASIS001-008)
+   over the registered peers and this service, keeping only the
+   diagnostics anchored here: joining must not fail on a defect that is a
+   peer's alone. *)
+let lint_gate reg ~name ~register ~funcs ~callbacks ~strict parsed =
+  let context =
+    {
+      Analyze.default_context with
+      Analyze.infer = callbacks;
+      known_funcs = Some (List.map fst funcs @ [ "unixacl"; "acl" ]);
+    }
+  in
+  let diags = Analyze.check ~file:name ~context parsed in
+  let diags =
+    if register then
+      let member name rolefile =
+        { Federation_lint.fl_name = name; fl_file = name; fl_rolefile = rolefile }
+      in
+      let federation =
+        Federation_lint.make
+          (List.map (fun s -> member s.sv_name s.sv_rolefile) (services reg)
+          @ [ member name parsed ])
+      in
+      diags
+      @ List.filter
+          (fun d -> String.equal d.Analyze.file name)
+          (Federation_lint.check federation)
+    else diags
+  in
+  match List.filter (Analyze.gates ~strict) diags with
+  | [] ->
+      (* Non-gating findings are logged, not fatal. *)
+      List.iter (fun d -> Logs.warn (fun m -> m "%s" (Analyze.diag_to_string d))) diags;
+      Ok ()
+  | d :: rest ->
+      Error
+        (Printf.sprintf "lint: %s%s" (Analyze.diag_to_string d)
+           (match List.length rest with
+           | 0 -> ""
+           | n -> Printf.sprintf " (and %d more issue(s))" n))
+
+(* Batched notification: record changes accumulate in [sv_pending_mods]
+   and are flushed as ONE ModifiedBatch digest at the top of each broker
+   heartbeat tick, so the digest rides that very tick's coalesced
+   heartbeat message (steady-state: O(peers) messages per period, §4.10). *)
+let flush_pending_mods t =
+  if Hashtbl.length t.sv_pending_mods > 0 then begin
+    let mods =
+      Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.sv_pending_mods []
+      |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+    in
+    Hashtbl.reset t.sv_pending_mods;
+    Stats.observe (stats t) "oasis.mods.flush" (List.length mods);
+    let digest = String.concat ";" (List.map (fun (k, v) -> k ^ "=" ^ v) mods) in
+    (* The flush span's parent is the buffered context with the earliest
+       origin: a digest merging several bursts is attributed to the oldest
+       one it carries, so no end-to-end latency is under-reported. *)
+    let tr = tracer t in
+    let parent =
+      Hashtbl.fold
+        (fun _ c acc ->
+          match acc with
+          | Some best when Trace.origin best <= Trace.origin c -> acc
+          | _ -> Some c)
+        t.sv_pending_ctx None
+    in
+    Hashtbl.reset t.sv_pending_ctx;
+    let sp = Trace.start tr ?parent "revoke.flush" in
+    Trace.add_attr sp "mods" (string_of_int (List.length mods));
+    Trace.with_ctx tr
+      (Some (Trace.ctx_of sp))
+      (fun () -> ignore (Broker.signal t.sv_broker "ModifiedBatch" [ Value.Str digest ]));
+    Trace.finish tr sp
+  end
+
+(* Crash: volatile state dies.  Every credential record backing an issued
+   certificate, every §4.11 revoker arm and every external surrogate is
+   forgotten from the in-memory table (their children now read a dangling
+   — permanently False — reference: fail closed), sessions drop, caches
+   clear.  The journal's device survives and is replayed by the restart
+   hook. *)
+let crash t j =
+  Hashtbl.iter
+    (fun _ pl ->
+      Option.iter Broker.close pl.pl_session;
+      Hashtbl.iter (fun _ surrogate -> Credrec.forget t.sv_table surrogate) pl.pl_externals)
+    t.sv_peers;
+  Hashtbl.iter
+    (fun _ cell -> List.iter (fun (_, rbr) -> Credrec.forget t.sv_table rbr) !cell)
+    t.sv_rbr;
+  Journal.iter_issued j (fun key ->
+      Hashtbl.remove t.sv_notifying key;
+      match Credrec.unmarshal_ref key with
+      | Some cref -> Credrec.forget t.sv_table cref
+      | None -> ());
+  Hashtbl.reset t.sv_peers;
+  Hashtbl.reset t.sv_rbr;
+  Hashtbl.reset t.sv_blacklist;
+  Journal.reset j;
+  Hashtbl.reset t.sv_pending_mods;
+  Hashtbl.reset t.sv_pending_ctx;
+  Cache.clear t.sv_sig_cache;
+  Cache.clear t.sv_residuals
+
+let create net host reg ~name:sv_name ?(rolefile_id = "main") ~rolefile ?(funcs = [])
+    ?(compound_certificates = true) ?(fixpoint_entry = false) ?(heartbeat = 1.0)
+    ?(batch_notifications = true) ?(sig_cache_cap = 1024) ?disk ?(snapshot_every = 128)
+    ?(lint = `Warn) ?(register = true) () =
+  let ( let* ) = Result.bind in
+  let* parsed = Parser.parse_result rolefile in
+  let callbacks =
+    {
+      Infer.no_callbacks with
+      Infer.external_sig =
+        (fun ~service ~role ->
+          match find_service reg service with
+          | None -> None
+          | Some peer -> Infer.signature peer.sv_sigs role);
+    }
+  in
+  let* sigs = Result.map_error (fun e -> "type error: " ^ e) (Infer.infer ~callbacks parsed) in
+  let* () =
+    match lint with
+    | `Off -> Ok ()
+    | (`Warn | `Strict) as mode ->
+        lint_gate reg ~name:sv_name ~register ~funcs ~callbacks ~strict:(mode = `Strict) parsed
+  in
+  let* bits = assign_role_bits parsed in
+  let prng = Prng.create (Int64.of_int (Hashtbl.hash sv_name + 7)) in
+  let blacklist = Hashtbl.create 16 in
+  let journal = Option.map (fun d -> Journal.create d ~name:sv_name ~snapshot_every ~blacklist) disk in
+  let t =
+    {
+      sv_net = net;
+      sv_host = host;
+      sv_registry = reg;
+      sv_name;
+      sv_rolefile_id = rolefile_id;
+      sv_rolefile = parsed;
+      sv_sigs = sigs;
+      sv_role_bits = bits;
+      sv_secrets = Signing.Rolling.create prng;
+      sv_compound = compound_certificates;
+      sv_fixpoint = fixpoint_entry;
+      sv_table = Credrec.create_table ();
+      sv_groups = Hashtbl.create 8;
+      sv_funcs = funcs;
+      sv_broker =
+        Broker.create_server net host ~name:sv_name ~heartbeat ~coalesce:batch_notifications ?disk
+          ();
+      sv_peers = Hashtbl.create 8;
+      sv_notifying = Hashtbl.create 64;
+      sv_family = Hashtbl.create 4;
+      sv_rbr = Hashtbl.create 16;
+      sv_blacklist = blacklist;
+      sv_audit = [];
+      sv_sig_cache = Cache.create sig_cache_cap;
+      sv_batch = batch_notifications;
+      sv_policy_hash = Hashtbl.hash rolefile;
+      sv_pending_mods = Hashtbl.create 64;
+      sv_pending_ctx = Hashtbl.create 64;
+      sv_residuals = Cache.create 4096;
+      sv_journal = journal;
+      sv_auto_recover = true;
+      sv_crypto_checks = 0;
+      sv_cache_hits = 0;
+    }
+  in
+  (* Backup replicas share the primary's name but must not shadow it in
+     the registry; promotion re-registers. *)
+  if register then Hashtbl.replace reg sv_name t;
+  Option.iter
+    (fun j ->
+      Net.on_crash net host (fun () -> crash t j);
+      Net.on_restart net host (fun () -> if t.sv_auto_recover then recover t))
+    journal;
+  if batch_notifications then Broker.on_heartbeat_tick t.sv_broker (fun () -> flush_pending_mods t);
+  Ok t
 
 (* --- durability introspection (tests and benches) --- *)
 
-let durable_enabled t = Option.is_some t.sv_durable
-
-let durable_issued t =
-  match t.sv_durable with
-  | None -> 0
-  | Some du -> Hashtbl.fold (fun _ i n -> if i.i_alive then n + 1 else n) du.du_issued 0
-
-let durable_flush t =
-  match t.sv_durable with None -> () | Some du -> Wal.flush du.du_wal
-
+let durable_issued t = match t.sv_journal with None -> 0 | Some j -> Journal.live_count j
 let blacklisted t ~role ~args = Hashtbl.mem t.sv_blacklist (blacklist_key role args)
 
 (* --- state fingerprint (model checking) --- *)
@@ -2161,13 +1753,5 @@ let fingerprint t =
   Buffer.add_char b '\x03';
   add_sorted (Hashtbl.fold (fun k v acc -> (k ^ "=" ^ v) :: acc) t.sv_pending_mods []);
   Buffer.add_char b '\x03';
-  (match t.sv_durable with
-  | None -> ()
-  | Some du ->
-      add_sorted
-        (Hashtbl.fold
-           (fun k i acc -> (k ^ if i.i_alive then "+" else "-") :: acc)
-           du.du_issued []);
-      Buffer.add_char b '\x03';
-      Buffer.add_string b (Int64.to_string (Disk.fingerprint du.du_disk)));
+  Option.iter (fun j -> Buffer.add_string b (Journal.fingerprint j)) t.sv_journal;
   Oasis_util.Siphash.hash fp_key (Buffer.contents b)

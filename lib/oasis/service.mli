@@ -22,8 +22,7 @@ val create_registry : unit -> registry
 val find_service : registry -> string -> t option
 
 val services : registry -> t list
-(** Every registered service, sorted by name.  Used by federation-wide
-    tooling ({!Federation_lint}). *)
+(** Every registered service, sorted by name. *)
 
 val create :
   Oasis_sim.Net.t ->
@@ -33,9 +32,6 @@ val create :
   ?rolefile_id:string ->
   rolefile:string ->
   ?funcs:(string * (value list -> (value, string) result)) list ->
-  ?resolve_literal:(string -> value option) ->
-  ?sig_length:int ->
-  ?cache_validation:bool ->
   ?compound_certificates:bool ->
   ?fixpoint_entry:bool ->
   ?heartbeat:float ->
@@ -47,41 +43,46 @@ val create :
   ?register:bool ->
   unit ->
   (t, string) result
-(** Parse + type-check the rolefile and install the service.
+(** Parse and type-check the rolefile, run the lint gate, and install the
+    service.
 
-    [lint] (default [`Warn]) gates registration on the static analyzer
-    ({!Oasis_rdl.Analyze}): error-severity diagnostics (never-fires
+    [rolefile_id] (default ["main"]) names the rolefile in the
+    certificates this service issues; a certificate presented under
+    another id is out of context.  [funcs] are the extension functions the
+    rolefile may call, besides the built-in [unixacl] and [acl].
+
+    [lint] (default [`Warn]) gates creation on static analysis.  The
+    per-rolefile analyzer ({!Oasis_rdl.Analyze}) always runs; when the
+    service joins the registry, the federation-wide codes of
+    {!Federation_lint} (OASIS001-008) run too, over the registered
+    services plus this one, keeping only the diagnostics anchored at this
+    service.  Error-severity diagnostics fail [create] (never-fires
     statements, unsatisfiable constraints, unknown extension functions,
-    arity/type errors) fail [create]; warnings are logged via {!Logs}.
-    [`Strict] also fails on warnings; [`Off] skips the analyzer entirely
-    (the pre-lint behaviour).  When {!Federation_lint} is linked, the gate
-    extends to the federation-wide codes (OASIS001-008) computed over the
-    already registered services plus the candidate, restricted to the
-    diagnostics anchored at the candidate itself.
+    arity or type errors, a credential cycle no statement bootstraps, a
+    reference to a role its service does not define); warnings are logged
+    via {!Logs}.  [`Strict] also fails on warnings; [`Off] skips the gate.
 
-    [sig_length]: signature length in hex chars (§4.2's per-service
-    trade-off; default 16).  [cache_validation]: cache signature checks
-    (default true).  [compound_certificates]: fold same-argument roles
-    entered in one request into one certificate (§4.3; default true).
-    [fixpoint_entry]: ablation switch — iterate statement application to a
-    fixpoint instead of the paper's single in-order pass (default false).
-    [heartbeat]: period of this service's broker heartbeats (default 1s).
-    [batch_notifications] (default true): coalesce credential-record change
-    notifications into one ModifiedBatch digest per peer link, flushed on
-    the broker heartbeat tick (bounded by one heartbeat of extra latency);
-    with [false], every record change is its own Modified event, as in the
-    unbatched scheme benchmarked by e15.  [sig_cache_cap] (default 1024):
-    bound on the signature-verification cache (two-generation eviction).
+    [compound_certificates]: fold same-argument roles entered in one
+    request into one certificate (§4.3; default true).  [fixpoint_entry]:
+    ablation switch — iterate statement application to a fixpoint instead
+    of the paper's single in-order pass (default false).  [heartbeat]:
+    period of this service's broker heartbeats (default 1s).
+    [batch_notifications] (default true): coalesce credential-record
+    change notifications into one ModifiedBatch digest per peer link,
+    flushed on the broker heartbeat tick (bounded by one heartbeat of
+    extra latency); with [false], every record change is its own Modified
+    event, as in the unbatched scheme benchmarked by e15.
+    [sig_cache_cap] (default 1024): bound on the signature-verification
+    cache (two-generation eviction).
 
-    [disk] enables the durable-state plane: the §4.11 hire/fire databases
-    and issued certificates (with their dependency lists) are journalled
-    to a write-ahead log on the given stable-storage device, checkpointed
-    every [snapshot_every] (default 128) appends, and replayed after a
-    host crash+restart — restored certificates resolve again, externals
+    [disk] enables the durable plane ({!Journal}): the §4.11 hire/fire
+    databases and issued certificates (with their dependency lists) are
+    journalled on the given stable-storage device, checkpointed every
+    [snapshot_every] (default 128) appends, and replayed after a host
+    crash+restart — restored certificates resolve again, externals
     re-mirror at [Unknown] until the reread machinery heals them, and
-    fired instances stay fired.  The broker's retained event log rides
-    the same device.  Without [disk], a crash loses all service state
-    (the pre-durability behaviour).
+    fired instances stay fired.  The broker's retained event log rides the
+    same device.  Without [disk], a crash loses all service state.
 
     [register] (default true): install the service in [registry] under its
     name.  Backup replicas of a replica group (see {!Replica}) pass
@@ -90,13 +91,6 @@ val create :
 
 val name : t -> string
 val host : t -> Oasis_sim.Net.host
-
-val set_federation_linter :
-  (registry -> name:string -> rolefile:Oasis_rdl.Ast.rolefile -> Oasis_rdl.Analyze.diag list) ->
-  unit
-(** Install the federation-wide lint hook {!create} consults before
-    registering a service (the candidate rides along as an extra member).
-    Called by {!Federation_lint} at link time; not meant for user code. *)
 
 val add_sibling : t -> string -> unit
 (** Declare another registered service a {e sibling shard} of the same
@@ -297,85 +291,40 @@ val residual_cache_size : t -> int
 val gc : t -> int
 (** Run a credential-record GC sweep; returns slots reclaimed. *)
 
-(** {1 Durability (tests and benches)} *)
+(** {1 Durability} *)
 
-val durable_enabled : t -> bool
+val journal : t -> Journal.t option
+(** The durable plane, when the service was created with [disk].  A
+    replica group ({!Replica}) ships, repairs and acks through it. *)
 
 val durable_issued : t -> int
-(** Issued records currently alive in the durable mirror (0 without
+(** Issued records currently alive in the journal's mirror (0 without
     [disk]). *)
-
-val durable_flush : t -> unit
-(** Force the write-ahead log's group commit now. *)
 
 val blacklisted : t -> role:string -> args:value list -> bool
 (** Is the role instance currently fired (§4.11)? *)
 
 val recover : ?on_done:(unit -> unit) -> t -> unit
-(** The restart hook: replay snapshot + log and re-materialise issued
-    state.  Registered automatically on host restart when [disk] was
-    given (unless {!set_auto_recover} turned it off); exposed for tests
-    and for the replica promotion protocol, whose [on_done] fires once
-    the replay has actually run — never when a racing crash aborted it. *)
-
-(** {1 Replication hooks ({!Replica} drives these)}
-
-    A replica group runs K full services under ONE name on K hosts: the
-    primary's WAL is the authoritative record stream, backups journal
-    shipped copies of it, and client acks wait for a write quorum.  The
-    hooks below are the whole surface the group needs from the service:
-    everything else (identical secrets from the shared name, idempotent
-    log replay, §4.10 healing) already holds. *)
-
-val set_replication : t -> sync:((unit -> unit) -> unit) -> unit
-(** Install the quorum hook: {e every} client ack that previously rode the
-    local group commit ([ack_when_durable]) now rides [sync] instead.
-    Also disables log compaction — the WAL must remain the full stream in
-    global record coordinates (see DESIGN.md). *)
-
-val set_ship : t -> (string -> unit) option -> unit
-(** Install (or clear) the WAL ship observer ({!Oasis_store.Wal.on_append})
-    on this service's log.  Only the group's current primary carries it. *)
+(** The restart hook: replay the journal and re-materialise issued state.
+    Run automatically on host restart when [disk] was given (unless
+    {!set_auto_recover} turned it off); exposed for tests and for the
+    replica promotion protocol, whose [on_done] fires once the replay has
+    actually run — never when a racing crash aborted it. *)
 
 val set_auto_recover : t -> bool -> unit
-(** Whether the host-restart hook replays the log automatically (default
-    true).  Replica-group members turn this off: a restarted member
-    recovers through the epoch/promotion protocol, which must fetch any
-    missing log suffix from its peers {e before} replaying. *)
-
-val durable_sync : t -> (unit -> unit) -> unit
-(** Run the callback once everything appended to the local WAL so far is
-    durable (the raw, single-host flavour of [ack_when_durable]). *)
-
-val follower_append : t -> string -> unit
-(** Journal one record shipped from the primary's stream: same framing and
-    group commit as a local append, but invisible to the ship observer and
-    to the snapshot bookkeeping. *)
-
-val durable_log_records : t -> string list
-(** The durable (synced) prefix of this service's WAL, decoded.  At
-    quiescence a backup's list is a prefix of the primary's stream — the
-    log-shipping invariant the replication tests assert. *)
-
-val durable_log_rewrite : t -> string list -> (unit -> unit) -> unit
-(** Atomically replace the WAL's contents with exactly [records] and run
-    the callback once the replacement is durable.  Replication repair only:
-    a rejoining member whose log diverged from the stream (an old epoch's
-    unacked tail) is rewritten to a true stream prefix, and a promotion
-    adopts the winning log wholesale.  The caller must have synced the
-    group-commit buffer first. *)
+(** Whether the host-restart hook replays the journal automatically
+    (default true).  Replica-group members turn this off: a restarted
+    member recovers through the epoch/promotion protocol, which must fetch
+    any missing log suffix from its peers {e before} replaying. *)
 
 val reregister : t -> unit
 (** (Re-)install this service in the registry under its name — how a
     promoted backup takes over the logical service identity. *)
 
-val registered : t -> bool
-(** Is this exact instance the one the registry currently resolves? *)
-
 val fingerprint : t -> int64
 (** Deterministic hash of the service's protocol-visible state: the
     credential-record table ({!Credrec.fingerprint}), the §4.11 blacklist,
-    the pending invalidation digest, and — when durable — the issued
-    mirror and the stable-storage device bytes.  Equal fingerprints mean
-    two runs reached equivalent service states; the model checker
+    the pending invalidation digest, and — when durable — the journal's
+    issued mirror and the stable-storage device bytes.  Equal fingerprints
+    mean two runs reached equivalent service states; the model checker
     ({!Oasis_mc.Explore}) prunes interleavings on it. *)

@@ -340,4 +340,6 @@ let fingerprint t =
   Siphash.hash ring_key (Buffer.contents buf)
 
 let durable_flush t =
-  Array.iter (fun g -> List.iter Service.durable_flush (Replica.members g)) t.sh_groups
+  Array.iter
+    (fun g -> List.iter (fun s -> Option.iter Journal.flush (Service.journal s)) (Replica.members g))
+    t.sh_groups

@@ -382,7 +382,13 @@ let test_registry_services () =
     [ "Zeta"; "Alpha" ];
   checks "sorted enumeration" "Alpha,Zeta"
     (String.concat "," (List.map Service.name (Service.services reg)));
-  let fed = FL.of_registry reg in
+  let fed =
+    FL.make
+      (List.map
+         (fun s ->
+           { FL.fl_name = Service.name s; fl_file = Service.name s; fl_rolefile = Service.rolefile s })
+         (Service.services reg))
+  in
   checki "registry federation lints clean" 0 (List.length (Analyze.errors (FL.check fed)))
 
 (* --- satellite 2: total relop arms --- *)

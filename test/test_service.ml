@@ -875,6 +875,25 @@ let test_role_bitset_limit () =
   | Ok _ -> ()
   | Error e -> Alcotest.failf "62 roles must fit: %s" e
 
+(* The registration gate covers the whole federation, not just the one
+   rolefile: a service naming a role its peer does not define (OASIS003)
+   is refused at create, and is not registered. *)
+let test_federation_gate_refuses_undefined_role () =
+  let w = make_world () in
+  ignore
+    (add_service w ~name:"Login" ~rolefile:"def LoggedOn(u) u: String\nLoggedOn(u) <-\n" ());
+  (match
+     Service.create w.net (Net.add_host w.net "h.club") w.reg ~name:"Club"
+       ~rolefile:"Member(u) <- Login.SignedOn(u)\n" ()
+   with
+  | Ok _ -> Alcotest.fail "a reference to an undefined peer role must be refused"
+  | Error e ->
+      let rec has i = i + 8 <= String.length e && (String.sub e i 8 = "OASIS003" || has (i + 1)) in
+      checkb (Printf.sprintf "OASIS003 reported (%s)" e) true (has 0));
+  checkb "refused service not registered" true (Service.find_service w.reg "Club" = None);
+  (* The same federation with the reference fixed registers. *)
+  ignore (add_service w ~name:"Club" ~rolefile:"Member(u) <- Login.LoggedOn(u)\n" ())
+
 let () =
   Alcotest.run "service"
     [
@@ -939,5 +958,10 @@ let () =
           Alcotest.test_case "sig cache cap holds" `Quick test_sig_cache_cap_holds;
           Alcotest.test_case "residual cache reused" `Quick test_residual_cache_reused;
           Alcotest.test_case "62-role bit-set limit" `Quick test_role_bitset_limit;
+        ] );
+      ( "lint",
+        [
+          Alcotest.test_case "federation gate refuses an undefined peer role" `Quick
+            test_federation_gate_refuses_undefined_role;
         ] );
     ]

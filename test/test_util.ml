@@ -9,7 +9,6 @@ module Pqueue = Oasis_util.Pqueue
 module Hex = Oasis_util.Hex
 module Frame = Oasis_util.Frame
 
-let check = Alcotest.check
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
 let checks = Alcotest.(check string)
