@@ -1549,10 +1549,11 @@ let e19 () =
 
 (* ------------------------------------------------------------------ *)
 (* E20 — sharded credential plane: role-issue throughput vs shard       *)
-(* count at large live-membership counts (the per-shard WAL/snapshot    *)
-(* maintenance is the superlinear cost sharding divides), and           *)
-(* revocation-cascade latency re-measured by e16's span method to show  *)
-(* the heartbeat-bounded propagation is independent of shard count.     *)
+(* count at large live-membership counts (amortized checkpoints keep    *)
+(* the per-shard WAL/snapshot maintenance constant per append, so one   *)
+(* shard keeps pace with many), and revocation-cascade latency          *)
+(* re-measured by e16's span method to show the heartbeat-bounded       *)
+(* propagation is independent of shard count.                           *)
 (* Snapshot: BENCH_e20_<shards>.json                                    *)
 (* ------------------------------------------------------------------ *)
 
@@ -1596,10 +1597,12 @@ Member(u) <- Login.LoggedOn(u, h)*
        are paced in waves of virtual time (steady-state operation, not one
        burst) so each shard's checkpoint cadence actually runs: a single
        burst leaves the WAL compaction permanently in flight and silently
-       skips most snapshots, hiding the O(live-mirror) checkpoint cost
-       every [snapshot_every] appends — which grows with the PER-SHARD
-       table and is exactly what sharding divides.  Wall clock over the
-       full drain prices issue + journalling + checkpoint maintenance. *)
+       skips most snapshots, hiding the checkpoint cost.  A checkpoint
+       re-serializes the PER-SHARD live mirror, and starts once the log
+       has grown by that mirror's size, so its cost per append stays
+       constant however large one shard's table grows.  Wall clock over
+       the full drain prices issue + journalling + checkpoint
+       maintenance. *)
     let committed = ref 0 in
     let wave = 256 in
     let wave_gap = 0.25 in
@@ -1702,15 +1705,17 @@ Member(u) <- Login.LoggedOn(u, h)*
         (n, thpt, p99))
       shard_counts
   in
-  (* Gates: linear-ish issue scaling and shard-count-independent
-     revocation latency — only meaningful at the headline size. *)
+  (* Gates: one shard's issue throughput is not capped by its live set
+     (checkpoint cost per append is constant, so it stays within 2x of
+     sixteen shards' in this one process) — only meaningful at the
+     headline size — and shard-count-independent revocation latency. *)
   (match (List.assoc_opt 1 (List.map (fun (n, t, _) -> (n, t)) results),
           List.assoc_opt 16 (List.map (fun (n, t, _) -> (n, t)) results)) with
   | Some t1, Some t16 when members >= 100_000 ->
-      let ratio = t16 /. t1 in
-      row "issue throughput at 16 shards vs 1: %.1fx\n" ratio;
-      if ratio < 3.0 then
-        failwith (Printf.sprintf "e20: 16-shard/1-shard issue throughput %.2fx below 3x" ratio)
+      let ratio = t1 /. t16 in
+      row "issue throughput at 1 shard vs 16: %.2fx\n" ratio;
+      if ratio < 0.5 then
+        failwith (Printf.sprintf "e20: 1-shard/16-shard issue throughput %.2fx below 0.5x" ratio)
   | _ -> ());
   (match results with
   | (1, _, p99_1) :: rest ->
@@ -1722,8 +1727,8 @@ Member(u) <- Login.LoggedOn(u, h)*
                  n p99 p99_1))
         rest
   | _ -> ());
-  row "shape: issue throughput scales with shard count once the per-shard live mirror\n";
-  row "       dominates (checkpoint cost is O(mirror) every snapshot_every appends);\n";
+  row "shape: one shard issues about as fast as sixteen (checkpoints are amortized, so\n";
+  row "       their cost per append does not grow with the per-shard live mirror);\n";
   row "       revocation p99 stays ~ heartbeat + 2 hops regardless of shard count.\n"
 
 (* ------------------------------------------------------------------ *)

@@ -19,14 +19,15 @@ type t = {
   disk : Disk.t;
   wal : Wal.t;
   snap : Snapshot.t;
-  snapshot_every : int;
+  snapshot_every : int;  (* the checkpoint cadence's floor, in appends *)
   blacklist : (string * string, unit) Hashtbl.t;  (* the service's; F/H mirror it *)
   issued : (string, issued) Hashtbl.t;  (* marshalled local ref -> record *)
   mutable appends : int;  (* WAL appends since the last snapshot *)
+  mutable snapshot_records : int;  (* records in the last snapshot written or loaded *)
   mutable tail : string list;
-      (* newest-first records appended since the last checkpoint's
-         serialize point — exactly what the log must still hold once that
-         checkpoint's snapshot is durable *)
+      (* newest-first records appended while a checkpoint is in flight: up
+         to its rewrite, exactly what the log must still hold past the
+         serialize point; empty when no checkpoint is in flight *)
   mutable compacting : bool;  (* a snapshot+rewrite cycle is in flight *)
   mutable quorum : ((unit -> unit) -> unit) option;
       (* the replica group's write-quorum hook; also disables compaction *)
@@ -41,6 +42,7 @@ let create disk ~name ~snapshot_every ~blacklist =
     blacklist;
     issued = Hashtbl.create 64;
     appends = 0;
+    snapshot_records = 0;
     tail = [];
     compacting = false;
     quorum = None;
@@ -149,11 +151,12 @@ let serialize_mirror j =
   let issues =
     Hashtbl.fold (fun _ i acc -> i.i_line :: acc) j.issued [] |> List.sort String.compare
   in
+  j.snapshot_records <- Hashtbl.length j.blacklist + Hashtbl.length j.issued;
   String.concat "\x1c" (fires @ issues)
 
 (* Checkpoint: serialize the mirror (covering every record up to this
    instant), save it, then compact the log down to the records appended
-   since the serialize point — [tail], which keeps accumulating while the
+   since the serialize point — [tail], which accumulates only while the
    snapshot write is in flight, and whose racing appends also survive the
    rewrite's atomic replace by {!Disk.write_atomic}'s append-preserving
    semantics.  Crash windows are safe at every step: before the snapshot
@@ -162,6 +165,14 @@ let serialize_mirror j =
    history suffix reaching past the snapshot point, so in-order replay
    over the snapshot converges on the pre-crash state).
 
+   The cadence is amortized: a checkpoint starts once the log has grown
+   by as many records as the last snapshot held, and never before
+   [snapshot_every] appends.  A snapshot of S records then costs at most
+   one snapshot record per append, whatever the live set; the log holds
+   at most [max snapshot_every S] records plus those racing a checkpoint,
+   and recovery replays at most 2S + [snapshot_every] of them.  Live
+   state under the floor checkpoints every [snapshot_every] appends.
+
    Replicated journals never compact: the WAL is the replica group's
    shipped record stream, and every member's log must stay a prefix of it
    in GLOBAL coordinates — a compacted primary and an uncompacted backup
@@ -169,17 +180,24 @@ let serialize_mirror j =
    them; the replica protocol (tail fetch at promotion) depends on exactly
    that full history being present. *)
 let maybe_snapshot j =
-  if Option.is_none j.quorum && j.appends >= j.snapshot_every && not j.compacting then begin
+  if
+    Option.is_none j.quorum
+    && j.appends >= max j.snapshot_every j.snapshot_records
+    && not j.compacting
+  then begin
     j.appends <- 0;
     j.compacting <- true;
-    j.tail <- [];
     Snapshot.save j.snap (serialize_mirror j) (fun () ->
-        Wal.rewrite j.wal (List.rev j.tail) (fun () -> j.compacting <- false))
+        let tail = List.rev j.tail in
+        j.tail <- [];
+        Wal.rewrite j.wal tail (fun () ->
+            j.tail <- [];
+            j.compacting <- false))
   end
 
 let append j line =
   Wal.append j.wal line;
-  j.tail <- line :: j.tail;
+  if j.compacting then j.tail <- line :: j.tail;
   j.appends <- j.appends + 1;
   maybe_snapshot j
 
@@ -213,6 +231,7 @@ let iter_issued j f = Hashtbl.iter (fun key _ -> f key) j.issued
 let reset j =
   Hashtbl.reset j.issued;
   j.appends <- 0;
+  j.snapshot_records <- 0;
   j.tail <- [];
   j.compacting <- false
 
@@ -231,8 +250,9 @@ let replay j =
     | Some payload -> String.split_on_char '\x1c' payload
   in
   let log_records = Wal.recover j.wal in
+  j.snapshot_records <- List.length snap_records;
   List.iter (apply_record j) (snap_records @ log_records);
-  List.length snap_records + List.length log_records
+  j.snapshot_records + List.length log_records
 
 type entry = Dead | Live of dep list * (string * string * string) list
 

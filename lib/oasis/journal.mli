@@ -31,10 +31,16 @@ val create :
   blacklist:(string * string, unit) Hashtbl.t ->
   t
 (** The journal of service [name]: files [svc.<name>.wal] and
-    [svc.<name>.snap] on the device, a checkpoint every [snapshot_every]
-    appends.  [blacklist] is the service's §4.11 table of fired
-    (role, marshalled args) instances: checkpoints serialise it and
-    replay rebuilds it. *)
+    [svc.<name>.snap] on the device.  A checkpoint (snapshot, then log
+    compaction) starts once the appends since the last one reach
+    [max snapshot_every S], where S is the record count of the last
+    snapshot written or replayed: [snapshot_every] is the floor, and a
+    live set under it checkpoints every [snapshot_every] appends.  Snapshot
+    records written per append stay at most one whatever the live set,
+    the log stays near [max snapshot_every S] records, and recovery
+    replays at most about 2S + [snapshot_every].  [blacklist] is the
+    service's §4.11 table of fired (role, marshalled args) instances:
+    checkpoints serialise it and replay rebuilds it. *)
 
 (** {1 Journalled transitions} *)
 

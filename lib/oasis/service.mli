@@ -77,12 +77,15 @@ val create :
 
     [disk] enables the durable plane ({!Journal}): the §4.11 hire/fire
     databases and issued certificates (with their dependency lists) are
-    journalled on the given stable-storage device, checkpointed every
-    [snapshot_every] (default 128) appends, and replayed after a host
-    crash+restart — restored certificates resolve again, externals
+    journalled on the given stable-storage device and replayed after a
+    host crash+restart — restored certificates resolve again, externals
     re-mirror at [Unknown] until the reread machinery heals them, and
-    fired instances stay fired.  The broker's retained event log rides the
-    same device.  Without [disk], a crash loses all service state.
+    fired instances stay fired.  A checkpoint starts once the log has
+    grown by as many records as the last snapshot held, and never before
+    [snapshot_every] (default 128) appends: the floor, which is the whole
+    cadence while the live state stays under it (see {!Journal.create}).
+    The broker's retained event log rides the same device.  Without
+    [disk], a crash loses all service state.
 
     [register] (default true): install the service in [registry] under its
     name.  Backup replicas of a replica group (see {!Replica}) pass

@@ -112,9 +112,9 @@ val create :
 (** Build the deployment: one router host plus [shards] shard services,
     every shard loaded with the same [rolefile] (and the same [groups],
     seeded as string members), all pairs wired as siblings.  [durable]
-    gives each shard its own simulated disk (WAL + snapshots,
-    [snapshot_every] appends); shards then crash and recover
-    independently under the fault plane.  [shards = 1] is the unsharded
+    gives each shard its own simulated disk (WAL + snapshots;
+    [snapshot_every] is the checkpoint floor, see {!Journal.create});
+    shards then crash and recover independently under the fault plane.  [shards = 1] is the unsharded
     twin the differential tests compare against: same code path, same
     naming, one shard.
 

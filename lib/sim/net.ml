@@ -238,16 +238,21 @@ let call t ?(category = "call") ?size ?(timeout = 2.0) ~src ~dst ~port payload k
           account t category size;
           let done_ = ref false in
           let ctx = Trace.current t.trace in
-          Engine.schedule t.engine ~tag:("t:" ^ src.name) ~delay:timeout (fun () ->
-              if not !done_ then begin
-                done_ := true;
-                Stats.incr t.stats (category ^ ".timeout");
-                Trace.with_ctx t.trace ctx (fun () -> k (Error "timeout"))
-              end);
+          (* Cancelled when the reply lands, so a completed call does not
+             keep its continuation queued for the rest of the timeout. *)
+          let timer =
+            Engine.timer t.engine ~tag:("t:" ^ src.name) ~delay:timeout (fun () ->
+                if not !done_ then begin
+                  done_ := true;
+                  Stats.incr t.stats (category ^ ".timeout");
+                  Trace.with_ctx t.trace ctx (fun () -> k (Error "timeout"))
+                end)
+          in
           rm.rm_call ~src:src.name ~dst ~port payload (fun result ->
               if !done_ then Stats.incr t.stats (category ^ ".late_reply")
               else begin
                 done_ := true;
+                Engine.cancel timer;
                 Trace.with_ctx t.trace ctx (fun () -> k result)
               end))
 

@@ -1,113 +1,93 @@
-type 'a entry = { prio : float; seq : int; value : 'a }
+(* Slots past [size] are [Vacant], so a popped or removed entry's value is
+   unreachable from the queue as soon as it leaves: an expired timer's
+   closure is garbage then, not when its slot is next reused. *)
+type 'a slot = Vacant | Entry of { prio : float; seq : int; value : 'a }
 
-type 'a t = { mutable heap : 'a entry array; mutable size : int; mutable next_seq : int }
+type 'a t = { mutable heap : 'a slot array; mutable size : int; mutable next_seq : int }
 
 let create () = { heap = [||]; size = 0; next_seq = 0 }
 let is_empty q = q.size = 0
 let length q = q.size
 
-let before a b = a.prio < b.prio || (a.prio = b.prio && a.seq < b.seq)
+(* Only occupied slots (below [size]) are ever compared. *)
+let before a b =
+  match (a, b) with
+  | Entry a, Entry b -> a.prio < b.prio || (a.prio = b.prio && a.seq < b.seq)
+  | _ -> false
 
-let grow q =
-  let cap = max 16 (2 * Array.length q.heap) in
-  let heap = Array.make cap q.heap.(0) in
-  Array.blit q.heap 0 heap 0 q.size;
-  q.heap <- heap
+(* Both sifts move a hole at [i] until [e] fits there, then fill it. *)
+let rec sift_up h i e =
+  let p = (i - 1) / 2 in
+  if i > 0 && before e h.(p) then begin
+    h.(i) <- h.(p);
+    sift_up h p e
+  end
+  else h.(i) <- e
+
+let rec sift_down q i e =
+  let l = (2 * i) + 1 in
+  let c = if l + 1 < q.size && before q.heap.(l + 1) q.heap.(l) then l + 1 else l in
+  if c < q.size && before q.heap.(c) e then begin
+    q.heap.(i) <- q.heap.(c);
+    sift_down q c e
+  end
+  else q.heap.(i) <- e
 
 let push q prio value =
-  let e = { prio; seq = q.next_seq; value } in
+  let e = Entry { prio; seq = q.next_seq; value } in
   q.next_seq <- q.next_seq + 1;
-  if q.size = 0 && Array.length q.heap = 0 then q.heap <- Array.make 16 e;
-  if q.size = Array.length q.heap then grow q;
-  q.heap.(q.size) <- e;
+  if q.size = Array.length q.heap then begin
+    let heap = Array.make (max 16 (2 * q.size)) Vacant in
+    Array.blit q.heap 0 heap 0 q.size;
+    q.heap <- heap
+  end;
   q.size <- q.size + 1;
-  (* Sift up. *)
-  let i = ref (q.size - 1) in
-  while !i > 0 && before q.heap.(!i) q.heap.((!i - 1) / 2) do
-    let p = (!i - 1) / 2 in
-    let tmp = q.heap.(!i) in
-    q.heap.(!i) <- q.heap.(p);
-    q.heap.(p) <- tmp;
-    i := p
-  done
+  sift_up q.heap (q.size - 1) e
 
-let peek q = if q.size = 0 then None else Some (q.heap.(0).prio, q.heap.(0).value)
+let peek q =
+  if q.size = 0 then None
+  else match q.heap.(0) with Entry e -> Some (e.prio, e.value) | Vacant -> None
+
+(* Take slot [i] out: the last entry refills it (sifting up if it beats the
+   new parent, otherwise down) and its old slot is cleared. *)
+let take q i =
+  q.size <- q.size - 1;
+  let last = q.heap.(q.size) in
+  q.heap.(q.size) <- Vacant;
+  if i < q.size then
+    if i > 0 && before last q.heap.((i - 1) / 2) then sift_up q.heap i last
+    else sift_down q i last
 
 let pop q =
   if q.size = 0 then None
-  else begin
-    let top = q.heap.(0) in
-    q.size <- q.size - 1;
-    if q.size > 0 then begin
-      q.heap.(0) <- q.heap.(q.size);
-      (* Sift down. *)
-      let i = ref 0 in
-      let continue = ref true in
-      while !continue do
-        let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-        let smallest = ref !i in
-        if l < q.size && before q.heap.(l) q.heap.(!smallest) then smallest := l;
-        if r < q.size && before q.heap.(r) q.heap.(!smallest) then smallest := r;
-        if !smallest = !i then continue := false
-        else begin
-          let tmp = q.heap.(!i) in
-          q.heap.(!i) <- q.heap.(!smallest);
-          q.heap.(!smallest) <- tmp;
-          i := !smallest
-        end
-      done
-    end;
-    Some (top.prio, top.value)
-  end
+  else
+    match q.heap.(0) with
+    | Entry top ->
+        take q 0;
+        Some (top.prio, top.value)
+    | Vacant -> None
 
-let to_list q =
-  let entries = Array.sub q.heap 0 q.size in
-  Array.sort (fun a b -> if before a b then -1 else if before b a then 1 else 0) entries;
-  Array.to_list (Array.map (fun e -> (e.prio, e.value)) entries)
+let sorted q =
+  let slots = Array.sub q.heap 0 q.size in
+  Array.sort (fun a b -> if before a b then -1 else if before b a then 1 else 0) slots;
+  Array.to_list slots
 
 let entries q =
-  let entries = Array.sub q.heap 0 q.size in
-  Array.sort (fun a b -> if before a b then -1 else if before b a then 1 else 0) entries;
-  Array.to_list (Array.map (fun e -> (e.prio, e.seq, e.value)) entries)
+  List.filter_map (function Entry e -> Some (e.prio, e.seq, e.value) | Vacant -> None) (sorted q)
 
-(* Restore the heap property around slot [i] after an arbitrary replacement:
-   sift up if the new entry beats its parent, otherwise sift down. *)
-let repair q i =
-  let i = ref i in
-  while !i > 0 && before q.heap.(!i) q.heap.((!i - 1) / 2) do
-    let p = (!i - 1) / 2 in
-    let tmp = q.heap.(!i) in
-    q.heap.(!i) <- q.heap.(p);
-    q.heap.(p) <- tmp;
-    i := p
-  done;
-  let continue = ref true in
-  while !continue do
-    let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-    let smallest = ref !i in
-    if l < q.size && before q.heap.(l) q.heap.(!smallest) then smallest := l;
-    if r < q.size && before q.heap.(r) q.heap.(!smallest) then smallest := r;
-    if !smallest = !i then continue := false
-    else begin
-      let tmp = q.heap.(!i) in
-      q.heap.(!i) <- q.heap.(!smallest);
-      q.heap.(!smallest) <- tmp;
-      i := !smallest
-    end
-  done
+let to_list q =
+  List.filter_map (function Entry e -> Some (e.prio, e.value) | Vacant -> None) (sorted q)
 
 let remove_seq q seq =
-  let found = ref (-1) in
-  for i = 0 to q.size - 1 do
-    if !found < 0 && q.heap.(i).seq = seq then found := i
-  done;
-  if !found < 0 then None
-  else begin
-    let e = q.heap.(!found) in
-    q.size <- q.size - 1;
-    if !found < q.size then begin
-      q.heap.(!found) <- q.heap.(q.size);
-      repair q !found
-    end;
-    Some (e.prio, e.value)
-  end
+  let rec find i =
+    if i >= q.size then None
+    else
+      match q.heap.(i) with
+      | Entry e when e.seq = seq -> Some (i, e.prio, e.value)
+      | _ -> find (i + 1)
+  in
+  match find 0 with
+  | None -> None
+  | Some (i, prio, value) ->
+      take q i;
+      Some (prio, value)

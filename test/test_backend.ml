@@ -215,6 +215,32 @@ let test_unix_loopback_call () =
   Backend_unix.shutdown b;
   checks "request crossed the socket and back" "5" !answer
 
+(* A remote call's timeout timer is cancelled when the reply lands: after
+   a burst of completed calls no caller timer is left pending, so none
+   holds its call's continuation for the rest of the timeout. *)
+let test_unix_completed_calls_leave_no_timers () =
+  Backend_unix.with_temp_data_dir @@ fun dir ->
+  let b = Backend_unix.create ~data_dir:dir () in
+  let backend = Backend_unix.pack b in
+  let engine = Backend.engine backend in
+  let net = Backend.net backend in
+  let a = Net.add_host net "a" and srv = Net.add_host net "srv" in
+  Net.bind net srv ~port:"echo" (fun req reply -> reply (Ok req));
+  let port = Backend_unix.listen b () in
+  Backend_unix.peer b ~name:"wire.srv" ~port;
+  Backend_unix.alias b ~name:"wire.srv" ~local:"srv";
+  let burst = 32 in
+  let answered = ref 0 in
+  for i = 1 to burst do
+    Net.call net ~src:a ~dst:"wire.srv" ~port:"echo" (string_of_int i) (function
+      | Ok _ -> incr answered
+      | Error e -> Alcotest.failf "call %d: %s" i e)
+  done;
+  checki "one caller timer per call in flight" burst (Engine.pending_tagged engine "t:");
+  run_until_done backend ~deadline:5.0 (fun () -> !answered = burst);
+  Backend_unix.shutdown b;
+  checki "no caller timer outlives its call" 0 (Engine.pending_tagged engine "t:")
+
 let test_unix_wal_roundtrip () =
   let module Wal = Oasis_store.Wal in
   Backend_unix.with_temp_data_dir @@ fun dir ->
@@ -261,6 +287,8 @@ let () =
       ( "unix-wire",
         [
           Alcotest.test_case "loopback socket call" `Quick test_unix_loopback_call;
+          Alcotest.test_case "completed calls leave no timers" `Quick
+            test_unix_completed_calls_leave_no_timers;
           Alcotest.test_case "WAL round-trips on a real disk" `Quick test_unix_wal_roundtrip;
         ] );
       ( "sim-ordering",

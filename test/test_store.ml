@@ -300,7 +300,7 @@ let fresh_vci =
 
 let srun w dt = Engine.run ~until:(Engine.now w.s_engine +. dt) w.s_engine
 
-let durable_world ?(seed = 42L) () =
+let durable_world ?(seed = 42L) ?snapshot_every () =
   let engine = Engine.create () in
   let net = Net.create ~seed ~latency:(Net.Fixed 0.005) engine in
   let reg = Service.create_registry () in
@@ -314,7 +314,7 @@ let durable_world ?(seed = 42L) () =
     | Error e -> Alcotest.failf "service %s: %s" name e
   in
   let login = mk "Login" login_host login_rolefile (fun f -> f ()) in
-  let meet = mk "Meet" meet_host meet_rolefile (fun f -> f ~disk ()) in
+  let meet = mk "Meet" meet_host meet_rolefile (fun f -> f ~disk ?snapshot_every ()) in
   { s_engine = engine; s_net = net; s_client_host = client_host; s_login = login; s_meet = meet }
 
 let entry w svc ~client ~role ?creds () =
@@ -482,6 +482,75 @@ let test_snapshot_checkpoint_in_service () =
     members;
   checkb "recovery instrumented" true (Stats.count (Net.stats net) "oasis.recover" >= 1)
 
+(* A live set far above the [snapshot_every] floor, churned at a steady
+   pace: a checkpoint starts once the log has grown by the last
+   snapshot's size, so the churn writes about one snapshot per live set's
+   worth of appends (not one per 8), and a crash still recovers from a
+   bounded replay with every live membership intact. *)
+let test_checkpoints_amortized () =
+  let live = 240 and rounds = 4 and floor = 8 in
+  let w = durable_world ~seed:46L ~snapshot_every:floor () in
+  let stats = Net.stats w.s_net in
+  let users = Array.init live (Printf.sprintf "m%d") in
+  Array.iter (fun u -> Group.add (Service.group w.s_meet "staff") (V.Str u)) users;
+  let logins = Array.map (logged_on w) users in
+  let current = Array.make live None and exited = ref [] in
+  let enter i =
+    let vci, cert = logins.(i) in
+    Service.request_entry w.s_meet ~client_host:w.s_client_host ~client:vci ~role:"Member"
+      ~creds:[ cert ] (function
+      | Ok m -> current.(i) <- Some m
+      | Error e -> Alcotest.failf "%s entry: %s" users.(i) e)
+  in
+  let paced f =
+    Array.iteri
+      (fun i _ -> Engine.schedule w.s_engine ~delay:(0.002 *. float_of_int i) (fun () -> f i))
+      users;
+    srun w ((0.002 *. float_of_int live) +. 2.0)
+  in
+  paced enter;
+  let snaps0 = Stats.count stats "store.snapshot" in
+  let appends0 = Stats.count stats "store.wal.append" in
+  for _ = 1 to rounds do
+    paced (fun i ->
+        match current.(i) with
+        | None -> Alcotest.failf "%s holds no membership" users.(i)
+        | Some m ->
+            current.(i) <- None;
+            Service.exit_role w.s_meet ~client_host:w.s_client_host m (function
+              | Ok () ->
+                  exited := (fst logins.(i), m) :: !exited;
+                  enter i
+              | Error e -> Alcotest.failf "%s exit: %s" users.(i) e))
+  done;
+  let appends = Stats.count stats "store.wal.append" - appends0 in
+  let snaps = Stats.count stats "store.snapshot" - snaps0 in
+  checki "each churn op logs an exit and an issue" (2 * rounds * live) appends;
+  checkb
+    (Printf.sprintf "%d snapshots over %d appends: at most 2 + one per %d" snaps appends live)
+    true
+    (snaps <= 2 + (appends / live));
+  crash_restart_meet w;
+  let replayed = Stats.max_of stats "oasis.recover.records" in
+  checkb
+    (Printf.sprintf "recovery replayed %d records, at most 2 x %d + %d" replayed live floor)
+    true
+    (replayed > 0 && replayed <= (2 * live) + floor);
+  Array.iteri
+    (fun i m ->
+      match m with
+      | None -> Alcotest.failf "%s lost its membership" users.(i)
+      | Some m ->
+          checkb (users.(i) ^ " revalidates after recovery") true
+            (Service.validate w.s_meet ~client:(fst logins.(i)) m = Ok ()))
+    current;
+  checki "every exit recorded" (rounds * live) (List.length !exited);
+  List.iter
+    (fun (vci, m) ->
+      checkb "exited membership refused after recovery" true
+        (Result.is_error (Service.validate w.s_meet ~client:vci m)))
+    !exited
+
 let () =
   Alcotest.run "store"
     [
@@ -511,5 +580,7 @@ let () =
           Alcotest.test_case "lost tail fails closed" `Quick test_lost_tail_fails_closed;
           Alcotest.test_case "snapshot checkpointing in the service" `Quick
             test_snapshot_checkpoint_in_service;
+          Alcotest.test_case "checkpoints amortized, recovery bounded" `Quick
+            test_checkpoints_amortized;
         ] );
     ]

@@ -483,6 +483,35 @@ let test_pqueue_to_list_nondestructive () =
   checki "still 3" 3 (Pqueue.length q);
   Alcotest.(check (list int)) "snapshot sorted" [ 1; 2; 3 ] (List.map snd snapshot)
 
+(* Values that left the queue must not stay reachable from it: the
+   engine queues closures, and an expired timer's closure held by a
+   vacated slot stays live until the slot is reused.  Pushes and pops run
+   in a non-inlined function so no stack slot of the test pins a value. *)
+let[@inline never] fill_and_drain q weak =
+  for i = 0 to Weak.length weak - 1 do
+    let v = Bytes.make 8 (Char.chr (65 + i)) in
+    Weak.set weak i (Some v);
+    Pqueue.push q (float_of_int i) v
+  done;
+  (* Pop the three earliest, remove one by sequence, keep the rest. *)
+  for _ = 1 to 3 do
+    ignore (Sys.opaque_identity (Pqueue.pop q))
+  done;
+  ignore (Sys.opaque_identity (Pqueue.remove_seq q 4))
+
+let test_pqueue_releases_departed () =
+  let q = Pqueue.create () in
+  let weak = Weak.create 6 in
+  fill_and_drain q weak;
+  Gc.full_major ();
+  List.iter
+    (fun i -> checkb (Printf.sprintf "departed value %d collected" i) false (Weak.check weak i))
+    [ 0; 1; 2; 4 ];
+  List.iter
+    (fun i -> checkb (Printf.sprintf "queued value %d kept" i) true (Weak.check weak i))
+    [ 3; 5 ];
+  checki "two still queued" 2 (Pqueue.length q)
+
 (* --- json: sorted keys make emission order-independent --- *)
 
 module Json = Oasis_util.Json
@@ -586,6 +615,8 @@ let () =
           qt prop_pqueue_pop_sorted;
           qt prop_pqueue_length;
           Alcotest.test_case "to_list" `Quick test_pqueue_to_list_nondestructive;
+          Alcotest.test_case "departed values are not pinned" `Quick
+            test_pqueue_releases_departed;
         ] );
       ( "json",
         [
