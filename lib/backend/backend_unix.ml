@@ -1,5 +1,6 @@
 module Engine = Oasis_sim.Engine
 module Net = Oasis_sim.Net
+module Stats = Oasis_sim.Stats
 module Disk = Oasis_store.Disk
 module Siphash = Oasis_util.Siphash
 module Frame = Oasis_util.Frame
@@ -48,11 +49,24 @@ let dec_fields s =
 type conn = {
   c_fd : Unix.file_descr;
   c_frames : Frame.Reader.t;  (* received, not yet decoded *)
+  (* Frames queued since the last flush, in order: the first [c_out_len]
+     bytes of [c_out]. *)
+  mutable c_out : Bytes.t;
+  mutable c_out_len : int;
   mutable c_alive : bool;
 }
 
 let new_conn fd =
-  { c_fd = fd; c_frames = Frame.Reader.create ~max_len:max_frame frame_key; c_alive = true }
+  {
+    c_fd = fd;
+    c_frames = Frame.Reader.create ~max_len:max_frame frame_key;
+    c_out = Bytes.create 4096;
+    c_out_len = 0;
+    c_alive = true;
+  }
+
+(* A call sent and not yet answered, with the connection it went out on. *)
+type call = { k_conn : conn; k_reply : (string, string) result -> unit }
 
 type t = {
   b_engine : Engine.t Lazy.t ref;
@@ -65,7 +79,7 @@ type t = {
   b_peers : (string, Unix.sockaddr) Hashtbl.t;
   b_outgoing : (string, conn) Hashtbl.t;
   b_aliases : (string, string) Hashtbl.t;
-  b_pending : (string, (string, string) result -> unit) Hashtbl.t;
+  b_pending : (string, call) Hashtbl.t;
   mutable b_next_id : int;
   b_disks : (int, Disk.t) Hashtbl.t;
 }
@@ -75,26 +89,53 @@ let now t () = Unix.gettimeofday () -. t.b_t0
 let engine t = Lazy.force !(t.b_engine)
 let net t = match t.b_net with Some n -> n | None -> assert false
 
+(* Frames still queued on the connection are dropped, and so are the calls
+   sent on it: their callers are answered by their timeouts. *)
 let close_conn t c =
   if c.c_alive then begin
     c.c_alive <- false;
+    c.c_out <- Bytes.empty;
+    c.c_out_len <- 0;
     (try Unix.close c.c_fd with Unix.Unix_error _ -> ());
     t.b_conns <- List.filter (fun c' -> c' != c) t.b_conns;
-    Hashtbl.iter
-      (fun name c' -> if c' == c then Hashtbl.remove t.b_outgoing name)
-      (Hashtbl.copy t.b_outgoing)
+    Hashtbl.filter_map_inplace (fun _ c' -> if c' == c then None else Some c') t.b_outgoing;
+    Hashtbl.filter_map_inplace
+      (fun _ call -> if call.k_conn == c then None else Some call)
+      t.b_pending
   end
 
-let write_all t c s =
-  let len = String.length s in
+let enqueue c fields =
+  if c.c_alive then begin
+    let frame = Frame.encode frame_key (enc_fields fields) in
+    let n = String.length frame in
+    if c.c_out_len + n > Bytes.length c.c_out then begin
+      let out = Bytes.create (max (2 * Bytes.length c.c_out) (c.c_out_len + n)) in
+      Bytes.blit c.c_out 0 out 0 c.c_out_len;
+      c.c_out <- out
+    end;
+    Bytes.blit_string frame 0 c.c_out c.c_out_len n;
+    c.c_out_len <- c.c_out_len + n
+  end
+
+(* One [write] carries every frame queued on the connection since its last
+   flush, straight from the queue (a copy of a large batch would be
+   allocated on the major heap); only a short write, a batch over 64 KiB
+   or [EINTR] takes another. *)
+let flush t c =
+  let len = c.c_out_len in
+  c.c_out_len <- 0;
   let rec go off =
-    if off < len then
-      match Unix.write_substring c.c_fd s off (len - off) with
+    if off < len then begin
+      Stats.incr (Net.stats (net t)) "backend_unix.write";
+      match Unix.single_write c.c_fd c.c_out off (len - off) with
       | n -> go (off + n)
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
       | exception Unix.Unix_error (_, _, _) -> close_conn t c
+    end
   in
   go 0
+
+let flush_all t = List.iter (flush t) t.b_conns
 
 (* --- the RPC envelope ---
 
@@ -104,10 +145,9 @@ let write_all t c s =
    Replies return over the connection the request arrived on, so only the
    caller needs to know addresses. *)
 
-let send_reply t c id result =
-  if c.c_alive then
-    let body = match result with Ok s -> "K" ^ s | Error e -> "E" ^ e in
-    write_all t c (Frame.encode frame_key (enc_fields [ "R"; id; body ]))
+let send_reply c id result =
+  let body = match result with Ok s -> "K" ^ s | Error e -> "E" ^ e in
+  enqueue c [ "R"; id; body ]
 
 let on_frame t c payload =
   match dec_fields payload with
@@ -115,11 +155,11 @@ let on_frame t c payload =
       let dst =
         match Hashtbl.find_opt t.b_aliases dst with Some local -> local | None -> dst
       in
-      Net.dispatch (net t) ~dst ~port body (fun result -> send_reply t c id result)
+      Net.dispatch (net t) ~dst ~port body (fun result -> send_reply c id result)
   | Some [ "R"; id; body ] -> (
       match Hashtbl.find_opt t.b_pending id with
-      | None -> () (* caller timed out and was already answered *)
-      | Some k ->
+      | None -> () (* the caller timed out and forgot the call *)
+      | Some { k_reply = k; _ } ->
           Hashtbl.remove t.b_pending id;
           if String.length body >= 1 && body.[0] = 'K' then
             k (Ok (String.sub body 1 (String.length body - 1)))
@@ -181,19 +221,25 @@ let connect_to t name =
 
 let rm_call t ~src ~dst ~port payload k =
   match connect_to t dst with
-  | None -> () (* unreachable peer: the caller's timeout answers *)
+  | None -> ignore (* unreachable peer: the caller's timeout answers *)
   | Some c ->
       let id = Hex.of_int ~width:16 t.b_next_id in
       t.b_next_id <- t.b_next_id + 1;
-      Hashtbl.replace t.b_pending id k;
-      write_all t c (Frame.encode frame_key (enc_fields [ "Q"; id; src; dst; port; payload ]))
+      Hashtbl.replace t.b_pending id { k_conn = c; k_reply = k };
+      enqueue c [ "Q"; id; src; dst; port; payload ];
+      fun () -> Hashtbl.remove t.b_pending id
+
+let pending_calls t = Hashtbl.length t.b_pending
 
 (* ------------------------------------------------------------------ *)
 (* The waiter: the engine's real-time run loop parks here between      *)
-(* timer deadlines; socket readiness is dispatched inline.             *)
+(* timer deadlines; socket readiness is dispatched inline.  Queued     *)
+(* frames go out before the loop blocks and again once the ready       *)
+(* descriptors are dispatched: one write per connection per turn.      *)
 (* ------------------------------------------------------------------ *)
 
 let wait t ~until =
+  flush_all t;
   let fds = t.b_listeners @ List.map (fun c -> c.c_fd) t.b_conns in
   if fds = [] && until = None then false
   else begin
@@ -209,7 +255,8 @@ let wait t ~until =
               match List.find_opt (fun c -> c.c_fd == fd && c.c_alive) t.b_conns with
               | Some c -> on_readable t c
               | None -> ())
-          ready
+          ready;
+        flush_all t
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
     true
   end
@@ -404,6 +451,7 @@ let reopen_disk t host =
   disk t host
 
 let shutdown t =
+  flush_all t;
   List.iter (fun c -> close_conn t c) t.b_conns;
   List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) t.b_listeners;
   t.b_listeners <- []

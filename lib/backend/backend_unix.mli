@@ -12,9 +12,16 @@
     registered with {!peer}.  Frames on the wire are the WAL's
     checksummed frames ({!Oasis_util.Frame}: 8 hex digits of payload
     length, 16 hex digits of SipHash-2-4 over the payload, then the
-    payload).  A bad header or checksum means a desynchronized stream and
-    drops the connection; outstanding calls are answered by their
-    {!Oasis_sim.Net} timeouts.
+    payload).  Frames are queued on their connection and written in the
+    order they were queued, with one [write] per connection per turn of
+    the event loop: before the loop blocks in [select], after the ready
+    descriptors are dispatched, and in {!shutdown}.  A frame queued in the
+    turn that calls {!Backend.stop} goes out with the next [run] or
+    [shutdown].  A bad header or checksum means a desynchronized stream and
+    drops the connection.  Closing a connection drops the frames still
+    queued on it and forgets the calls sent on it; those calls, like calls
+    nobody answers, are answered by their {!Oasis_sim.Net} timeouts, which
+    also make the backend forget them.
 
     {b Storage} — one directory per host under {!data_dir}.  [append]
     buffers in memory (the page-cache analogue); [fsync] writes the
@@ -64,5 +71,11 @@ val reopen_disk : t -> Oasis_sim.Net.host -> Oasis_store.Disk.t
     tails — and re-attach a fresh device to the same directory.  The new
     device sees exactly the durable prefix. *)
 
+val pending_calls : t -> int
+(** Calls sent over the wire and still awaiting their reply: an entry
+    leaves when the reply arrives, when the call times out, or when its
+    connection closes. *)
+
 val shutdown : t -> unit
-(** Close all sockets (listeners and connections). *)
+(** Write the frames still queued, then close all sockets (listeners and
+    connections). *)

@@ -1,5 +1,3 @@
-type timer = { mutable alive : bool; mutable action : unit -> unit; tag : string }
-
 type event = { ev_at : float; ev_seq : int; ev_tag : string }
 
 type scheduler = event list -> int option
@@ -19,16 +17,36 @@ type source = {
          (no I/O sources registered), which lets [run] terminate. *)
 }
 
-type t = {
+(* While queued, a timer from [timer] reaches its engine through [home], so
+   [cancel] can count it among the queue's dead entries.  [home] is [None]
+   otherwise: for [schedule]'s events, which no caller can cancel, for
+   [every]'s handle, which is never queued, and once the timer has left
+   the queue. *)
+type timer = {
+  mutable alive : bool;
+  mutable action : unit -> unit;
+  tag : string;
+  mutable home : t option;
+}
+
+and t = {
   mutable now : float;
   queue : timer Oasis_util.Pqueue.t;
+  mutable dead : int;  (* cancelled timers still in [queue] *)
   mutable scheduler : scheduler option;
   source : source option;
   mutable stopped : bool;
 }
 
 let create ?source () =
-  { now = 0.0; queue = Oasis_util.Pqueue.create (); scheduler = None; source; stopped = false }
+  {
+    now = 0.0;
+    queue = Oasis_util.Pqueue.create ();
+    dead = 0;
+    scheduler = None;
+    source;
+    stopped = false;
+  }
 
 let now t = match t.source with Some s -> s.src_now () | None -> t.now
 
@@ -39,19 +57,33 @@ let schedule_at t ?(tag = "") ~at action =
     let n = now t in
     if at < n then n else at
   in
-  Oasis_util.Pqueue.push t.queue at { alive = true; action; tag }
+  Oasis_util.Pqueue.push t.queue at { alive = true; action; tag; home = None }
 
 let schedule t ?tag ~delay action = schedule_at t ?tag ~at:(now t +. delay) action
 
 let timer t ?(tag = "") ~delay action =
   let at = now t +. max 0.0 delay in
-  let tm = { alive = true; action; tag } in
+  let tm = { alive = true; action; tag; home = Some t } in
   Oasis_util.Pqueue.push t.queue at tm;
   tm
 
+(* Below this many, cancelled timers wait for their deadline: the small
+   worlds of the tests and the model checker never compact. *)
+let compact_floor = 512
+
 let cancel tm =
-  tm.alive <- false;
-  tm.action <- (fun () -> ())
+  if tm.alive then begin
+    tm.alive <- false;
+    tm.action <- (fun () -> ());
+    match tm.home with
+    | None -> ()
+    | Some t ->
+        t.dead <- t.dead + 1;
+        if t.dead > compact_floor && 2 * t.dead > Oasis_util.Pqueue.length t.queue then begin
+          Oasis_util.Pqueue.filter_inplace t.queue (fun tm -> tm.alive);
+          t.dead <- 0
+        end
+  end
 
 let cancelled tm = not tm.alive
 
@@ -59,7 +91,7 @@ let every t ?tag ~period ?jitter action =
   if period <= 0.0 then invalid_arg "Engine.every: period must be positive";
   (* The handle returned to the caller is distinct from the queued one-shot
      timers: cancelling it suppresses all future firings. *)
-  let handle = { alive = true; action = (fun () -> ()); tag = "" } in
+  let handle = { alive = true; action = (fun () -> ()); tag = ""; home = None } in
   let rec arm () =
     let extra = match jitter with Some j -> j () | None -> 0.0 in
     (* A pathological jitter ([extra <= -period]) must not re-arm at the
@@ -84,9 +116,11 @@ let events t =
 
 let set_scheduler t s = t.scheduler <- s
 
+(* [tm] has just left the queue: a cancel from here on is not counted. *)
 let exec t at tm =
   t.now <- max t.now at;
-  if tm.alive then tm.action ();
+  tm.home <- None;
+  if tm.alive then tm.action () else t.dead <- t.dead - 1;
   true
 
 let default_step t =

@@ -50,7 +50,20 @@ type timer
 (** A cancellable scheduled action. *)
 
 val timer : t -> ?tag:string -> delay:float -> (unit -> unit) -> timer
+
 val cancel : timer -> unit
+(** The timer will not fire.  Cancelling it again, or after it fired,
+    leaves the queue alone.  A cancelled timer stays queued until its
+    deadline passes, unless cancelled timers come to fill more than half
+    the queue and number more than {!compact_floor}: then all of them are
+    dropped in one O(n) rebuild, which leaves the order of the live events
+    unchanged.  A dropped timer no longer advances virtual time to its
+    deadline. *)
+
+val compact_floor : int
+(** The number of cancelled timers the queue may hold before they are
+    dropped early (512), so small worlds never compact. *)
+
 val cancelled : timer -> bool
 
 val every :
@@ -79,6 +92,8 @@ val stop : t -> unit
     No effect on the virtual-time loop (which always drains). *)
 
 val pending : t -> int
+(** Queued events, including cancelled timers not yet dropped (see
+    {!cancel}). *)
 
 val pending_tagged : t -> string -> int
 (** Live (non-cancelled) pending events whose tag starts with the given

@@ -7,10 +7,17 @@ type host = { addr : int; name : string; clock : Clock.t }
 (* The remote-transport hook a non-sim backend installs: how to reach a
    named host this process does not own.  The closure owns the wire
    (framing, connections); {!call} owns the timeout and trace-ctx
-   discipline, so both backends present identical semantics. *)
+   discipline, so both backends present identical semantics.  [rm_call]
+   returns a function that forgets the call, which the timeout runs. *)
 type remote = {
   rm_call :
-    src:string -> dst:string -> port:string -> string -> ((string, string) result -> unit) -> unit;
+    src:string ->
+    dst:string ->
+    port:string ->
+    string ->
+    ((string, string) result -> unit) ->
+    unit ->
+    unit;
 }
 
 type t = {
@@ -237,24 +244,28 @@ let call t ?(category = "call") ?size ?(timeout = 2.0) ~src ~dst ~port payload k
       | Some rm ->
           account t category size;
           let done_ = ref false in
+          let forget = ref ignore in
           let ctx = Trace.current t.trace in
           (* Cancelled when the reply lands, so a completed call does not
-             keep its continuation queued for the rest of the timeout. *)
+             keep its continuation queued for the rest of the timeout; on
+             timeout the transport forgets the call. *)
           let timer =
             Engine.timer t.engine ~tag:("t:" ^ src.name) ~delay:timeout (fun () ->
                 if not !done_ then begin
                   done_ := true;
+                  !forget ();
                   Stats.incr t.stats (category ^ ".timeout");
                   Trace.with_ctx t.trace ctx (fun () -> k (Error "timeout"))
                 end)
           in
-          rm.rm_call ~src:src.name ~dst ~port payload (fun result ->
-              if !done_ then Stats.incr t.stats (category ^ ".late_reply")
-              else begin
-                done_ := true;
-                Engine.cancel timer;
-                Trace.with_ctx t.trace ctx (fun () -> k result)
-              end))
+          forget :=
+            rm.rm_call ~src:src.name ~dst ~port payload (fun result ->
+                if !done_ then Stats.incr t.stats (category ^ ".late_reply")
+                else begin
+                  done_ := true;
+                  Engine.cancel timer;
+                  Trace.with_ctx t.trace ctx (fun () -> k result)
+                end))
 
 let call_retry t ?(category = "call") ?size ?(timeout = 2.0) ?attempts ?backoff ?max_backoff ~src
     ~dst ~port payload k =

@@ -163,7 +163,13 @@ val local_call : t -> ?category:string -> (unit -> 'a) -> 'a
 
 type remote = {
   rm_call :
-    src:string -> dst:string -> port:string -> string -> ((string, string) result -> unit) -> unit;
+    src:string ->
+    dst:string ->
+    port:string ->
+    string ->
+    ((string, string) result -> unit) ->
+    unit ->
+    unit;
 }
 (** The transport hook a real backend installs: deliver one serialized
     request to a named remote host and eventually hand back one reply.
@@ -171,7 +177,9 @@ type remote = {
     {!call} owns timeouts, late-reply accounting and trace-ctx restoration,
     so both backends present identical RPC semantics.  A transport that
     cannot reach [dst] simply never calls back — the caller's timeout
-    fires. *)
+    fires.  [rm_call] returns a [forget] function, which the caller's
+    timeout runs: the transport then drops whatever it holds for the call,
+    and a reply arriving later is discarded on the wire side. *)
 
 val set_remote : t -> remote option -> unit
 
@@ -204,9 +212,12 @@ val call :
     host of this process, this is {!rpc_async} onto the port's bound
     handler (sim latency, loss, partitions and crashes all apply); when it
     is not and a remote transport is installed, the request crosses the
-    wire.  Timeout semantics, [".timeout"]/[".late_reply"] accounting and
-    trace-ctx propagation are identical on both paths.  Without a
-    transport, unknown hosts answer [Error "unknown host: ..."]. *)
+    wire.  Timeout semantics, [".timeout"] accounting and trace-ctx
+    propagation are identical on both paths.  A reply that arrives after
+    the timeout counts as [".late_reply"] on the local path only: on the
+    wire the timeout makes the transport forget the call, and the
+    transport drops the reply.  Without a transport, unknown hosts
+    answer [Error "unknown host: ..."]. *)
 
 val call_retry :
   t ->

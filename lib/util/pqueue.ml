@@ -67,6 +67,23 @@ let pop q =
         Some (top.prio, top.value)
     | Vacant -> None
 
+(* Keep the entries whose value passes [keep], packed to the front, then
+   restore the heap bottom-up (Floyd): O(n) whatever the number dropped. *)
+let filter_inplace q keep =
+  let kept = ref 0 in
+  for i = 0 to q.size - 1 do
+    match q.heap.(i) with
+    | Entry e as slot when keep e.value ->
+        q.heap.(!kept) <- slot;
+        incr kept
+    | _ -> ()
+  done;
+  Array.fill q.heap !kept (q.size - !kept) Vacant;
+  q.size <- !kept;
+  for i = (q.size / 2) - 1 downto 0 do
+    sift_down q i q.heap.(i)
+  done
+
 let sorted q =
   let slots = Array.sub q.heap 0 q.size in
   Array.sort (fun a b -> if before a b then -1 else if before b a then 1 else 0) slots;

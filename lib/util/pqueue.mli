@@ -17,6 +17,12 @@ val push : 'a t -> float -> 'a -> unit
 val pop : 'a t -> (float * 'a) option
 val peek : 'a t -> (float * 'a) option
 
+val filter_inplace : 'a t -> ('a -> bool) -> unit
+(** [filter_inplace q keep] drops every entry whose value fails [keep] and
+    rebuilds the heap in one O(n) pass.  The kept entries pop in the same
+    order as before: order depends only on each entry's priority and
+    insertion sequence, and that pair is unique. *)
+
 val to_list : 'a t -> (float * 'a) list
 (** Non-destructive snapshot in pop order (O(n log n)). *)
 

@@ -191,44 +191,40 @@ let conformance fl =
 
 (* --- the real wire: loopback TCP with the WAL's length+SipHash framing --- *)
 
-let test_unix_loopback_call () =
-  (* One process, one select loop — but the call crosses a real socket:
-     the wire name is not a local host, so the frame goes out through the
-     loopback listener and is dispatched back in via the alias, exactly
-     the path a remote process takes. *)
-  Backend_unix.with_temp_data_dir @@ fun dir ->
-  let b = Backend_unix.create ~data_dir:dir () in
-  let backend = Backend_unix.pack b in
+(* [with_wire f] runs [f] on a unix backend whose host "srv" is reachable
+   only as "wire.srv": the name is not a local host, so a call to it goes
+   out through a real socket and comes back in through the loopback
+   listener and the alias, exactly the path a remote process takes. *)
+let with_wire f =
+  with_backend Ux @@ fun backend ub ->
+  let b = Option.get ub in
   let net = Backend.net backend in
   let a = Net.add_host net "a" and srv = Net.add_host net "srv" in
-  ignore srv;
-  Net.bind net srv ~port:"sum" (fun req reply ->
-      reply (Ok (string_of_int (String.length req))));
   let port = Backend_unix.listen b () in
   Backend_unix.peer b ~name:"wire.srv" ~port;
   Backend_unix.alias b ~name:"wire.srv" ~local:"srv";
+  f b backend net a srv
+
+let writes net = Oasis_sim.Stats.count (Net.stats net) "backend_unix.write"
+
+let test_unix_loopback_call () =
+  with_wire @@ fun _ backend net a srv ->
+  Net.bind net srv ~port:"sum" (fun req reply ->
+      reply (Ok (string_of_int (String.length req))));
   let answer = ref "" in
   Net.call net ~src:a ~dst:"wire.srv" ~port:"sum" "12345" (function
     | Ok s -> answer := s
     | Error e -> answer := "error:" ^ e);
   run_until_done backend ~deadline:5.0 (fun () -> !answer <> "");
-  Backend_unix.shutdown b;
   checks "request crossed the socket and back" "5" !answer
 
 (* A remote call's timeout timer is cancelled when the reply lands: after
    a burst of completed calls no caller timer is left pending, so none
    holds its call's continuation for the rest of the timeout. *)
 let test_unix_completed_calls_leave_no_timers () =
-  Backend_unix.with_temp_data_dir @@ fun dir ->
-  let b = Backend_unix.create ~data_dir:dir () in
-  let backend = Backend_unix.pack b in
+  with_wire @@ fun _ backend net a srv ->
   let engine = Backend.engine backend in
-  let net = Backend.net backend in
-  let a = Net.add_host net "a" and srv = Net.add_host net "srv" in
   Net.bind net srv ~port:"echo" (fun req reply -> reply (Ok req));
-  let port = Backend_unix.listen b () in
-  Backend_unix.peer b ~name:"wire.srv" ~port;
-  Backend_unix.alias b ~name:"wire.srv" ~local:"srv";
   let burst = 32 in
   let answered = ref 0 in
   for i = 1 to burst do
@@ -238,8 +234,165 @@ let test_unix_completed_calls_leave_no_timers () =
   done;
   checki "one caller timer per call in flight" burst (Engine.pending_tagged engine "t:");
   run_until_done backend ~deadline:5.0 (fun () -> !answered = burst);
-  Backend_unix.shutdown b;
   checki "no caller timer outlives its call" 0 (Engine.pending_tagged engine "t:")
+
+(* Frames queued in one turn leave in one write per connection: 64 calls
+   from one handler cost one write out and one write of replies back. *)
+let test_unix_writes_coalesce () =
+  with_wire @@ fun _ backend net a srv ->
+  Net.bind net srv ~port:"echo" (fun req reply -> reply (Ok req));
+  let answers = ref [] in
+  Engine.schedule (Backend.engine backend) ~delay:0.0 (fun () ->
+      for i = 1 to 64 do
+        Net.call net ~src:a ~dst:"wire.srv" ~port:"echo" (string_of_int i) (function
+          | Ok s -> answers := s :: !answers
+          | Error e -> Alcotest.failf "call %d: %s" i e)
+      done);
+  run_until_done backend ~deadline:5.0 (fun () -> List.length !answers = 64);
+  Alcotest.(check (list string))
+    "answered in the order issued"
+    (List.init 64 (fun i -> string_of_int (i + 1)))
+    (List.rev !answers);
+  checki "one write each way" 2 (writes net)
+
+(* A bare loopback listener standing in for a remote process, registered
+   as peer "raw": the test reads and writes its end of the connection by
+   hand, with the envelope and frame format spelled out independently. *)
+let wire_key = Oasis_util.Siphash.key_of_string "oasis.wal:tcp"
+
+let envelope fields =
+  String.concat "" (List.map (fun f -> Printf.sprintf "%08x%s" (String.length f) f) fields)
+
+let fields_of payload =
+  let rec go off acc =
+    if off >= String.length payload then List.rev acc
+    else
+      let n = int_of_string ("0x" ^ String.sub payload off 8) in
+      go (off + 8 + n) (String.sub payload (off + 8) n :: acc)
+  in
+  go 0 []
+
+let with_raw_peer b f =
+  let lfd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> Unix.close lfd) @@ fun () ->
+  Unix.bind lfd (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  Unix.listen lfd 4;
+  (match Unix.getsockname lfd with
+  | Unix.ADDR_INET (_, port) -> Backend_unix.peer b ~name:"raw" ~port
+  | _ -> assert false);
+  (* The backend connects synchronously, so once a call is queued the
+     connection waits in the backlog. *)
+  let conn = ref None in
+  let accept () =
+    match !conn with
+    | Some fd -> fd
+    | None ->
+        let fd, _ = Unix.accept lfd in
+        conn := Some fd;
+        fd
+  in
+  Fun.protect ~finally:(fun () -> Option.iter Unix.close !conn) (fun () -> f accept)
+
+let readable ?(within = 0.0) fd =
+  match Unix.select [ fd ] [] [] within with [], _, _ -> false | _ -> true
+
+(* Read until [stop] holds of the bytes so far, the peer closes, or no
+   byte arrives for 2 s. *)
+let read_raw fd ~stop =
+  let buf = Buffer.create 256 and chunk = Bytes.create 4096 in
+  let rec go () =
+    if (not (stop (Buffer.contents buf))) && readable ~within:2.0 fd then
+      match Unix.read fd chunk 0 (Bytes.length chunk) with
+      | 0 -> ()
+      | n ->
+          Buffer.add_subbytes buf chunk 0 n;
+          go ()
+  in
+  go ();
+  Buffer.contents buf
+
+(* A frame queued in the turn that stops the loop stays queued, and the
+   next run or shutdown writes it. *)
+let test_unix_stop_keeps_queued_frames () =
+  with_wire @@ fun b backend net a srv ->
+  Net.bind net srv ~port:"echo" (fun req reply -> reply (Ok req));
+  let engine = Backend.engine backend in
+  let answer = ref "" in
+  Engine.schedule engine ~delay:0.0 (fun () ->
+      Net.call net ~src:a ~dst:"wire.srv" ~port:"echo" "again" (function
+        | Ok s -> answer := s
+        | Error e -> answer := "error:" ^ e);
+      Backend.stop backend);
+  Backend.run ~until:(Engine.now engine +. 5.0) backend;
+  checki "stopped before the flush" 0 (writes net);
+  run_until_done backend ~deadline:5.0 (fun () -> !answer <> "");
+  checks "the next run delivers it" "again" !answer;
+  with_raw_peer b @@ fun accept ->
+  Engine.schedule engine ~delay:0.0 (fun () ->
+      Net.call net ~src:a ~dst:"raw" ~port:"p" "last" (fun _ -> ());
+      Backend.stop backend);
+  Backend.run ~until:(Engine.now engine +. 5.0) backend;
+  let fd = accept () in
+  checkb "nothing on the wire before the flush" false (readable fd);
+  Backend_unix.shutdown b;
+  match Oasis_util.Frame.decode wire_key (read_raw fd ~stop:(fun _ -> false)) with
+  | [ payload ] -> (
+      match fields_of payload with
+      | [ "Q"; _id; "a"; "raw"; "p"; "last" ] -> ()
+      | fields -> Alcotest.failf "unexpected envelope: %s" (String.concat "|" fields))
+  | frames -> Alcotest.failf "shutdown wrote %d frames, expected 1" (List.length frames)
+
+(* A connection that loses frame sync closes before the turn's flush: the
+   frame queued on it in that turn is dropped, not written, and its call
+   is answered by its timeout. *)
+let test_unix_closed_conn_drops_queued_frame () =
+  with_backend Ux @@ fun backend ub ->
+  let b = Option.get ub in
+  let net = Backend.net backend in
+  let a = Net.add_host net "a" in
+  with_raw_peer b @@ fun accept ->
+  let second = ref None in
+  Net.call net ~timeout:0.2 ~src:a ~dst:"raw" ~port:"p" "first" (function
+    | Ok _ ->
+        Net.call net ~timeout:0.2 ~src:a ~dst:"raw" ~port:"p" "second" (fun r ->
+            second := Some r)
+    | Error e -> Alcotest.failf "first call: %s" e);
+  let fd = accept () in
+  Backend.run ~until:(Engine.now (Backend.engine backend) +. 0.05) backend;
+  let id =
+    match
+      Oasis_util.Frame.decode wire_key
+        (read_raw fd ~stop:(fun s -> Oasis_util.Frame.decode wire_key s <> []))
+    with
+    | [ payload ] -> (
+        match fields_of payload with
+        | [ "Q"; id; "a"; "raw"; "p"; "first" ] -> id
+        | fields -> Alcotest.failf "unexpected envelope: %s" (String.concat "|" fields))
+    | frames -> Alcotest.failf "expected 1 frame, read %d" (List.length frames)
+  in
+  (* The reply and, in the same read, bytes that are not a frame: the
+     reply's continuation queues the second call, then the garbage closes
+     the connection before the flush. *)
+  let reply = Oasis_util.Frame.encode wire_key (envelope [ "R"; id; "Kok" ]) in
+  ignore (Unix.write_substring fd (reply ^ String.make 24 'z') 0 (String.length reply + 24));
+  run_until_done backend ~deadline:2.0 (fun () -> !second <> None);
+  checkb "the dropped call times out" true (!second = Some (Error "timeout"));
+  checki "and is forgotten" 0 (Backend_unix.pending_calls b);
+  checks "its frame never reached the wire" "" (read_raw fd ~stop:(fun _ -> false))
+
+(* A call nobody answers leaves no entry behind once its timeout fires. *)
+let test_unix_timed_out_calls_forgotten () =
+  with_wire @@ fun b backend net a srv ->
+  Net.bind net srv ~port:"void" (fun _ _ -> ());
+  let timed_out = ref 0 in
+  for _ = 1 to 3 do
+    Net.call net ~timeout:0.1 ~src:a ~dst:"wire.srv" ~port:"void" "x" (function
+      | Error "timeout" -> incr timed_out
+      | _ -> ())
+  done;
+  checki "three calls in flight" 3 (Backend_unix.pending_calls b);
+  run_until_done backend ~deadline:2.0 (fun () -> !timed_out = 3);
+  checki "timed-out calls forgotten" 0 (Backend_unix.pending_calls b)
 
 let test_unix_wal_roundtrip () =
   let module Wal = Oasis_store.Wal in
@@ -289,6 +442,12 @@ let () =
           Alcotest.test_case "loopback socket call" `Quick test_unix_loopback_call;
           Alcotest.test_case "completed calls leave no timers" `Quick
             test_unix_completed_calls_leave_no_timers;
+          Alcotest.test_case "one write per connection per turn" `Quick test_unix_writes_coalesce;
+          Alcotest.test_case "stop keeps queued frames" `Quick test_unix_stop_keeps_queued_frames;
+          Alcotest.test_case "closed connection drops its queued frame" `Quick
+            test_unix_closed_conn_drops_queued_frame;
+          Alcotest.test_case "timed-out calls are forgotten" `Quick
+            test_unix_timed_out_calls_forgotten;
           Alcotest.test_case "WAL round-trips on a real disk" `Quick test_unix_wal_roundtrip;
         ] );
       ( "sim-ordering",

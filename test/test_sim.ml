@@ -72,6 +72,53 @@ let test_engine_cancel_timer () =
   checkb "cancelled timer silent" false !fired;
   checkb "cancelled" true (Engine.cancelled tm)
 
+(* Cancelled timers leave the queue once they are more than half of it and
+   more than the floor, and the live events around them keep their order. *)
+let test_engine_cancelled_timers_compact () =
+  let e = Engine.create () in
+  let fired = ref [] in
+  for i = 1 to 10 do
+    Engine.schedule e ~delay:(float_of_int (i * 1000)) (fun () -> fired := i :: !fired)
+  done;
+  let timers =
+    List.init 10_000 (fun i ->
+        Engine.timer e ~delay:(float_of_int i) (fun () -> Alcotest.fail "cancelled timer fired"))
+  in
+  List.iter Engine.cancel timers;
+  checkb "a burst of cancelled timers is dropped" true
+    (Engine.pending e <= Engine.compact_floor + 10);
+  (* A call-timer churn: each timer is cancelled once the next is armed. *)
+  let prev = ref None and peak = ref 0 in
+  for _ = 1 to 10_000 do
+    let tm = Engine.timer e ~delay:2.0 ignore in
+    Option.iter Engine.cancel !prev;
+    prev := Some tm;
+    peak := max !peak (Engine.pending e)
+  done;
+  checkb "churn peaks within the floor plus the live events" true
+    (!peak <= Engine.compact_floor + 12);
+  Engine.run e;
+  Alcotest.(check (list int)) "live events fire in order" (List.init 10 succ) (List.rev !fired)
+
+(* Cancelling a timer after it fired does not count it as queued: were it
+   counted, the floor would be passed one cancel early. *)
+let test_engine_cancel_after_fire_not_counted () =
+  let e = Engine.create () in
+  let early = List.init 10 (fun _ -> Engine.timer e ~delay:1.0 ignore) in
+  Engine.run e;
+  List.iter Engine.cancel early;
+  let live = ref 0 in
+  for _ = 1 to 100 do
+    ignore (Engine.timer e ~delay:3.0 (fun () -> incr live))
+  done;
+  let arm () = Engine.timer e ~delay:2.0 (fun () -> Alcotest.fail "cancelled timer fired") in
+  List.iter Engine.cancel (List.init Engine.compact_floor (fun _ -> arm ()));
+  checki "at the floor nothing is dropped" (100 + Engine.compact_floor) (Engine.pending e);
+  Engine.cancel (arm ());
+  checki "one past the floor drops every cancelled timer" 100 (Engine.pending e);
+  Engine.run e;
+  checki "no live timer lost" 100 !live
+
 let test_engine_every () =
   let e = Engine.create () in
   let count = ref 0 in
@@ -399,6 +446,9 @@ let () =
           Alcotest.test_case "run until" `Quick test_engine_until;
           Alcotest.test_case "nested schedule" `Quick test_engine_nested_schedule;
           Alcotest.test_case "cancel timer" `Quick test_engine_cancel_timer;
+          Alcotest.test_case "cancelled timers compact" `Quick test_engine_cancelled_timers_compact;
+          Alcotest.test_case "cancel after fire not counted" `Quick
+            test_engine_cancel_after_fire_not_counted;
           Alcotest.test_case "every" `Quick test_engine_every;
           Alcotest.test_case "every survives pathological jitter" `Quick
             test_engine_every_pathological_jitter;

@@ -476,6 +476,42 @@ let prop_pqueue_length =
       let n2 = Pqueue.length q = max 0 (List.length ps - 1) in
       n1 && n2)
 
+(* Random pushes, cancels (marking a queued entry dead), rebuilds that drop
+   the dead, and pops, against a reference list kept sorted by (priority,
+   insertion order).  Coarse priorities make ties common. *)
+let prop_pqueue_filter_keeps_order =
+  QCheck.Test.make ~name:"pqueue rebuild keeps pop order" ~count:300
+    QCheck.(small_list (pair (int_bound 5) (int_bound 20)))
+    (fun ops ->
+      let q = Pqueue.create () in
+      let reference = ref [] and dead = Hashtbl.create 16 and next = ref 0 in
+      let live id = not (Hashtbl.mem dead id) in
+      let step (op, x) =
+        match op with
+        | 0 | 1 | 2 ->
+            let entry = (float_of_int x, !next) in
+            Pqueue.push q (fst entry) (snd entry);
+            incr next;
+            reference := List.merge compare !reference [ entry ];
+            true
+        | 3 ->
+            Option.iter (fun (_, id) -> Hashtbl.replace dead id ()) (List.nth_opt !reference x);
+            true
+        | 4 ->
+            Pqueue.filter_inplace q live;
+            reference := List.filter (fun (_, id) -> live id) !reference;
+            Pqueue.length q = List.length !reference
+        | _ -> (
+            let got = Pqueue.pop q in
+            match !reference with
+            | [] -> got = None
+            | top :: rest ->
+                reference := rest;
+                got = Some top)
+      in
+      let rec drain acc = match Pqueue.pop q with Some e -> drain (e :: acc) | None -> List.rev acc in
+      List.for_all step ops && drain [] = !reference)
+
 let test_pqueue_to_list_nondestructive () =
   let q = Pqueue.create () in
   List.iter (fun p -> Pqueue.push q p (int_of_float p)) [ 2.0; 1.0; 3.0 ];
@@ -614,6 +650,7 @@ let () =
           Alcotest.test_case "empty" `Quick test_pqueue_empty;
           qt prop_pqueue_pop_sorted;
           qt prop_pqueue_length;
+          qt prop_pqueue_filter_keeps_order;
           Alcotest.test_case "to_list" `Quick test_pqueue_to_list_nondestructive;
           Alcotest.test_case "departed values are not pinned" `Quick
             test_pqueue_releases_departed;
