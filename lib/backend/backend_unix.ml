@@ -391,6 +391,10 @@ let with_temp_data_dir f =
   Fun.protect ~finally:(fun () -> if Sys.file_exists dir then remove_tree dir) (fun () -> f dir)
 
 let create ?data_dir ?seed ?(latency = Net.Fixed 0.0) () =
+  (* A write to a connection the peer closed raises SIGPIPE, whose default
+     action ends the process; ignored, the write fails with EPIPE and
+     [flush] closes the connection. *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let t =
     {
       b_engine = ref (lazy (assert false));

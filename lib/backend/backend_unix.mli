@@ -21,7 +21,10 @@
     drops the connection.  Closing a connection drops the frames still
     queued on it and forgets the calls sent on it; those calls, like calls
     nobody answers, are answered by their {!Oasis_sim.Net} timeouts, which
-    also make the backend forget them.
+    also make the backend forget them.  A write to a connection whose peer
+    has gone fails with [EPIPE] and closes the connection the same way:
+    {!create} sets the process to ignore [SIGPIPE], which would otherwise
+    kill it.
 
     {b Storage} — one directory per host under {!data_dir}.  [append]
     buffers in memory (the page-cache analogue); [fsync] writes the
@@ -36,7 +39,8 @@ val create :
     shared by every backend the process creates without one and never
     removed: durable state outlives the process.  [latency] (default
     [Fixed 0.0]) applies to {e in-process} delivery only — the wire
-    provides its own, real, latency.  [seed] seeds retry jitter. *)
+    provides its own, real, latency.  [seed] seeds retry jitter.  Sets
+    [SIGPIPE] to be ignored, for the whole process. *)
 
 val with_temp_data_dir : (string -> 'a) -> 'a
 (** [with_temp_data_dir f] calls [f dir] on a fresh, empty directory under

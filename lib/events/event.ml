@@ -72,7 +72,7 @@ let marshal e =
   Buffer.add_char buf '\x00';
   Array.iter
     (fun v ->
-      Buffer.add_string buf (Value.marshal v);
+      Value.add_marshal buf v;
       Buffer.add_char buf '\x00')
     e.params;
   Buffer.add_string buf (Printf.sprintf "%f#%d" e.stamp e.seq);

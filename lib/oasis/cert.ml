@@ -1,6 +1,7 @@
 module Value = Oasis_rdl.Value
 module Bitset = Oasis_util.Bitset
 module Signing = Oasis_util.Signing
+module Decimal = Oasis_util.Decimal
 
 type value = Value.t
 
@@ -36,50 +37,80 @@ type revocation = {
   r_sig : string;
 }
 
-let args_payload args = String.concat "\x01" (List.map Value.marshal args)
+(* Payloads are written field by field into one buffer: no field is
+   rendered to a string of its own, and nothing goes through [Printf]
+   except {!Decimal.add_fixed6}'s fallback for timestamps outside the
+   range it renders exactly. *)
+
+let rec add_args b = function
+  | [] -> ()
+  | [ v ] -> Value.add_marshal b v
+  | v :: rest ->
+      Value.add_marshal b v;
+      Buffer.add_char b '\x01';
+      add_args b rest
+
+let rec add_required b = function
+  | [] -> ()
+  | (svc, role, args) :: rest ->
+      Buffer.add_string b svc;
+      Buffer.add_char b '\x01';
+      Buffer.add_string b role;
+      Buffer.add_char b '\x01';
+      add_args b args;
+      if rest <> [] then Buffer.add_char b '\x02';
+      add_required b rest
+
+let add_field b s =
+  Buffer.add_string b s;
+  Buffer.add_char b '\x00'
 
 let rmc_payload c =
-  String.concat "\x00"
-    [
-      Principal.vci_to_string c.holder;
-      c.service;
-      c.rolefile;
-      Bitset.marshal c.roles;
-      args_payload c.args;
-      Credrec.marshal_ref c.crr;
-      Printf.sprintf "%.6f" c.issued_at;
-    ]
+  let b = Buffer.create 128 in
+  Principal.add_vci b c.holder;
+  Buffer.add_char b '\x00';
+  add_field b c.service;
+  add_field b c.rolefile;
+  Bitset.add_marshal b c.roles;
+  Buffer.add_char b '\x00';
+  add_args b c.args;
+  Buffer.add_char b '\x00';
+  Credrec.add_ref b c.crr;
+  Buffer.add_char b '\x00';
+  Decimal.add_fixed6 b c.issued_at;
+  Buffer.contents b
 
 let delegation_payload d =
-  String.concat "\x00"
-    [
-      d.d_service;
-      d.d_rolefile;
-      d.d_role;
-      String.concat "\x02"
-        (List.map
-           (fun (svc, role, args) -> String.concat "\x01" [ svc; role; args_payload args ])
-           d.d_required);
-      Credrec.marshal_ref d.d_crr;
-      Credrec.marshal_ref d.d_delegator_crr;
-      d.d_delegator_role;
-      args_payload d.d_delegator_args;
-      (match d.d_expires with Some e -> Printf.sprintf "%.6f" e | None -> "-");
-    ]
+  let b = Buffer.create 128 in
+  add_field b d.d_service;
+  add_field b d.d_rolefile;
+  add_field b d.d_role;
+  add_required b d.d_required;
+  Buffer.add_char b '\x00';
+  Credrec.add_ref b d.d_crr;
+  Buffer.add_char b '\x00';
+  Credrec.add_ref b d.d_delegator_crr;
+  Buffer.add_char b '\x00';
+  add_field b d.d_delegator_role;
+  add_args b d.d_delegator_args;
+  Buffer.add_char b '\x00';
+  (match d.d_expires with Some e -> Decimal.add_fixed6 b e | None -> Buffer.add_char b '-');
+  Buffer.contents b
 
 let revocation_payload r =
-  String.concat "\x00"
-    [
-      r.r_service;
-      r.r_role;
-      Credrec.marshal_ref r.r_delegator_crr;
-      Credrec.marshal_ref r.r_target_crr;
-    ]
+  let b = Buffer.create 64 in
+  add_field b r.r_service;
+  add_field b r.r_role;
+  Credrec.add_ref b r.r_delegator_crr;
+  Buffer.add_char b '\x00';
+  Credrec.add_ref b r.r_target_crr;
+  Buffer.contents b
 
 let sign_rmc secrets ~length c =
   { c with rmc_sig = Signing.Rolling.sign ~length secrets (rmc_payload c) }
 
-let verify_rmc ?length secrets c = Signing.Rolling.verify ?length secrets (rmc_payload c) c.rmc_sig
+let verify_rmc_payload ?length secrets ~payload c = Signing.Rolling.verify ?length secrets payload c.rmc_sig
+let verify_rmc ?length secrets c = verify_rmc_payload ?length secrets ~payload:(rmc_payload c) c
 
 let sign_delegation secrets ~length d =
   { d with d_sig = Signing.Rolling.sign ~length secrets (delegation_payload d) }

@@ -70,6 +70,12 @@ val verify_rmc : ?length:int -> Oasis_util.Signing.Rolling.t -> rmc -> bool
     for (default 16); signatures of any other length — e.g. truncated ones
     — are rejected regardless of content. *)
 
+val verify_rmc_payload :
+  ?length:int -> Oasis_util.Signing.Rolling.t -> payload:string -> rmc -> bool
+(** {!verify_rmc} with the payload already rendered: [payload] must be
+    [rmc_payload c].  A caller that keys a cache on the payload checks the
+    signature without rendering it a second time. *)
+
 val sign_delegation : Oasis_util.Signing.Rolling.t -> length:int -> delegation -> delegation
 val verify_delegation : ?length:int -> Oasis_util.Signing.Rolling.t -> delegation -> bool
 

@@ -612,7 +612,15 @@ let fingerprint t =
   done;
   Oasis_util.Siphash.hash fp_key (Buffer.contents b)
 
-let marshal_ref r = Printf.sprintf "%x.%x" r.index r.magic
+let add_ref b r =
+  Oasis_util.Hex.add_int b r.index;
+  Buffer.add_char b '.';
+  Oasis_util.Hex.add_int b r.magic
+
+let marshal_ref r =
+  let b = Buffer.create 16 in
+  add_ref b r;
+  Buffer.contents b
 
 let unmarshal_ref s =
   match String.index_opt s '.' with

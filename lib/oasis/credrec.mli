@@ -133,5 +133,11 @@ val self_check : table -> (unit, string) result
     non-permanent combining records.  Only meaningful at quiescence. *)
 
 val marshal_ref : cref -> string
+(** ["index.magic"], both in lowercase hex: the record reference in signed
+    payloads, journal records and [Modified] events. *)
+
+val add_ref : Buffer.t -> cref -> unit
+(** {!marshal_ref}'s bytes, appended to the buffer. *)
+
 val unmarshal_ref : string -> cref option
 val pp_state : Format.formatter -> state -> unit

@@ -1,7 +1,20 @@
 type client_id = { host : string; local_id : int; boot_time : int }
 
-let pp_client_id ppf c = Format.fprintf ppf "%s:%d@%d" c.host c.local_id c.boot_time
-let client_id_to_string c = Format.asprintf "%a" pp_client_id c
+module Decimal = Oasis_util.Decimal
+
+let add_client_id b c =
+  Buffer.add_string b c.host;
+  Buffer.add_char b ':';
+  Decimal.add_int b c.local_id;
+  Buffer.add_char b '@';
+  Decimal.add_int b c.boot_time
+
+let client_id_to_string c =
+  let b = Buffer.create 32 in
+  add_client_id b c;
+  Buffer.contents b
+
+let pp_client_id ppf c = Format.pp_print_string ppf (client_id_to_string c)
 
 let equal_client_id a b =
   String.equal a.host b.host && a.local_id = b.local_id && a.boot_time = b.boot_time
@@ -11,7 +24,15 @@ type vci = { v_client : client_id; v_tag : int }
 let vci_client v = v.v_client
 let vci_tag v = v.v_tag
 let equal_vci a b = equal_client_id a.v_client b.v_client && a.v_tag = b.v_tag
-let vci_to_string v = Printf.sprintf "%s/v%d" (client_id_to_string v.v_client) v.v_tag
+let add_vci b v =
+  add_client_id b v.v_client;
+  Buffer.add_string b "/v";
+  Decimal.add_int b v.v_tag
+
+let vci_to_string v =
+  let b = Buffer.create 32 in
+  add_vci b v;
+  Buffer.contents b
 
 module Host = struct
   type domain = { d_id : int; mutable d_vcis : int list (* tags *) }

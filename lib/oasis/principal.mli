@@ -12,7 +12,10 @@
 type client_id = { host : string; local_id : int; boot_time : int }
 
 val pp_client_id : Format.formatter -> client_id -> unit
+
 val client_id_to_string : client_id -> string
+(** ["host:local_id@boot_time"], the integers in decimal. *)
+
 val equal_client_id : client_id -> client_id -> bool
 
 type vci
@@ -22,6 +25,11 @@ val vci_client : vci -> client_id
 val vci_tag : vci -> int
 val equal_vci : vci -> vci -> bool
 val vci_to_string : vci -> string
+(** The client identifier, then ["/v"] and the tag in decimal: the holder
+    field of a certificate's signed payload. *)
+
+val add_vci : Buffer.t -> vci -> unit
+(** {!vci_to_string}'s bytes, appended to the buffer. *)
 
 (** {1 Host-side domain management} *)
 

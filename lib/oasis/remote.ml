@@ -60,7 +60,12 @@ let ok_doc fields = Ok (J.to_string (J.sorted (J.Obj fields)))
    lets the router route handle-bearing operations to the one table where
    the handle means anything. *)
 
-let handle_to_string ~shard ~idx = Printf.sprintf "%d:%d" shard idx
+let handle_to_string ~shard ~idx =
+  let b = Buffer.create 16 in
+  Oasis_util.Decimal.add_int b shard;
+  Buffer.add_char b ':';
+  Oasis_util.Decimal.add_int b idx;
+  Buffer.contents b
 
 let handle_of_string s =
   match String.index_opt s ':' with

@@ -40,6 +40,9 @@ val serve_shard : Oasis_sim.Net.t -> Service.t -> shard_id:int -> shard_server
 val shard_server_certs : shard_server -> int
 (** Certificates retained in the handle table. *)
 
+val handle_to_string : shard:int -> idx:int -> string
+(** The handle ["<shard>:<idx>"], both in decimal. *)
+
 (** {1 Router} *)
 
 type router

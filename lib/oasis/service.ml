@@ -91,7 +91,10 @@ type t = {
   sv_rbr : (string * string, (Ast.role_ref * Credrec.cref) list ref) Hashtbl.t;
       (* (role, marshalled args) -> revoker role + record, per live membership *)
   sv_blacklist : (string * string, unit) Hashtbl.t;
-  mutable sv_audit : audit_entry list;
+  mutable sv_audit : audit_entry array;
+      (* a ring of the newest [audit_capacity] entries; it grows by
+         doubling until it reaches the capacity *)
+  mutable sv_audited : int;  (* entries ever audited *)
   sv_sig_cache : (string, unit) Cache.t;
   sv_batch : bool;
   sv_policy_hash : int;
@@ -135,12 +138,42 @@ let registry t = t.sv_registry
 let role_bits t = t.sv_role_bits
 let crypto_checks t = t.sv_crypto_checks
 let cache_hits t = t.sv_cache_hits
-let audit_log t = t.sv_audit
+let audit_capacity = 4096
+
+let audit_log t =
+  let ring = t.sv_audit in
+  let len = Array.length ring in
+  List.init (min t.sv_audited len) (fun i -> ring.((t.sv_audited - 1 - i) mod len))
+
 let gc t = Credrec.gc_sweep t.sv_table
 
 let now t = Clock.read (Net.host_clock t.sv_host)
 
-let audit t kind detail = t.sv_audit <- { at = now t; kind; detail } :: t.sv_audit
+let audit t kind detail =
+  let e = { at = now t; kind; detail } in
+  let len = Array.length t.sv_audit in
+  if t.sv_audited = len && len < audit_capacity then begin
+    let ring = Array.make (min audit_capacity (max 16 (2 * len))) e in
+    Array.blit t.sv_audit 0 ring 0 len;
+    t.sv_audit <- ring
+  end
+  else t.sv_audit.(t.sv_audited mod len) <- e;
+  t.sv_audited <- t.sv_audited + 1
+
+(* Every entry and exit writes one of these details, so each is rendered
+   in one buffer. *)
+let entered_detail client roles =
+  let b = Buffer.create 64 in
+  Principal.add_vci b client;
+  Buffer.add_string b " entered ";
+  Buffer.add_string b (String.concat "+" roles);
+  Buffer.contents b
+
+let exited_detail holder =
+  let b = Buffer.create 48 in
+  Principal.add_vci b holder;
+  Buffer.add_string b " exited";
+  Buffer.contents b
 
 let stats t = Net.stats t.sv_net
 let tracer t = Net.trace t.sv_net
@@ -218,7 +251,8 @@ let arm_notification t cref =
 (* --- signature verification with caching (§4.2) --- *)
 
 let verify_rmc_sig t cert =
-  let key = cert.Cert.rmc_sig ^ "|" ^ Cert.rmc_payload cert in
+  let payload = Cert.rmc_payload cert in
+  let key = String.concat "|" [ cert.Cert.rmc_sig; payload ] in
   if Cache.find t.sv_sig_cache key <> None then begin
     t.sv_cache_hits <- t.sv_cache_hits + 1;
     Stats.incr (stats t) "oasis.sigcache.hit";
@@ -227,7 +261,7 @@ let verify_rmc_sig t cert =
   else begin
     t.sv_crypto_checks <- t.sv_crypto_checks + 1;
     Stats.incr (stats t) "oasis.sigcache.miss";
-    let ok = Cert.verify_rmc ~length:sig_length t.sv_secrets cert in
+    let ok = Cert.verify_rmc_payload ~length:sig_length t.sv_secrets ~payload cert in
     if ok then Cache.set t.sv_sig_cache key ();
     ok
   end
@@ -1099,9 +1133,7 @@ let request_entry t ~client_host ~client ~role ?args ?(creds = []) ?delegation k
                       ~rbrs:(List.concat_map (fun m -> m.m_rbrs) (chosen :: companions))
                       ~client ~roles ~args:chosen.m_args ~crr ()
                   in
-                  audit t Entry
-                    (Printf.sprintf "%s entered %s" (Principal.vci_to_string client)
-                       (String.concat "+" roles));
+                  audit t Entry (entered_detail client roles);
                   reply (Ok cert))))
 
 (* --- delegation (§4.4) --- *)
@@ -1239,7 +1271,7 @@ let exit_role t ~client_host (cert : Cert.rmc) k =
       if not (verify_rmc_sig t cert) then reply (Error "bad certificate")
       else begin
         invalidate_traced t ~reason:"exit" cert.Cert.crr;
-        audit t Exit (Principal.vci_to_string cert.Cert.holder ^ " exited");
+        audit t Exit (exited_detail cert.Cert.holder);
         reply (Ok ())
       end)
 
@@ -1289,33 +1321,39 @@ let revoke_role_instance t ~client_host ~revoker ~role ~args k =
       | Error e -> reply (Error ("revoker credential: " ^ e))
       | Ok () -> (
           let key = blacklist_key role args in
+          (* No live membership is armed for this revoker: the right is
+             judged against the rolefile, and the instance is blacklisted
+             even though nothing is revoked. *)
+          let blacklist_unarmed () =
+            Hashtbl.replace t.sv_blacklist key ();
+            (match t.sv_journal with Some j -> Journal.fire j key | None -> ());
+            audit t Revocation (role ^ "() blacklisted");
+            ack_when_durable t (fun () -> reply (Ok 0))
+          in
           match Hashtbl.find_opt t.sv_rbr key with
           | None ->
-              (* No live memberships; still blacklist if the rolefile allows
-                 this revoker for the role. *)
-              if may_revoke t ~role revoker then begin
-                Hashtbl.replace t.sv_blacklist key ();
-                (match t.sv_journal with Some j -> Journal.fire j key | None -> ());
-                audit t Revocation (Printf.sprintf "%s(%s) blacklisted" role "");
-                ack_when_durable t (fun () -> reply (Ok 0))
-              end
+              if may_revoke t ~role revoker then blacklist_unarmed ()
               else reply (Error "no revocation right for this role")
           | Some cell ->
               let eligible, rest =
                 List.partition (fun (r, _) -> revoker_matches t r revoker) !cell
               in
               if eligible = [] then begin
-                (* Nothing armed for this revoker.  Distinguish a wrong
-                   revoker from a RETRY of a fire that already committed:
-                   the first attempt emptied the cell and blacklisted the
-                   key, then its ack was lost (crash, dropped reply).  The
-                   right is judged against the rolefile, exactly as in the
-                   no-membership branch; re-firing a blacklisted instance
-                   is idempotent success, acked durably like the original
-                   (the ack waits out any still-pending group commit). *)
-                if may_revoke t ~role revoker && Hashtbl.mem t.sv_blacklist key then
+                (* Nothing armed for this revoker.  A RETRY of a fire that
+                   already committed (the first attempt emptied the cell
+                   and blacklisted the key, then its ack was lost to a
+                   crash or a dropped reply) is idempotent success, acked
+                   durably like the original: the ack waits out any
+                   still-pending group commit.  Otherwise the fire is
+                   judged as in the no-membership branch; a cell a fire
+                   emptied before a re-hire is dropped. *)
+                if not (may_revoke t ~role revoker) then reply (Error "revoker role does not match")
+                else if Hashtbl.mem t.sv_blacklist key then
                   ack_when_durable t (fun () -> reply (Ok 0))
-                else reply (Error "revoker role does not match")
+                else begin
+                  if !cell = [] then Hashtbl.remove t.sv_rbr key;
+                  blacklist_unarmed ()
+                end
               end
               else begin
                 with_revocation_span t ~reason:"role" (fun () ->
@@ -1704,7 +1742,8 @@ let create net host reg ~name:sv_name ?(rolefile_id = "main") ~rolefile ?(funcs 
       sv_family = Hashtbl.create 4;
       sv_rbr = Hashtbl.create 16;
       sv_blacklist = blacklist;
-      sv_audit = [];
+      sv_audit = [||];
+      sv_audited = 0;
       sv_sig_cache = Cache.create sig_cache_cap;
       sv_batch = batch_notifications;
       sv_policy_hash = Hashtbl.hash rolefile;

@@ -275,8 +275,12 @@ type audit_kind = Fraud | Erroneous | Revocation_denied | Entry | Delegation | R
 
 type audit_entry = { at : float; kind : audit_kind; detail : string }
 
+val audit_capacity : int
+(** The audit log keeps the newest 4,096 entries; an older one is
+    overwritten, so a service that runs for ever holds a bounded log. *)
+
 val audit_log : t -> audit_entry list
-(** Newest first. *)
+(** The newest {!audit_capacity} entries at most, newest first. *)
 
 val crypto_checks : t -> int
 (** Signature computations performed (cache misses). *)

@@ -56,11 +56,27 @@ let set_diff a b =
   String.iter (fun c -> if not (String.contains b c) then Buffer.add_char buf c) a;
   set_of_chars (Buffer.contents buf)
 
-let marshal = function
-  | Int n -> "I" ^ string_of_int n
-  | Str s -> "S" ^ s
-  | Set s -> "E" ^ s
-  | Obj (ty, id) -> Printf.sprintf "O%d:%s%s" (String.length ty) ty id
+let add_marshal b = function
+  | Int n ->
+      Buffer.add_char b 'I';
+      Oasis_util.Decimal.add_int b n
+  | Str s ->
+      Buffer.add_char b 'S';
+      Buffer.add_string b s
+  | Set s ->
+      Buffer.add_char b 'E';
+      Buffer.add_string b s
+  | Obj (ty, id) ->
+      Buffer.add_char b 'O';
+      Oasis_util.Decimal.add_int b (String.length ty);
+      Buffer.add_char b ':';
+      Buffer.add_string b ty;
+      Buffer.add_string b id
+
+let marshal v =
+  let b = Buffer.create 16 in
+  add_marshal b v;
+  Buffer.contents b
 
 let unmarshal s =
   if String.length s = 0 then None

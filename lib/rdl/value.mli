@@ -37,6 +37,9 @@ val set_mem : char -> t -> bool
 val marshal : t -> string
 (** Stable, host-independent encoding: a tag character then the payload. *)
 
+val add_marshal : Buffer.t -> t -> unit
+(** {!marshal}'s bytes, appended to the buffer. *)
+
 val unmarshal : string -> t option
 
 val pp : Format.formatter -> t -> unit

@@ -41,7 +41,12 @@ let cardinal s =
   go s 0
 
 let compare = Int.compare
-let marshal s = Printf.sprintf "%x" s
+let add_marshal b s = Hex.add_int b s
+
+let marshal s =
+  let b = Buffer.create 16 in
+  add_marshal b s;
+  Buffer.contents b
 
 (* Strict inverse of [marshal]: bare lowercase/uppercase hex only.
    [int_of_string_opt ("0x" ^ str)] would also accept underscores ("1_0")

@@ -25,6 +25,9 @@ val compare : t -> t -> int
 val marshal : t -> string
 (** Host-independent encoding (hex of the underlying word). *)
 
+val add_marshal : Buffer.t -> t -> unit
+(** {!marshal}'s bytes, appended to the buffer. *)
+
 val unmarshal : string -> t option
 (** Strict inverse of {!marshal}: bare hex digits only (no underscores,
     signs or prefixes), rejecting any value with bits above the maximum

@@ -43,6 +43,11 @@ let put_int b off ~width n =
     Bytes.set b (off + width - 1 - i) digits.[(n lsr (4 * i)) land 15]
   done
 
+(* [lsr] reads a negative [n] as its unsigned 63-bit word, as [%x] does. *)
+let rec add_int b n =
+  if n lsr 4 <> 0 then add_int b (n lsr 4);
+  Buffer.add_char b (String.unsafe_get digits (n land 15))
+
 let of_int ~width n =
   let b = Bytes.create width in
   put_int b 0 ~width n;

@@ -5,9 +5,10 @@
     arguments) safe to embed between the control-character field
     separators of write-ahead-log records.  The fixed-width helpers render
     and parse the length, checksum and identifier fields of
-    {!Frame}, the TCP envelope and {!Signing.Rolling} key ids.  Every
-    function renders from a 16-character digit table: none goes through
-    [Printf]. *)
+    {!Frame}, the TCP envelope and {!Signing.Rolling} key ids;
+    {!add_int} writes the variable-width fields of record refs and role
+    sets.  Every function renders from a 16-character digit table: none
+    goes through [Printf]. *)
 
 val encode : string -> string
 (** Two lowercase hex digits per input byte. *)
@@ -22,6 +23,11 @@ val put_int : bytes -> int -> width:int -> int -> unit
     renders.
     @raise Invalid_argument if [n] is negative or needs more than [width]
     digits. *)
+
+val add_int : Buffer.t -> int -> unit
+(** [add_int b n] appends [n] in as few lowercase hex digits as it takes:
+    the bytes [Printf.sprintf "%x" n] renders (a negative [n] as its
+    unsigned 63-bit word). *)
 
 val of_int : width:int -> int -> string
 (** {!put_int} into a fresh string of length [width]. *)

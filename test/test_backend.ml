@@ -394,6 +394,71 @@ let test_unix_timed_out_calls_forgotten () =
   run_until_done backend ~deadline:2.0 (fun () -> !timed_out = 3);
   checki "timed-out calls forgotten" 0 (Backend_unix.pending_calls b)
 
+(* A peer that closes while frames are queued for it.  The first write
+   after its close draws a reset, and the next write on the connection
+   raises SIGPIPE, whose default action ends the process.  The frames
+   queued here are larger than the largest socket send buffer (4 MiB), so
+   the turn's flush takes that second write.  With SIGPIPE ignored, the
+   write fails with EPIPE instead and closes the connection: the calls
+   sent on it are forgotten, then answered by their timeouts. *)
+let peer_closes_with_frames_queued () =
+  with_backend Ux @@ fun backend ub ->
+  let b = Option.get ub in
+  let net = Backend.net backend in
+  let engine = Backend.engine backend in
+  let a = Net.add_host net "a" in
+  let lfd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> Unix.close lfd) @@ fun () ->
+  Unix.bind lfd (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  Unix.listen lfd 4;
+  (match Unix.getsockname lfd with
+  | Unix.ADDR_INET (_, port) -> Backend_unix.peer b ~name:"raw" ~port
+  | _ -> assert false);
+  let answers = ref [] in
+  let call payload =
+    Net.call net ~timeout:0.3 ~src:a ~dst:"raw" ~port:"p" payload (fun r ->
+        answers := r :: !answers)
+  in
+  call (String.make (8 lsl 20) 'x');
+  call "small";
+  (* The backend connected when the first call was queued. *)
+  Unix.close (fst (Unix.accept lfd));
+  Backend.run ~until:(Engine.now engine +. 0.05) backend;
+  checki "the connection closed and forgot its calls" 0 (Backend_unix.pending_calls b);
+  checki "none answered before its timeout" 0 (List.length !answers);
+  call "again";
+  checkb "the next call opens a new connection" true (readable ~within:1.0 lfd);
+  run_until_done backend ~deadline:2.0 (fun () -> List.length !answers = 3);
+  checkb "every call answered by its timeout" true
+    (List.for_all (fun r -> r = Error "timeout") !answers);
+  checki "and none left pending" 0 (Backend_unix.pending_calls b)
+
+(* The case runs in a forked child with SIGPIPE at its default action, so
+   a process the signal kills shows as the child's exit status instead of
+   ending the test runner. *)
+let test_unix_peer_closes_with_frames_queued () =
+  Stdlib.flush_all ();
+  match Unix.fork () with
+  | 0 ->
+      let code =
+        match
+          Sys.set_signal Sys.sigpipe Sys.Signal_default;
+          peer_closes_with_frames_queued ()
+        with
+        | () -> 0
+        | exception e ->
+            prerr_endline (Printexc.to_string e);
+            1
+      in
+      Unix._exit code
+  | pid -> (
+      match snd (Unix.waitpid [] pid) with
+      | Unix.WEXITED 0 -> ()
+      | Unix.WEXITED n -> Alcotest.failf "a check failed in the child (exit %d)" n
+      | Unix.WSIGNALED s ->
+          Alcotest.failf "the child was killed by signal %d (SIGPIPE is %d)" s Sys.sigpipe
+      | Unix.WSTOPPED s -> Alcotest.failf "the child stopped on signal %d" s)
+
 let test_unix_wal_roundtrip () =
   let module Wal = Oasis_store.Wal in
   Backend_unix.with_temp_data_dir @@ fun dir ->
@@ -448,6 +513,8 @@ let () =
             test_unix_closed_conn_drops_queued_frame;
           Alcotest.test_case "timed-out calls are forgotten" `Quick
             test_unix_timed_out_calls_forgotten;
+          Alcotest.test_case "peer closes with frames queued" `Quick
+            test_unix_peer_closes_with_frames_queued;
           Alcotest.test_case "WAL round-trips on a real disk" `Quick test_unix_wal_roundtrip;
         ] );
       ( "sim-ordering",

@@ -363,6 +363,214 @@ let test_delegation_revocation_certs () =
   checkb "revocation tamper fails" false
     (Cert.verify_revocation secrets { r with Cert.r_target_crr = { Credrec.index = 7; magic = 7 } })
 
+(* --- signed bytes ---
+
+   Certificate payloads are what the signature protects: a service
+   verifies certificates it signed earlier, possibly before a restart, so
+   the rendering must not change by a byte.  The expected strings below
+   were captured from the Printf/Format rendering these writers replaced. *)
+
+let pinned_rmcs () =
+  let h1 = Principal.Host.create "testhost" in
+  let v1 = Principal.Host.new_vci h1 (Principal.Host.boot_domain h1) in
+  let h2 = Principal.Host.create ~boot_time:1700000000 "h.example.org" in
+  let d2 = Principal.Host.boot_domain h2 in
+  ignore (Principal.Host.new_vci h2 d2);
+  ignore (Principal.Host.new_vci h2 d2);
+  let v2 = Principal.Host.new_vci h2 d2 in
+  let child = Principal.Host.fork h2 d2 ~give:[ v2 ] in
+  let v3 = Principal.Host.new_vci h2 child in
+  let rmc holder roles args crr issued_at =
+    {
+      Cert.holder;
+      service = "svc";
+      rolefile = "main";
+      roles = Bitset.of_list roles;
+      args;
+      crr;
+      issued_at;
+      rmc_sig = "";
+    }
+  in
+  [
+    ( rmc v1 [ 0; 2 ] [ V.Str "dm"; V.Int 3 ] { Credrec.index = 4; magic = 1 } 0.0,
+      "testhost:0@1/v0\000svc\000main\0005\000Sdm\001I3\0004.1\0000.000000" );
+    ( rmc v2 [ 0; 1; 5; 62 ]
+        [ V.Set "abc"; V.Obj ("file", "/etc/passwd"); V.Int (-42) ]
+        { Credrec.index = 0x12345678ab; magic = max_int }
+        0.0078125,
+      "h.example.org:0@1700000000/v2\000svc\000main\0004000000000000023\000Eabc\001O4:file/etc/passwd\001I-42\00012345678ab.3fffffffffffffff\0000.007812"
+    );
+    ( rmc v3 [] [ V.Str ""; V.Str "x\001y" ] { Credrec.index = 0; magic = 0 } 12345.6789125,
+      "h.example.org:1@1700000000/v3\000svc\000main\0000\000S\001Sx\001y\0000.0\00012345.678912" );
+    ( rmc v1 [ 1 ] [] { Credrec.index = 1_000_000; magic = 0xdeadbeef } (1.7e9 +. 0.5e-6),
+      "testhost:0@1/v0\000svc\000main\0002\000\000f4240.deadbeef\0001700000000.000000" );
+  ]
+
+let test_rmc_payload_pinned () =
+  List.iter (fun (c, want) -> checks "rmc payload" want (Cert.rmc_payload c)) (pinned_rmcs ())
+
+let test_delegation_revocation_payload_pinned () =
+  let d =
+    {
+      Cert.d_service = "svc";
+      d_rolefile = "main";
+      d_role = "Rec1";
+      d_required =
+        [ ("Login", "LoggedOn", [ V.Str "bob"; V.Str "*" ]); ("svc", "Member", [ V.Int 7 ]) ];
+      d_crr = { Credrec.index = 0xabc; magic = 17 };
+      d_delegator_crr = { Credrec.index = 2; magic = 3 };
+      d_delegator_role = "Member";
+      d_delegator_args = [ V.Str "alice" ];
+      d_expires = Some 3600.25;
+      d_sig = "";
+    }
+  in
+  checks "delegation payload"
+    "svc\000main\000Rec1\000Login\001LoggedOn\001Sbob\001S*\002svc\001Member\001I7\000abc.11\0002.3\000Member\000Salice\0003600.250000"
+    (Cert.delegation_payload d);
+  checks "delegation payload, no requirements or expiry"
+    "svc\000main\000Rec1\000\000abc.11\0002.3\000Member\000\000-"
+    (Cert.delegation_payload
+       { d with Cert.d_required = []; d_expires = None; d_delegator_args = [] });
+  let r =
+    {
+      Cert.r_service = "svc";
+      r_role = "Chair";
+      r_delegator_crr = { Credrec.index = 0x1f; magic = 0x20 };
+      r_target_crr = { Credrec.index = 9; magic = 0x7fffffff };
+      r_sig = "";
+    }
+  in
+  checks "revocation payload" "svc\000Chair\0001f.20\0009.7fffffff" (Cert.revocation_payload r)
+
+(* A check of an already-rendered payload agrees with a full check. *)
+let test_verify_rendered_payload () =
+  let secrets = Signing.Rolling.create (Prng.create 9L) in
+  List.iter
+    (fun (c, _) ->
+      let c = Cert.sign_rmc secrets ~length:16 c in
+      let forged = { c with Cert.issued_at = c.Cert.issued_at +. 1.0 } in
+      checkb "signed payload verifies" true
+        (Cert.verify_rmc_payload secrets ~payload:(Cert.rmc_payload c) c);
+      checkb "another payload does not" false
+        (Cert.verify_rmc_payload secrets ~payload:(Cert.rmc_payload forged) c))
+    (pinned_rmcs ())
+
+(* The writers against the Printf/Format renderings they replaced, kept
+   here as the oracle. *)
+
+let old_client_id_to_string (c : Principal.client_id) =
+  Format.asprintf "%a" (fun ppf c -> Format.fprintf ppf "%s:%d@%d" c.Principal.host c.local_id c.boot_time) c
+
+let old_vci_to_string v =
+  Printf.sprintf "%s/v%d" (old_client_id_to_string (Principal.vci_client v)) (Principal.vci_tag v)
+
+let old_value_marshal = function
+  | V.Int n -> "I" ^ string_of_int n
+  | V.Str s -> "S" ^ s
+  | V.Set s -> "E" ^ s
+  | V.Obj (ty, id) -> Printf.sprintf "O%d:%s%s" (String.length ty) ty id
+
+let any_int =
+  QCheck.Gen.(frequency [ (3, int); (2, small_signed_int); (1, oneofl [ 0; min_int; max_int; -1 ]) ])
+
+let any_string = QCheck.Gen.(string_size ~gen:char (int_bound 24))
+
+let prop_client_id_rendering =
+  QCheck.Test.make ~name:"client_id_to_string = Format %s:%d@%d" ~count:2000
+    QCheck.(triple string (make any_int) (make any_int))
+    (fun (host, local_id, boot_time) ->
+      let c = { Principal.host; local_id; boot_time } in
+      String.equal (Principal.client_id_to_string c) (old_client_id_to_string c))
+
+(* VCIs are minted by a host, so the generator drives one: its name and
+   boot time, forked domains (the local id) and mints (the tag). *)
+let prop_vci_rendering =
+  QCheck.Test.make ~name:"vci_to_string = Printf %s/v%d" ~count:500
+    QCheck.(quad string (make any_int) (int_bound 3) (int_bound 5))
+    (fun (name, boot_time, forks, mints) ->
+      let h = Principal.Host.create ~boot_time name in
+      let d = ref (Principal.Host.boot_domain h) in
+      for _ = 1 to forks do
+        d := Principal.Host.fork h !d ~give:[]
+      done;
+      List.for_all
+        (fun v -> String.equal (Principal.vci_to_string v) (old_vci_to_string v))
+        (List.init (mints + 1) (fun _ -> Principal.Host.new_vci h !d)))
+
+let prop_ref_rendering =
+  QCheck.Test.make ~name:"marshal_ref = Printf %x.%x" ~count:2000
+    QCheck.(pair (make any_int) (make any_int))
+    (fun (index, magic) ->
+      String.equal
+        (Credrec.marshal_ref { Credrec.index; magic })
+        (Printf.sprintf "%x.%x" index magic))
+
+let prop_bitset_rendering =
+  QCheck.Test.make ~name:"Bitset.marshal = Printf %x" ~count:2000
+    QCheck.(list_of_size Gen.(int_bound 10) (int_bound 62))
+    (fun elems ->
+      let s = Bitset.of_list elems in
+      let word = List.fold_left (fun w i -> w lor (1 lsl i)) 0 elems in
+      String.equal (Bitset.marshal s) (Printf.sprintf "%x" word))
+
+let prop_handle_rendering =
+  QCheck.Test.make ~name:"handle_to_string = Printf %d:%d" ~count:2000
+    QCheck.(pair (make any_int) (make any_int))
+    (fun (shard, idx) ->
+      String.equal (Oasis_core.Remote.handle_to_string ~shard ~idx) (Printf.sprintf "%d:%d" shard idx))
+
+let prop_value_rendering =
+  QCheck.Test.make ~name:"Value.marshal = Printf O%d:%s%s and concatenation" ~count:2000
+    (QCheck.make
+       QCheck.Gen.(
+         oneof
+           [
+             map (fun n -> V.Int n) any_int;
+             map (fun s -> V.Str s) any_string;
+             map (fun s -> V.Set s) any_string;
+             map2 (fun ty id -> V.Obj (ty, id)) any_string any_string;
+           ]))
+    (fun v -> String.equal (V.marshal v) (old_value_marshal v))
+
+(* Timestamps for the %.6f writer: exact ties (odd multiples of 1/128),
+   values a rounding away from a tie, epoch-scale times, the edge of the
+   exact range, and raw bit patterns, which cover negatives, subnormals,
+   huge values, nan and the infinities. *)
+let timestamp_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, map (fun k -> float_of_int k /. 128.0) (int_range 0 576_000_000_000));
+        (2, map (fun n -> (float_of_int n +. 0.5) /. 1e6) (int_range 0 4_500_000_000_000_000));
+        ( 3,
+          map2
+            (fun s f -> float_of_int s +. f)
+            (int_range 1_500_000_000 2_000_000_000)
+            (float_bound_exclusive 1.0) );
+        (2, float_range 0.0 4.6e9);
+        (1, float_bound_inclusive 1e-3);
+        (2, map Int64.float_of_bits ui64);
+        ( 1,
+          oneofl
+            [
+              0.0; -0.0; nan; infinity; neg_infinity; Float.min_float; 4.9e-324; Float.epsilon;
+              4.5e9; Float.pred 4.5e9; Float.succ 4.5e9; 0.0078125; 12345.6789125;
+              1.7e9 +. 0.5e-6; -1e-9; -1.5; 5e-7; 1.5e-6; 2.5e-6; 0.9999995; 999999.9999995;
+            ] );
+      ])
+
+let fixed6 x =
+  let b = Buffer.create 32 in
+  Oasis_util.Decimal.add_fixed6 b x;
+  Buffer.contents b
+
+let prop_fixed6_rendering =
+  QCheck.Test.make ~name:"add_fixed6 = Printf %.6f" ~count:100_000
+    (QCheck.make ~print:(fun x -> Printf.sprintf "%h" x) timestamp_gen)
+    (fun x -> String.equal (fixed6 x) (Printf.sprintf "%.6f" x))
+
 (* --- groups --- *)
 
 let test_group_membership () =
@@ -558,6 +766,20 @@ let () =
           Alcotest.test_case "holder binding" `Quick test_cert_holder_binding;
           Alcotest.test_case "has role" `Quick test_cert_has_role;
           Alcotest.test_case "delegation and revocation" `Quick test_delegation_revocation_certs;
+          Alcotest.test_case "rmc payloads pinned" `Quick test_rmc_payload_pinned;
+          Alcotest.test_case "delegation and revocation payloads pinned" `Quick
+            test_delegation_revocation_payload_pinned;
+          Alcotest.test_case "verify a rendered payload" `Quick test_verify_rendered_payload;
+        ] );
+      ( "rendering",
+        [
+          qt prop_client_id_rendering;
+          qt prop_vci_rendering;
+          qt prop_ref_rendering;
+          qt prop_bitset_rendering;
+          qt prop_handle_rendering;
+          qt prop_value_rendering;
+          qt prop_fixed6_rendering;
         ] );
       ( "group",
         [

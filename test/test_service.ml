@@ -568,6 +568,44 @@ let test_role_based_revocation_wrong_revoker () =
   checkb "member cannot fire member" true
     (match !result with Some (Error _) -> true | _ -> false)
 
+(* Fire, re-hire, then fire again with no live membership.  The first
+   fire emptied the instance's revoker arms; the second is judged against
+   the rolefile, as a fire of an instance nobody holds is, so it
+   blacklists the instance again and the fired member stays out. *)
+let test_role_based_revocation_refire_after_rehire () =
+  let w, login, meet = meeting_world () in
+  Group.add (Service.group meet "staff") (V.Str "fred");
+  Group.add (Service.group meet "staff") (V.Str "mallory");
+  let fred, fred_cert = logged_on login "fred" "ely" in
+  let _member = entry_ok w meet ~client:fred ~role:"Member" ~creds:[ fred_cert ] () in
+  let jmb, jmb_cert = logged_on login "jmb" "ely" in
+  let chair = entry_ok w meet ~client:jmb ~role:"Chair" ~creds:[ jmb_cert ] () in
+  let mallory, mallory_cert = logged_on login "mallory" "ely" in
+  let mcert = entry_ok w meet ~client:mallory ~role:"Member" ~creds:[ mallory_cert ] () in
+  let fire revoker =
+    let result = ref None in
+    Service.revoke_role_instance meet ~client_host:w.client_host ~revoker ~role:"Member"
+      ~args:[ V.Str "fred" ] (fun r -> result := Some r);
+    run w 2.0;
+    !result
+  in
+  let fred_blacklisted () = Service.blacklisted meet ~role:"Member" ~args:[ V.Str "fred" ] in
+  checkb "first fire revokes one" true (fire chair = Some (Ok 1));
+  let rehired = ref None in
+  Service.reinstate_role_instance meet ~client_host:w.client_host ~revoker:chair ~role:"Member"
+    ~args:[ V.Str "fred" ] (fun r -> rehired := Some r);
+  run w 2.0;
+  checkb "re-hire ok" true (!rehired = Some (Ok ()));
+  checkb "member cannot fire member" true
+    (match fire mcert with Some (Error _) -> true | _ -> false);
+  checkb "nor blacklist the instance" false (fred_blacklisted ());
+  checkb "second fire revokes none" true (fire chair = Some (Ok 0));
+  checkb "instance blacklisted" true (fred_blacklisted ());
+  checkb "re-entry refused" true
+    (Result.is_error (entry w meet ~client:fred ~role:"Member" ~creds:[ fred_cert ] ()));
+  checkb "member still cannot fire member" true
+    (match fire mcert with Some (Error _) -> true | _ -> false)
+
 (* --- quorum election (§3.4.5 golf club) --- *)
 
 let test_golf_quorum () =
@@ -624,6 +662,29 @@ let test_validation_failure_classes () =
   let log = Service.audit_log conf in
   checkb "fraud audited" true (List.exists (fun e -> e.Service.kind = Service.Fraud) log);
   checkb "erroneous audited" true (List.exists (fun e -> e.Service.kind = Service.Erroneous) log)
+
+(* The audit log is a ring: 10,000 audited exits leave the newest
+   [audit_capacity], newest first. *)
+let test_audit_log_bounded () =
+  let w, _login, conf = conference_world () in
+  let n = 10_000 in
+  let holders = Array.init n (fun _ -> fresh_vci ()) in
+  Array.iteri
+    (fun i client ->
+      let cert =
+        Service.issue_arbitrary conf ~client ~roles:[ "Member" ] ~args:[ V.Str (string_of_int i) ]
+      in
+      Service.exit_role conf ~client_host:w.client_host cert (fun _ -> ()))
+    holders;
+  run w 2.0;
+  let log = Service.audit_log conf in
+  checki "capacity kept" Service.audit_capacity (List.length log);
+  checkb "all exits" true (List.for_all (fun e -> e.Service.kind = Service.Exit) log);
+  Alcotest.(check (list string))
+    "newest first"
+    (List.init Service.audit_capacity (fun i ->
+         Principal.vci_to_string holders.(n - 1 - i) ^ " exited"))
+    (List.map (fun e -> e.Service.detail) log)
 
 let test_validation_cache () =
   let w, login, conf = conference_world () in
@@ -931,12 +992,15 @@ let () =
           Alcotest.test_case "fire" `Quick test_role_based_revocation_fire;
           Alcotest.test_case "rehire" `Quick test_role_based_revocation_rehire;
           Alcotest.test_case "wrong revoker" `Quick test_role_based_revocation_wrong_revoker;
+          Alcotest.test_case "fire again after a re-hire" `Quick
+            test_role_based_revocation_refire_after_rehire;
         ] );
       ("election", [ Alcotest.test_case "golf quorum" `Quick test_golf_quorum ]);
       ( "validation",
         [
           Alcotest.test_case "failure classes" `Quick test_validation_failure_classes;
           Alcotest.test_case "cache" `Quick test_validation_cache;
+          Alcotest.test_case "audit log bounded" `Quick test_audit_log_bounded;
           Alcotest.test_case "rolling secrets" `Quick test_rolling_secret_invalidates_old_certs;
         ] );
       ( "distribution",

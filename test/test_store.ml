@@ -405,6 +405,29 @@ let test_rehire_survives_crash () =
   checkb "fred can re-enter after recovery" true
     (Result.is_ok (entry w w.s_meet ~client:fred ~role:"Member" ~creds:[ fred_cert ] ()))
 
+(* A fire after a re-hire, with no membership left to revoke, journals its
+   blacklist entry like any other fire: recovery keeps the instance
+   blacklisted. *)
+let test_refire_after_rehire_survives_crash () =
+  let w = durable_world ~seed:45L () in
+  Group.add (Service.group w.s_meet "staff") (V.Str "fred");
+  let jmb, jmb_cert = logged_on w "jmb" in
+  let chair = entry_ok w w.s_meet ~client:jmb ~role:"Chair" ~creds:[ jmb_cert ] () in
+  let fred, fred_cert = logged_on w "fred" in
+  let _ = entry_ok w w.s_meet ~client:fred ~role:"Member" ~creds:[ fred_cert ] () in
+  checki "fired" 1 (fire w ~chair ~user:"fred");
+  let rehired = ref None in
+  Service.reinstate_role_instance w.s_meet ~client_host:w.s_client_host ~revoker:chair
+    ~role:"Member" ~args:[ V.Str "fred" ] (fun r -> rehired := Some r);
+  srun w 2.0;
+  checkb "re-hired" true (!rehired = Some (Ok ()));
+  checki "fired again, nothing to revoke" 0 (fire w ~chair ~user:"fred");
+  crash_restart_meet w;
+  checkb "second fire survived the crash" true
+    (Service.blacklisted w.s_meet ~role:"Member" ~args:[ V.Str "fred" ]);
+  checkb "fred cannot re-enter after recovery" true
+    (Result.is_error (entry w w.s_meet ~client:fred ~role:"Member" ~creds:[ fred_cert ] ()))
+
 (* An unsynced issue lost with the crash must fail CLOSED: the certificate
    is unknown to the recovered service and validates as revoked, never as
    valid. *)
@@ -577,6 +600,8 @@ let () =
           Alcotest.test_case "fired stays fired across crash (§4.11)" `Quick
             test_fired_stays_fired_across_crash;
           Alcotest.test_case "re-hire survives crash" `Quick test_rehire_survives_crash;
+          Alcotest.test_case "fire after a re-hire survives crash" `Quick
+            test_refire_after_rehire_survives_crash;
           Alcotest.test_case "lost tail fails closed" `Quick test_lost_tail_fails_closed;
           Alcotest.test_case "snapshot checkpointing in the service" `Quick
             test_snapshot_checkpoint_in_service;
