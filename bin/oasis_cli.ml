@@ -967,9 +967,15 @@ let serve_cmd =
             1
         | Ok svc ->
             let _server = Remote.serve_shard net svc ~shard_id:id in
-            let port = Backend_unix.listen b ~port:(wire_shard_port port_base id) () in
-            Printf.printf "shard %d (%s): listening on %d, data in %s\n%!" id
-              (Service.name svc) port (Backend_unix.data_dir b);
+            (* A restarted shard replays its journal before it takes a
+               request: fired instances stay fired and issued records
+               resolve again.  Certificate handles are not journalled, so
+               those from before the restart are refused as unknown. *)
+            Service.recover svc ~on_done:(fun () ->
+                let port = Backend_unix.listen b ~port:(wire_shard_port port_base id) () in
+                Printf.printf
+                  "shard %d (%s): recovered %d issued records, listening on %d, data in %s\n%!" id
+                  (Service.name svc) (Service.durable_issued svc) port (Backend_unix.data_dir b));
             Backend.run backend;
             0)
   in

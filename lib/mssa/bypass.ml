@@ -33,14 +33,17 @@ let read t ~client_host ~cert ~file k =
       | None -> reply (Error ("no bypass route for certificates of " ^ cert.Cert.service))
       | Some route -> (
           let execute () = reply (Custode.read_file bottom ~cert:route.rt_exec ~file) in
-          (* Warm path: the mirrored credential record answers locally. *)
+          (* Warm path: the mirrored credential record answers locally,
+             unless a sweep reclaimed it (nothing else holds a surrogate
+             only this cache reads), which takes the cold path again. *)
+          let table = Service.table (Custode.service bottom) in
           match Hashtbl.find_opt t.bp_cache cert.Cert.rmc_sig with
-          | Some local -> (
-              match Credrec.state (Service.table (Custode.service bottom)) local with
+          | Some local when Credrec.live table local -> (
+              match Credrec.state table local with
               | Credrec.True -> execute ()
               | Credrec.False -> reply (Error "certificate revoked")
               | Credrec.Unknown -> reply (Error "certificate state unknown"))
-          | None ->
+          | _ ->
               (* Cold path: callback to the issuing (top-level) service to
                  validate the cryptographic check (fig 5.8b). *)
               t.bp_callbacks <- t.bp_callbacks + 1;

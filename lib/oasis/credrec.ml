@@ -11,7 +11,14 @@ type op = And | Or | Nand | Nor
    the parent's child list.  [ph_true]/[ph_false] count "phantom" parents
    that were already dead when attached — they contribute a frozen input to
    the counters but need no edge, because a dangling reference reads
-   permanently False and can never change again. *)
+   permanently False and can never change again.
+
+   A record pays only for what it uses.  Its two edge tables start as the
+   shared empty sentinels below and are created on its first edge in that
+   direction (most records have at most one of each); a freed slot drops
+   them again.  The slot array starts out, and grows, filled with the one
+   shared [vacant] record; a slot gets a record of its own on first use and
+   keeps it, with its magic, after it is freed. *)
 type record = {
   mutable magic : int;
   mutable used : bool;
@@ -21,8 +28,8 @@ type record = {
   mutable p_true : int;
   mutable p_false : int;
   mutable p_unknown : int;
-  children : (int, cref * bool) Hashtbl.t;  (* edge id -> (child, edge negated) *)
-  in_edges : (int, cref) Hashtbl.t;  (* edge id -> parent *)
+  mutable children : (int, cref * bool) Hashtbl.t;  (* edge id -> (child, edge negated) *)
+  mutable in_edges : (int, cref) Hashtbl.t;  (* edge id -> parent *)
   mutable ph_true : int;
   mutable ph_false : int;
   mutable st : state;
@@ -30,6 +37,7 @@ type record = {
   mutable direct_use : bool;
   mutable hooks : (state -> unit) list;
   mutable gen : int;  (* cascade generation this record is queued under *)
+  mutable pins : int;  (* in-flight holders; a pinned record is never swept *)
 }
 
 type table = {
@@ -39,7 +47,14 @@ type table = {
   mutable next_edge : int;
   mutable generation : int;  (* bumped once per cascade *)
   mutable edge_ops : int;  (* elementary edge attach/detach/visit counter *)
+  mutable live : int;  (* slots in use *)
+  mutable allocated : int;  (* records ever allocated by [fresh] *)
 }
+
+(* Never written: every mutation goes through [get] (which needs [used]) or
+   replaces the sentinel with a table or record of its own first. *)
+let no_children : (int, cref * bool) Hashtbl.t = Hashtbl.create 1
+let no_in_edges : (int, cref) Hashtbl.t = Hashtbl.create 1
 
 let blank () =
   {
@@ -51,8 +66,8 @@ let blank () =
     p_true = 0;
     p_false = 0;
     p_unknown = 0;
-    children = Hashtbl.create 4;
-    in_edges = Hashtbl.create 4;
+    children = no_children;
+    in_edges = no_in_edges;
     ph_true = 0;
     ph_false = 0;
     st = True;
@@ -60,16 +75,36 @@ let blank () =
     direct_use = false;
     hooks = [];
     gen = 0;
+    pins = 0;
   }
+
+let vacant = blank ()
+
+(* The edge tables keep the size the prefilled layout gave them: a cascade
+   visits children in bucket order, so the order hooks fire in depends on
+   it. *)
+let children_w slot =
+  if slot.children == no_children then slot.children <- Hashtbl.create 4;
+  slot.children
+
+let in_edges_w slot =
+  if slot.in_edges == no_in_edges then slot.in_edges <- Hashtbl.create 4;
+  slot.in_edges
+
+let drop_edges slot =
+  slot.children <- no_children;
+  slot.in_edges <- no_in_edges
 
 let create_table () =
   {
-    slots = Array.init 64 (fun _ -> blank ());
+    slots = Array.make 64 vacant;
     free = [];
     high_water = 0;
     next_edge = 0;
     generation = 0;
     edge_ops = 0;
+    live = 0;
+    allocated = 0;
   }
 
 let get t r =
@@ -78,34 +113,44 @@ let get t r =
     let slot = t.slots.(r.index) in
     if slot.used && slot.magic = r.magic then Some slot else None
 
+let grow t n =
+  let bigger = Array.make n vacant in
+  Array.blit t.slots 0 bigger 0 (Array.length t.slots);
+  t.slots <- bigger
+
 let alloc t =
   match t.free with
   | i :: rest ->
       t.free <- rest;
       i
   | [] ->
-      if t.high_water >= Array.length t.slots then begin
-        let bigger = Array.init (2 * Array.length t.slots) (fun _ -> blank ()) in
-        Array.blit t.slots 0 bigger 0 (Array.length t.slots);
-        t.slots <- bigger
-      end;
+      if t.high_water >= Array.length t.slots then grow t (2 * Array.length t.slots);
       let i = t.high_water in
       t.high_water <- t.high_water + 1;
       i
 
-let fresh t =
-  let i = alloc t in
+(* The record of slot [i], created if the slot is still vacant. *)
+let materialize t i =
   let slot = t.slots.(i) in
+  if slot != vacant then slot
+  else begin
+    let slot = blank () in
+    t.slots.(i) <- slot;
+    slot
+  end
+
+(* Take a free slot into use at [magic]: an empty, parentless leaf. *)
+let occupy t i ~magic =
+  let slot = materialize t i in
   slot.used <- true;
-  slot.magic <- slot.magic + 1;
+  slot.magic <- magic;
   slot.is_leaf <- true;
   slot.op <- And;
   slot.n_parents <- 0;
   slot.p_true <- 0;
   slot.p_false <- 0;
   slot.p_unknown <- 0;
-  Hashtbl.reset slot.children;
-  Hashtbl.reset slot.in_edges;
+  drop_edges slot;
   slot.ph_true <- 0;
   slot.ph_false <- 0;
   slot.st <- True;
@@ -113,7 +158,27 @@ let fresh t =
   slot.direct_use <- false;
   slot.hooks <- [];
   slot.gen <- 0;
+  slot.pins <- 0;
+  t.live <- t.live + 1;
+  slot
+
+let fresh t =
+  let i = alloc t in
+  let slot = occupy t i ~magic:(t.slots.(i).magic + 1) in
+  t.allocated <- t.allocated + 1;
   ({ index = i; magic = slot.magic }, slot)
+
+(* Free slot [i]: it keeps its magic, so no old reference can match the
+   record a later [fresh] puts there. *)
+let release t i slot =
+  drop_edges slot;
+  slot.ph_true <- 0;
+  slot.ph_false <- 0;
+  slot.used <- false;
+  slot.hooks <- [];
+  slot.pins <- 0;
+  t.live <- t.live - 1;
+  t.free <- i :: t.free
 
 (* State of a combining record from its counters (§4.8). *)
 let computed_state slot =
@@ -229,8 +294,8 @@ let add_parent t ~child ?(negated = false) parent_ref =
       | Some p ->
           let eid = t.next_edge in
           t.next_edge <- t.next_edge + 1;
-          Hashtbl.replace p.children eid (child, negated);
-          Hashtbl.replace child_slot.in_edges eid parent_ref;
+          Hashtbl.replace (children_w p) eid (child, negated);
+          Hashtbl.replace (in_edges_w child_slot) eid parent_ref;
           incr_counter child_slot (seen_through negated p.st)
       | None ->
           (* A dead parent reads permanently False: record the frozen
@@ -316,7 +381,7 @@ let gc_sweep t =
     let parent = t.slots.(i) in
     if parent.used && parent.permanent && Hashtbl.length parent.children > 0 then begin
       let edges = Hashtbl.fold (fun eid e acc -> (eid, e) :: acc) parent.children [] in
-      Hashtbl.reset parent.children;
+      parent.children <- no_children;
       List.iter
         (fun (eid, (child_ref, negated)) ->
           match get t child_ref with
@@ -335,11 +400,24 @@ let gc_sweep t =
                   match child.op with And | Or -> contribution | Nand | Nor ->
                     seen_through true contribution
                 in
-                if not child.permanent then begin
-                  let old_state = child.st in
-                  child.st <- forced;
-                  child.permanent <- true;
-                  cascade t child ~old_state
+                if forced = False then begin
+                  if not child.permanent then begin
+                    let old_state = child.st in
+                    child.st <- forced;
+                    child.permanent <- true;
+                    cascade t child ~old_state
+                  end
+                end
+                else begin
+                  (* Forced True, the child must stay revocable: the
+                     input stays as a phantom parent, and the child is not
+                     frozen. *)
+                  child.n_parents <- child.n_parents + 1;
+                  incr_counter child contribution;
+                  match contribution with
+                  | True -> child.ph_true <- child.ph_true + 1
+                  | False -> child.ph_false <- child.ph_false + 1
+                  | Unknown -> ()
                 end
               end
               else recompute t child)
@@ -356,7 +434,7 @@ let gc_sweep t =
   let candidates = ref [] in
   for i = 0 to t.high_water - 1 do
     let slot = t.slots.(i) in
-    if slot.used && Hashtbl.length slot.children = 0 && slot.hooks = [] then begin
+    if slot.used && Hashtbl.length slot.children = 0 && slot.hooks = [] && slot.pins = 0 then begin
       let uninteresting = not slot.direct_use in
       let dead_permanent = slot.permanent && (slot.st = False || not slot.direct_use) in
       if uninteresting || dead_permanent then candidates := i :: !candidates
@@ -375,13 +453,7 @@ let gc_sweep t =
           | Some p -> Hashtbl.remove p.children eid
           | None -> ())
         slot.in_edges;
-      Hashtbl.reset slot.in_edges;
-      slot.ph_true <- 0;
-      slot.ph_false <- 0;
-      slot.used <- false;
-      slot.hooks <- [];
-      Hashtbl.reset slot.children;
-      t.free <- i :: t.free;
+      release t i slot;
       incr reclaimed)
     !candidates;
   !reclaimed
@@ -413,15 +485,9 @@ let forget t r =
           | Some p -> Hashtbl.remove p.children eid
           | None -> ())
         slot.in_edges;
-      Hashtbl.reset slot.in_edges;
       let edges = Hashtbl.fold (fun eid e acc -> (eid, e) :: acc) slot.children [] in
-      Hashtbl.reset slot.children;
-      slot.ph_true <- 0;
-      slot.ph_false <- 0;
-      slot.used <- false;
-      slot.hooks <- [];
+      release t r.index slot;
       slot.direct_use <- false;
-      t.free <- r.index :: t.free;
       (* Children see a dangling (permanently-False) reference from now on;
          bake the frozen contribution, forcing the child permanent when the
          dangling value pins its operator. *)
@@ -459,9 +525,7 @@ let restore t r =
       while r.index >= !n do
         n := 2 * !n
       done;
-      let bigger = Array.init !n (fun _ -> blank ()) in
-      Array.blit t.slots 0 bigger 0 (Array.length t.slots);
-      t.slots <- bigger
+      grow t !n
     end;
     let slot = t.slots.(r.index) in
     if r.index < t.high_water && (slot.used || slot.magic > r.magic) then false
@@ -473,35 +537,21 @@ let restore t r =
         t.high_water <- r.index + 1
       end
       else t.free <- List.filter (fun i -> i <> r.index) t.free;
-      slot.used <- true;
-      slot.magic <- r.magic;
+      let slot = occupy t r.index ~magic:r.magic in
       (* An empty And record: no parents, so it computes True — the caller
          re-attaches dependency parents (or invalidates it) afterwards. *)
       slot.is_leaf <- false;
-      slot.op <- And;
-      slot.n_parents <- 0;
-      slot.p_true <- 0;
-      slot.p_false <- 0;
-      slot.p_unknown <- 0;
-      Hashtbl.reset slot.children;
-      Hashtbl.reset slot.in_edges;
-      slot.ph_true <- 0;
-      slot.ph_false <- 0;
-      slot.st <- True;
-      slot.permanent <- false;
-      slot.direct_use <- false;
-      slot.hooks <- [];
-      slot.gen <- 0;
       true
     end
   end
 
-let live_records t =
-  let n = ref 0 in
-  for i = 0 to t.high_water - 1 do
-    if t.slots.(i).used then incr n
-  done;
-  !n
+let live_records t = t.live
+let allocations t = t.allocated
+
+let pin t r = match get t r with Some slot -> slot.pins <- slot.pins + 1 | None -> ()
+
+let unpin t r =
+  match get t r with Some slot when slot.pins > 0 -> slot.pins <- slot.pins - 1 | _ -> ()
 
 (* Structural audit used by the randomized credential-graph suite: edge
    symmetry, counter bookkeeping and state consistency.  Only meaningful at
@@ -510,6 +560,8 @@ let self_check t =
   let fail fmt = Printf.ksprintf (fun m -> Error m) fmt in
   let exception Bad of string in
   try
+    if Hashtbl.length no_children > 0 || Hashtbl.length no_in_edges > 0 || vacant.used then
+      raise (Bad "a shared sentinel was written");
     for i = 0 to t.high_water - 1 do
       let slot = t.slots.(i) in
       if slot.used then begin

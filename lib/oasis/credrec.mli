@@ -18,7 +18,11 @@
     References are [(table index, magic)] pairs; a slot's magic is bumped on
     reuse, so references are never resurrected: a dangling reference reads as
     permanently [False] — exactly the paper's licence to delete records
-    whose value is false forever. *)
+    whose value is false forever.
+
+    The table pays for live records only: a slot gets its record on first
+    use, a record gets each of its edge tables on its first edge in that
+    direction, and a freed slot keeps only its record and magic. *)
 
 type table
 
@@ -84,11 +88,25 @@ val clear_hooks : table -> cref -> unit
 
 val gc_sweep : table -> int
 (** Unlink edges from permanent parents (baking their frozen contribution
-    into each child, possibly making the child permanent too), then delete
-    permanent and uninteresting records.  Returns the number of slots
+    into each child: a child the input forces False becomes permanent too,
+    one it forces True keeps it as a phantom parent and stays revocable),
+    then delete permanent and uninteresting records.  A record with notify hooks, or
+    one that is {!pin}ned, is never deleted.  Returns the number of slots
     reclaimed. *)
 
 val live_records : table -> int
+
+val allocations : table -> int
+(** Records ever allocated by {!leaf} and {!combine} (monotone): what a
+    caller compares against its last sweep to pace sweeps. *)
+
+val pin : table -> cref -> unit
+(** Hold a record against {!gc_sweep} while an in-flight request depends
+    on it, such as an external surrogate validated before the request's
+    other credentials.  Pins nest; a pin is volatile state, outside
+    {!fingerprint}. *)
+
+val unpin : table -> cref -> unit
 
 (** {1 Durable recovery (lib/store)} *)
 

@@ -47,6 +47,11 @@ let remove g v =
     flip g v Credrec.False
   end
 
+let prune g =
+  Hashtbl.filter_map_inplace
+    (fun _ r -> if Credrec.live g.g_table r then Some r else None)
+    g.g_interesting
+
 let interesting g =
   Hashtbl.fold
     (fun _ r acc -> if Credrec.live g.g_table r then acc + 1 else acc)

@@ -24,5 +24,8 @@ val credential : t -> value -> Credrec.cref
     the current truth value) if not yet interesting; re-created if a GC
     sweep reclaimed it. *)
 
+val prune : t -> unit
+(** Forget the interesting records a sweep reclaimed ({!Credrec.gc_sweep}). *)
+
 val interesting : t -> int
 (** Number of live interesting-membership records (for tests/benches). *)

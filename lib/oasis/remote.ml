@@ -111,6 +111,20 @@ let resolve ss handle =
   | Some (shard, idx) when shard = ss.ss_id -> Hashtbl.find_opt ss.ss_certs idx
   | _ -> None
 
+(* An exited certificate's handle goes at once; any other whose record a
+   sweep freed goes after that sweep.  A dropped handle is refused as
+   unknown, which fails closed like the revoked record it named. *)
+let drop_handle ss handle =
+  match handle_of_string handle with
+  | Some (_, idx) -> Hashtbl.remove ss.ss_certs idx
+  | None -> ()
+
+let drop_swept ss =
+  let table = Service.table ss.ss_service in
+  Hashtbl.filter_map_inplace
+    (fun _ (c : Cert.rmc) -> if Credrec.live table c.Cert.crr then Some c else None)
+    ss.ss_certs
+
 let resolve_all ss handles =
   List.fold_right
     (fun h acc ->
@@ -187,7 +201,9 @@ let shard_handle ss j reply =
           | Some cert ->
               Service.exit_role svc ~client_host:self cert (function
                 | Error e -> reply (Error e)
-                | Ok () -> reply (ok_doc [ ("exited", J.Bool true) ])))
+                | Ok () ->
+                    drop_handle ss handle;
+                    reply (ok_doc [ ("exited", J.Bool true) ])))
       | _ -> reply (Error "exit: need handle"))
   | Some op -> reply (Error ("unknown op: " ^ op))
   | None -> reply (Error "missing op")
@@ -209,6 +225,7 @@ let serve_shard net service ~shard_id =
       match J.parse req with
       | Error e -> reply (Error ("bad request: " ^ e))
       | Ok j -> shard_handle ss j reply);
+  Service.on_sweep service (fun () -> drop_swept ss);
   ss
 
 let shard_server_certs ss = Hashtbl.length ss.ss_certs

@@ -7,8 +7,10 @@
     {b What crosses the wire.}  JSON requests and replies only — never
     certificates.  A {!Principal.vci} is meaningless outside its host
     (§2.8) and a {!Credrec.cref} is table-relative, so the issuing shard
-    retains every certificate it issues and hands back an opaque {e
-    handle} ["<shard>:<idx>"].  The shard prefix is the routing
+    retains each certificate it issues and hands back an opaque {e
+    handle} ["<shard>:<idx>"].  It drops the certificate when it exits,
+    or when a sweep ({!Service.gc}) frees its record; a dropped handle is
+    refused as unknown, as a revoked one would be.  The shard prefix is the routing
     information: the router sends handle-bearing operations (validate,
     exit, fire) to the one table where the handle resolves.  A handle
     presented to any other shard fails closed ([unknown handle]), the
@@ -38,7 +40,8 @@ val serve_shard : Oasis_sim.Net.t -> Service.t -> shard_id:int -> shard_server
     Client identities are per-name VCIs minted at this shard. *)
 
 val shard_server_certs : shard_server -> int
-(** Certificates retained in the handle table. *)
+(** Certificates retained in the handle table: those not yet exited or
+    swept. *)
 
 val handle_to_string : shard:int -> idx:int -> string
 (** The handle ["<shard>:<idx>"], both in decimal. *)

@@ -58,11 +58,25 @@ type peer_link = {
          entry moves to another host (replica failover, see {!Replica}) the
          stale session can never heal and the link must rebind *)
   mutable pl_retargeting : bool;  (* a stale-session registry watch is scheduled *)
+  pl_regs : (string, Broker.registration) Hashtbl.t;
+      (* remote ref -> its own Modified registration, at an unbatched
+         issuer only *)
 }
 
 (* A compiled residual membership rule (§4.7): either a constant or a
    credential record seen through an optional negation. *)
 type compiled = Const of bool | Ref of Credrec.cref * bool  (* negated *)
+
+(* A §4.11 revoker arm: the record a fire of role instance [a_key]
+   invalidates to revoke one membership, and the revoker role it answers
+   to.  An exit releases the arm: a fire passes it over, and sweeps take it
+   out of its cell. *)
+type arm = {
+  a_key : string * string;
+  a_revoker : Ast.role_ref;
+  a_rbr : Credrec.cref;
+  mutable a_held : bool;  (* the membership can still be fired *)
+}
 
 type t = {
   sv_net : Net.t;
@@ -88,8 +102,11 @@ type t = {
          are accepted as revoker credentials after validation at the
          issuing sibling.  Empty for an unsharded service. *)
   (* role-based revocation state (§4.11) *)
-  sv_rbr : (string * string, (Ast.role_ref * Credrec.cref) list ref) Hashtbl.t;
-      (* (role, marshalled args) -> revoker role + record, per live membership *)
+  sv_rbr : (string * string, arm list ref) Hashtbl.t;
+      (* (role, marshalled args) -> one arm per membership not yet swept *)
+  sv_arms : (Credrec.cref, arm list) Hashtbl.t;
+      (* issued record -> the arms of the memberships it was built from,
+         which its exit releases *)
   sv_blacklist : (string * string, unit) Hashtbl.t;
   mutable sv_audit : audit_entry array;
       (* a ring of the newest [audit_capacity] entries; it grows by
@@ -112,6 +129,9 @@ type t = {
          protocol instead *)
   mutable sv_crypto_checks : int;
   mutable sv_cache_hits : int;
+  mutable sv_swept_at : int;  (* [Credrec.allocations] at the last sweep *)
+  mutable sv_sweep_live : int;  (* live records the last sweep left *)
+  mutable sv_on_sweep : (unit -> unit) list;
 }
 
 and registry = (string, t) Hashtbl.t
@@ -144,8 +164,6 @@ let audit_log t =
   let ring = t.sv_audit in
   let len = Array.length ring in
   List.init (min t.sv_audited len) (fun i -> ring.((t.sv_audited - 1 - i) mod len))
-
-let gc t = Credrec.gc_sweep t.sv_table
 
 let now t = Clock.read (Net.host_clock t.sv_host)
 
@@ -327,6 +345,7 @@ let peer_link t peer_name =
           pl_rereading = false;
           pl_bound_host = "";
           pl_retargeting = false;
+          pl_regs = Hashtbl.create 16;
         }
       in
       Hashtbl.replace t.sv_peers peer_name pl;
@@ -502,13 +521,17 @@ and subscribe t pl key local =
   in
   if not issuer_batches then
     with_peer_session t pl (fun session ->
-        let tpl = Event.template "Modified" [ Event.Lit (Value.Str key); Event.Any ] in
-        ignore
-          (Broker.register session tpl (fun e ->
-               match e.Event.params with
-               | [| _; Value.Str state |] ->
-                   Credrec.set_leaf t.sv_table local (state_of_string state)
-               | _ -> ())))
+        (* A sweep may have dropped the mirror while the session was
+           still connecting. *)
+        if Hashtbl.find_opt pl.pl_externals key = Some local then begin
+          let tpl = Event.template "Modified" [ Event.Lit (Value.Str key); Event.Any ] in
+          Hashtbl.replace pl.pl_regs key
+            (Broker.register session tpl (fun e ->
+                 match e.Event.params with
+                 | [| _; Value.Str state |] ->
+                     Credrec.set_leaf t.sv_table local (state_of_string state)
+                 | _ -> ()))
+        end)
   else if not pl.pl_batch_reg then begin
     pl.pl_batch_reg <- true;
     with_peer_session t pl (fun session ->
@@ -693,7 +716,7 @@ type membership = {
   m_crr : Credrec.cref;
   m_fresh : bool;  (* produced during this request (eligible for compounding) *)
   m_deps : Journal.dep list;  (* durable dependencies feeding [m_crr] *)
-  m_rbrs : (string * string * string) list;  (* §4.11 revoker arms under [m_crr] *)
+  m_arms : arm list;  (* §4.11 revoker arms under [m_crr] *)
 }
 
 let match_args env ref_args actual =
@@ -728,6 +751,17 @@ let rbr_cell t key =
       let c = ref [] in
       Hashtbl.replace t.sv_rbr key c;
       c
+
+(* Release the arms an issued record was built from: its memberships can
+   no longer be fired.  They stay in their cells until a sweep collects
+   them, so a crash before it forgets their records in the order it always
+   has. *)
+let release_arms t crr =
+  match Hashtbl.find_opt t.sv_arms crr with
+  | None -> ()
+  | Some arms ->
+      Hashtbl.remove t.sv_arms crr;
+      List.iter (fun a -> a.a_held <- false) arms
 
 (* Enumerate the ways a statement's credential references can be matched
    against the membership list.  Single-pass (fig 3.2) semantics use only
@@ -799,13 +833,13 @@ let complete_match t (entry : Ast.entry) dcerts (env, used) =
                    validity hangs on. *)
                 let parents = ref [] in
                 let deps = ref [] in
-                let rbrs = ref [] in
+                let arms = ref [] in
                 List.iter
                   (fun ((role_ref : Ast.role_ref), m) ->
                     if role_ref.Ast.starred then begin
                       parents := (m.m_crr, false) :: !parents;
                       deps := m.m_deps @ !deps;
-                      rbrs := m.m_rbrs @ !rbrs
+                      arms := m.m_arms @ !arms
                     end)
                   used;
                 List.iter
@@ -834,10 +868,17 @@ let complete_match t (entry : Ast.entry) dcerts (env, used) =
                     let rbr = Credrec.leaf t.sv_table ~state:Credrec.True () in
                     Credrec.set_direct_use t.sv_table rbr true;
                     parents := (rbr, false) :: !parents;
-                    let key = blacklist_key head_name args in
-                    let cell = rbr_cell t key in
-                    cell := (revoker, rbr) :: !cell;
-                    rbrs := (head_name, snd key, revoker.Ast.role) :: !rbrs);
+                    let arm =
+                      {
+                        a_key = blacklist_key head_name args;
+                        a_revoker = revoker;
+                        a_rbr = rbr;
+                        a_held = true;
+                      }
+                    in
+                    let cell = rbr_cell t arm.a_key in
+                    cell := arm :: !cell;
+                    arms := arm :: !arms);
                 let crr =
                   match !parents with
                   | [] -> Credrec.combine t.sv_table []
@@ -851,7 +892,7 @@ let complete_match t (entry : Ast.entry) dcerts (env, used) =
                     m_crr = crr;
                     m_fresh = true;
                     m_deps = !deps;
-                    m_rbrs = !rbrs;
+                    m_arms = !arms;
                   }
               end))
 
@@ -935,11 +976,14 @@ let run_entry_engine t ~delegation ~deleg_required_ok ~initial =
 
 (* Journal the issue: the record's identity plus what it depends on, so
    recovery can re-materialise the backing subgraph. *)
-let issue_cert t ?(deps = []) ?(rbrs = []) ~client ~roles ~args ~crr () =
+let issue_cert t ?(deps = []) ?(arms = []) ~client ~roles ~args ~crr () =
   Credrec.set_direct_use t.sv_table crr true;
   (match t.sv_journal with
-  | Some j -> Journal.issue j ~key:(Credrec.marshal_ref crr) ~deps ~rbrs
+  | Some j ->
+      let rbrs = List.map (fun a -> (fst a.a_key, snd a.a_key, a.a_revoker.Ast.role)) arms in
+      Journal.issue j ~key:(Credrec.marshal_ref crr) ~deps ~rbrs
   | None -> ());
+  if arms <> [] then Hashtbl.replace t.sv_arms crr arms;
   let bits =
     List.fold_left
       (fun acc role ->
@@ -1014,7 +1058,7 @@ let validate_credential t (cert : Cert.rmc) k =
                  m_crr = cert.Cert.crr;
                  m_fresh = false;
                  m_deps = [ Journal.Loc (Credrec.marshal_ref cert.Cert.crr) ];
-                 m_rbrs = [];
+                 m_arms = [];
                }))
   else
     (* External certificate: checked at its issuer, mirrored locally. *)
@@ -1026,6 +1070,10 @@ let validate_credential t (cert : Cert.rmc) k =
         validate_at_issuer t issuer cert (function
           | Error _ -> k None
           | Ok (roles, args, remote_ref, local) ->
+              (* The surrogate is a childless leaf until the request
+                 combines it, which a sweep would take for garbage while
+                 the request's later credentials are checked. *)
+              Credrec.pin t.sv_table local;
               k
                 (Some
                    {
@@ -1035,7 +1083,7 @@ let validate_credential t (cert : Cert.rmc) k =
                      m_crr = local;
                      m_fresh = false;
                      m_deps = [ Journal.Ext (cert.Cert.service, Credrec.marshal_ref remote_ref) ];
-                     m_rbrs = [];
+                     m_arms = [];
                    }))
 
 let delegation_required_ok t (d : Cert.delegation) memberships =
@@ -1058,12 +1106,18 @@ let request_entry t ~client_host ~client ~role ?args ?(creds = []) ?delegation k
   (* Client -> service request, then async validation of each credential. *)
   Net.send t.sv_net ~category:"oasis.entry" ~size:(128 + (96 * List.length creds))
     ~src:client_host ~dst:t.sv_host (fun () ->
-      let reply result =
-        Net.send t.sv_net ~category:"oasis.entry.reply" ~size:160 ~src:t.sv_host ~dst:client_host
-          (fun () -> k result)
-      in
       seq_map (validate_credential t) creds (fun validated ->
           let initial = List.filter_map Fun.id validated in
+          let reply result =
+            (* The external surrogates [validate_credential] pinned now
+               feed the new membership's record, or nothing. *)
+            List.iter
+              (fun m ->
+                if not (String.equal m.m_service t.sv_name) then Credrec.unpin t.sv_table m.m_crr)
+              initial;
+            Net.send t.sv_net ~category:"oasis.entry.reply" ~size:160 ~src:t.sv_host
+              ~dst:client_host (fun () -> k result)
+          in
           (* Delegation certificate checks (§4.4). *)
           let delegation_checked =
             match delegation with
@@ -1130,7 +1184,7 @@ let request_entry t ~client_host ~client ~role ?args ?(creds = []) ?delegation k
                   let cert =
                     issue_cert t
                       ~deps:(List.concat_map (fun m -> m.m_deps) (chosen :: companions))
-                      ~rbrs:(List.concat_map (fun m -> m.m_rbrs) (chosen :: companions))
+                      ~arms:(List.concat_map (fun m -> m.m_arms) (chosen :: companions))
                       ~client ~roles ~args:chosen.m_args ~crr ()
                   in
                   audit t Entry (entered_detail client roles);
@@ -1271,6 +1325,7 @@ let exit_role t ~client_host (cert : Cert.rmc) k =
       if not (verify_rmc_sig t cert) then reply (Error "bad certificate")
       else begin
         invalidate_traced t ~reason:"exit" cert.Cert.crr;
+        release_arms t cert.Cert.crr;
         audit t Exit (exited_detail cert.Cert.holder);
         reply (Ok ())
       end)
@@ -1336,7 +1391,7 @@ let revoke_role_instance t ~client_host ~revoker ~role ~args k =
               else reply (Error "no revocation right for this role")
           | Some cell ->
               let eligible, rest =
-                List.partition (fun (r, _) -> revoker_matches t r revoker) !cell
+                List.partition (fun a -> a.a_held && revoker_matches t a.a_revoker revoker) !cell
               in
               if eligible = [] then begin
                 (* Nothing armed for this revoker.  A RETRY of a fire that
@@ -1357,7 +1412,7 @@ let revoke_role_instance t ~client_host ~revoker ~role ~args k =
               end
               else begin
                 with_revocation_span t ~reason:"role" (fun () ->
-                    List.iter (fun (_, rbr) -> Credrec.invalidate t.sv_table rbr) eligible);
+                    List.iter (fun a -> Credrec.invalidate t.sv_table a.a_rbr) eligible);
                 (* The F record alone is not durable evidence of these
                    deaths: a later re-hire removes the blacklist entry, and
                    recovery would then re-arm the revoker records and
@@ -1373,7 +1428,7 @@ let revoke_role_instance t ~client_host ~revoker ~role ~args k =
                             Journal.invalidate j issued
                         | _ -> ())
                       (Journal.live_issued j));
-                cell := rest;
+                cell := List.filter (fun a -> a.a_held) rest;
                 Hashtbl.replace t.sv_blacklist key ();
                 (match t.sv_journal with Some j -> Journal.fire j key | None -> ());
                 audit t Revocation
@@ -1489,20 +1544,32 @@ let recover ?on_done t =
                (Some (Trace.ctx_of sp))
                (fun () ->
                  let replayed = Journal.replay j in
-                 let restored =
+                 let issued =
                    List.filter_map
-                     (fun key ->
-                       match Credrec.unmarshal_ref key with
-                       | None -> None
-                       | Some cref ->
-                           if Credrec.restore t.sv_table cref then begin
-                             Credrec.set_direct_use t.sv_table cref true;
-                             arm_notification t cref;
-                             Some (key, cref)
-                           end
-                           else None)
+                     (fun key -> Option.map (fun cref -> (key, cref)) (Credrec.unmarshal_ref key))
                      (Journal.issued_keys j)
                  in
+                 (* A swept slot is reused under a higher magic, so only the
+                    newest identity at an index can still be live. *)
+                 let newest = Hashtbl.create 64 in
+                 List.iter
+                   (fun (_, (cref : Credrec.cref)) ->
+                     match Hashtbl.find_opt newest cref.index with
+                     | Some m when m >= cref.magic -> ()
+                     | _ -> Hashtbl.replace newest cref.index cref.magic)
+                   issued;
+                 let restored =
+                   List.filter
+                     (fun (_, (cref : Credrec.cref)) ->
+                       Hashtbl.find newest cref.index = cref.magic
+                       && Credrec.restore t.sv_table cref)
+                     issued
+                 in
+                 List.iter
+                   (fun (_, cref) ->
+                     Credrec.set_direct_use t.sv_table cref true;
+                     arm_notification t cref)
+                   restored;
                  List.iter
                    (fun (key, cref) ->
                      match Journal.lookup j key with
@@ -1533,25 +1600,39 @@ let recover ?on_done t =
                                      in
                                      Credrec.add_parent t.sv_table ~child:cref local))
                            deps;
-                         List.iter
-                           (fun (role, argskey, revoker_role) ->
-                             let rbr = Credrec.leaf t.sv_table ~state:Credrec.True () in
-                             Credrec.set_direct_use t.sv_table rbr true;
-                             Credrec.add_parent t.sv_table ~child:cref rbr;
-                             if Hashtbl.mem t.sv_blacklist (role, argskey) then
-                               Credrec.invalidate t.sv_table rbr
-                             else
-                               let revoker_ref =
-                                 {
-                                   Ast.sref = Ast.local_service;
-                                   role = revoker_role;
-                                   ref_args = [];
-                                   starred = false;
-                                 }
-                               in
-                               let cell = rbr_cell t (role, argskey) in
-                               cell := (revoker_ref, rbr) :: !cell)
-                           rbrs)
+                         let arms =
+                           List.filter_map
+                             (fun (role, argskey, revoker_role) ->
+                               let rbr = Credrec.leaf t.sv_table ~state:Credrec.True () in
+                               Credrec.set_direct_use t.sv_table rbr true;
+                               Credrec.add_parent t.sv_table ~child:cref rbr;
+                               if Hashtbl.mem t.sv_blacklist (role, argskey) then begin
+                                 Credrec.invalidate t.sv_table rbr;
+                                 None
+                               end
+                               else
+                                 let revoker_ref =
+                                   {
+                                     Ast.sref = Ast.local_service;
+                                     role = revoker_role;
+                                     ref_args = [];
+                                     starred = false;
+                                   }
+                                 in
+                                 let arm =
+                                   {
+                                     a_key = (role, argskey);
+                                     a_revoker = revoker_ref;
+                                     a_rbr = rbr;
+                                     a_held = true;
+                                   }
+                                 in
+                                 let cell = rbr_cell t arm.a_key in
+                                 cell := arm :: !cell;
+                                 Some arm)
+                             rbrs
+                         in
+                         if arms <> [] then Hashtbl.replace t.sv_arms cref arms)
                    restored;
                  (* Kick the reread machinery: every re-mirrored external is
                     Unknown until its issuer answers (§4.10). *)
@@ -1662,6 +1743,72 @@ let flush_pending_mods t =
     Trace.finish tr sp
   end
 
+(* --- the §4.8 sweep, in service ---
+
+   A sweep frees the records that can no longer change an observable
+   answer ({!Credrec.gc_sweep}); then everything keyed by a freed record
+   lets go of it.  The heartbeat tick runs one once the records allocated
+   since the last sweep reach what that sweep left alive, and never before
+   [sweep_floor] of them: the same amortized cadence as journal
+   checkpoints, so sweep work per allocation stays bounded whatever the
+   live set.  No world below the floor ever sweeps. *)
+let sweep_floor = 4096
+
+let sweep t =
+  let table = t.sv_table in
+  (* Nothing live hangs on a released arm.  Frozen, and no longer held up
+     by its cell, its record goes in this very sweep, with its dead
+     membership's: freezing unlinks it from its children first, without
+     the cascade a revocation would run. *)
+  Hashtbl.iter
+    (fun _ cell ->
+      List.iter
+        (fun a ->
+          if not a.a_held then begin
+            Credrec.make_permanent table a.a_rbr;
+            Credrec.set_direct_use table a.a_rbr false
+          end)
+        !cell)
+    t.sv_rbr;
+  let freed = Credrec.gc_sweep table in
+  let live r = Credrec.live table r in
+  Hashtbl.iter (fun _ g -> Group.prune g) t.sv_groups;
+  Hashtbl.iter
+    (fun _ pl ->
+      Hashtbl.filter_map_inplace
+        (fun key local ->
+          if live local then Some local
+          else begin
+            Hashtbl.remove pl.pl_reread_pending key;
+            Option.iter Broker.deregister (Hashtbl.find_opt pl.pl_regs key);
+            Hashtbl.remove pl.pl_regs key;
+            None
+          end)
+        pl.pl_externals)
+    t.sv_peers;
+  (* An arm whose record went leaves its cell, and so does a cell left
+     empty, unless its instance is blacklisted: there it marks a fire
+     already committed (see [revoke_role_instance]).  An issued record
+     swept away releases its memberships' arms, for the next sweep. *)
+  Hashtbl.filter_map_inplace
+    (fun key cell ->
+      cell := List.filter (fun a -> live a.a_rbr) !cell;
+      if !cell = [] && not (Hashtbl.mem t.sv_blacklist key) then None else Some cell)
+    t.sv_rbr;
+  let dead = Hashtbl.fold (fun crr _ acc -> if live crr then acc else crr :: acc) t.sv_arms [] in
+  List.iter (release_arms t) dead;
+  t.sv_swept_at <- Credrec.allocations table;
+  t.sv_sweep_live <- Credrec.live_records table;
+  List.iter (fun f -> f ()) t.sv_on_sweep;
+  freed
+
+let maybe_sweep t =
+  if Credrec.allocations t.sv_table - t.sv_swept_at >= max sweep_floor t.sv_sweep_live then
+    ignore (sweep t)
+
+let gc = sweep
+let on_sweep t f = t.sv_on_sweep <- t.sv_on_sweep @ [ f ]
+
 (* Crash: volatile state dies.  Every credential record backing an issued
    certificate, every §4.11 revoker arm and every external surrogate is
    forgotten from the in-memory table (their children now read a dangling
@@ -1675,7 +1822,7 @@ let crash t j =
       Hashtbl.iter (fun _ surrogate -> Credrec.forget t.sv_table surrogate) pl.pl_externals)
     t.sv_peers;
   Hashtbl.iter
-    (fun _ cell -> List.iter (fun (_, rbr) -> Credrec.forget t.sv_table rbr) !cell)
+    (fun _ cell -> List.iter (fun a -> Credrec.forget t.sv_table a.a_rbr) !cell)
     t.sv_rbr;
   Journal.iter_issued j (fun key ->
       Hashtbl.remove t.sv_notifying key;
@@ -1684,6 +1831,7 @@ let crash t j =
       | None -> ());
   Hashtbl.reset t.sv_peers;
   Hashtbl.reset t.sv_rbr;
+  Hashtbl.reset t.sv_arms;
   Hashtbl.reset t.sv_blacklist;
   Journal.reset j;
   Hashtbl.reset t.sv_pending_mods;
@@ -1754,6 +1902,10 @@ let create net host reg ~name:sv_name ?(rolefile_id = "main") ~rolefile ?(funcs 
       sv_auto_recover = true;
       sv_crypto_checks = 0;
       sv_cache_hits = 0;
+      sv_arms = Hashtbl.create 16;
+      sv_swept_at = 0;
+      sv_sweep_live = 0;
+      sv_on_sweep = [];
     }
   in
   (* Backup replicas share the primary's name but must not shadow it in
@@ -1765,6 +1917,7 @@ let create net host reg ~name:sv_name ?(rolefile_id = "main") ~rolefile ?(funcs 
       Net.on_restart net host (fun () -> if t.sv_auto_recover then recover t))
     journal;
   if batch_notifications then Broker.on_heartbeat_tick t.sv_broker (fun () -> flush_pending_mods t);
+  Broker.on_heartbeat_tick t.sv_broker (fun () -> maybe_sweep t);
   Ok t
 
 (* --- durability introspection (tests and benches) --- *)

@@ -296,7 +296,26 @@ val residual_cache_size : t -> int
 (** Entries in the compiled-residual cache ([oasis.residual.*] counters). *)
 
 val gc : t -> int
-(** Run a credential-record GC sweep; returns slots reclaimed. *)
+(** Run a credential-record GC sweep now; returns slots reclaimed.  The
+    service's own state keyed by records lets go of what the sweep freed:
+    group interesting records, mirrored externals (and an unbatched
+    issuer's per-record registration) and the §4.11 revoker arms of dead
+    memberships.  Records with notify hooks (every one a peer validated),
+    and records an entry request still holds between its credential
+    checks, are never freed. *)
+
+val sweep_floor : int
+(** A running service sweeps from its broker's heartbeat tick, once the
+    records allocated since the last sweep reach the live records that
+    sweep left, and never before 4,096 of them: the floor.  Sweep work per
+    allocation is then bounded, the table's live set follows what is
+    live rather than what was ever issued, and a world that allocates
+    fewer records than the floor never sweeps. *)
+
+val on_sweep : t -> (unit -> unit) -> unit
+(** Run [f] after every sweep, for state kept outside the service (such
+    as {!Remote}'s certificate handles) that must let go of the records
+    the sweep freed. *)
 
 (** {1 Durability} *)
 

@@ -481,6 +481,65 @@ let test_unix_wal_roundtrip () =
   let wal' = Wal.create disk' ~file:"wal" () in
   Alcotest.(check (list string)) "recovered = appended" (records @ [ "last" ]) (Wal.recover wal')
 
+(* A shard server drops a certificate handle when the certificate exits,
+   and when a sweep frees the certificate's record.  Either way the handle
+   is then refused as unknown: it fails closed, as the revoked record it
+   named would have. *)
+let test_unix_dropped_handles_unknown () =
+  let module Service = Oasis_core.Service in
+  let module Remote = Oasis_core.Remote in
+  let module Shard = Oasis_core.Shard in
+  let module V = Oasis_rdl.Value in
+  with_wire @@ fun b backend net a srv ->
+  let svc =
+    match
+      Service.create net srv (Service.create_registry ()) ~name:"Gate#0" ~rolefile_id:"Gate"
+        ~rolefile:"Admin <-\nLogin(u) <-\nUser(u) <- Login(u)* |>* Admin\n"
+        ~compound_certificates:false ()
+    with
+    | Ok s -> s
+    | Error e -> Alcotest.failf "shard: %s" e
+  in
+  ignore (Remote.serve_shard net svc ~shard_id:0);
+  let port = Backend_unix.listen b () in
+  let r = Net.add_host net "r" in
+  Backend_unix.peer b ~name:"wire.r" ~port;
+  Backend_unix.alias b ~name:"wire.r" ~local:"r";
+  ignore (Remote.serve_router net r ~ring:(Shard.Ring.make ~shards:1 ()) ~shards:[| "wire.srv" |]);
+  let c = Remote.Client.create net a ~router:"wire.r" in
+  let await op =
+    let r = ref None in
+    op (fun x -> r := Some x);
+    run_until_done backend ~deadline:5.0 (fun () -> !r <> None);
+    Option.get !r
+  in
+  let ok what = function Ok x -> x | Error e -> Alcotest.failf "%s: %s" what e in
+  let args = [ V.Str "u1" ] in
+  let bootstrap client roles args =
+    await (Remote.Client.bootstrap c ~shard:0 ~client ~roles ~args)
+  in
+  let admin = ok "admin" (bootstrap "root" [ "Admin" ] []) in
+  let login = ok "login" (bootstrap "u1" [ "Login" ] args) in
+  let issue () =
+    ok "issue" (await (Remote.Client.issue c ~client:"u1" ~role:"User" ~args ~creds:[ login ]))
+  in
+  let validate h = await (Remote.Client.validate c ~client:"u1" ~handle:h ?need_role:None) in
+  let unknown what = function
+    | Ok () -> Alcotest.failf "%s handle still validates" what
+    | Error e -> checks (what ^ " handle refused as unknown") "validate: unknown handle" e
+  in
+  let exited = issue () in
+  ok "exit" (await (Remote.Client.exit_role c ~handle:exited));
+  unknown "exited" (validate exited);
+  let fired = issue () in
+  ok "validate" (validate fired);
+  checki "fire revokes one membership" 1
+    (ok "fire" (await (Remote.Client.fire c ~revoker:admin ~role:"User" ~args)));
+  checkb "a fired handle is refused" true (Result.is_error (validate fired));
+  checkb "the sweep frees the fired record" true (Service.gc svc > 0);
+  unknown "swept" (validate fired);
+  ok "the login handle survives" (validate login)
+
 (* --- sim ordering regression: the engine refactor is invisible --- *)
 
 let test_sim_schedule_replays_unchanged () =
@@ -516,6 +575,8 @@ let () =
           Alcotest.test_case "peer closes with frames queued" `Quick
             test_unix_peer_closes_with_frames_queued;
           Alcotest.test_case "WAL round-trips on a real disk" `Quick test_unix_wal_roundtrip;
+          Alcotest.test_case "exited and swept handles are unknown" `Quick
+            test_unix_dropped_handles_unknown;
         ] );
       ( "sim-ordering",
         [

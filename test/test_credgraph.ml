@@ -280,6 +280,214 @@ let test_randomized_dags () =
   done
 
 (* ------------------------------------------------------------------ *)
+(* Sweeps are invisible: a swept table reads like its unswept twin      *)
+(* ------------------------------------------------------------------ *)
+
+(* The same random operations drive two tables; only the first ever
+   sweeps.  Node picks are taken modulo the nodes created so far, and a
+   node a sweep freed takes part in nothing afterwards: nobody holds a
+   reference to a record the sweep may free. *)
+type twin_op =
+  | T_leaf of int  (** state index *)
+  | T_comb of int * (int * bool) list  (** op index; parent picks, negated *)
+  | T_flip of int * int
+  | T_revoke of int
+  | T_attach of int * int * bool  (** child pick, parent pick, negated *)
+  | T_freeze of int
+  | T_use of int * bool
+  | T_hook of int
+  | T_pin of int
+  | T_unpin of int
+  | T_sweep
+
+let twin_op_to_string = function
+  | T_leaf s -> Printf.sprintf "leaf %d" s
+  | T_comb (o, ps) ->
+      Printf.sprintf "comb %d [%s]" o
+        (String.concat ";"
+           (List.map (fun (p, n) -> Printf.sprintf "%d%s" p (if n then "~" else "")) ps))
+  | T_flip (n, s) -> Printf.sprintf "flip %d %d" n s
+  | T_revoke n -> Printf.sprintf "revoke %d" n
+  | T_attach (c, p, n) -> Printf.sprintf "attach %d<-%d%s" c p (if n then "~" else "")
+  | T_freeze n -> Printf.sprintf "freeze %d" n
+  | T_use (n, b) -> Printf.sprintf "use %d %b" n b
+  | T_hook n -> Printf.sprintf "hook %d" n
+  | T_pin n -> Printf.sprintf "pin %d" n
+  | T_unpin n -> Printf.sprintf "unpin %d" n
+  | T_sweep -> "sweep"
+
+let twin_op_gen =
+  QCheck.Gen.(
+    let pick = int_bound 1000 in
+    frequency
+      [
+        (3, map (fun s -> T_leaf s) (int_bound 2));
+        ( 3,
+          map2
+            (fun o ps -> T_comb (o, ps))
+            (int_bound 3)
+            (list_size (int_range 1 3) (pair pick bool)) );
+        (4, map2 (fun n s -> T_flip (n, s)) pick (int_bound 2));
+        (2, map (fun n -> T_revoke n) pick);
+        (2, map3 (fun c p n -> T_attach (c, p, n)) pick pick bool);
+        (1, map (fun n -> T_freeze n) pick);
+        (2, map2 (fun n b -> T_use (n, b)) pick bool);
+        (1, map (fun n -> T_hook n) pick);
+        (1, map (fun n -> T_pin n) pick);
+        (1, map (fun n -> T_unpin n) pick);
+        (2, return T_sweep);
+      ])
+
+let twin_ops_arb =
+  QCheck.make
+    ~print:(fun ops -> String.concat ", " (List.map twin_op_to_string ops))
+    QCheck.Gen.(list_size (int_range 10 120) twin_op_gen)
+
+type twin_node = {
+  a : Credrec.cref;  (** in the swept table *)
+  b : Credrec.cref;  (** in the twin *)
+  leaf : bool;
+  mutable use : bool;
+  mutable hooked : bool;
+  mutable pins : int;
+  mutable fired_a : int;
+  mutable fired_b : int;
+  mutable freed : bool;  (** freed by a sweep of the first table *)
+  mutable revoked : bool;  (** freed while a certificate held it *)
+}
+
+let prop_sweep_invisible ops =
+  let ta = Credrec.create_table () and tb = Credrec.create_table () in
+  let nodes = ref [||] in
+  let fail fmt = Printf.ksprintf (fun m -> QCheck.Test.fail_report m) fmt in
+  let add nd = nodes := Array.append !nodes [| nd |] in
+  let pick k =
+    let ns = !nodes in
+    if Array.length ns = 0 then None
+    else
+      let i = k mod Array.length ns in
+      if ns.(i).freed then None else Some (i, ns.(i))
+  in
+  let audit step =
+    (match (Credrec.self_check ta, Credrec.self_check tb) with
+    | Ok (), Ok () -> ()
+    | Error e, _ -> fail "%s: swept table: %s" step e
+    | _, Error e -> fail "%s: twin: %s" step e);
+    Array.iteri
+      (fun i nd ->
+        if nd.freed then begin
+          if Credrec.live ta nd.a || Credrec.state ta nd.a <> Credrec.False then
+            fail "%s: freed node %d does not read False" step i;
+          if nd.revoked && Credrec.state tb nd.b <> Credrec.False then
+            fail "%s: node %d was freed as revoked, but the twin reads it otherwise now" step i
+        end
+        else begin
+          if not (Credrec.live ta nd.a) then fail "%s: node %d vanished outside a sweep" step i;
+          if Credrec.state ta nd.a <> Credrec.state tb nd.b then
+            fail "%s: node %d reads %s swept, %s in the twin" step i
+              (Format.asprintf "%a" Credrec.pp_state (Credrec.state ta nd.a))
+              (Format.asprintf "%a" Credrec.pp_state (Credrec.state tb nd.b));
+          if nd.fired_a <> nd.fired_b then fail "%s: node %d's hook fired differently" step i
+        end)
+      !nodes
+  in
+  let state_of k = states_arr.(k mod 3) in
+  List.iteri
+    (fun step op ->
+      (match op with
+      | T_leaf s ->
+          let st = state_of s in
+          add
+            { a = Credrec.leaf ta ~state:st (); b = Credrec.leaf tb ~state:st (); leaf = true;
+              use = false; hooked = false; pins = 0; fired_a = 0; fired_b = 0; freed = false;
+              revoked = false }
+      | T_comb (o, ps) ->
+          let parents =
+            List.filter_map (fun (p, neg) -> Option.map (fun x -> (x, neg)) (pick p)) ps
+          in
+          let op = ops_arr.(o mod 4) in
+          let edges side = List.map (fun ((_, nd), neg) -> (side nd, neg)) parents in
+          let a = Credrec.combine_fresh ta ~op (edges (fun nd -> nd.a)) in
+          let b = Credrec.combine_fresh tb ~op (edges (fun nd -> nd.b)) in
+          add
+            { a; b; leaf = false; use = false; hooked = false; pins = 0; fired_a = 0; fired_b = 0;
+              freed = false; revoked = false }
+      | T_flip (n, s) -> (
+          match pick n with
+          | Some (_, nd) when nd.leaf ->
+              Credrec.set_leaf ta nd.a (state_of s);
+              Credrec.set_leaf tb nd.b (state_of s)
+          | _ -> ())
+      | T_revoke n ->
+          Option.iter
+            (fun (_, nd) ->
+              Credrec.invalidate ta nd.a;
+              Credrec.invalidate tb nd.b)
+            (pick n)
+      | T_attach (c, p, neg) -> (
+          match (pick c, pick p) with
+          | Some (ci, child), Some (pi, parent) when (not child.leaf) && pi < ci ->
+              Credrec.add_parent ta ~child:child.a ~negated:neg parent.a;
+              Credrec.add_parent tb ~child:child.b ~negated:neg parent.b
+          | _ -> ())
+      | T_freeze n -> (
+          match pick n with
+          | Some (_, nd) when Credrec.state ta nd.a <> Credrec.Unknown ->
+              Credrec.make_permanent ta nd.a;
+              Credrec.make_permanent tb nd.b
+          | _ -> ())
+      | T_use (n, u) ->
+          Option.iter
+            (fun (_, nd) ->
+              nd.use <- u;
+              Credrec.set_direct_use ta nd.a u;
+              Credrec.set_direct_use tb nd.b u)
+            (pick n)
+      | T_hook n ->
+          Option.iter
+            (fun (_, nd) ->
+              nd.hooked <- true;
+              Credrec.on_change ta nd.a (fun _ -> nd.fired_a <- nd.fired_a + 1);
+              Credrec.on_change tb nd.b (fun _ -> nd.fired_b <- nd.fired_b + 1))
+            (pick n)
+      | T_pin n ->
+          Option.iter
+            (fun (_, nd) ->
+              nd.pins <- nd.pins + 1;
+              Credrec.pin ta nd.a)
+            (pick n)
+      | T_unpin n -> (
+          match pick n with
+          | Some (_, nd) when nd.pins > 0 ->
+              nd.pins <- nd.pins - 1;
+              Credrec.unpin ta nd.a
+          | _ -> ())
+      | T_sweep ->
+          ignore (Credrec.gc_sweep ta);
+          (* Judge every record this sweep freed against the twin.  Hooks
+             and pins hold a record.  A certificate does too, unless the
+             record is False there, and then it must stay False for good
+             (the audit checks this from now on).  Anything else nothing
+             reads, except through children, whose every read the audit
+             compares. *)
+          Array.iteri
+            (fun i nd ->
+              if (not nd.freed) && not (Credrec.live ta nd.a) then begin
+                nd.freed <- true;
+                if nd.hooked || nd.pins > 0 then
+                  fail "step %d: hooked or pinned node %d freed" step i;
+                if nd.use then begin
+                  if Credrec.state tb nd.b <> Credrec.False then
+                    fail "step %d: node %d freed under a certificate that reads it" step i;
+                  nd.revoked <- true
+                end
+              end)
+            !nodes);
+      audit (Printf.sprintf "step %d (%s)" step (twin_op_to_string op)))
+    ops;
+  true
+
+(* ------------------------------------------------------------------ *)
 (* Cascade shape: each record recomputed once per settled change        *)
 (* ------------------------------------------------------------------ *)
 
@@ -471,6 +679,9 @@ let () =
           Alcotest.test_case "220 seeded DAG interleavings" `Quick test_randomized_dags;
           Alcotest.test_case "batched = unbatched under faults (25 seeds)" `Quick
             test_batched_equals_unbatched;
+          QCheck_alcotest.to_alcotest
+            (QCheck.Test.make ~name:"sweeps read like an unswept twin" ~count:400 twin_ops_arb
+               prop_sweep_invisible);
         ] );
       ( "asymptotics",
         [

@@ -852,6 +852,130 @@ let test_gc_after_churn () =
   let reclaimed = Service.gc conf in
   checkb "gc reclaims exited memberships" true (reclaimed > 0)
 
+(* An exit releases the exited membership's §4.11 revoker arm: three
+   entries and exits leave nothing a later fire counts, so the Chair's
+   fire revokes exactly the one membership still live. *)
+let test_exit_releases_revoker_arm () =
+  let w, login, meet = meeting_world () in
+  Group.add (Service.group meet "staff") (V.Str "fred");
+  let fred, fred_cert = logged_on login "fred" "ely" in
+  for _ = 1 to 3 do
+    let m = entry_ok w meet ~client:fred ~role:"Member" ~creds:[ fred_cert ] () in
+    let exited = ref None in
+    Service.exit_role meet ~client_host:w.client_host m (fun r -> exited := Some r);
+    run w 1.0;
+    checkb "exit ok" true (!exited = Some (Ok ()))
+  done;
+  let member = entry_ok w meet ~client:fred ~role:"Member" ~creds:[ fred_cert ] () in
+  let jmb, jmb_cert = logged_on login "jmb" "ely" in
+  let chair = entry_ok w meet ~client:jmb ~role:"Chair" ~creds:[ jmb_cert ] () in
+  let result = ref None in
+  Service.revoke_role_instance meet ~client_host:w.client_host ~revoker:chair ~role:"Member"
+    ~args:[ V.Str "fred" ] (fun r -> result := Some r);
+  run w 2.0;
+  checkb "the fire counts the live membership only" true (!result = Some (Ok 1));
+  checkb "fred ejected" true (Service.validate meet ~client:fred member = Error Service.Revoked)
+
+(* A service churned well past the sweep floor holds what is live, not what
+   it ever issued: live words measured right after its last sweep in a
+   round stay within 1.2x from the first round to the tenth.  Each round
+   exits and re-enters every member a hundred times, over an external
+   credential and a revoker arm, so it allocates past the floor several
+   times over and the heartbeat tick sweeps on its own. *)
+let test_churn_memory_bounded () =
+  let w = make_world () in
+  let login = add_service w ~name:"Login" ~rolefile:login_rolefile () in
+  let gate =
+    add_service w ~name:"Gate"
+      ~rolefile:{|
+Admin <-
+User(u) <- Login.LoggedOn(u, h)* |>* Admin
+|}
+      ~compound_certificates:false ()
+  in
+  let users = Array.init 32 (fun i -> logged_on login (Printf.sprintf "u%d" i) "ely") in
+  let current = Array.make (Array.length users) None in
+  let sweeps = ref 0 and words = ref 0 in
+  Service.on_sweep gate (fun () ->
+      incr sweeps;
+      Gc.compact ();
+      words := (Gc.stat ()).Gc.live_words);
+  let rec churn i n =
+    if n > 0 then begin
+      let vci, cert = users.(i) in
+      let enter () =
+        Service.request_entry gate ~client_host:w.client_host ~client:vci ~role:"User"
+          ~creds:[ cert ] (function
+          | Ok c ->
+              current.(i) <- Some c;
+              churn i (n - 1)
+          | Error e -> Alcotest.failf "entry: %s" e)
+      in
+      match current.(i) with
+      | None -> enter ()
+      | Some c ->
+          Service.exit_role gate ~client_host:w.client_host c (function
+            | Ok () -> enter ()
+            | Error e -> Alcotest.failf "exit: %s" e)
+    end
+  in
+  let round () =
+    let before = !sweeps in
+    Array.iteri (fun i _ -> churn i 100) users;
+    run w 60.0;
+    checkb "the service swept on its own this round" true (!sweeps > before);
+    !words
+  in
+  let first = round () in
+  for _ = 2 to 9 do
+    ignore (round ())
+  done;
+  let tenth = round () in
+  checkb
+    (Printf.sprintf "live words %d after ten rounds within 1.2x of %d after one" tenth first)
+    true
+    (float_of_int tenth <= 1.2 *. float_of_int first);
+  Array.iteri
+    (fun i c ->
+      match c with
+      | Some c ->
+          checkb "the live membership validates" true
+            (Service.validate gate ~client:(fst users.(i)) c = Ok ())
+      | None -> Alcotest.fail "a user lost its membership")
+    current
+
+(* A sweep between an entry's credential checks must not free the
+   surrogate of the credential checked first: it is a childless leaf until
+   the entry combines it, exactly what the sweep takes for garbage. *)
+let test_gc_between_issuer_replies () =
+  let w = make_world () in
+  let login = add_service w ~name:"Login" ~rolefile:login_rolefile () in
+  let badge =
+    add_service w ~name:"Badge" ~rolefile:{|
+def Holder(u) u: String
+Holder(u) <-
+|} ()
+  in
+  let lab =
+    add_service w ~name:"Lab"
+      ~rolefile:{|
+Worker(u) <- Login.LoggedOn(u, h)* /\ Badge.Holder(u)*
+|} ()
+  in
+  let vci, login_cert = logged_on login "fred" "ely" in
+  let badge_cert =
+    Service.issue_arbitrary badge ~client:vci ~roles:[ "Holder" ] ~args:[ V.Str "fred" ]
+  in
+  (* Sweep every millisecond while the two validation round trips run. *)
+  for k = 1 to 60 do
+    Engine.schedule w.engine ~delay:(0.001 *. float_of_int k) (fun () -> ignore (Service.gc lab))
+  done;
+  let worker = entry_ok w lab ~client:vci ~role:"Worker" ~creds:[ login_cert; badge_cert ] () in
+  checkb "the membership is valid" true (Service.validate lab ~client:vci worker = Ok ());
+  ignore (Service.gc lab);
+  checkb "and stays valid after another sweep" true
+    (Service.validate lab ~client:vci worker = Ok ())
+
 (* --- cache bounds and counters --- *)
 
 module Stats = Oasis_sim.Stats
@@ -1016,7 +1140,13 @@ let () =
           Alcotest.test_case "org role bridge" `Quick test_orgrole_bridge;
           Alcotest.test_case "high score table" `Quick test_high_score_table;
         ] );
-      ("gc", [ Alcotest.test_case "after churn" `Quick test_gc_after_churn ]);
+      ( "gc",
+        [
+          Alcotest.test_case "after churn" `Quick test_gc_after_churn;
+          Alcotest.test_case "exit releases its revoker arm" `Quick test_exit_releases_revoker_arm;
+          Alcotest.test_case "churned service memory bounded" `Quick test_churn_memory_bounded;
+          Alcotest.test_case "sweep between issuer replies" `Quick test_gc_between_issuer_replies;
+        ] );
       ( "caches",
         [
           Alcotest.test_case "sig cache cap holds" `Quick test_sig_cache_cap_holds;

@@ -14,6 +14,8 @@ module Wal = Oasis_store.Wal
 module Snapshot = Oasis_store.Snapshot
 module Frame = Oasis_util.Frame
 module Service = Oasis_core.Service
+module Cert = Oasis_core.Cert
+module Credrec = Oasis_core.Credrec
 module Group = Oasis_core.Group
 module Principal = Oasis_core.Principal
 module V = Oasis_rdl.Value
@@ -453,6 +455,44 @@ let test_lost_tail_fails_closed () =
   checkb "service still issues after recovery" true
     (Result.is_ok (entry w w.s_meet ~client:fred ~role:"Member" ~creds:[ fred_cert ] ()))
 
+(* A swept slot is reused under a higher magic, and both identities stay
+   in the journal's issued mirror: the dead one and the live one.
+   Recovery into a fresh table must restore the live one, never let the
+   dead one take the slot first. *)
+let test_recover_reused_slot () =
+  let engine = Engine.create () in
+  let net = Net.create ~seed:47L ~latency:(Net.Fixed 0.005) engine in
+  let reg = Service.create_registry () in
+  let host = Net.add_host net "h.meet" in
+  let disk = Disk.create net host () in
+  let create name host rolefile extra =
+    match extra (Service.create net host reg ~name ~rolefile) with
+    | Ok s -> s
+    | Error e -> Alcotest.failf "service %s: %s" name e
+  in
+  ignore (create "Login" (Net.add_host net "h.login") login_rolefile (fun f -> f ()));
+  let meet ~register = create "Meet" host meet_rolefile (fun f -> f ~disk ~register ()) in
+  let run dt = Engine.run ~until:(Engine.now engine +. dt) engine in
+  let s = meet ~register:true in
+  let jmb = fresh_vci () in
+  let first = Service.issue_arbitrary s ~client:jmb ~roles:[ "Chair" ] ~args:[] in
+  Service.revoke_certificate s first;
+  checkb "the revoked record is swept" true (Service.gc s > 0);
+  let second = Service.issue_arbitrary s ~client:jmb ~roles:[ "Chair" ] ~args:[] in
+  checkb "the slot is reused" true
+    (first.Cert.crr.Credrec.index = second.Cert.crr.Credrec.index
+    && second.Cert.crr.Credrec.magic > first.Cert.crr.Credrec.magic);
+  run 1.0;
+  let fresh = meet ~register:false in
+  let recovered = ref false in
+  Service.recover fresh ~on_done:(fun () -> recovered := true);
+  run 1.0;
+  checkb "recovered" true !recovered;
+  checkb "the live certificate validates after recovery" true
+    (Service.validate fresh ~client:jmb second = Ok ());
+  checkb "the revoked one stays refused" true
+    (Result.is_error (Service.validate fresh ~client:jmb first))
+
 let test_snapshot_checkpoint_in_service () =
   (* snapshot_every=8 forces several checkpoint cycles; recovery must load
      snapshot + suffix and still refuse the fired principal. *)
@@ -603,6 +643,8 @@ let () =
           Alcotest.test_case "fire after a re-hire survives crash" `Quick
             test_refire_after_rehire_survives_crash;
           Alcotest.test_case "lost tail fails closed" `Quick test_lost_tail_fails_closed;
+          Alcotest.test_case "recovery restores a reused slot's live record" `Quick
+            test_recover_reused_slot;
           Alcotest.test_case "snapshot checkpointing in the service" `Quick
             test_snapshot_checkpoint_in_service;
           Alcotest.test_case "checkpoints amortized, recovery bounded" `Quick
