@@ -38,8 +38,9 @@ let row fmt = Printf.printf fmt
 
 (* Write BENCH_<experiment>_<size>.json for the perf archive: [fields]
    stamped with the experiment and the backend and clock domain it ran
-   on, keys sorted so snapshots diff cleanly; then say so in the table. *)
-let write_snapshot ?(backend = "sim") ?(clock_domain = "sim") experiment size fields =
+   on (every experiment here runs on the simulator), keys sorted so
+   snapshots diff cleanly; then say so in the table. *)
+let write_snapshot experiment size fields =
   let file = Printf.sprintf "BENCH_%s_%d.json" experiment size in
   let oc = open_out file in
   output_string oc
@@ -47,8 +48,8 @@ let write_snapshot ?(backend = "sim") ?(clock_domain = "sim") experiment size fi
        (J.sorted
           (J.Obj
              (("experiment", J.Str experiment)
-             :: ("backend", J.Str backend)
-             :: ("clock_domain", J.Str clock_domain)
+             :: ("backend", J.Str "sim")
+             :: ("clock_domain", J.Str "sim")
              :: fields))));
   output_string oc "\n";
   close_out oc;
@@ -1965,124 +1966,6 @@ Member(u) <- Login.LoggedOn(u, h)* |>* Chair
   row "       failed probes, probe p99 within a heartbeat of the crash-free twin.\n"
 
 (* ------------------------------------------------------------------ *)
-
-let e22 () =
-  let module Backend = Oasis_backend.Backend in
-  let module Backend_unix = Oasis_backend.Backend_unix in
-  let module Shard = Oasis_core.Shard in
-  let module Remote = Oasis_core.Remote in
-  header "E22: the e20 sharded-issue workload on the Unix backend — wall-clock loopback TCP";
-  let members =
-    match Sys.getenv_opt "OASIS_E22_MEMBERS" with Some s -> int_of_string s | None -> 1000
-  in
-  let shards =
-    match Sys.getenv_opt "OASIS_E22_SHARDS" with Some s -> int_of_string s | None -> 2
-  in
-  if shards < 2 then failwith "e22: needs at least 2 shards";
-  let window = 32 in
-  (* One process, N shard services + a router — but every protocol hop is
-     forced through real loopback TCP: wire names are aliases, never local
-     host names, so the router reaches "its" shards (and the client its
-     router) only through the backend's framed sockets, exactly as the
-     multi-process [oasis_cli serve] deployment does.  The clock is the
-     wall clock; acks ride real fsyncs. *)
-  Backend_unix.with_temp_data_dir @@ fun data_dir ->
-  let b = Backend_unix.create ~data_dir () in
-  let backend = Backend_unix.pack b in
-  let net = Backend.net backend in
-  let engine = Backend.engine backend in
-  let reg = Service.create_registry () in
-  let rolefile = {|
-Admin <-
-Login(u) <-
-User(u) <- Login(u)* |>* Admin
-|} in
-  let port = Backend_unix.listen b () in
-  let wire i = Printf.sprintf "wire.e22.s%d" i in
-  let shard_wires = Array.init shards wire in
-  Array.iteri
-    (fun i _ ->
-      let host = Net.add_host net (Printf.sprintf "h.e22.s%d" i) in
-      let svc =
-        match
-          Service.create net host reg
-            ~name:(Printf.sprintf "Gate22#%d" i)
-            ~rolefile_id:"Gate22" ~rolefile ~compound_certificates:false
-            ~disk:(Backend.disk backend host) ()
-        with
-        | Ok s -> s
-        | Error e -> failwith ("e22 shard: " ^ e)
-      in
-      ignore (Remote.serve_shard net svc ~shard_id:i);
-      Backend_unix.peer b ~name:(wire i) ~port;
-      Backend_unix.alias b ~name:(wire i) ~local:(Net.host_name host))
-    shard_wires;
-  let router_host = Net.add_host net "h.e22.router" in
-  ignore (Remote.serve_router net router_host ~ring:(Shard.Ring.make ~shards ()) ~shards:shard_wires);
-  Backend_unix.peer b ~name:"wire.e22.router" ~port;
-  Backend_unix.alias b ~name:"wire.e22.router" ~local:"h.e22.router";
-  let client_host = Net.add_host net "h.e22.client" in
-  let c = Remote.Client.create net client_host ~router:"wire.e22.router" in
-  let committed = ref 0 and failed = ref 0 and next = ref 0 in
-  let t0 = ref 0.0 and wall = ref 0.0 in
-  let finish () =
-    wall := Engine.now engine -. !t0;
-    Backend.stop backend
-  in
-  let landed () =
-    if !committed + !failed = members then finish ()
-  in
-  let rec drive () =
-    if !next < members then begin
-      let u = Printf.sprintf "u%d" !next in
-      incr next;
-      Remote.Client.place c ~role:"User" ~args:[ V.Str u ] (function
-        | Error e -> failwith ("e22 place: " ^ e)
-        | Ok owner ->
-            Remote.Client.bootstrap c ~shard:owner ~client:u ~roles:[ "Login" ]
-              ~args:[ V.Str u ] (function
-              | Error e -> failwith ("e22 bootstrap: " ^ e)
-              | Ok login ->
-                  Remote.Client.issue c ~client:u ~role:"User" ~args:[ V.Str u ]
-                    ~creds:[ login ] (fun r ->
-                      (match r with
-                      | Ok _ -> incr committed
-                      | Error e ->
-                          incr failed;
-                          row "  e22 entry %s: %s\n" u e);
-                      landed ();
-                      drive ())))
-    end
-  in
-  Engine.schedule engine ~delay:0.0 (fun () ->
-      t0 := Engine.now engine;
-      for _ = 1 to window do
-        drive ()
-      done);
-  (* Wall-clock safety net: a wedged socket loop must fail the bench, not
-     hang CI. *)
-  Engine.schedule engine ~delay:600.0 (fun () -> finish ());
-  Fun.protect ~finally:(fun () -> Backend_unix.shutdown b) (fun () -> Backend.run backend);
-  if !committed <> members then
-    failwith (Printf.sprintf "e22: only %d/%d entries committed" !committed members);
-  let thpt = float_of_int members /. !wall in
-  row "%d members over %d shards: %.2fs wall, %.0f issues/s (loopback TCP, real fsync)\n"
-    members shards !wall thpt;
-  write_snapshot ~backend:(Backend.name backend)
-    ~clock_domain:(Backend.clock_domain_label backend)
-    "e22" shards
-    [
-      ("shards", J.Int shards);
-      ("members", J.Int members);
-      ("window", J.Int window);
-      ("issue_wall_s", J.Float !wall);
-      ("issues_per_s", J.Float thpt);
-    ];
-  row "shape: same protocol modules as e20, different substrate — the sim measures\n";
-  row "       algorithmic cost in virtual time; this measures the deployed plane's\n";
-  row "       real throughput: syscalls, TCP framing and fsyncs included.\n"
-
-(* ------------------------------------------------------------------ *)
 (* E23 — symbolic escalation prover: planted OASIS006-008 recall,        *)
 (* symbolic tightening over the boolean bound, and prover scaling on     *)
 (* generated chain federations.  Snapshot: BENCH_e23_<n>.json            *)
@@ -2223,7 +2106,7 @@ let experiments =
     ("e1", e1); ("e2", e2); ("e3", e3); ("e4", e4); ("e5", e5); ("e6", e6);
     ("e7", e7); ("e8", e8); ("e9", e9); ("e10", e10); ("e11", e11); ("e12", e12);
     ("e13", e13); ("e14", e14); ("e15", e15); ("e16", e16); ("e17", e17); ("e18", e18);
-    ("e19", e19); ("e20", e20); ("e21", e21); ("e22", e22); ("e23", e23);
+    ("e19", e19); ("e20", e20); ("e21", e21); ("e23", e23);
   ]
 
 let () =

@@ -16,32 +16,6 @@ let frame_key = Siphash.key_of_string "oasis.wal:tcp"
 
 let max_frame = 1 lsl 26 (* 64 MiB: anything larger is a desynced stream *)
 
-(* Length-prefixed field packing for the RPC envelope (8-bit clean): each
-   field is its length in 8 hex digits, then its bytes. *)
-let enc_fields fields =
-  let b = Bytes.create (List.fold_left (fun acc f -> acc + 8 + String.length f) 0 fields) in
-  ignore
-    (List.fold_left
-       (fun off f ->
-         let n = String.length f in
-         Hex.put_int b off ~width:8 n;
-         Bytes.blit_string f 0 b (off + 8) n;
-         off + 8 + n)
-       0 fields);
-  Bytes.unsafe_to_string b
-
-let dec_fields s =
-  let total = String.length s in
-  let rec go off acc =
-    if off = total then Some (List.rev acc)
-    else if off + 8 > total then None
-    else
-      let len = Hex.get_int s off ~width:8 in
-      if len < 0 || off + 8 + len > total then None
-      else go (off + 8 + len) (String.sub s (off + 8) len :: acc)
-  in
-  go 0 []
-
 (* ------------------------------------------------------------------ *)
 (* Connections                                                         *)
 (* ------------------------------------------------------------------ *)
@@ -106,7 +80,7 @@ let close_conn t c =
 
 let enqueue c fields =
   if c.c_alive then begin
-    let frame = Frame.encode frame_key (enc_fields fields) in
+    let frame = Frame.encode frame_key (Frame.fields fields) in
     let n = String.length frame in
     if c.c_out_len + n > Bytes.length c.c_out then begin
       let out = Bytes.create (max (2 * Bytes.length c.c_out) (c.c_out_len + n)) in
@@ -137,7 +111,7 @@ let flush t c =
 
 let flush_all t = List.iter (flush t) t.b_conns
 
-(* --- the RPC envelope ---
+(* --- the RPC envelope, in Frame's field packing ---
 
    Q frames: ["Q"; id; src; dst; port; payload]   (request)
    R frames: ["R"; id; marker ^ payload]          (reply; marker K=Ok, E=Error)
@@ -150,7 +124,7 @@ let send_reply c id result =
   enqueue c [ "R"; id; body ]
 
 let on_frame t c payload =
-  match dec_fields payload with
+  match Frame.of_fields payload with
   | Some [ "Q"; id; _src; dst; port; body ] ->
       let dst =
         match Hashtbl.find_opt t.b_aliases dst with Some local -> local | None -> dst

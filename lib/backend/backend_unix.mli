@@ -12,7 +12,10 @@
     registered with {!peer}.  Frames on the wire are the WAL's
     checksummed frames ({!Oasis_util.Frame}: 8 hex digits of payload
     length, 16 hex digits of SipHash-2-4 over the payload, then the
-    payload).  Frames are queued on their connection and written in the
+    payload).  Each frame's payload is an RPC envelope packed with
+    {!Oasis_util.Frame.fields}: a request's id, source, destination, port
+    and body, or a reply's id and its [K] (ok) or [E] (error) marked
+    body.  Frames are queued on their connection and written in the
     order they were queued, with one [write] per connection per turn of
     the event loop: before the loop blocks in [select], after the ready
     descriptors are dispatched, and in {!shutdown}.  A frame queued in the
@@ -63,8 +66,9 @@ val peer : t -> name:string -> port:int -> unit
 
 val alias : t -> name:string -> local:string -> unit
 (** Rewrite inbound envelope destination [name] to local host [local] —
-    lets a process address its own hosts over the wire (bench [e22]) and
-    decouples wire names from host names. *)
+    lets a process address its own hosts over the wire (the steady-state
+    benchmark's wire workloads, the tests' loopback cases) and decouples
+    wire names from host names. *)
 
 val disk : t -> Oasis_sim.Net.host -> Oasis_store.Disk.t
 (** The host's real-file device (memoized; directory

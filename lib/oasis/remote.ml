@@ -1,4 +1,4 @@
-module J = Oasis_util.Json
+module Frame = Oasis_util.Frame
 module Net = Oasis_sim.Net
 module Value = Oasis_rdl.Value
 
@@ -9,49 +9,91 @@ let router_port = "oasis.router"
 (* Wire encoding                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let get_str key j =
-  match J.member key j with Some v -> J.to_str v | None -> None
+(* A request is its op and then its operands, in Frame's field packing.
+   A list operand is itself a packing, a role argument is its
+   [Value.marshal] form, and an absent option is the empty string (no
+   shard id, role name or handle is empty).  A reply is one string: a
+   handle, a shard id, a count, or empty. *)
 
-let get_int key j =
-  match J.member key j with Some v -> J.to_int v | None -> None
+type request =
+  | Ping
+  | Place of { role : string; args : Value.t list }
+  | Bootstrap of {
+      shard : int option;
+      client : string;
+      roles : string list;
+      args : Value.t list;
+    }
+  | Issue of { client : string; role : string; args : Value.t list; creds : string list }
+  | Validate of { client : string; handle : string; need_role : string option }
+  | Fire of { revoker : string; role : string; args : Value.t list }
+  | Rehire of { revoker : string; role : string; args : Value.t list }
+  | Exit of { handle : string }
 
-let get_strs key j =
-  match J.member key j with
-  | Some (J.Arr l) ->
-      List.fold_right
-        (fun v acc ->
-          match (J.to_str v, acc) with Some s, Some l -> Some (s :: l) | _ -> None)
-        l (Some [])
-  | Some J.Null | None -> Some []
-  | Some _ -> None
+let some_or_empty = function Some s -> s | None -> ""
+let args_field args = Frame.fields (List.map Value.marshal args)
 
-(* Certificate arguments cross the wire as JSON scalars: strings and ints
-   cover every rolefile the remote surface serves; richer values
-   ([Set]/[Obj]) fall back to their stable marshalled form. *)
-let value_to_json = function
-  | Value.Str s -> J.Str s
-  | Value.Int n -> J.Int n
-  | v -> J.Obj [ ("marshalled", J.Str (Value.marshal v)) ]
+let encode req =
+  Frame.fields
+    (match req with
+    | Ping -> [ "ping" ]
+    | Place { role; args } -> [ "place"; role; args_field args ]
+    | Bootstrap { shard; client; roles; args } ->
+        [
+          "bootstrap";
+          some_or_empty (Option.map string_of_int shard);
+          client;
+          Frame.fields roles;
+          args_field args;
+        ]
+    | Issue { client; role; args; creds } ->
+        [ "issue"; client; role; args_field args; Frame.fields creds ]
+    | Validate { client; handle; need_role } ->
+        [ "validate"; client; handle; some_or_empty need_role ]
+    | Fire { revoker; role; args } -> [ "fire"; revoker; role; args_field args ]
+    | Rehire { revoker; role; args } -> [ "rehire"; revoker; role; args_field args ]
+    | Exit { handle } -> [ "exit"; handle ])
 
-let value_of_json = function
-  | J.Str s -> Some (Value.Str s)
-  | J.Int n -> Some (Value.Int n)
-  | J.Obj [ ("marshalled", J.Str m) ] -> Value.unmarshal m
+(* [Some] of the images of [l] when [f] maps every element to [Some]. *)
+let all f l =
+  List.fold_right
+    (fun x acc ->
+      match (f x, acc) with Some y, Some l -> Some (y :: l) | _ -> None)
+    l (Some [])
+
+let none_if_empty s = if s = "" then None else Some s
+
+(* [None] for anything [encode] does not write, so a malformed request,
+   a JSON document among them, is refused before it reaches a handler. *)
+let decode s =
+  let ( let* ) = Option.bind in
+  let values f = Option.bind (Frame.of_fields f) (all Value.unmarshal) in
+  match Frame.of_fields s with
+  | Some [ "ping" ] -> Some Ping
+  | Some [ "place"; role; args_f ] ->
+      let* args = values args_f in
+      Some (Place { role; args })
+  | Some [ "bootstrap"; shard_f; client; roles_f; args_f ] ->
+      let* shard =
+        if shard_f = "" then Some None else Option.map Option.some (int_of_string_opt shard_f)
+      in
+      let* roles = Frame.of_fields roles_f in
+      let* args = values args_f in
+      if roles = [] then None else Some (Bootstrap { shard; client; roles; args })
+  | Some [ "issue"; client; role; args_f; creds_f ] ->
+      let* args = values args_f in
+      let* creds = Frame.of_fields creds_f in
+      Some (Issue { client; role; args; creds })
+  | Some [ "validate"; client; handle; need_role ] ->
+      Some (Validate { client; handle; need_role = none_if_empty need_role })
+  | Some [ "fire"; revoker; role; args_f ] ->
+      let* args = values args_f in
+      Some (Fire { revoker; role; args })
+  | Some [ "rehire"; revoker; role; args_f ] ->
+      let* args = values args_f in
+      Some (Rehire { revoker; role; args })
+  | Some [ "exit"; handle ] -> Some (Exit { handle })
   | _ -> None
-
-let get_args j =
-  match J.member "args" j with
-  | Some (J.Arr l) ->
-      List.fold_right
-        (fun v acc ->
-          match (value_of_json v, acc) with
-          | Some x, Some l -> Some (x :: l)
-          | _ -> None)
-        l (Some [])
-  | Some J.Null | None -> Some []
-  | Some _ -> None
-
-let ok_doc fields = Ok (J.to_string (J.sorted (J.Obj fields)))
 
 (* Certificate handles: certificates never cross the wire (a [vci] is
    meaningless outside its host, §2.8, and [Credrec.cref]s are
@@ -125,88 +167,52 @@ let drop_swept ss =
     (fun _ (c : Cert.rmc) -> if Credrec.live table c.Cert.crr then Some c else None)
     ss.ss_certs
 
-let resolve_all ss handles =
-  List.fold_right
-    (fun h acc ->
-      match (resolve ss h, acc) with
-      | Some c, Some l -> Some (c :: l)
-      | _ -> None)
-    handles (Some [])
-
-let shard_handle ss j reply =
+let shard_handle ss req reply =
   let svc = ss.ss_service in
   let self = Service.host svc in
-  match get_str "op" j with
-  | Some "ping" ->
-      reply
-        (ok_doc
-           [ ("pong", J.Str (Service.name svc)); ("shard", J.Int ss.ss_id) ])
-  | Some "bootstrap" -> (
-      match (get_str "client" j, get_strs "roles" j, get_args j) with
-      | Some client, Some roles, Some args when roles <> [] ->
-          let cert =
-            Service.issue_arbitrary svc ~client:(vci_for ss client) ~roles ~args
-          in
-          reply (ok_doc [ ("handle", J.Str (remember ss cert)) ])
-      | _ -> reply (Error "bootstrap: need client, roles, args"))
-  | Some "issue" -> (
-      match (get_str "client" j, get_str "role" j, get_args j, get_strs "creds" j) with
-      | Some client, Some role, Some args, Some creds -> (
-          match resolve_all ss creds with
-          | None -> reply (Error "issue: unknown credential handle")
-          | Some creds ->
-              Service.request_entry svc ~client_host:self ~client:(vci_for ss client)
-                ~role ~args ~creds (function
-                | Error e -> reply (Error e)
-                | Ok cert -> reply (ok_doc [ ("handle", J.Str (remember ss cert)) ])))
-      | _ -> reply (Error "issue: need client, role, args, creds"))
-  | Some "validate" -> (
-      match (get_str "client" j, get_str "handle" j) with
-      | Some client, Some handle -> (
-          match resolve ss handle with
-          | None -> reply (Error "validate: unknown handle")
-          | Some cert -> (
-              let need_role = get_str "need_role" j in
-              match Service.validate svc ~client:(vci_for ss client) ?need_role cert with
-              | Ok () -> reply (ok_doc [ ("valid", J.Bool true) ])
-              | Error f -> reply (Error (Format.asprintf "%a" Service.pp_failure f))))
-      | _ -> reply (Error "validate: need client, handle"))
-  | Some "fire" -> (
-      match (get_str "revoker" j, get_str "role" j, get_args j) with
-      | Some revoker, Some role, Some args -> (
-          match resolve ss revoker with
-          | None -> reply (Error "fire: unknown revoker handle")
-          | Some cert ->
-              Service.revoke_role_instance svc ~client_host:self ~revoker:cert ~role
-                ~args (function
-                | Error e -> reply (Error e)
-                | Ok n -> reply (ok_doc [ ("revoked", J.Int n) ])))
-      | _ -> reply (Error "fire: need revoker, role, args"))
-  | Some "rehire" -> (
-      match (get_str "revoker" j, get_str "role" j, get_args j) with
-      | Some revoker, Some role, Some args -> (
-          match resolve ss revoker with
-          | None -> reply (Error "rehire: unknown revoker handle")
-          | Some cert ->
-              Service.reinstate_role_instance svc ~client_host:self ~revoker:cert
-                ~role ~args (function
-                | Error e -> reply (Error e)
-                | Ok () -> reply (ok_doc [ ("reinstated", J.Bool true) ])))
-      | _ -> reply (Error "rehire: need revoker, role, args"))
-  | Some "exit" -> (
-      match get_str "handle" j with
-      | Some handle -> (
-          match resolve ss handle with
-          | None -> reply (Error "exit: unknown handle")
-          | Some cert ->
-              Service.exit_role svc ~client_host:self cert (function
-                | Error e -> reply (Error e)
-                | Ok () ->
-                    drop_handle ss handle;
-                    reply (ok_doc [ ("exited", J.Bool true) ])))
-      | _ -> reply (Error "exit: need handle"))
-  | Some op -> reply (Error ("unknown op: " ^ op))
-  | None -> reply (Error "missing op")
+  let issued = function
+    | Error e -> reply (Error e)
+    | Ok cert -> reply (Ok (remember ss cert))
+  in
+  let done_ r = reply (Result.map (fun () -> "") r) in
+  match decode req with
+  | None -> reply (Error "malformed request")
+  | Some Ping -> reply (Ok "")
+  | Some (Place _) -> reply (Error "place: the router answers it")
+  | Some (Bootstrap { client; roles; args; shard = _ }) ->
+      let cert = Service.issue_arbitrary svc ~client:(vci_for ss client) ~roles ~args in
+      reply (Ok (remember ss cert))
+  | Some (Issue { client; role; args; creds }) -> (
+      match all (resolve ss) creds with
+      | None -> reply (Error "issue: unknown credential handle")
+      | Some creds ->
+          Service.request_entry svc ~client_host:self ~client:(vci_for ss client) ~role ~args
+            ~creds issued)
+  | Some (Validate { client; handle; need_role }) -> (
+      match resolve ss handle with
+      | None -> reply (Error "validate: unknown handle")
+      | Some cert -> (
+          match Service.validate svc ~client:(vci_for ss client) ?need_role cert with
+          | Ok () -> reply (Ok "")
+          | Error f -> reply (Error (Format.asprintf "%a" Service.pp_failure f))))
+  | Some (Fire { revoker; role; args }) -> (
+      match resolve ss revoker with
+      | None -> reply (Error "fire: unknown revoker handle")
+      | Some cert ->
+          Service.revoke_role_instance svc ~client_host:self ~revoker:cert ~role ~args (fun r ->
+              reply (Result.map string_of_int r)))
+  | Some (Rehire { revoker; role; args }) -> (
+      match resolve ss revoker with
+      | None -> reply (Error "rehire: unknown revoker handle")
+      | Some cert ->
+          Service.reinstate_role_instance svc ~client_host:self ~revoker:cert ~role ~args done_)
+  | Some (Exit { handle }) -> (
+      match resolve ss handle with
+      | None -> reply (Error "exit: unknown handle")
+      | Some cert ->
+          Service.exit_role svc ~client_host:self cert (fun r ->
+              if Result.is_ok r then drop_handle ss handle;
+              done_ r))
 
 let serve_shard net service ~shard_id =
   let phost = Principal.Host.create ("clients@" ^ Service.name service) in
@@ -221,10 +227,7 @@ let serve_shard net service ~shard_id =
       ss_pdom = Principal.Host.boot_domain phost;
     }
   in
-  Net.bind net (Service.host service) ~port:shard_port (fun req reply ->
-      match J.parse req with
-      | Error e -> reply (Error ("bad request: " ^ e))
-      | Ok j -> shard_handle ss j reply);
+  Net.bind net (Service.host service) ~port:shard_port (shard_handle ss);
   Service.on_sweep service (fun () -> drop_swept ss);
   ss
 
@@ -250,60 +253,41 @@ let forward r ~shard req reply =
     Net.call_retry r.r_net ~category:"oasis.router.forward" ~src:r.r_host
       ~dst:r.r_shards.(shard) ~port:shard_port req reply
 
-let handle_shard_of j key =
-  match get_str key j with
-  | None -> None
-  | Some h -> ( match handle_of_string h with Some (s, _) -> Some s | None -> None)
-
-let router_handle r req j reply =
-  match get_str "op" j with
-  | Some "ping" ->
-      reply
-        (ok_doc
-           [ ("pong", J.Str "router"); ("shards", J.Int (Array.length r.r_shards)) ])
-  | Some "place" -> (
-      match (get_str "role" j, get_args j) with
-      | Some role, Some args ->
-          reply (ok_doc [ ("shard", J.Int (router_owner r ~role ~args)) ])
-      | _ -> reply (Error "place: need role, args"))
-  | Some "bootstrap" -> (
+let router_handle r req reply =
+  match decode req with
+  | None -> reply (Error "malformed request")
+  | Some Ping -> reply (Ok "")
+  | Some (Place { role; args }) -> reply (Ok (string_of_int (router_owner r ~role ~args)))
+  | Some (Bootstrap { shard; roles; args; client = _ }) ->
       (* §4.12 issue outside policy: placement is advisory, so an explicit
          [shard] wins over the ring — how clients colocate prerequisite
-         certificates with the instance they will be used on. *)
-      match (get_strs "roles" j, get_args j) with
-      | Some (role :: _), Some args ->
-          let owner =
-            match get_int "shard" j with
-            | Some s -> s
-            | None -> router_owner r ~role ~args
-          in
-          forward r ~shard:owner req reply
-      | _ -> reply (Error "bootstrap: need roles, args"))
-  | Some "issue" -> (
-      match (get_str "role" j, get_args j) with
-      | Some role, Some args ->
-          let owner = router_owner r ~role ~args in
-          let creds = Option.value ~default:[] (get_strs "creds" j) in
-          let colocated h =
-            match handle_of_string h with Some (s, _) -> s = owner | None -> false
-          in
-          if List.for_all colocated creds then forward r ~shard:owner req reply
-          else
-            reply
-              (Error
-                 (Printf.sprintf
-                    "credential not colocated with %s's shard %d (handles are \
-                     table-relative; bootstrap prerequisites at the owning shard)"
-                    role owner))
-      | _ -> reply (Error "issue: need role, args"))
-  | Some ("validate" | "exit") -> (
-      let key = if get_str "handle" j <> None then "handle" else "revoker" in
-      match handle_shard_of j key with
-      | Some shard -> forward r ~shard req reply
+         certificates with the instance they will be used on.  [decode]
+         refuses an empty role list. *)
+      let owner =
+        match shard with Some s -> s | None -> router_owner r ~role:(List.hd roles) ~args
+      in
+      forward r ~shard:owner req reply
+  | Some (Issue { role; args; creds; client = _ }) ->
+      let owner = router_owner r ~role ~args in
+      let colocated h =
+        match handle_of_string h with Some (s, _) -> s = owner | None -> false
+      in
+      if List.for_all colocated creds then forward r ~shard:owner req reply
+      else
+        reply
+          (Error
+             (Printf.sprintf
+                "credential not colocated with %s's shard %d (handles are \
+                 table-relative; bootstrap prerequisites at the owning shard)"
+                role owner))
+  | Some (Validate { handle; _ } | Exit { handle }) -> (
+      match handle_of_string handle with
+      | Some (shard, _) -> forward r ~shard req reply
       | None -> reply (Error "need a valid handle"))
-  | Some ("fire" | "rehire") -> (
-      match (get_str "role" j, get_args j, handle_shard_of j "revoker") with
-      | Some role, Some args, Some revoker_shard ->
+  | Some (Fire { revoker; role; args } | Rehire { revoker; role; args }) -> (
+      match handle_of_string revoker with
+      | None -> reply (Error "need a valid handle")
+      | Some (revoker_shard, _) ->
           let owner = router_owner r ~role ~args in
           if revoker_shard = owner then forward r ~shard:owner req reply
           else
@@ -312,17 +296,11 @@ let router_handle r req j reply =
                  (Printf.sprintf
                     "revoker certificate lives at shard %d but %s's instance is owned \
                      by shard %d; present a revoker issued at the owning shard"
-                    revoker_shard role owner))
-      | _ -> reply (Error "need revoker, role, args"))
-  | Some op -> reply (Error ("unknown op: " ^ op))
-  | None -> reply (Error "missing op")
+                    revoker_shard role owner)))
 
 let serve_router net host ~ring ~shards =
   let r = { r_net = net; r_host = host; r_ring = ring; r_shards = shards } in
-  Net.bind net host ~port:router_port (fun req reply ->
-      match J.parse req with
-      | Error e -> reply (Error ("bad request: " ^ e))
-      | Ok j -> router_handle r req j reply);
+  Net.bind net host ~port:router_port (router_handle r);
   r
 
 (* ------------------------------------------------------------------ *)
@@ -334,84 +312,34 @@ module Client = struct
 
   let create net host ~router = { c_net = net; c_host = host; c_router = router }
 
-  let request c doc k =
+  let request c req k =
     Net.call_retry c.c_net ~category:"oasis.client" ~src:c.c_host ~dst:c.c_router
-      ~port:router_port
-      (J.to_string (J.Obj doc))
-      (function
-        | Error e -> k (Error e)
-        | Ok s -> (
-            match J.parse s with
-            | Ok j -> k (Ok j)
-            | Error e -> k (Error ("bad reply: " ^ e))))
+      ~port:router_port (encode req) k
 
-  let field name extract k = function
+  let unit_reply k r = k (Result.map ignore r)
+
+  let int_reply k = function
     | Error e -> k (Error e)
-    | Ok j -> (
-        match extract name j with
-        | Some v -> k (Ok v)
-        | None -> k (Error ("reply missing " ^ name)))
+    | Ok s -> (
+        match int_of_string_opt s with
+        | Some n -> k (Ok n)
+        | None -> k (Error "malformed reply"))
 
-  let args_json args = J.Arr (List.map value_to_json args)
-  let strs l = J.Arr (List.map (fun s -> J.Str s) l)
-
-  let ping c k = request c [ ("op", J.Str "ping") ] (fun r -> k (Result.map ignore r))
-
-  let place c ~role ~args k =
-    request c
-      [ ("op", J.Str "place"); ("role", J.Str role); ("args", args_json args) ]
-      (field "shard" get_int k)
+  let ping c k = request c Ping (unit_reply k)
+  let place c ~role ~args k = request c (Place { role; args }) (int_reply k)
 
   let bootstrap c ?shard ~client ~roles ~args k =
-    request c
-      ([
-         ("op", J.Str "bootstrap");
-         ("client", J.Str client);
-         ("roles", strs roles);
-         ("args", args_json args);
-       ]
-      @ match shard with Some s -> [ ("shard", J.Int s) ] | None -> [])
-      (field "handle" get_str k)
+    request c (Bootstrap { shard; client; roles; args }) k
 
-  let issue c ~client ~role ~args ~creds k =
-    request c
-      [
-        ("op", J.Str "issue");
-        ("client", J.Str client);
-        ("role", J.Str role);
-        ("args", args_json args);
-        ("creds", strs creds);
-      ]
-      (field "handle" get_str k)
+  let issue c ~client ~role ~args ~creds k = request c (Issue { client; role; args; creds }) k
 
   let validate c ~client ~handle ?need_role k =
-    request c
-      ([ ("op", J.Str "validate"); ("client", J.Str client); ("handle", J.Str handle) ]
-      @ match need_role with Some r -> [ ("need_role", J.Str r) ] | None -> [])
-      (fun r -> k (Result.map ignore r))
+    request c (Validate { client; handle; need_role }) (unit_reply k)
 
-  let fire c ~revoker ~role ~args k =
-    request c
-      [
-        ("op", J.Str "fire");
-        ("revoker", J.Str revoker);
-        ("role", J.Str role);
-        ("args", args_json args);
-      ]
-      (field "revoked" get_int k)
+  let fire c ~revoker ~role ~args k = request c (Fire { revoker; role; args }) (int_reply k)
 
   let rehire c ~revoker ~role ~args k =
-    request c
-      [
-        ("op", J.Str "rehire");
-        ("revoker", J.Str revoker);
-        ("role", J.Str role);
-        ("args", args_json args);
-      ]
-      (fun r -> k (Result.map ignore r))
+    request c (Rehire { revoker; role; args }) (unit_reply k)
 
-  let exit_role c ~handle k =
-    request c
-      [ ("op", J.Str "exit"); ("handle", J.Str handle) ]
-      (fun r -> k (Result.map ignore r))
+  let exit_role c ~handle k = request c (Exit { handle }) (unit_reply k)
 end

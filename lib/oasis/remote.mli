@@ -4,13 +4,27 @@
     so the same adapters run in-process on the simulator and across
     processes on a real backend ([oasis_cli serve] / [client]).
 
-    {b What crosses the wire.}  JSON requests and replies only — never
-    certificates.  A {!Principal.vci} is meaningless outside its host
-    (§2.8) and a {!Credrec.cref} is table-relative, so the issuing shard
-    retains each certificate it issues and hands back an opaque {e
-    handle} ["<shard>:<idx>"].  It drops the certificate when it exits,
-    or when a sweep ({!Service.gc}) frees its record; a dropped handle is
-    refused as unknown, as a revoked one would be.  The shard prefix is the routing
+    {b What crosses the wire.}  Requests in the field packing of the
+    backend's envelope ({!Oasis_util.Frame.fields}), replies as one
+    string, and never certificates.  A request is its op ([ping],
+    [place], [bootstrap], [issue], [validate], [fire], [rehire] or
+    [exit]) and then its operands, in the order of the {!Client} stub's
+    parameters: a list operand (roles, role arguments, credential
+    handles) is itself a packing, a role argument is its
+    {!Oasis_rdl.Value.marshal} form, and an absent option ([bootstrap]'s
+    shard, [validate]'s role) is the empty string.  A reply is a handle,
+    a shard id or a count in decimal, or empty.  The router and the shard
+    each decode a request once; bytes that do not decode (an unknown op, a
+    missing or extra operand, a truncated field, a role argument that does
+    not unmarshal, a JSON document) are answered
+    [Error "malformed request"].
+
+    A {!Principal.vci} is meaningless outside its host (§2.8) and a
+    {!Credrec.cref} is table-relative, so the issuing shard retains each
+    certificate it issues and hands back an opaque {e handle}
+    ["<shard>:<idx>"].  It drops the certificate when it exits, or when a
+    sweep ({!Service.gc}) frees its record; a dropped handle is refused as
+    unknown, as a revoked one would be.  The shard prefix is the routing
     information: the router sends handle-bearing operations (validate,
     exit, fire) to the one table where the handle resolves.  A handle
     presented to any other shard fails closed ([unknown handle]), the
@@ -23,8 +37,8 @@
     with a revoker not issued at the owning shard, each with an error
     naming the owner — clients discover placement with [place] and
     bootstrap prerequisites at the owning shard.  In-process deployments
-    (bench [e22]) share the same discipline so both paths exercise one
-    protocol. *)
+    (the steady-state benchmark's wire workloads) share the same
+    discipline so both paths exercise one protocol. *)
 
 val shard_port : string
 val router_port : string

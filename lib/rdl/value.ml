@@ -94,7 +94,7 @@ let unmarshal s =
             | None -> None
             | Some tylen ->
                 let rest = String.sub body (colon + 1) (String.length body - colon - 1) in
-                if String.length rest < tylen then None
+                if tylen < 0 || String.length rest < tylen then None
                 else
                   Some
                     (Obj

@@ -41,6 +41,9 @@ val add_marshal : Buffer.t -> t -> unit
 (** {!marshal}'s bytes, appended to the buffer. *)
 
 val unmarshal : string -> t option
+(** Inverse of {!marshal}.  Total: it answers [None] on bytes it cannot
+    read and never raises, since role arguments arrive off the wire
+    (the shard/router requests) and off the broker's retained log. *)
 
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

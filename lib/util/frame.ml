@@ -89,3 +89,28 @@ module Reader = struct
         else t.start <- off;
         Some payload
 end
+
+(* Each field is its length in 8 hex digits, then its bytes. *)
+let fields l =
+  let b = Bytes.create (List.fold_left (fun acc f -> acc + 8 + String.length f) 0 l) in
+  ignore
+    (List.fold_left
+       (fun off f ->
+         let n = String.length f in
+         Hex.put_int b off ~width:8 n;
+         Bytes.blit_string f 0 b (off + 8) n;
+         off + 8 + n)
+       0 l);
+  Bytes.unsafe_to_string b
+
+let of_fields s =
+  let total = String.length s in
+  let rec go off acc =
+    if off = total then Some (List.rev acc)
+    else if off + 8 > total then None
+    else
+      let len = Hex.get_int s off ~width:8 in
+      if len < 0 || off + 8 + len > total then None
+      else go (off + 8 + len) (String.sub s (off + 8) len :: acc)
+  in
+  go 0 []

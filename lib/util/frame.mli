@@ -1,5 +1,6 @@
 (** Checksummed frames: the one byte format under every write-ahead-log
-    record, snapshot, replica ship batch and TCP message.
+    record, snapshot, replica ship batch and TCP message; and the field
+    packing of every message on the wire.
 
     {v [length: 8 hex][SipHash-2-4 of payload: 16 hex][payload] v}
 
@@ -45,3 +46,20 @@ module Reader : sig
       @raise Corrupt on a bad header or checksum: the stream has lost
       frame sync and cannot be resumed. *)
 end
+
+(** {1 Field packing}
+
+    The payload format of every message on the wire: a list of byte
+    strings, each written as its length in 8 lowercase hex digits and then
+    its bytes, with nothing between fields.  It is 8-bit clean, and a field
+    may itself be a packing.  It has two users: [Backend_unix] packs its
+    RPC envelope (the request and reply frames on a TCP stream) with it,
+    and [Remote] packs the requests, and their list operands, that the
+    envelope carries. *)
+
+val fields : string list -> string
+(** The packing of the fields, in order.  The empty list packs to [""]. *)
+
+val of_fields : string -> string list option
+(** Inverse of {!fields}; [None] unless the whole string is a sequence of
+    complete fields.  Total on arbitrary input. *)

@@ -481,6 +481,15 @@ let test_unix_wal_roundtrip () =
   let wal' = Wal.create disk' ~file:"wal" () in
   Alcotest.(check (list string)) "recovered = appended" (records @ [ "last" ]) (Wal.recover wal')
 
+(* Start [op] and run the backend until its continuation has run. *)
+let await backend op =
+  let res = ref None in
+  op (fun x -> res := Some x);
+  run_until_done backend ~deadline:5.0 (fun () -> !res <> None);
+  Option.get !res
+
+let ok what = function Ok x -> x | Error e -> Alcotest.failf "%s: %s" what e
+
 (* A shard server drops a certificate handle when the certificate exits,
    and when a sweep frees the certificate's record.  Either way the handle
    is then refused as unknown: it fails closed, as the revoked record it
@@ -507,13 +516,7 @@ let test_unix_dropped_handles_unknown () =
   Backend_unix.alias b ~name:"wire.r" ~local:"r";
   ignore (Remote.serve_router net r ~ring:(Shard.Ring.make ~shards:1 ()) ~shards:[| "wire.srv" |]);
   let c = Remote.Client.create net a ~router:"wire.r" in
-  let await op =
-    let r = ref None in
-    op (fun x -> r := Some x);
-    run_until_done backend ~deadline:5.0 (fun () -> !r <> None);
-    Option.get !r
-  in
-  let ok what = function Ok x -> x | Error e -> Alcotest.failf "%s: %s" what e in
+  let await op = await backend op in
   let args = [ V.Str "u1" ] in
   let bootstrap client roles args =
     await (Remote.Client.bootstrap c ~shard:0 ~client ~roles ~args)
@@ -539,6 +542,134 @@ let test_unix_dropped_handles_unknown () =
   checkb "the sweep frees the fired record" true (Service.gc svc > 0);
   unknown "swept" (validate fired);
   ok "the login handle survives" (validate login)
+
+(* --- Remote on the sim: every op of the shard/router protocol --- *)
+
+module Remote = Oasis_core.Remote
+
+(* Two shard services, each with its own registry as in a multi-process
+   deployment, a router over both, and a client host, all on the sim. *)
+let with_remote f =
+  let module Service = Oasis_core.Service in
+  let module Shard = Oasis_core.Shard in
+  with_backend Sim @@ fun backend _ ->
+  let net = Backend.net backend in
+  let shards = Array.init 2 (Printf.sprintf "s%d") in
+  Array.iteri
+    (fun i name ->
+      match
+        Service.create net (Net.add_host net name) (Service.create_registry ())
+          ~name:(Printf.sprintf "Gate#%d" i) ~rolefile_id:"Gate"
+          ~rolefile:"Admin <-\nLogin(u) <-\nUser(u) <- Login(u)* |>* Admin\n"
+          ~compound_certificates:false ()
+      with
+      | Ok svc -> ignore (Remote.serve_shard net svc ~shard_id:i)
+      | Error e -> Alcotest.failf "shard %d: %s" i e)
+    shards;
+  let r = Net.add_host net "r" in
+  ignore (Remote.serve_router net r ~ring:(Shard.Ring.make ~shards:2 ()) ~shards);
+  let c = Net.add_host net "c" in
+  f backend net c (Remote.Client.create net c ~router:"r")
+
+let refused what ~expect = function
+  | Ok _ -> Alcotest.failf "%s succeeded" what
+  | Error e -> checks what expect e
+
+let shard_of handle = int_of_string (List.hd (String.split_on_char ':' handle))
+
+let test_remote_ops () =
+  let module V = Oasis_rdl.Value in
+  with_remote @@ fun backend _ _ c ->
+  let module C = Remote.Client in
+  let await op = await backend op in
+  let u = [ V.Str "u1" ] in
+  ok "ping" (await (C.ping c));
+  let owner = ok "place" (await (C.place c ~role:"User" ~args:u)) in
+  let other = 1 - owner in
+  let bootstrap ?shard client roles args =
+    ok "bootstrap" (await (C.bootstrap c ?shard ~client ~roles ~args))
+  in
+  let placed = bootstrap "u1" [ "Login" ] u in
+  checki "an unplaced bootstrap follows the ring"
+    (ok "place Login" (await (C.place c ~role:"Login" ~args:u)))
+    (shard_of placed);
+  let login = bootstrap ~shard:owner "u1" [ "Login" ] u in
+  let stray_login = bootstrap ~shard:other "u1" [ "Login" ] u in
+  let admin = bootstrap ~shard:owner "root" [ "Admin" ] [] in
+  let stray_admin = bootstrap ~shard:other "root" [ "Admin" ] [] in
+  checki "an explicit shard wins" other (shard_of stray_login);
+  let issue creds = await (C.issue c ~client:"u1" ~role:"User" ~args:u ~creds) in
+  refused "issue with the other shard's credential"
+    ~expect:
+      (Printf.sprintf
+         "credential not colocated with User's shard %d (handles are table-relative; \
+          bootstrap prerequisites at the owning shard)"
+         owner)
+    (issue [ stray_login ]);
+  let user = ok "issue" (issue [ login ]) in
+  checki "issued at the owning shard" owner (shard_of user);
+  let validate ?need_role h = await (C.validate c ~client:"u1" ~handle:h ?need_role) in
+  ok "validate" (validate user);
+  ok "validate as User" (validate ~need_role:"User" user);
+  refused "validate as Admin" ~expect:"insufficient-rights" (validate ~need_role:"Admin" user);
+  let fire revoker = await (C.fire c ~revoker ~role:"User" ~args:u) in
+  refused "fire with the other shard's revoker"
+    ~expect:
+      (Printf.sprintf
+         "revoker certificate lives at shard %d but User's instance is owned by shard %d; \
+          present a revoker issued at the owning shard"
+         other owner)
+    (fire stray_admin);
+  checki "fire at the owning shard" 1 (ok "fire" (fire admin));
+  checkb "a fired certificate is refused" true (Result.is_error (validate user));
+  refused "re-entry while fired" ~expect:"entry to role User denied" (issue [ login ]);
+  ok "rehire" (await (C.rehire c ~revoker:admin ~role:"User" ~args:u));
+  let again = ok "issue after rehire" (issue [ login ]) in
+  ok "validate after rehire" (validate ~need_role:"User" again);
+  ok "exit" (await (C.exit_role c ~handle:again));
+  refused "validate after exit" ~expect:"validate: unknown handle" (validate again)
+
+(* Requests written byte by byte in the wire format, sent straight to the
+   router's port and to a shard's.  Well-formed ones are served; anything
+   else, the JSON document an older client sends among them, is answered
+   with an error, and nothing raises out of the engine. *)
+let test_remote_raw_requests () =
+  let module Frame = Oasis_util.Frame in
+  with_remote @@ fun backend net c client ->
+  let call dst port req = await backend (Net.call net ~src:c ~dst ~port req) in
+  let f = Frame.fields in
+  let place = f [ "place"; "User"; f [ "Su1" ] ] in
+  let owner =
+    ok "place"
+      (await backend (Remote.Client.place client ~role:"User" ~args:[ Oasis_rdl.Value.Str "u1" ]))
+  in
+  checks "ping" "" (ok "ping" (call "r" Remote.router_port (f [ "ping" ])));
+  checks "place names the owner" (string_of_int owner)
+    (ok "place" (call "r" Remote.router_port place));
+  let login =
+    ok "bootstrap"
+      (call "s0" Remote.shard_port (f [ "bootstrap"; ""; "u1"; f [ "Login" ]; f [ "Su1" ] ]))
+  in
+  checks "a shard's handles carry its id" "0:" (String.sub login 0 2);
+  let malformed =
+    [
+      ("an unknown op", f [ "promote"; "User"; f [ "Su1" ] ]);
+      ("an empty request", "");
+      ("a truncated field", String.sub place 0 (String.length place - 1));
+      ("a missing operand", f [ "place"; "User" ]);
+      ("an argument O-1:x", f [ "place"; "User"; f [ "O-1:x" ] ]);
+      ("a bootstrap argument O-1:x", f [ "bootstrap"; ""; "u1"; f [ "Login" ]; f [ "O-1:x" ] ]);
+      ("a fire argument O-1:x", f [ "fire"; login; "User"; f [ "O-1:x" ] ]);
+      ("a JSON document", {|{"op":"place","role":"User","args":[{"marshalled":"O-1:x"}]}|});
+    ]
+  in
+  List.iter
+    (fun (dst, port) ->
+      List.iter
+        (fun (what, req) ->
+          refused (what ^ " at " ^ dst) ~expect:"malformed request" (call dst port req))
+        malformed)
+    [ ("r", Remote.router_port); ("s0", Remote.shard_port) ]
 
 (* --- sim ordering regression: the engine refactor is invisible --- *)
 
@@ -577,6 +708,11 @@ let () =
           Alcotest.test_case "WAL round-trips on a real disk" `Quick test_unix_wal_roundtrip;
           Alcotest.test_case "exited and swept handles are unknown" `Quick
             test_unix_dropped_handles_unknown;
+        ] );
+      ( "remote",
+        [
+          Alcotest.test_case "every op through the client" `Quick test_remote_ops;
+          Alcotest.test_case "raw requests in the wire format" `Quick test_remote_raw_requests;
         ] );
       ( "sim-ordering",
         [

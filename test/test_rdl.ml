@@ -60,6 +60,25 @@ let prop_value_marshal_roundtrip =
       | Some v' -> Value.equal v v'
       | None -> false)
 
+(* Unmarshalling reads bytes off the wire and off the broker's retained
+   log, so it answers [None], and never raises, on bytes it cannot read. *)
+let test_value_unmarshal_negative_length () =
+  checkb "negative object type length" true (Value.unmarshal "O-1:x" = None);
+  checkb "type longer than the rest" true (Value.unmarshal "O5:ab" = None);
+  checkb "object round trip" true (Value.unmarshal "O3:docx1" = Some (Value.Obj ("doc", "x1")))
+
+let never_raises s = match Value.unmarshal s with _ -> true | exception _ -> false
+
+let prop_value_unmarshal_total =
+  QCheck.Test.make ~name:"unmarshal total on arbitrary strings" ~count:1000
+    QCheck.(pair (oneofl [ ""; "I"; "S"; "E"; "O" ]) string)
+    (fun (tag, s) -> never_raises (tag ^ s))
+
+let prop_value_unmarshal_total_obj =
+  QCheck.Test.make ~name:"unmarshal total on object headers" ~count:1000
+    QCheck.(triple (oneofl [ "O"; "I" ]) int string)
+    (fun (tag, n, s) -> never_raises (tag ^ string_of_int n ^ ":" ^ s))
+
 let prop_value_compare_consistent =
   QCheck.Test.make ~name:"compare consistent with equal" ~count:500
     (QCheck.pair value_arb value_arb)
@@ -507,6 +526,10 @@ let () =
           Alcotest.test_case "set ops" `Quick test_value_set_ops;
           Alcotest.test_case "obj equality" `Quick test_value_obj_equality;
           qt prop_value_marshal_roundtrip;
+          Alcotest.test_case "unmarshal refuses a negative length" `Quick
+            test_value_unmarshal_negative_length;
+          qt prop_value_unmarshal_total;
+          qt prop_value_unmarshal_total_obj;
           qt prop_value_compare_consistent;
         ] );
       ( "types",

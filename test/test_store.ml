@@ -234,6 +234,125 @@ let test_wal_decoder_fuzz () =
   checkb "over-cap header delivers nothing" true (streamed = []);
   checkb "over-cap header drops the stream" true (ending = `Corrupt)
 
+(* Property: the shard/router request decoder is total.  Seeded mutations
+   of a valid request of each op go to the router's port and to a shard's:
+   byte flips, truncation at every length, fields added, dropped and
+   replaced, and random bytes.  No exception escapes the engine, and each
+   call's continuation runs once, with its handler's answer, never its
+   timeout. *)
+let test_remote_decoder_fuzz () =
+  let module Remote = Oasis_core.Remote in
+  let engine = Engine.create () in
+  let net = Net.create ~latency:(Net.Fixed 0.005) engine in
+  let shards = [| "s0"; "s1" |] in
+  Array.iteri
+    (fun i name ->
+      match
+        Service.create net (Net.add_host net name) (Service.create_registry ())
+          ~name:(Printf.sprintf "Gate#%d" i) ~rolefile_id:"Gate"
+          ~rolefile:"Admin <-\nLogin(u) <-\nUser(u) <- Login(u)* |>* Admin\n"
+          ~compound_certificates:false ()
+      with
+      | Ok svc -> ignore (Remote.serve_shard net svc ~shard_id:i)
+      | Error e -> Alcotest.failf "shard %d: %s" i e)
+    shards;
+  let r = Net.add_host net "r" and c = Net.add_host net "c" in
+  ignore (Remote.serve_router net r ~ring:(Oasis_core.Shard.Ring.make ~shards:2 ()) ~shards);
+  let run () = Engine.run ~until:(Engine.now engine +. 30.0) engine in
+  (* Handles that resolve at shard 0, so mutations can reach its service. *)
+  let client = Remote.Client.create net c ~router:"r" in
+  let bootstrap roles args =
+    let h = ref "" in
+    Remote.Client.bootstrap client ~shard:0 ~client:"u1" ~roles ~args (function
+      | Ok x -> h := x
+      | Error e -> Alcotest.failf "bootstrap: %s" e);
+    run ();
+    !h
+  in
+  let login = bootstrap [ "Login" ] [ V.Str "u1" ] and admin = bootstrap [ "Admin" ] [] in
+  let f = Frame.fields and args = Frame.fields [ "Su1" ] in
+  let valid =
+    [
+      f [ "ping" ];
+      f [ "place"; "User"; args ];
+      f [ "bootstrap"; "0"; "u1"; f [ "Login" ]; args ];
+      f [ "issue"; "u1"; "User"; args; f [ login ] ];
+      f [ "validate"; "u1"; login; "Login" ];
+      f [ "fire"; admin; "User"; args ];
+      f [ "rehire"; admin; "User"; args ];
+      f [ "exit"; login ];
+    ]
+  in
+  List.iter
+    (fun v ->
+      Net.call net ~src:c ~dst:"s0" ~port:Remote.shard_port v (function
+        | Error "malformed request" -> Alcotest.failf "a valid request was refused"
+        | _ -> ()))
+    valid;
+  run ();
+  let prng = Prng.create 19L in
+  let random_bytes n = String.init n (fun _ -> Char.chr (Prng.int prng 256)) in
+  let extra () =
+    match Prng.int prng 4 with
+    | 0 -> ""
+    | 1 -> "O-1:x"
+    | 2 -> f [ "O-1:x"; random_bytes 3 ]
+    | _ -> random_bytes (Prng.int prng 12)
+  in
+  let mutations = ref [] in
+  let add m = mutations := m :: !mutations in
+  List.iter
+    (fun v ->
+      for n = 0 to String.length v - 1 do
+        add (String.sub v 0 n)
+      done;
+      for _ = 1 to 100 do
+        let b = Bytes.of_string v in
+        let i = Prng.int prng (Bytes.length b) in
+        Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 + Prng.int prng 255)));
+        add (Bytes.to_string b)
+      done;
+      let fields = Option.get (Frame.of_fields v) in
+      let n = List.length fields in
+      for _ = 1 to 40 do
+        let k = Prng.int prng (n + 1) in
+        let before = List.filteri (fun i _ -> i < k) fields
+        and after = List.filteri (fun i _ -> i >= k) fields in
+        add (f (before @ (extra () :: after)));
+        if k < n then begin
+          add (f (before @ List.tl after));
+          add (f (before @ (extra () :: List.tl after)))
+        end
+      done)
+    valid;
+  for _ = 1 to 300 do
+    add (random_bytes (Prng.int prng 80))
+  done;
+  let mutations = Array.of_list (List.rev !mutations) in
+  checkb "at least 2,000 mutations" true (Array.length mutations >= 2000);
+  let targets = [| ("r", Remote.router_port); ("s0", Remote.shard_port) |] in
+  let answers = Array.make (2 * Array.length mutations) [] in
+  let send i req =
+    let dst, port = targets.(i mod 2) in
+    Net.call net ~src:c ~dst ~port req (fun r -> answers.(i) <- r :: answers.(i))
+  in
+  Array.iteri
+    (fun i m ->
+      send (2 * i) m;
+      send ((2 * i) + 1) m)
+    mutations;
+  (match run () with
+  | () -> ()
+  | exception e -> Alcotest.failf "raised out of the engine: %s" (Printexc.to_string e));
+  Array.iteri
+    (fun i a ->
+      match a with
+      | [ Error "timeout" ] ->
+          Alcotest.failf "mutation %d timed out at %s" (i / 2) (fst targets.(i mod 2))
+      | [ _ ] -> ()
+      | l -> Alcotest.failf "mutation %d answered %d times" (i / 2) (List.length l))
+    answers
+
 (* --- snapshots --- *)
 
 let test_snapshot_atomic_across_crash () =
@@ -629,6 +748,8 @@ let () =
           Alcotest.test_case "rewrite refuses pending durability callbacks" `Quick
             test_wal_rewrite_refuses_pending_callbacks;
           Alcotest.test_case "decoder total under corruption (fuzz)" `Quick test_wal_decoder_fuzz;
+          Alcotest.test_case "request decoder total under mutation (fuzz)" `Quick
+            test_remote_decoder_fuzz;
         ] );
       ( "snapshot",
         [

@@ -346,6 +346,39 @@ let test_frame_pinned () =
   checks "encode_all concatenates" (String.concat "" (List.map (Frame.encode key) payloads)) framed;
   Alcotest.(check (list string)) "decode inverts" payloads (Frame.decode key framed)
 
+(* The field packing, pinned byte for byte: the TCP envelope and the
+   shard/router requests are written in it. *)
+let test_fields_pinned () =
+  checks "two fields" "00000002ab0000000000000003x\000y" (Frame.fields [ "ab"; ""; "x\000y" ]);
+  checks "no fields" "" (Frame.fields []);
+  let refused s = Alcotest.(check (option (list string))) s None (Frame.of_fields s) in
+  refused "0000000";
+  refused "00000003ab";
+  refused "0000000Gab";
+  refused "00000002abc"
+
+let fields_arb = QCheck.(small_list string)
+
+let prop_fields_roundtrip =
+  QCheck.Test.make ~name:"of_fields inverts fields" ~count:500 fields_arb (fun l ->
+      Frame.of_fields (Frame.fields l) = Some l)
+
+let prop_fields_nested_roundtrip =
+  QCheck.Test.make ~name:"a field may be a packing" ~count:300 QCheck.(small_list fields_arb)
+    (fun ls ->
+      match Frame.of_fields (Frame.fields (List.map Frame.fields ls)) with
+      | Some outer -> List.map Frame.of_fields outer = List.map Option.some ls
+      | None -> false)
+
+let prop_of_fields_total =
+  QCheck.Test.make ~name:"of_fields total on arbitrary strings" ~count:1000
+    QCheck.(pair (oneofl [ ""; "00000000"; "00000001"; "0000000f"; "ffffffff" ]) string)
+    (fun (head, s) ->
+      match Frame.of_fields (head ^ s) with
+      | Some l -> Frame.fields l = head ^ s
+      | None -> true
+      | exception _ -> false)
+
 (* --- bitset --- *)
 
 let small_int_list = QCheck.(small_list (int_bound Bitset.(62)))
@@ -630,7 +663,14 @@ let () =
           qt prop_hex_int64_matches_printf;
           Alcotest.test_case "strict fields" `Quick test_hex_strict_fields;
         ] );
-      ("frame", [ Alcotest.test_case "pinned bytes, round trip" `Quick test_frame_pinned ]);
+      ( "frame",
+        [
+          Alcotest.test_case "pinned bytes, round trip" `Quick test_frame_pinned;
+          Alcotest.test_case "field packing pinned" `Quick test_fields_pinned;
+          qt prop_fields_roundtrip;
+          qt prop_fields_nested_roundtrip;
+          qt prop_of_fields_total;
+        ] );
       ( "bitset",
         [
           qt prop_bitset_roundtrip;
