@@ -46,7 +46,7 @@ type t = {
   b_engine : Engine.t Lazy.t ref;
       (* tied after Engine.create because the source closes over [t] *)
   mutable b_net : Net.t option;
-  b_t0 : float;
+  b_t0 : int64;  (* CLOCK_MONOTONIC at creation, in ns *)
   b_data_dir : string;
   mutable b_listeners : Unix.file_descr list;
   mutable b_conns : conn list;
@@ -58,7 +58,7 @@ type t = {
   b_disks : (int, Disk.t) Hashtbl.t;
 }
 
-let now t () = Unix.gettimeofday () -. t.b_t0
+let now t () = Int64.to_float (Int64.sub (Monotonic_clock.now ()) t.b_t0) *. 1e-9
 
 let engine t = Lazy.force !(t.b_engine)
 let net t = match t.b_net with Some n -> n | None -> assert false
@@ -373,7 +373,7 @@ let create ?data_dir ?seed ?(latency = Net.Fixed 0.0) () =
     {
       b_engine = ref (lazy (assert false));
       b_net = None;
-      b_t0 = Unix.gettimeofday ();
+      b_t0 = Monotonic_clock.now ();
       b_data_dir = (match data_dir with Some d -> d | None -> default_data_dir ());
       b_listeners = [];
       b_conns = [];

@@ -2,9 +2,11 @@
     event loop, length-prefixed TCP messaging over loopback sockets, and
     real files with [fsync] behind the {!Oasis_store.Disk} interface.
 
-    {b Clock} — {!Oasis_sim.Engine.now} reads [Unix.gettimeofday]
-    normalized to the backend's start, so traces and percentiles are in
-    seconds-since-start just like the simulator's virtual clock.
+    {b Clock} — {!Oasis_sim.Engine.now} reads [CLOCK_MONOTONIC] (through
+    [bechamel.monotonic_clock]) in seconds since the backend was created,
+    so traces and percentiles are in seconds-since-start just like the
+    simulator's virtual clock.  The clock never goes back, and a step of
+    the system's wall clock moves no timer, call timeout or heartbeat.
 
     {b Messaging} — in-process hosts talk through {!Oasis_sim.Net}
     unchanged (zero latency); the serialized named-port surface

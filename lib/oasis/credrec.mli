@@ -6,23 +6,28 @@
     its parents' values.  As in the paper, each record keeps {e counters} of
     how many parents are currently true, false and unknown — all that is
     needed to compute its own state.  Adjacency is {e indexed}: every edge
-    has a table-unique id kept both in the parent's child set and in a back
-    index on the child, so detaching a dying record from all its parents is
-    O(1) per edge (the back index goes beyond the paper's counters-only
-    sketch, but is invisible to the semantics).  State changes propagate to
-    children via a generation-stamped worklist, so a cascade recomputes each
-    record once per settled counter change instead of once per DAG path;
-    {e notify} callbacks fire so that other servers (via event notification)
-    and certificate caches can react.
+    has a table-unique id and sits both on the parent's child list and on
+    the child's parent list, so detaching a dying record from all its
+    parents is O(1) per edge (the parent list goes beyond the paper's
+    counters-only sketch, but is invisible to the semantics).  State
+    changes propagate to children via a generation-stamped worklist, so a
+    cascade recomputes each record once per settled counter change instead
+    of once per DAG path; {e notify} callbacks fire so that other servers
+    (via event notification) and certificate caches can react.
 
     References are [(table index, magic)] pairs; a slot's magic is bumped on
     reuse, so references are never resurrected: a dangling reference reads as
     permanently [False] — exactly the paper's licence to delete records
     whose value is false forever.
 
-    The table pays for live records only: a slot gets its record on first
-    use, a record gets each of its edge tables on its first edge in that
-    direction, and a freed slot keeps only its record and magic. *)
+    The table pays for live records only.  Every edge is one entry of a
+    table-wide pool of flat [int] arrays (its id and negation mark, its
+    two ends, and the links of both lists); a live record is 13 words of
+    counters, list heads and one flags word; and a freed slot keeps only
+    its magic, in a flat [int] array, until its next use allocates a new
+    record.  A record's children are visited in the order a
+    [Hashtbl.create 4] keyed by edge id would list them, which fixes the
+    order notify hooks fire in. *)
 
 type table
 
@@ -146,9 +151,11 @@ val fingerprint : table -> int64
     interleavings. *)
 
 val self_check : table -> (unit, string) result
-(** Structural audit: edge/back-index symmetry, no dangling edges, counter
-    sums and per-state recounts, and state consistency with counters for
-    non-permanent combining records.  Only meaningful at quiescence. *)
+(** Structural audit: every edge on a child list is on its child's parent
+    list and the reverse, no edge dangles, the edge pool holds nothing
+    else, every record's counters match a recount over its parents, and
+    non-permanent combining records agree with their counters.  Only
+    meaningful at quiescence. *)
 
 val marshal_ref : cref -> string
 (** ["index.magic"], both in lowercase hex: the record reference in signed

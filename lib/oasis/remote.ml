@@ -124,33 +124,50 @@ let handle_of_string s =
 (* Shard server                                                        *)
 (* ------------------------------------------------------------------ *)
 
+(* A client name's VCI at this shard, held by each of the name's live
+   handles and by each of its requests in flight.  The name is forgotten
+   when the last hold goes, so the table keeps only names in use; a name
+   that returns gets a new VCI, which no surviving certificate names. *)
+type client = { cl_name : string; cl_vci : Principal.vci; mutable cl_holds : int }
+
 type shard_server = {
   ss_service : Service.t;
   ss_id : int;
-  ss_certs : (int, Cert.rmc) Hashtbl.t;
+  ss_certs : (int, Cert.rmc * client) Hashtbl.t;
   mutable ss_next : int;
-  ss_vcis : (string, Principal.vci) Hashtbl.t;
+  ss_clients : (string, client) Hashtbl.t;
   ss_phost : Principal.Host.t;
   ss_pdom : Principal.Host.domain;
 }
 
-let vci_for ss client =
-  match Hashtbl.find_opt ss.ss_vcis client with
-  | Some v -> v
-  | None ->
-      let v = Principal.Host.new_vci ss.ss_phost ss.ss_pdom in
-      Hashtbl.add ss.ss_vcis client v;
-      v
+let hold ss name =
+  let c =
+    match Hashtbl.find_opt ss.ss_clients name with
+    | Some c -> c
+    | None ->
+        let c =
+          { cl_name = name; cl_vci = Principal.Host.new_vci ss.ss_phost ss.ss_pdom; cl_holds = 0 }
+        in
+        Hashtbl.add ss.ss_clients name c;
+        c
+  in
+  c.cl_holds <- c.cl_holds + 1;
+  c
 
-let remember ss cert =
+let let_go ss c =
+  c.cl_holds <- c.cl_holds - 1;
+  if c.cl_holds = 0 then Hashtbl.remove ss.ss_clients c.cl_name
+
+let remember ss c cert =
   let idx = ss.ss_next in
   ss.ss_next <- idx + 1;
-  Hashtbl.add ss.ss_certs idx cert;
+  Hashtbl.add ss.ss_certs idx (cert, c);
+  c.cl_holds <- c.cl_holds + 1;
   handle_to_string ~shard:ss.ss_id ~idx
 
 let resolve ss handle =
   match handle_of_string handle with
-  | Some (shard, idx) when shard = ss.ss_id -> Hashtbl.find_opt ss.ss_certs idx
+  | Some (shard, idx) when shard = ss.ss_id -> Option.map fst (Hashtbl.find_opt ss.ss_certs idx)
   | _ -> None
 
 (* An exited certificate's handle goes at once; any other whose record a
@@ -158,21 +175,36 @@ let resolve ss handle =
    unknown, which fails closed like the revoked record it named. *)
 let drop_handle ss handle =
   match handle_of_string handle with
-  | Some (_, idx) -> Hashtbl.remove ss.ss_certs idx
+  | Some (_, idx) -> (
+      match Hashtbl.find_opt ss.ss_certs idx with
+      | Some (_, c) ->
+          Hashtbl.remove ss.ss_certs idx;
+          let_go ss c
+      | None -> ())
   | None -> ()
 
 let drop_swept ss =
   let table = Service.table ss.ss_service in
   Hashtbl.filter_map_inplace
-    (fun _ (c : Cert.rmc) -> if Credrec.live table c.Cert.crr then Some c else None)
+    (fun _ ((cert : Cert.rmc), c) ->
+      if Credrec.live table cert.Cert.crr then Some (cert, c)
+      else begin
+        let_go ss c;
+        None
+      end)
     ss.ss_certs
 
 let shard_handle ss req reply =
   let svc = ss.ss_service in
   let self = Service.host svc in
-  let issued = function
-    | Error e -> reply (Error e)
-    | Ok cert -> reply (Ok (remember ss cert))
+  let issued c = function
+    | Error e ->
+        let_go ss c;
+        reply (Error e)
+    | Ok cert ->
+        let handle = remember ss c cert in
+        let_go ss c;
+        reply (Ok handle)
   in
   let done_ r = reply (Result.map (fun () -> "") r) in
   match decode req with
@@ -180,19 +212,23 @@ let shard_handle ss req reply =
   | Some Ping -> reply (Ok "")
   | Some (Place _) -> reply (Error "place: the router answers it")
   | Some (Bootstrap { client; roles; args; shard = _ }) ->
-      let cert = Service.issue_arbitrary svc ~client:(vci_for ss client) ~roles ~args in
-      reply (Ok (remember ss cert))
+      let c = hold ss client in
+      issued c (Ok (Service.issue_arbitrary svc ~client:c.cl_vci ~roles ~args))
   | Some (Issue { client; role; args; creds }) -> (
       match all (resolve ss) creds with
       | None -> reply (Error "issue: unknown credential handle")
       | Some creds ->
-          Service.request_entry svc ~client_host:self ~client:(vci_for ss client) ~role ~args
-            ~creds issued)
+          let c = hold ss client in
+          Service.request_entry svc ~client_host:self ~client:c.cl_vci ~role ~args ~creds
+            (issued c))
   | Some (Validate { client; handle; need_role }) -> (
       match resolve ss handle with
       | None -> reply (Error "validate: unknown handle")
       | Some cert -> (
-          match Service.validate svc ~client:(vci_for ss client) ?need_role cert with
+          let c = hold ss client in
+          let verdict = Service.validate svc ~client:c.cl_vci ?need_role cert in
+          let_go ss c;
+          match verdict with
           | Ok () -> reply (Ok "")
           | Error f -> reply (Error (Format.asprintf "%a" Service.pp_failure f))))
   | Some (Fire { revoker; role; args }) -> (
@@ -222,7 +258,7 @@ let serve_shard net service ~shard_id =
       ss_id = shard_id;
       ss_certs = Hashtbl.create 64;
       ss_next = 0;
-      ss_vcis = Hashtbl.create 16;
+      ss_clients = Hashtbl.create 16;
       ss_phost = phost;
       ss_pdom = Principal.Host.boot_domain phost;
     }
@@ -232,6 +268,7 @@ let serve_shard net service ~shard_id =
   ss
 
 let shard_server_certs ss = Hashtbl.length ss.ss_certs
+let shard_server_clients ss = Hashtbl.length ss.ss_clients
 
 (* ------------------------------------------------------------------ *)
 (* Router                                                              *)

@@ -51,11 +51,17 @@ val serve_shard : Oasis_sim.Net.t -> Service.t -> shard_id:int -> shard_server
 (** Bind the shard protocol on the service's host at {!shard_port}.
     Ops: [ping], [bootstrap] (§4.12 {!Service.issue_arbitrary}), [issue]
     ({!Service.request_entry}), [validate], [fire], [rehire], [exit].
-    Client identities are per-name VCIs minted at this shard. *)
+    Client identities are per-name VCIs minted at this shard, kept while
+    the name holds a handle or has a request in flight. *)
 
 val shard_server_certs : shard_server -> int
 (** Certificates retained in the handle table: those not yet exited or
     swept. *)
+
+val shard_server_clients : shard_server -> int
+(** Client names holding a VCI at this shard: those with a retained
+    certificate or a request in flight.  A name is dropped when its last
+    one goes, and a name that returns gets a new VCI. *)
 
 val handle_to_string : shard:int -> idx:int -> string
 (** The handle ["<shard>:<idx>"], both in decimal. *)

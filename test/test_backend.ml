@@ -218,6 +218,43 @@ let test_unix_loopback_call () =
   run_until_done backend ~deadline:5.0 (fun () -> !answer <> "");
   checks "request crossed the socket and back" "5" !answer
 
+(* The clock reads CLOCK_MONOTONIC: [Engine.now] never decreases, read
+   back to back, in timers, in a handler serving a frame read off the
+   socket, and in the callbacks of replies read back.  (Stepping the
+   system's wall clock, which the clock must ignore, is a machine setting
+   this test does not touch.) *)
+let test_unix_clock_monotonic () =
+  with_wire @@ fun _ backend net a srv ->
+  let engine = Backend.engine backend in
+  let last = ref (Engine.now engine) in
+  let observe what =
+    let now = Engine.now engine in
+    if now < !last then Alcotest.failf "%s: Engine.now went back from %.9f to %.9f" what !last now;
+    last := now
+  in
+  checkb "the clock starts at the backend's creation" true (!last >= 0.0 && !last < 1.0);
+  for _ = 1 to 10_000 do
+    observe "back to back"
+  done;
+  Net.bind net srv ~port:"echo" (fun req reply ->
+      observe "handler";
+      reply (Ok req));
+  let burst = 64 and answered = ref 0 and fired = ref 0 in
+  for i = 1 to burst do
+    Engine.schedule engine ~delay:(0.001 *. float_of_int (i mod 8)) (fun () ->
+        observe "timer";
+        incr fired);
+    Net.call net ~src:a ~dst:"wire.srv" ~port:"echo" (string_of_int i) (function
+      | Ok _ ->
+          observe "reply";
+          incr answered
+      | Error e -> Alcotest.failf "call %d: %s" i e)
+  done;
+  run_until_done backend ~deadline:5.0 (fun () ->
+      observe "poll";
+      !answered = burst && !fired = burst);
+  checkb "the clock advanced" true (Engine.now engine > 0.0)
+
 (* A remote call's timeout timer is cancelled when the reply lands: after
    a burst of completed calls no caller timer is left pending, so none
    holds its call's continuation for the rest of the timeout. *)
@@ -548,28 +585,31 @@ let test_unix_dropped_handles_unknown () =
 module Remote = Oasis_core.Remote
 
 (* Two shard services, each with its own registry as in a multi-process
-   deployment, a router over both, and a client host, all on the sim. *)
+   deployment, a router over both, and a client host, all on the sim;
+   [f] gets the shard servers last. *)
 let with_remote f =
   let module Service = Oasis_core.Service in
   let module Shard = Oasis_core.Shard in
   with_backend Sim @@ fun backend _ ->
   let net = Backend.net backend in
   let shards = Array.init 2 (Printf.sprintf "s%d") in
-  Array.iteri
-    (fun i name ->
-      match
-        Service.create net (Net.add_host net name) (Service.create_registry ())
-          ~name:(Printf.sprintf "Gate#%d" i) ~rolefile_id:"Gate"
-          ~rolefile:"Admin <-\nLogin(u) <-\nUser(u) <- Login(u)* |>* Admin\n"
-          ~compound_certificates:false ()
-      with
-      | Ok svc -> ignore (Remote.serve_shard net svc ~shard_id:i)
-      | Error e -> Alcotest.failf "shard %d: %s" i e)
-    shards;
+  let servers =
+    Array.mapi
+      (fun i name ->
+        match
+          Service.create net (Net.add_host net name) (Service.create_registry ())
+            ~name:(Printf.sprintf "Gate#%d" i) ~rolefile_id:"Gate"
+            ~rolefile:"Admin <-\nLogin(u) <-\nUser(u) <- Login(u)* |>* Admin\n"
+            ~compound_certificates:false ()
+        with
+        | Ok svc -> Remote.serve_shard net svc ~shard_id:i
+        | Error e -> Alcotest.failf "shard %d: %s" i e)
+      shards
+  in
   let r = Net.add_host net "r" in
   ignore (Remote.serve_router net r ~ring:(Shard.Ring.make ~shards:2 ()) ~shards);
   let c = Net.add_host net "c" in
-  f backend net c (Remote.Client.create net c ~router:"r")
+  f backend net c (Remote.Client.create net c ~router:"r") servers
 
 let refused what ~expect = function
   | Ok _ -> Alcotest.failf "%s succeeded" what
@@ -579,7 +619,7 @@ let shard_of handle = int_of_string (List.hd (String.split_on_char ':' handle))
 
 let test_remote_ops () =
   let module V = Oasis_rdl.Value in
-  with_remote @@ fun backend _ _ c ->
+  with_remote @@ fun backend _ _ c _ ->
   let module C = Remote.Client in
   let await op = await backend op in
   let u = [ V.Str "u1" ] in
@@ -629,13 +669,55 @@ let test_remote_ops () =
   ok "exit" (await (C.exit_role c ~handle:again));
   refused "validate after exit" ~expect:"validate: unknown handle" (validate again)
 
+(* A shard keeps a client name's VCI only while the name holds a handle
+   or has a request in flight: 1,000 names that each bootstrap and exit
+   leave the table as they found it, and so does a request by a name that
+   holds nothing.  A name that returns starts over with a new VCI. *)
+let test_remote_client_names_bounded () =
+  let module V = Oasis_rdl.Value in
+  with_remote @@ fun backend _ _ c servers ->
+  let module C = Remote.Client in
+  let await op = await backend op in
+  let s0 = servers.(0) in
+  let clients0 = Remote.shard_server_clients s0 and certs0 = Remote.shard_server_certs s0 in
+  for i = 1 to 1000 do
+    let name = Printf.sprintf "u%d" i in
+    let login =
+      ok "bootstrap"
+        (await (C.bootstrap c ~shard:0 ~client:name ~roles:[ "Login" ] ~args:[ V.Str name ]))
+    in
+    if i = 1 then
+      checki "a name with a handle holds a VCI" (clients0 + 1) (Remote.shard_server_clients s0);
+    ok "exit" (await (C.exit_role c ~handle:login))
+  done;
+  checki "every name let go" clients0 (Remote.shard_server_clients s0);
+  checki "every handle dropped" certs0 (Remote.shard_server_certs s0);
+  (* The name that returns is the first whose User instance shard 0 owns,
+     so it comes back to the shard that let it go. *)
+  let rec returning i =
+    let name = Printf.sprintf "u%d" i in
+    if ok "place" (await (C.place c ~role:"User" ~args:[ V.Str name ])) = 0 then name
+    else returning (i + 1)
+  in
+  let name = returning 1 in
+  let args = [ V.Str name ] in
+  let login =
+    ok "bootstrap again" (await (C.bootstrap c ~shard:0 ~client:name ~roles:[ "Login" ] ~args))
+  in
+  let user = ok "issue" (await (C.issue c ~client:name ~role:"User" ~args ~creds:[ login ])) in
+  ok "validate" (await (C.validate c ~client:name ~handle:user ?need_role:None));
+  checki "the returning name holds a VCI again" (clients0 + 1) (Remote.shard_server_clients s0);
+  checkb "a stranger's validation is refused" true
+    (Result.is_error (await (C.validate c ~client:"stranger" ~handle:user ?need_role:None)));
+  checki "and leaves no name behind" (clients0 + 1) (Remote.shard_server_clients s0)
+
 (* Requests written byte by byte in the wire format, sent straight to the
    router's port and to a shard's.  Well-formed ones are served; anything
    else, the JSON document an older client sends among them, is answered
    with an error, and nothing raises out of the engine. *)
 let test_remote_raw_requests () =
   let module Frame = Oasis_util.Frame in
-  with_remote @@ fun backend net c client ->
+  with_remote @@ fun backend net c client _ ->
   let call dst port req = await backend (Net.call net ~src:c ~dst ~port req) in
   let f = Frame.fields in
   let place = f [ "place"; "User"; f [ "Su1" ] ] in
@@ -708,11 +790,14 @@ let () =
           Alcotest.test_case "WAL round-trips on a real disk" `Quick test_unix_wal_roundtrip;
           Alcotest.test_case "exited and swept handles are unknown" `Quick
             test_unix_dropped_handles_unknown;
+          Alcotest.test_case "the clock never goes back" `Quick test_unix_clock_monotonic;
         ] );
       ( "remote",
         [
           Alcotest.test_case "every op through the client" `Quick test_remote_ops;
           Alcotest.test_case "raw requests in the wire format" `Quick test_remote_raw_requests;
+          Alcotest.test_case "client names let go with their handles" `Quick
+            test_remote_client_names_bounded;
         ] );
       ( "sim-ordering",
         [
