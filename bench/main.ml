@@ -632,7 +632,50 @@ Member(u) <- Login.LoggedOn(u, h)* <|* Chair : (u in staff)*
           | Some [ est ] -> row "%-28s  %12.1f ns/op\n" name est
           | _ -> row "%-28s  %12s\n" name "n/a")
         analysed)
-    tests
+    tests;
+  (* The sim substrate's per-event layer, timed by hand so one loop reads
+     both CPU time and minor words.  Each engine first queues events far
+     beyond the loop's reach, so the loop works at about sim-session's
+     depth of 4,000 queued events. *)
+  let deep_engine queued =
+    let e = Engine.create () in
+    for i = 1 to queued do
+      Engine.schedule e ~delay:(1e6 +. float_of_int i) ignore
+    done;
+    e
+  in
+  let per_op name n loop =
+    loop (n / 10);
+    let w0 = Gc.minor_words () and t0 = Sys.time () in
+    loop n;
+    let t1 = Sys.time () and w1 = Gc.minor_words () in
+    row "%-28s  %12.1f ns/op  %8.1f minor words/op\n" name
+      (1e9 *. (t1 -. t0) /. float_of_int n)
+      ((w1 -. w0) /. float_of_int n)
+  in
+  let e = deep_engine 4_000 in
+  per_op "engine-schedule+step" 1_000_000 (fun n ->
+      for _ = 1 to n do
+        Engine.schedule e ~delay:0.0 ignore;
+        ignore (Engine.step e)
+      done);
+  (* A 1 ms link and the default 2 s timeout keep about 1,000 call
+     timeouts queued on top of the 3,000 background events; a round trip
+     runs its request, its reply and, once warm, one expiring timeout. *)
+  let e = deep_engine 3_000 in
+  let net = Net.create ~latency:(Net.Fixed 0.001) e in
+  let a = Net.add_host net "a" and b = Net.add_host net "b" in
+  let answered = ref 0 in
+  let k _ = incr answered in
+  per_op "sim-rpc-roundtrip" 100_000 (fun n ->
+      for _ = 1 to n do
+        let before = !answered in
+        Net.rpc net ~src:a ~dst:b (fun () -> Ok ()) k;
+        while !answered = before do
+          ignore (Engine.step e)
+        done
+      done);
+  row "engine queue at the end: %d events\n" (Engine.pending e)
 
 (* ------------------------------------------------------------------ *)
 (* E10 — ch. 7: event-security overhead                                *)

@@ -26,30 +26,18 @@ let drain_fixed t =
   (* Pop every occurrence the covering horizon has passed: these form the
      newly fixed portion of the queue (fig 6.6). *)
   let horizon = t.io.Bead.io_horizon t.templates in
-  let rec go () =
-    match Pqueue.peek t.queue with
-    | Some (at, _) when at <= horizon -> (
-        match Pqueue.pop t.queue with
-        | Some (_, o) ->
-            if not t.ended then t.handlers.on_fixed o;
-            go ()
-        | None -> ())
-    | _ -> ()
-  in
-  go ()
+  while (not (Pqueue.is_empty t.queue)) && Pqueue.min_prio t.queue <= horizon do
+    let o = Pqueue.take_min t.queue in
+    if not t.ended then t.handlers.on_fixed o
+  done
 
 let stop t =
   if not t.ended then begin
     t.ended <- true;
     (* Whatever is queued is fixed by fiat at stream end. *)
-    let rec flush () =
-      match Pqueue.pop t.queue with
-      | Some (_, o) ->
-          t.handlers.on_fixed o;
-          flush ()
-      | None -> ()
-    in
-    flush ();
+    while not (Pqueue.is_empty t.queue) do
+      t.handlers.on_fixed (Pqueue.take_min t.queue)
+    done;
     t.unsub_horizon ();
     Option.iter Bead.stop t.detector;
     Option.iter Bead.stop t.until_detector;
@@ -61,7 +49,7 @@ let aggregate io ?(env = []) ?until comp handlers =
     {
       io;
       templates = Composite.base_templates comp;
-      queue = Pqueue.create ();
+      queue = Pqueue.create ~vacant:{ Bead.at = 0.0; env = [] };
       handlers;
       detector = None;
       until_detector = None;

@@ -3,23 +3,19 @@ module Pqueue = Oasis_util.Pqueue
 type held = { h_event : Event.t; h_cb : Event.t -> unit; h_live : bool ref }
 
 let wrap (io : Bead.io) : Bead.io =
-  let buffer : held Pqueue.t = Pqueue.create () in
+  let buffer =
+    Pqueue.create
+      ~vacant:{ h_event = Event.make ~name:"" ~source:"" []; h_cb = ignore; h_live = ref false }
+  in
   (* The global horizon: a template with no source pin covers all sources. *)
   let any_template = Event.template "(any)" [] in
   let global_horizon () = io.Bead.io_horizon [ any_template ] in
   let release () =
     let h = global_horizon () in
-    let rec go () =
-      match Pqueue.peek buffer with
-      | Some (stamp, _) when stamp <= h -> (
-          match Pqueue.pop buffer with
-          | Some (_, held) ->
-              if !(held.h_live) then held.h_cb held.h_event;
-              go ()
-          | None -> ())
-      | _ -> ()
-    in
-    go ()
+    while (not (Pqueue.is_empty buffer)) && Pqueue.min_prio buffer <= h do
+      let held = Pqueue.take_min buffer in
+      if !(held.h_live) then held.h_cb held.h_event
+    done
   in
   let _unsub = io.Bead.on_horizon release in
   {

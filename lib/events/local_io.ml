@@ -25,7 +25,7 @@ let create ?(clock_uncertainty = 0.0) ?(retention = 1_000_000.0) () =
     retention;
     subs = [];
     retained = [];
-    timers = Pqueue.create ();
+    timers = Pqueue.create ~vacant:ignore;
     horizons = Hashtbl.create 4;
     held = Hashtbl.create 4;
     horizon_watchers = [];
@@ -47,18 +47,12 @@ let advance_unheld t =
 
 let set_time t at =
   if at < t.time then invalid_arg "Local_io.set_time: time cannot go backwards";
-  let rec run_due () =
-    match Pqueue.peek t.timers with
-    | Some (due, _) when due <= at ->
-        (match Pqueue.pop t.timers with
-        | Some (due, action) ->
-            t.time <- max t.time due;
-            action ()
-        | None -> ());
-        run_due ()
-    | _ -> ()
-  in
-  run_due ();
+  while (not (Pqueue.is_empty t.timers)) && Pqueue.min_prio t.timers <= at do
+    let due = Pqueue.min_prio t.timers in
+    let action = Pqueue.take_min t.timers in
+    t.time <- max t.time due;
+    action ()
+  done;
   t.time <- at;
   advance_unheld t;
   fire_horizon_watchers t

@@ -47,7 +47,9 @@ let default_params = { depth = 12; window = 0.1; max_branch = 3; max_runs = 100_
 (* --- one run under a schedule --- *)
 
 type decision = {
-  d_fp : int64;  (* world fingerprint at hook entry (0 when not reducing) *)
+  d_fp : int64;
+      (* world fingerprint at hook entry; 0 when not reducing, and at the
+         decisions the schedule's own choices fix *)
   d_eligible : Engine.event array;
   d_choice : int;
   d_sleep : int list;  (* seqs asleep at node entry, sorted *)
@@ -113,7 +115,11 @@ let run_schedule ?seed ?twin (spec : Scenario.t) params schedule =
             let k = !ndec in
             let choice = if k < Array.length schedule then schedule.(k) else 0 in
             let choice = if choice >= Array.length eligible then 0 else choice in
-            let fp = if params.reduce then Scenario.fingerprint w else 0L in
+            (* [explore] reads the fingerprint only past the replayed
+               prefix, where this run's decisions are new. *)
+            let fp =
+              if params.reduce && k >= Array.length schedule then Scenario.fingerprint w else 0L
+            in
             Scenario.check_safety w spec;
             decisions :=
               {

@@ -28,6 +28,8 @@ val default_params : params
 
 type decision = {
   d_fp : int64;
+      (** world fingerprint at hook entry; [0L] when not reducing, and at
+          the decisions the schedule's own choices fix *)
   d_eligible : Oasis_sim.Engine.event array;
   d_choice : int;
   d_sleep : int list;

@@ -150,30 +150,36 @@ let send t ?(category = "msg") ?(size = 64) ~src ~dst action =
 (* The general request/response shape: the handler runs at [dst] and is
    handed a [reply] closure it may call later, from any engine event —
    which is what asynchronous servers (WAL group commit, nested RPCs)
-   need.  [rpc] specialises this to handlers that answer inline. *)
+   need.  [rpc] specialises this to handlers that answer inline.
+
+   The caller's continuation waits in [pending], which the reply or the
+   timeout empties, whichever comes first.  An answered call's timeout is
+   not cancelled: a cancelled timer drops out of [Engine.events], which
+   the model checker branches on and fingerprints. *)
 let rpc_async t ?(category = "rpc") ?size ?(timeout = 2.0) ~src ~dst handler k =
-  let done_ = ref false in
+  let pending = ref (Some k) in
   let ctx = Trace.current t.trace in
   Engine.schedule t.engine ~tag:("t:" ^ src.name) ~delay:timeout (fun () ->
-      if not !done_ then begin
-        done_ := true;
-        Stats.incr t.stats (category ^ ".timeout");
-        (* The timeout continuation belongs to the caller's causal chain
-           even though no message carried it. *)
-        Trace.with_ctx t.trace ctx (fun () -> k (Error "timeout"))
-      end);
+      match !pending with
+      | None -> ()
+      | Some k ->
+          pending := None;
+          Stats.incr t.stats (category ^ ".timeout");
+          (* The timeout continuation belongs to the caller's causal chain
+             even though no message carried it. *)
+          Trace.with_ctx t.trace ctx (fun () -> k (Error "timeout")));
   send t ~category ?size ~src ~dst (fun () ->
       handler (fun result ->
           send t ~category:(category ^ ".reply") ?size ~src:dst ~dst:src (fun () ->
-              if !done_ then
-                (* The caller already gave up: the server-side effects stand
-                   but the answer is discarded.  Experiments need to see how
-                   often this happens (retried requests must be idempotent). *)
-                Stats.incr t.stats (category ^ ".late_reply")
-              else begin
-                done_ := true;
-                k result
-              end)))
+              match !pending with
+              | None ->
+                  (* The caller already gave up: the server-side effects stand
+                     but the answer is discarded.  Experiments need to see how
+                     often this happens (retried requests must be idempotent). *)
+                  Stats.incr t.stats (category ^ ".late_reply")
+              | Some k ->
+                  pending := None;
+                  k result)))
 
 let rpc t ?category ?size ?timeout ~src ~dst handler k =
   rpc_async t ?category ?size ?timeout ~src ~dst (fun reply -> reply (handler ())) k

@@ -126,7 +126,19 @@ val rpc_async :
     before the work is done.  Timeout, late-reply accounting and the
     idempotence obligation are exactly as for {!rpc}; a reply closure
     called twice sends two replies, of which the caller heeds at most
-    one. *)
+    one.
+
+    The continuation waits in one mutable cell, which the reply or the
+    timeout empties, whichever comes first, so an answered call lets go of
+    it as soon as the reply arrives.  Its timeout event stays queued to its
+    deadline, with its sequence number and [t:] tag, and holds only the
+    emptied cell and the caller's trace context.  It is not cancelled the
+    way {!call}'s wire path cancels its timer: a cancelled timer drops out
+    of {!Engine.events}, which the model checker branches on and
+    fingerprints, so cancelling would change the schedules it walks.
+    This holds for {!rpc},
+    {!rpc_retry}, {!rpc_async_retry} and {!call} to a host of this
+    process too, which all run on [rpc_async]. *)
 
 val rpc_async_retry :
   t ->
