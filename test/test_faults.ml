@@ -128,6 +128,7 @@ let test_rpc_late_reply_counted () =
     (fun r -> results := r :: !results);
   Engine.run ~until:10.0 engine;
   checkb "timeout surfaced once" true (!results = [ Error "timeout" ]);
+  checki "timeout counted" 1 (Stats.count (Net.stats net) "r.timeout");
   checki "late reply counted" 1 (Stats.count (Net.stats net) "r.late_reply")
 
 (* --- broker under faults --- *)
