@@ -675,7 +675,30 @@ Member(u) <- Login.LoggedOn(u, h)* <|* Chair : (u in staff)*
           ignore (Engine.step e)
         done
       done);
-  row "engine queue at the end: %d events\n" (Engine.pending e)
+  row "engine queue at the end: %d events\n" (Engine.pending e);
+  (* The wire and log codec: a request envelope written into a connection's
+     queue and read back through a stream reader, as [Backend_unix] sends
+     and receives it (without the socket), and one log record framed as
+     [Wal.append] frames it. *)
+  let key = Oasis_util.Siphash.key_of_string "oasis.wal:tcp" in
+  let queue = Bytes.create 4096 in
+  let reader = Oasis_util.Frame.Reader.create ~max_len:(1 lsl 26) key in
+  let envelope =
+    [ "Q"; "000000000000002a"; "h.client"; "wire.router"; "oasis.router"; String.make 100 'p' ]
+  in
+  per_op "wire-frame-roundtrip" 200_000 (fun n ->
+      for _ = 1 to n do
+        let len = Oasis_util.Frame.write_fields key queue 0 envelope in
+        Oasis_util.Frame.Reader.feed reader queue 0 len;
+        match Oasis_util.Frame.Reader.next_fields reader with
+        | Some [ "Q"; _; _; _; _; _ ] -> ()
+        | _ -> failwith "wire-frame-roundtrip"
+      done);
+  let wal_key = Wal.key "log" and record = String.make 120 'r' in
+  per_op "wal-append-frame" 1_000_000 (fun n ->
+      for _ = 1 to n do
+        ignore (Sys.opaque_identity (Oasis_util.Frame.encode wal_key record))
+      done)
 
 (* ------------------------------------------------------------------ *)
 (* E10 — ch. 7: event-security overhead                                *)

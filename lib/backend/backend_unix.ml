@@ -78,17 +78,16 @@ let close_conn t c =
       t.b_pending
   end
 
+(* The frame is written and checksummed where it is queued. *)
 let enqueue c fields =
   if c.c_alive then begin
-    let frame = Frame.encode frame_key (Frame.fields fields) in
-    let n = String.length frame in
+    let n = Frame.fields_frame_size fields in
     if c.c_out_len + n > Bytes.length c.c_out then begin
       let out = Bytes.create (max (2 * Bytes.length c.c_out) (c.c_out_len + n)) in
       Bytes.blit c.c_out 0 out 0 c.c_out_len;
       c.c_out <- out
     end;
-    Bytes.blit_string frame 0 c.c_out c.c_out_len n;
-    c.c_out_len <- c.c_out_len + n
+    c.c_out_len <- Frame.write_fields frame_key c.c_out c.c_out_len fields
   end
 
 (* One [write] carries every frame queued on the connection since its last
@@ -123,16 +122,19 @@ let send_reply c id result =
   let body = match result with Ok s -> "K" ^ s | Error e -> "E" ^ e in
   enqueue c [ "R"; id; body ]
 
-let on_frame t c payload =
-  match Frame.of_fields payload with
-  | Some [ "Q"; id; _src; dst; port; body ] ->
+let on_frame t c = function
+  | [ "Q"; id; _src; dst; port; body ] ->
       let dst =
         match Hashtbl.find_opt t.b_aliases dst with Some local -> local | None -> dst
       in
       Net.dispatch (net t) ~dst ~port body (fun result -> send_reply c id result)
-  | Some [ "R"; id; body ] -> (
+  | [ "R"; id; body ] -> (
       match Hashtbl.find_opt t.b_pending id with
       | None -> () (* the caller timed out and forgot the call *)
+      | Some { k_conn; _ } when k_conn != c ->
+          (* A reply completes a call only on the connection the call went
+             out on: ids are a counter, easy to guess from anywhere else. *)
+          ()
       | Some { k_reply = k; _ } ->
           Hashtbl.remove t.b_pending id;
           if String.length body >= 1 && body.[0] = 'K' then
@@ -142,14 +144,15 @@ let on_frame t c payload =
           else k (Error "malformed reply"))
   | _ -> close_conn t c
 
-(* A bad header or checksum means the stream lost frame sync: drop the
-   connection; its outstanding calls are answered by their timeouts. *)
+(* A bad header or checksum, or a payload that is not a packing, means the
+   stream lost frame sync: drop the connection; its outstanding calls are
+   answered by their timeouts. *)
 let drain_conn t c =
   let rec go () =
-    match Frame.Reader.next c.c_frames with
+    match Frame.Reader.next_fields c.c_frames with
     | None -> ()
-    | Some payload ->
-        on_frame t c payload;
+    | Some fields ->
+        on_frame t c fields;
         if c.c_alive then go ()
     | exception Frame.Corrupt -> close_conn t c
   in

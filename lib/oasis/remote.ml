@@ -63,36 +63,54 @@ let all f l =
 
 let none_if_empty s = if s = "" then None else Some s
 
+(* A field of a request at [off], one of the offsets its split gave:
+   copied out, or, for a list operand, split where it lies without a copy
+   of its packing first. *)
+let field s off = String.sub s off (Frame.field_length s off)
+let packing s off = Frame.split String.sub s off (Frame.field_length s off)
+let values s off = Option.bind (packing s off) (all Value.unmarshal)
+
 (* [None] for anything [encode] does not write, so a malformed request,
    a JSON document among them, is refused before it reaches a handler. *)
 let decode s =
   let ( let* ) = Option.bind in
-  let values f = Option.bind (Frame.of_fields f) (all Value.unmarshal) in
-  match Frame.of_fields s with
-  | Some [ "ping" ] -> Some Ping
-  | Some [ "place"; role; args_f ] ->
-      let* args = values args_f in
-      Some (Place { role; args })
-  | Some [ "bootstrap"; shard_f; client; roles_f; args_f ] ->
-      let* shard =
-        if shard_f = "" then Some None else Option.map Option.some (int_of_string_opt shard_f)
-      in
-      let* roles = Frame.of_fields roles_f in
-      let* args = values args_f in
-      if roles = [] then None else Some (Bootstrap { shard; client; roles; args })
-  | Some [ "issue"; client; role; args_f; creds_f ] ->
-      let* args = values args_f in
-      let* creds = Frame.of_fields creds_f in
-      Some (Issue { client; role; args; creds })
-  | Some [ "validate"; client; handle; need_role ] ->
-      Some (Validate { client; handle; need_role = none_if_empty need_role })
-  | Some [ "fire"; revoker; role; args_f ] ->
-      let* args = values args_f in
-      Some (Fire { revoker; role; args })
-  | Some [ "rehire"; revoker; role; args_f ] ->
-      let* args = values args_f in
-      Some (Rehire { revoker; role; args })
-  | Some [ "exit"; handle ] -> Some (Exit { handle })
+  match Frame.split (fun _ off _ -> off) s 0 (String.length s) with
+  | Some (op :: operands) -> (
+      match (field s op, operands) with
+      | "ping", [] -> Some Ping
+      | "place", [ role; args ] ->
+          let* args = values s args in
+          Some (Place { role = field s role; args })
+      | "bootstrap", [ shard; client; roles; args ] ->
+          let* shard =
+            match field s shard with
+            | "" -> Some None
+            | id -> Option.map Option.some (int_of_string_opt id)
+          in
+          let* roles = packing s roles in
+          let* args = values s args in
+          if roles = [] then None
+          else Some (Bootstrap { shard; client = field s client; roles; args })
+      | "issue", [ client; role; args; creds ] ->
+          let* args = values s args in
+          let* creds = packing s creds in
+          Some (Issue { client = field s client; role = field s role; args; creds })
+      | "validate", [ client; handle; need_role ] ->
+          Some
+            (Validate
+               {
+                 client = field s client;
+                 handle = field s handle;
+                 need_role = none_if_empty (field s need_role);
+               })
+      | "fire", [ revoker; role; args ] ->
+          let* args = values s args in
+          Some (Fire { revoker = field s revoker; role = field s role; args })
+      | "rehire", [ revoker; role; args ] ->
+          let* args = values s args in
+          Some (Rehire { revoker = field s revoker; role = field s role; args })
+      | "exit", [ handle ] -> Some (Exit { handle = field s handle })
+      | _ -> None)
   | _ -> None
 
 (* Certificate handles: certificates never cross the wire (a [vci] is

@@ -2,7 +2,16 @@ module Prng = Oasis_util.Prng
 
 type latency = Fixed of float | Uniform of float * float | Exponential of float
 
-type host = { addr : int; name : string; clock : Clock.t }
+(* The tags of the engine events that deliver messages to the host
+   (["d:" ^ name]) and that fire its callers' timers (["t:" ^ name]), built
+   once in [add_host] rather than per message. *)
+type host = {
+  addr : int;
+  name : string;
+  clock : Clock.t;
+  deliver_tag : string;
+  timer_tag : string;
+}
 
 (* The remote-transport hook a non-sim backend installs: how to reach a
    named host this process does not own.  The closure owns the wire
@@ -69,6 +78,8 @@ let add_host t ?(clock_rate = 1.0) ?(clock_offset = 0.0) name =
       addr = t.next_addr;
       name;
       clock = Clock.create ~rate:clock_rate ~offset:clock_offset t.engine;
+      deliver_tag = "d:" ^ name;
+      timer_tag = "t:" ^ name;
     }
   in
   t.next_addr <- t.next_addr + 1;
@@ -139,13 +150,13 @@ let send t ?(category = "msg") ?(size = 64) ~src ~dst action =
       else Stats.incr t.stats (category ^ ".dead")
     in
     if src.addr = dst.addr then
-      Engine.schedule t.engine ~tag:("d:" ^ dst.name) ~delay:0.0 deliver
+      Engine.schedule t.engine ~tag:dst.deliver_tag ~delay:0.0 deliver
     else if partitioned t src dst || not (Fault.link_ok t.fault src.addr dst.addr) then
       Stats.incr t.stats (category ^ ".partitioned")
     else if t.loss > 0.0 && Prng.float t.prng 1.0 < t.loss then
       Stats.incr t.stats (category ^ ".lost")
     else
-      Engine.schedule t.engine ~tag:("d:" ^ dst.name) ~delay:(sample_latency t src dst) deliver
+      Engine.schedule t.engine ~tag:dst.deliver_tag ~delay:(sample_latency t src dst) deliver
 
 (* The general request/response shape: the handler runs at [dst] and is
    handed a [reply] closure it may call later, from any engine event —
@@ -159,7 +170,7 @@ let send t ?(category = "msg") ?(size = 64) ~src ~dst action =
 let rpc_async t ?(category = "rpc") ?size ?(timeout = 2.0) ~src ~dst handler k =
   let pending = ref (Some k) in
   let ctx = Trace.current t.trace in
-  Engine.schedule t.engine ~tag:("t:" ^ src.name) ~delay:timeout (fun () ->
+  Engine.schedule t.engine ~tag:src.timer_tag ~delay:timeout (fun () ->
       match !pending with
       | None -> ()
       | Some k ->
@@ -195,7 +206,7 @@ let retry_loop t ~category ?(attempts = 5) ?(backoff = 0.25) ?(max_backoff = 8.0
              decorrelate retry storms. *)
           let base = Float.min max_backoff (backoff *. (2.0 ** float_of_int n)) in
           let jitter = Prng.uniform_in t.prng ~lo:0.0 ~hi:(base *. 0.25) in
-          Engine.schedule t.engine ~tag:("t:" ^ src.name) ~delay:(base +. jitter) (fun () ->
+          Engine.schedule t.engine ~tag:src.timer_tag ~delay:(base +. jitter) (fun () ->
               Trace.with_ctx t.trace ctx (fun () -> go (n + 1)))
       | Error "timeout" ->
           Stats.incr t.stats (category ^ ".giveup");
@@ -245,7 +256,7 @@ let call t ?(category = "call") ?size ?(timeout = 2.0) ~src ~dst ~port payload k
   | None -> (
       match t.remote with
       | None ->
-          Engine.schedule t.engine ~tag:("t:" ^ src.name) ~delay:0.0 (fun () ->
+          Engine.schedule t.engine ~tag:src.timer_tag ~delay:0.0 (fun () ->
               k (Error ("unknown host: " ^ dst)))
       | Some rm ->
           account t category size;
@@ -256,7 +267,7 @@ let call t ?(category = "call") ?size ?(timeout = 2.0) ~src ~dst ~port payload k
              keep its continuation queued for the rest of the timeout; on
              timeout the transport forgets the call. *)
           let timer =
-            Engine.timer t.engine ~tag:("t:" ^ src.name) ~delay:timeout (fun () ->
+            Engine.timer t.engine ~tag:src.timer_tag ~delay:timeout (fun () ->
                 if not !done_ then begin
                   done_ := true;
                   !forget ();

@@ -7,8 +7,9 @@
     and parse the length, checksum and identifier fields of
     {!Frame}, the TCP envelope and {!Signing.Rolling} key ids;
     {!add_int} writes the variable-width fields of record refs and role
-    sets.  Every function renders from a 16-character digit table: none
-    goes through [Printf]. *)
+    sets.  None goes through [Printf].  The frame header's fields (8 digits
+    of length, 16 of checksum) are written, parsed and compared one 64-bit
+    word at a time; the other widths a digit at a time. *)
 
 val encode : string -> string
 (** Two lowercase hex digits per input byte. *)
@@ -35,7 +36,8 @@ val of_int : width:int -> int -> string
 val get_int : string -> int -> width:int -> int
 (** [get_int s off ~width] parses the [width] characters at [off]
     ([width <= 15]) as a hex number, accepting only the digits {!put_int}
-    writes ([0-9a-f]); [-1] if any character is anything else. *)
+    writes ([0-9a-f]); [-1] if any character is anything else, uppercase
+    included. *)
 
 val put_int64 : bytes -> int -> int64 -> unit
 (** Sixteen lowercase hex digits of the 64-bit word at [off]

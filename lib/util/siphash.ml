@@ -17,30 +17,37 @@ let key_of_string s =
 
 let[@inline] rotl x b = Int64.logor (Int64.shift_left x b) (Int64.shift_right_logical x (64 - b))
 
+external get64u : string -> int -> int64 = "%caml_string_get64u"
+external bswap64 : int64 -> int64 = "%bswap_int64"
+
+(* The little-endian word at [i], unchecked: [hash_sub] checks its range
+   once, on entry, rather than at every word. *)
+let[@inline] word_le s i = if Sys.big_endian then bswap64 (get64u s i) else get64u s i
+
 (* The state words live in local refs that no closure captures, so the
    native compiler keeps them unboxed: a call allocates only its result.
    Capturing them (say, in a local [sipround] function) would box every
    64-bit step. *)
-let hash { k0; k1 } msg =
+let hash_sub { k0; k1 } msg off len =
+  if off < 0 || len < 0 || off > String.length msg - len then invalid_arg "Siphash.hash_sub";
   let v0 = ref (Int64.logxor k0 0x736f6d6570736575L) in
   let v1 = ref (Int64.logxor k1 0x646f72616e646f6dL) in
   let v2 = ref (Int64.logxor k0 0x6c7967656e657261L) in
   let v3 = ref (Int64.logxor k1 0x7465646279746573L) in
-  let len = String.length msg in
   let nblocks = len / 8 in
   (* The last block: the remaining bytes plus the length in the top byte. *)
   let last = ref (Int64.shift_left (Int64.of_int (len land 0xff)) 56) in
   for i = 0 to (len land 7) - 1 do
     last :=
       Int64.logor !last
-        (Int64.shift_left (Int64.of_int (Char.code msg.[(nblocks * 8) + i])) (8 * i))
+        (Int64.shift_left (Int64.of_int (Char.code (String.unsafe_get msg (off + (nblocks * 8) + i)))) (8 * i))
   done;
   (* Passes 0 .. nblocks compress the message words with two rounds each;
      pass nblocks + 1 is the finalisation: v2 ^= 0xff and four rounds, its
      message word 0 leaving v3 and v0 as they are. *)
   for i = 0 to nblocks + 1 do
     let m =
-      if i < nblocks then String.get_int64_le msg (i * 8) else if i = nblocks then !last else 0L
+      if i < nblocks then word_le msg (off + (i * 8)) else if i = nblocks then !last else 0L
     in
     if i > nblocks then v2 := Int64.logxor !v2 0xffL;
     v3 := Int64.logxor !v3 m;
@@ -63,6 +70,8 @@ let hash { k0; k1 } msg =
     v0 := Int64.logxor !v0 m
   done;
   Int64.logxor (Int64.logxor !v0 !v1) (Int64.logxor !v2 !v3)
+
+let hash key msg = hash_sub key msg 0 (String.length msg)
 
 let hash_hex key msg =
   let b = Bytes.create 16 in

@@ -417,6 +417,32 @@ let test_unix_closed_conn_drops_queued_frame () =
   checki "and is forgotten" 0 (Backend_unix.pending_calls b);
   checks "its frame never reached the wire" "" (read_raw fd ~stop:(fun _ -> false))
 
+(* A reply completes a call only on the connection the call went out on.
+   Call ids are a counter, so anyone who can reach the backend's listener
+   can guess the first one: a reply forged on a connection of their own is
+   ignored, and the call is answered by its timeout. *)
+let test_unix_reply_only_on_call_conn () =
+  with_backend Ux @@ fun backend ub ->
+  let b = Option.get ub in
+  let net = Backend.net backend in
+  let a = Net.add_host net "a" in
+  let port = Backend_unix.listen b () in
+  with_raw_peer b @@ fun accept ->
+  let answer = ref None in
+  Net.call net ~timeout:0.3 ~src:a ~dst:"raw" ~port:"p" "x" (fun r -> answer := Some r);
+  ignore (accept ());
+  let forger = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> Unix.close forger) @@ fun () ->
+  Unix.connect forger (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+  let forged =
+    Oasis_util.Frame.encode wire_key (envelope [ "R"; "0000000000000000"; "Kforged" ])
+  in
+  ignore (Unix.write_substring forger forged 0 (String.length forged));
+  run_until_done backend ~deadline:2.0 (fun () -> !answer <> None);
+  checkb "the forged reply is ignored; the call times out" true
+    (!answer = Some (Error "timeout"));
+  checki "and is forgotten" 0 (Backend_unix.pending_calls b)
+
 (* A call nobody answers leaves no entry behind once its timeout fires. *)
 let test_unix_timed_out_calls_forgotten () =
   with_wire @@ fun b backend net a srv ->
@@ -785,6 +811,8 @@ let () =
             test_unix_closed_conn_drops_queued_frame;
           Alcotest.test_case "timed-out calls are forgotten" `Quick
             test_unix_timed_out_calls_forgotten;
+          Alcotest.test_case "a reply counts only on its call's connection" `Quick
+            test_unix_reply_only_on_call_conn;
           Alcotest.test_case "peer closes with frames queued" `Quick
             test_unix_peer_closes_with_frames_queued;
           Alcotest.test_case "WAL round-trips on a real disk" `Quick test_unix_wal_roundtrip;

@@ -188,6 +188,36 @@ let prop_siphash_length_distinguishes =
       let k = Siphash.key_of_string "fixed" in
       Siphash.hash k s <> Siphash.hash k (s ^ "\x00"))
 
+(* [hash_sub] hashes a range where it lies: the same word as hashing a
+   copy of the range, for every offset and length, and no copy is made. *)
+let prop_siphash_sub_is_hash_of_copy =
+  QCheck.Test.make ~name:"hash_sub = hash of the range's copy" ~count:500
+    QCheck.(triple string small_nat small_nat)
+    (fun (s, a, b) ->
+      let k = Siphash.key_of_string "sub" and n = String.length s in
+      let off = if n = 0 then 0 else a mod (n + 1) in
+      let len = if n - off = 0 then 0 else b mod (n - off + 1) in
+      Siphash.hash_sub k s off len = Siphash.hash k (String.sub s off len))
+
+let test_siphash_sub_bounds_and_allocation () =
+  let k = Siphash.key_of_string "sub" in
+  List.iter
+    (fun (off, len) ->
+      Alcotest.check_raises
+        (Printf.sprintf "range %d+%d of 8 bytes" off len)
+        (Invalid_argument "Siphash.hash_sub")
+        (fun () -> ignore (Siphash.hash_sub k "01234567" off len)))
+    [ (-1, 1); (0, 9); (8, 1); (4, -1); (max_int, 1) ];
+  if Sys.backend_type = Sys.Native then begin
+    let msg = String.make 4096 'x' in
+    ignore (Siphash.hash_sub k msg 7 4000);
+    let before = Gc.minor_words () in
+    ignore (Sys.opaque_identity (Siphash.hash_sub k msg 7 4000));
+    let words = Gc.minor_words () -. before in
+    checkb (Printf.sprintf "hashing 4,000 bytes in place allocated %.0f words (< 64)" words) true
+      (words < 64.0)
+  end
+
 (* --- signing --- *)
 
 let test_sign_verify_roundtrip () =
@@ -334,6 +364,76 @@ let test_hex_strict_fields () =
   Alcotest.check_raises "too wide" (Invalid_argument "Hex.put_int: value does not fit the width")
     (fun () -> ignore (Hex.of_int ~width:4 0x10000))
 
+(* The fixed-width fields against the Printf renderings their interface
+   promises, at the digit boundaries and at random values.  The header
+   words are written word at a time, so a digit's neighbours, the top
+   digit (whose letters set the top byte's bit 6) and the bytes either
+   side of the field are where a mistake would show. *)
+let test_hex_fixed_width_reference () =
+  let prng = Prng.create 2024L in
+  let put8 n =
+    let b = Bytes.make 12 '#' in
+    Hex.put_int b 2 ~width:8 n;
+    Bytes.to_string b
+  in
+  let edges = [ 0; 9; 10; 15; 16; 0xff; 0x100; 0xa0000000; 0xf0000000; (1 lsl 32) - 1 ] in
+  let randoms = List.init 2000 (fun _ -> Prng.int prng (1 lsl 30) lor (Prng.int prng 4 lsl 30)) in
+  List.iter
+    (fun n ->
+      let want = Printf.sprintf "%08x" n in
+      checks (Printf.sprintf "put_int ~width:8 %d" n) ("##" ^ want ^ "##") (put8 n);
+      checks (Printf.sprintf "of_int ~width:8 %d" n) want (Hex.of_int ~width:8 n);
+      checki (Printf.sprintf "get_int %s" want) n (Hex.get_int ("..." ^ want) 3 ~width:8))
+    (edges @ randoms);
+  let words =
+    [ 0L; 9L; 10L; 15L; 16L; 0xffffffffL; 0x100000000L; -1L; Int64.min_int; Int64.max_int ]
+    @ List.init 2000 (fun _ -> Prng.bits64 prng)
+  in
+  List.iter
+    (fun x ->
+      let want = Printf.sprintf "%016Lx" x in
+      let b = Bytes.make 20 '#' in
+      Hex.put_int64 b 2 x;
+      checks (Printf.sprintf "put_int64 %Ld" x) ("##" ^ want ^ "##") (Bytes.to_string b);
+      checkb (Printf.sprintf "equal_int64 %s" want) true (Hex.equal_int64 ("." ^ want) 1 x);
+      for i = 0 to 15 do
+        let neighbour = Int64.logxor x (Int64.shift_left 1L (4 * i)) in
+        checkb "a word one digit away differs" false (Hex.equal_int64 want 0 neighbour)
+      done)
+    words;
+  List.iter
+    (fun n ->
+      Alcotest.check_raises (Printf.sprintf "put_int ~width:8 %d" n)
+        (Invalid_argument "Hex.put_int: value does not fit the width") (fun () -> ignore (put8 n)))
+    [ 1 lsl 32; (1 lsl 32) + 5; max_int; -1; min_int ]
+
+(* Every byte but the sixteen digits the encoder writes is refused in every
+   position of a length or checksum field, uppercase included. *)
+let test_hex_refuses_other_bytes () =
+  let lower = "0123456789abcdef" in
+  let x = 0x0123456789abcdefL in
+  for c = 0 to 255 do
+    let ch = Char.chr c in
+    if not (String.contains lower ch) then begin
+      for pos = 0 to 7 do
+        let f = Bytes.of_string "3fa0c9e1" in
+        Bytes.set f pos ch;
+        checki
+          (Printf.sprintf "byte %d at digit %d of a length" c pos)
+          (-1)
+          (Hex.get_int (Bytes.to_string f) 0 ~width:8)
+      done;
+      for pos = 0 to 15 do
+        let f = Bytes.of_string (Printf.sprintf "%016Lx" x) in
+        Bytes.set f pos ch;
+        checkb
+          (Printf.sprintf "byte %d at digit %d of a checksum" c pos)
+          false
+          (Hex.equal_int64 (Bytes.to_string f) 0 x)
+      done
+    end
+  done
+
 (* --- frame --- *)
 
 let test_frame_pinned () =
@@ -378,6 +478,167 @@ let prop_of_fields_total =
       | Some l -> Frame.fields l = head ^ s
       | None -> true
       | exception _ -> false)
+
+(* Reference encoders for frames and field packings, spelled with Printf
+   from the formats' definition: every writer must match them byte for
+   byte. *)
+let ref_fields l =
+  String.concat "" (List.map (fun f -> Printf.sprintf "%08x%s" (String.length f) f) l)
+
+let ref_encode key payload =
+  Printf.sprintf "%08x%016Lx%s" (String.length payload) (Siphash.hash key payload) payload
+
+let prop_write_fields_is_reference =
+  QCheck.Test.make ~name:"write_fields = encode (fields l), in place" ~count:300
+    QCheck.(pair (small_list (small_list small_string)) (int_range 0 40))
+    (fun (frames, pad) ->
+      let key = Siphash.key_of_string "oasis.wal:tcp" in
+      let size = List.fold_left (fun acc l -> acc + Frame.fields_frame_size l) 0 frames in
+      let b = Bytes.make (pad + size + 3) '#' in
+      let stop = List.fold_left (fun off l -> Frame.write_fields key b off l) pad frames in
+      let want = String.concat "" (List.map (fun l -> ref_encode key (ref_fields l)) frames) in
+      stop = pad + size
+      && Bytes.to_string b = String.make pad '#' ^ want ^ "###"
+      && List.for_all (fun l -> Frame.fields l = ref_fields l) frames
+      && List.for_all
+           (fun l -> Frame.encode key (Frame.fields l) = ref_encode key (ref_fields l))
+           frames)
+
+(* A reference stream reader that copies before it checks: the next
+   payload of the bytes fed so far, its header checked against what the
+   reference encoder writes; then, apart, the payload's fields, or [None]
+   when it is not a packing. *)
+module Ref_reader = struct
+  exception Corrupt
+
+  type t = { key : Siphash.key; max_len : int; buf : Buffer.t; mutable pos : int }
+
+  let create ~max_len key = { key; max_len; buf = Buffer.create 64; pos = 0 }
+  let feed t b off n = Buffer.add_subbytes t.buf b off n
+  let digits s = String.for_all (fun c -> String.contains "0123456789abcdef" c) s
+
+  let next t =
+    let avail = Buffer.length t.buf - t.pos in
+    if avail < 24 then None
+    else
+      let len_field = Buffer.sub t.buf t.pos 8 in
+      if not (digits len_field) then raise Corrupt;
+      let len = int_of_string ("0x" ^ len_field) in
+      if len > t.max_len then raise Corrupt
+      else if avail < 24 + len then None
+      else
+        let payload = Buffer.sub t.buf (t.pos + 24) len in
+        if Buffer.sub t.buf (t.pos + 8) 16 <> Printf.sprintf "%016Lx" (Siphash.hash t.key payload)
+        then raise Corrupt
+        else begin
+          t.pos <- t.pos + 24 + len;
+          Some payload
+        end
+
+  let rec of_fields s =
+    if s = "" then Some []
+    else if String.length s < 8 || not (digits (String.sub s 0 8)) then None
+    else
+      let n = int_of_string ("0x" ^ String.sub s 0 8) in
+      if String.length s - 8 < n then None
+      else
+        Option.map
+          (fun rest -> String.sub s 8 n :: rest)
+          (of_fields (String.sub s (8 + n) (String.length s - 8 - n)))
+end
+
+(* Seeded mutations of multi-frame streams, fed to the in-place reader and
+   to the reference in the same random pieces: after every piece both
+   deliver the same fields, frame for frame, and report corruption at the
+   same frame.  [Frame.decode] keeps the same prefix of payloads as the
+   reference scan of the whole stream. *)
+let test_reader_matches_reference () =
+  let key = Siphash.key_of_string "oasis.wal:tcp" in
+  let prng = Prng.create 22L in
+  let rand_string n = String.init n (fun _ -> Char.chr (Prng.int prng 256)) in
+  let payload () =
+    match Prng.int prng 8 with
+    | 0 -> rand_string (Prng.int prng 20) (* rarely a packing *)
+    | 1 -> ref_fields [ rand_string (Prng.int prng 200) ]
+    | _ -> ref_fields (List.init (Prng.int prng 7) (fun _ -> rand_string (Prng.int prng 24)))
+  in
+  let mutate s =
+    let b = Bytes.of_string s in
+    let n = Bytes.length b in
+    match Prng.int prng 7 with
+    | 0 when n > 0 ->
+        let i = Prng.int prng n in
+        Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 + Prng.int prng 255)));
+        Bytes.to_string b
+    | 1 -> String.sub s 0 (Prng.int prng (n + 1))
+    | 2 when n > 0 ->
+        (* An uppercase or other non-digit byte in a header's place. *)
+        let i = Prng.int prng n in
+        Bytes.set b i (String.get "ABCDEFgxyz +-_\000\255" (Prng.int prng 16));
+        Bytes.to_string b
+    | 3 ->
+        let i = Prng.int prng (n + 1) in
+        String.sub s 0 i ^ rand_string (1 + Prng.int prng 8) ^ String.sub s i (n - i)
+    | 4 when n > 0 ->
+        let i = Prng.int prng n in
+        let k = min (n - i) (1 + Prng.int prng 8) in
+        String.sub s 0 i ^ String.sub s (i + k) (n - i - k)
+    | 5 -> s ^ Printf.sprintf "%08x" (Prng.int prng 0x200) ^ rand_string (Prng.int prng 40)
+    | _ -> s
+  in
+  let mutations = 2400 in
+  let corrupt_seen = ref 0 and fields_seen = ref 0 in
+  for m = 1 to mutations do
+    let frames = List.init (1 + Prng.int prng 6) (fun _ -> payload ()) in
+    let clean = String.concat "" (List.map (ref_encode key) frames) in
+    let stream = mutate clean in
+    let max_len = if Prng.int prng 4 = 0 then 64 else 4096 in
+    let r = Frame.Reader.create ~max_len key and rf = Ref_reader.create ~max_len key in
+    let src = Bytes.of_string stream in
+    let rec drain () =
+      let got =
+        match Frame.Reader.next_fields r with
+        | None -> `Wait
+        | Some l -> `Fields l
+        | exception Frame.Corrupt -> `Corrupt
+      in
+      let want =
+        match Ref_reader.next rf with
+        | None -> `Wait
+        | Some p -> ( match Ref_reader.of_fields p with Some l -> `Fields l | None -> `Corrupt)
+        | exception Ref_reader.Corrupt -> `Corrupt
+      in
+      if got <> want then Alcotest.failf "mutation %d: the readers disagree" m;
+      match got with
+      | `Fields _ ->
+          incr fields_seen;
+          drain ()
+      | `Corrupt ->
+          incr corrupt_seen;
+          false
+      | `Wait -> true
+    in
+    let rec feed off =
+      if off < Bytes.length src then begin
+        let n = min (Bytes.length src - off) (1 + Prng.int prng 64) in
+        Frame.Reader.feed r src off n;
+        Ref_reader.feed rf src off n;
+        if drain () then feed (off + n)
+      end
+    in
+    if drain () then feed 0;
+    let rec ref_decode rf acc =
+      match Ref_reader.next rf with
+      | Some p -> ref_decode rf (p :: acc)
+      | None | (exception Ref_reader.Corrupt) -> List.rev acc
+    in
+    let whole = Ref_reader.create ~max_len:max_int key in
+    Ref_reader.feed whole src 0 (Bytes.length src);
+    if Frame.decode key stream <> ref_decode whole [] then
+      Alcotest.failf "mutation %d: decode keeps another prefix" m
+  done;
+  checkb "some streams delivered fields" true (!fields_seen > mutations);
+  checkb "some streams were corrupt" true (!corrupt_seen > mutations / 4)
 
 (* --- bitset --- *)
 
@@ -657,6 +918,9 @@ let () =
           Alcotest.test_case "empty and long" `Quick test_siphash_empty_and_long;
           qt prop_siphash_deterministic;
           qt prop_siphash_length_distinguishes;
+          qt prop_siphash_sub_is_hash_of_copy;
+          Alcotest.test_case "hash_sub bounds, and no copy" `Quick
+            test_siphash_sub_bounds_and_allocation;
         ] );
       ( "signing",
         [
@@ -681,6 +945,9 @@ let () =
           qt prop_hex_fixed_width_matches_printf;
           qt prop_hex_int64_matches_printf;
           Alcotest.test_case "strict fields" `Quick test_hex_strict_fields;
+          Alcotest.test_case "fixed-width fields = %08x, %016Lx" `Quick
+            test_hex_fixed_width_reference;
+          Alcotest.test_case "only lowercase digits parse" `Quick test_hex_refuses_other_bytes;
         ] );
       ( "frame",
         [
@@ -689,6 +956,9 @@ let () =
           qt prop_fields_roundtrip;
           qt prop_fields_nested_roundtrip;
           qt prop_of_fields_total;
+          qt prop_write_fields_is_reference;
+          Alcotest.test_case "in-place reader = reference reader" `Quick
+            test_reader_matches_reference;
         ] );
       ( "bitset",
         [
