@@ -17,19 +17,24 @@
     payload).  Each frame's payload is an RPC envelope packed with
     {!Oasis_util.Frame.fields}: a request's id, source, destination, port
     and body, or a reply's id and its [K] (ok) or [E] (error) marked
-    body.  Frames are queued on their connection and written in the
-    order they were queued, with one [write] per connection per turn of
-    the event loop: before the loop blocks in [select], after the ready
-    descriptors are dispatched, and in {!shutdown}.  A frame queued in the
-    turn that calls {!Backend.stop} goes out with the next [run] or
-    [shutdown].  A bad header or checksum means a desynchronized stream and
-    drops the connection.  Closing a connection drops the frames still
-    queued on it and forgets the calls sent on it; those calls, like calls
-    nobody answers, are answered by their {!Oasis_sim.Net} timeouts, which
-    also make the backend forget them.  A write to a connection whose peer
-    has gone fails with [EPIPE] and closes the connection the same way:
-    {!create} sets the process to ignore [SIGPIPE], which would otherwise
-    kill it.
+    body.  A reply completes a call only when it arrives on the
+    connection the call went out on; one arriving on any other is
+    ignored.  A frame is packed and checksummed in its connection's queue
+    ({!Oasis_util.Frame.write_fields}) and checked and split in its
+    connection's reader ({!Oasis_util.Frame.Reader.next_fields}).  Frames
+    are queued on their connection and written in the order they were
+    queued, with one [write] per connection per turn of the event loop:
+    before the loop blocks in [select], after the ready descriptors are
+    dispatched, and in {!shutdown}.  A frame queued in the turn that calls
+    {!Backend.stop} goes out with the next [run] or [shutdown].  A bad
+    header or checksum, or a payload that is not an envelope, means a
+    desynchronized stream and drops the connection.  Closing a connection
+    drops the frames still queued on it and forgets the calls sent on it;
+    those calls, like calls nobody answers, are answered by their
+    {!Oasis_sim.Net} timeouts, which also make the backend forget them.  A
+    write to a connection whose peer has gone fails with [EPIPE] and
+    closes the connection the same way: {!create} sets the process to
+    ignore [SIGPIPE], which would otherwise kill it.
 
     {b Storage} — one directory per host under {!data_dir}.  [append]
     buffers in memory (the page-cache analogue); [fsync] writes the
