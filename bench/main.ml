@@ -98,7 +98,7 @@ let e1 () =
   List.iter
     (fun depth ->
       (* Baseline: capability chaining. *)
-      let issuer = Baseline.Chain.create_issuer ~seed:101L () in
+      let issuer = Baseline.Chain.create_issuer ~seed:101L in
       let cap = ref (Baseline.Chain.issue issuer ~holder:"u0" ~role:"r" ~args:[]) in
       for i = 1 to depth - 1 do
         cap := Baseline.Chain.delegate issuer !cap ~to_:(Printf.sprintf "u%d" i)
@@ -160,7 +160,7 @@ let e2 () =
          lifetime expires. *)
       let w = make_world () in
       let issuer_host = add_host w in
-      let issuer = Baseline.Refresh.create_issuer ~seed:77L ~lifetime:5.0 w.net issuer_host in
+      let issuer = Baseline.Refresh.create_issuer ~seed:77L w.net issuer_host in
       for i = 1 to n do
         Baseline.Refresh.start_refresher issuer ~client_host:w.client_host
           ~holder:(Printf.sprintf "u%d" i) ~role:"r" ~on_refresh:(fun _ -> ())
@@ -1243,7 +1243,7 @@ let e17 () =
     let engine = Engine.create () in
     let net = Net.create ~latency:(Net.Fixed 0.005) engine in
     let h = Net.add_host net "store" in
-    let disk = Disk.create net h () in
+    let disk = Disk.create net h in
     let wal = Wal.create disk ~file:"bench.wal" ~fsync_each () in
     for i = 0 to appends - 1 do
       Engine.schedule engine
@@ -1282,7 +1282,7 @@ Member(u) <- Login.LoggedOn(u, h)* |>* Chair : u in staff
     let w = make_world () in
     let login = service w ~name:"Login" ~rolefile:login_rolefile in
     let meet_host = add_host w in
-    let disk = Disk.create w.net meet_host () in
+    let disk = Disk.create w.net meet_host in
     let meet =
       Result.get_ok
         (Service.create w.net meet_host w.reg ~name:"Meet" ~rolefile:meet_rolefile ~disk

@@ -2,7 +2,7 @@ module Engine = Oasis_sim.Engine
 module Net = Oasis_sim.Net
 module Disk = Oasis_store.Disk
 
-let create ?seed ?latency ?fsync_latency ?write_bandwidth ?read_bandwidth () : Backend.t =
+let create ?seed ?latency () : Backend.t =
   let engine = Engine.create () in
   let net = Net.create ?seed ?latency engine in
   let disks : (int, Disk.t) Hashtbl.t = Hashtbl.create 8 in
@@ -17,7 +17,7 @@ let create ?seed ?latency ?fsync_latency ?write_bandwidth ?read_bandwidth () : B
       match Hashtbl.find_opt disks addr with
       | Some d -> d
       | None ->
-          let d = Disk.create net host ?fsync_latency ?write_bandwidth ?read_bandwidth () in
+          let d = Disk.create net host in
           Hashtbl.add disks addr d;
           d
 

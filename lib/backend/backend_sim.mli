@@ -10,11 +10,8 @@
 val create :
   ?seed:int64 ->
   ?latency:Oasis_sim.Net.latency ->
-  ?fsync_latency:float ->
-  ?write_bandwidth:float ->
-  ?read_bandwidth:float ->
   unit ->
   Backend.t
-(** Defaults are exactly {!Oasis_sim.Net.create}'s and
-    {!Oasis_store.Disk.create}'s.  {!Backend.S.disk} memoizes one device
+(** Defaults are exactly {!Oasis_sim.Net.create}'s, and each disk is a
+    {!Oasis_store.Disk.create} device.  {!Backend.S.disk} memoizes one device
     per host. *)

@@ -15,14 +15,16 @@ type t = {
   w_roamers : roamer list;
   w_mean_dwell : float;
   w_travel_probability : float;
-  w_zipf_s : float;
   mutable w_sightings : int;
   mutable w_site_changes : int;
   mutable w_started : bool;
 }
 
-let create engine ~seed ~sites ~people_per_site ?(mean_dwell = 5.0)
-    ?(travel_probability = 0.05) ?(zipf_s = 1.1) () =
+(* The Zipf exponent of room popularity within a site. *)
+let zipf_s = 1.1
+
+let create engine ~seed ~sites ~people_per_site ?(mean_dwell = 5.0) ?(travel_probability = 0.05)
+    () =
   let prng = Prng.create seed in
   let next_badge = ref 100 in
   let roamers =
@@ -43,7 +45,6 @@ let create engine ~seed ~sites ~people_per_site ?(mean_dwell = 5.0)
     w_roamers = roamers;
     w_mean_dwell = mean_dwell;
     w_travel_probability = travel_probability;
-    w_zipf_s = zipf_s;
     w_sightings = 0;
     w_site_changes = 0;
     w_started = false;
@@ -62,7 +63,7 @@ let move t roamer =
   end;
   let site = roamer.r_site in
   let rooms = Array.of_list (Site.rooms site) in
-  let room = rooms.(Prng.zipf t.w_prng ~n:(Array.length rooms) ~s:t.w_zipf_s) in
+  let room = rooms.(Prng.zipf t.w_prng ~n:(Array.length rooms) ~s:zipf_s) in
   Site.sight site ~badge:roamer.r_person.p_badge ~home:roamer.r_person.p_home ~room;
   t.w_sightings <- t.w_sightings + 1
 

@@ -17,10 +17,10 @@ val create :
   people_per_site:int ->
   ?mean_dwell:float ->
   ?travel_probability:float ->
-  ?zipf_s:float ->
   unit ->
   t
-(** Registers each person's badge at their home site. *)
+(** Registers each person's badge at their home site.  Room popularity
+    within a site is Zipf with exponent 1.1. *)
 
 val start : t -> unit
 (** Begin scheduling movements on the engine; runs until the engine stops

@@ -68,7 +68,6 @@ and server = {
   b_host : Net.host;
   b_name : string;
   b_heartbeat : float;
-  b_ack_every : int;
   b_retention : float;
   b_horizon_lag : float;
   mutable b_seq : int;
@@ -155,8 +154,12 @@ let decode_retained line =
       Some (t, Event.make ~name ~source ~stamp ~seq params)
   | _ -> None
 
-let rec create_server net host ~name ?(heartbeat = 1.0) ?(ack_every = 4) ?(retention = 10.0)
-    ?(horizon_lag = 0.0) ?(coalesce = false) ?disk () =
+(* A client acks once per this many heartbeats; a server drops a session
+   that goes eight times as many without an ack. *)
+let ack_every = 4
+
+let rec create_server net host ~name ?(heartbeat = 1.0) ?(retention = 10.0) ?(horizon_lag = 0.0)
+    ?(coalesce = false) ?disk () =
   let wal =
     match disk with
     | None -> None
@@ -169,7 +172,6 @@ let rec create_server net host ~name ?(heartbeat = 1.0) ?(ack_every = 4) ?(reten
       b_host = host;
       b_name = name;
       b_heartbeat = heartbeat;
-      b_ack_every = ack_every;
       b_retention = retention;
       b_horizon_lag = horizon_lag;
       b_seq = 0;
@@ -238,7 +240,7 @@ let rec create_server net host ~name ?(heartbeat = 1.0) ?(ack_every = 4) ?(reten
                       long period (§4.10: "can assume that it is no longer
                       running"). *)
                    ss.ss_missed_acks <- ss.ss_missed_acks + 1;
-                   if ss.ss_missed_acks > 8 * srv.b_ack_every then begin
+                   if ss.ss_missed_acks > 8 * ack_every then begin
                      ss.ss_live <- false;
                      srv.b_sessions <- List.filter (fun s -> s != ss) srv.b_sessions
                    end
@@ -293,7 +295,7 @@ and client_heartbeat s sid horizon upto =
       Net.send s.s_net ~category:"evt.nack" ~size:16 ~src:s.s_host ~dst:srv.b_host (fun () ->
           server_nack srv sid from)
     end;
-    if s.s_hb_seen mod s.s_server.b_ack_every = 0 then
+    if s.s_hb_seen mod ack_every = 0 then
       let last = s.s_last_seq in
       let srv = s.s_server in
       Net.send s.s_net ~category:"evt.ack" ~size:16 ~src:s.s_host ~dst:srv.b_host (fun () ->
@@ -717,10 +719,6 @@ let shutdown_server srv =
 
 let server_buffered srv =
   List.fold_left (fun acc ss -> acc + Hashtbl.length ss.ss_buffer) 0 srv.b_sessions
-
-let server_retained srv =
-  purge_retained srv;
-  Queue.length srv.b_retained
 
 (* --- state fingerprint (model checking) --- *)
 

@@ -40,16 +40,17 @@ val create_server :
   Oasis_sim.Net.host ->
   name:string ->
   ?heartbeat:float ->
-  ?ack_every:int ->
   ?retention:float ->
   ?horizon_lag:float ->
   ?coalesce:bool ->
   ?disk:Oasis_store.Disk.t ->
   unit ->
   server
-(** Defaults: heartbeat 1.0 s, ack every 4 heartbeats, retention 10 s of
-    events for retrospective registration, horizon lag 0 (events are
-    signalled with monotone stamps), coalescing off.
+(** Defaults: heartbeat 1.0 s, retention 10 s of events for retrospective
+    registration, horizon lag 0 (events are signalled with monotone
+    stamps), coalescing off.  A client acks every 4 heartbeats, and the
+    server drops a session that goes more than 32 heartbeats without an
+    ack.
 
     With [~disk], the retained-event log is durable: every signalled
     event is appended to a write-ahead log ([broker.<name>.wal]) on the
@@ -104,10 +105,6 @@ val sessions : server -> int
 val server_buffered : server -> int
 (** Deliveries sitting in per-session resend buffers, awaiting
     acknowledgement (pruned by client acks). *)
-
-val server_retained : server -> int
-(** Events currently in the retrospective-registration retention log
-    (after purging expired ones). *)
 
 val shutdown_server : server -> unit
 (** Stop the server: cancels its heartbeat timer (so the simulation can

@@ -42,8 +42,11 @@ let variables_of comp =
   go comp;
   List.rev !out
 
-let create net host ~name ~upstreams ?(heartbeat = 1.0) ?(horizon_lag = 2.0)
-    ?(clock_uncertainty = 0.0) () =
+(* How far behind its clock the server may stamp re-signalled
+   occurrences, in seconds. *)
+let horizon_lag = 2.0
+
+let create net host ~name ~upstreams ?(heartbeat = 1.0) ?(clock_uncertainty = 0.0) () =
   let broker = Broker.create_server net host ~name ~heartbeat ~horizon_lag () in
   let io = Broker_io.make net host ~clock_uncertainty upstreams in
   { cs_broker = broker; cs_io = io; cs_defs = [] }

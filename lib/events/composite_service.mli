@@ -25,12 +25,11 @@ val create :
   name:string ->
   upstreams:Broker.session list ->
   ?heartbeat:float ->
-  ?horizon_lag:float ->
   ?clock_uncertainty:float ->
   unit ->
   t
-(** [horizon_lag] bounds how far behind its clock the server may stamp
-    re-signalled occurrences (default 2.0 s). *)
+(** The server may stamp re-signalled occurrences up to 2.0 s behind its
+    clock (its broker's horizon lag). *)
 
 val broker : t -> Broker.server
 (** The broker on which detections are re-signalled. *)

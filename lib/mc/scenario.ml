@@ -281,7 +281,7 @@ let instantiate ?seed spec =
     List.map
       (fun ss ->
         let host = Net.add_host net ("h." ^ ss.ss_name) in
-        let disk = if ss.ss_durable then Some (Disk.create net host ()) else None in
+        let disk = if ss.ss_durable then Some (Disk.create net host) else None in
         let svc =
           match
             Service.create net host reg ~name:ss.ss_name ~rolefile:ss.ss_rolefile ?disk

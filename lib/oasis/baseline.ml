@@ -6,6 +6,9 @@ module Engine = Oasis_sim.Engine
 
 type value = Value.t
 
+(* Signature length in hex characters, for both schemes. *)
+let sig_length = 16
+
 module Chain = struct
   type cap = {
     c_holder : string;
@@ -17,15 +20,13 @@ module Chain = struct
 
   type issuer = {
     i_secret : Signing.secret;
-    i_sig_length : int;
     i_revoked : (string, unit) Hashtbl.t;  (* revoked link signatures *)
     mutable i_crypto : int;
   }
 
-  let create_issuer ?(sig_length = 16) ~seed () =
+  let create_issuer ~seed =
     {
       i_secret = Signing.fresh_secret (Prng.create seed);
-      i_sig_length = sig_length;
       i_revoked = Hashtbl.create 16;
       i_crypto = 0;
     }
@@ -40,7 +41,7 @@ module Chain = struct
       ]
 
   let sign issuer cap =
-    { cap with c_sig = Signing.sign ~length:issuer.i_sig_length issuer.i_secret (payload cap) }
+    { cap with c_sig = Signing.sign ~length:sig_length issuer.i_secret (payload cap) }
 
   let issue issuer ~holder ~role ~args =
     sign issuer { c_holder = holder; c_role = role; c_args = args; c_parent = None; c_sig = "" }
@@ -50,7 +51,7 @@ module Chain = struct
 
   let rec validate issuer cap =
     issuer.i_crypto <- issuer.i_crypto + 1;
-    Signing.verify ~length:issuer.i_sig_length issuer.i_secret (payload cap) cap.c_sig
+    Signing.verify ~length:sig_length issuer.i_secret (payload cap) cap.c_sig
     && (not (Hashtbl.mem issuer.i_revoked cap.c_sig))
     && match cap.c_parent with None -> true | Some p -> validate issuer p
 
@@ -66,18 +67,17 @@ module Refresh = struct
 
   type issuer = {
     r_secret : Signing.secret;
-    r_sig_length : int;
-    r_lifetime : float;
     r_net : Net.t;
     r_host : Net.host;
     r_revoked : (string * string, unit) Hashtbl.t;
   }
 
-  let create_issuer ?(sig_length = 16) ?(lifetime = 5.0) ~seed net host =
+  (* A capability's lifetime in seconds. *)
+  let lifetime = 5.0
+
+  let create_issuer ~seed net host =
     {
       r_secret = Signing.fresh_secret (Prng.create seed);
-      r_sig_length = sig_length;
-      r_lifetime = lifetime;
       r_net = net;
       r_host = host;
       r_revoked = Hashtbl.create 16;
@@ -86,21 +86,19 @@ module Refresh = struct
   let payload c = Printf.sprintf "%s\x00%s\x00%.6f" c.rc_holder c.rc_role c.rc_expires
 
   let issue issuer ~holder ~role =
-    let expires = Engine.now (Net.engine issuer.r_net) +. issuer.r_lifetime in
+    let expires = Engine.now (Net.engine issuer.r_net) +. lifetime in
     let c = { rc_holder = holder; rc_role = role; rc_expires = expires; rc_sig = "" } in
-    { c with rc_sig = Signing.sign ~length:issuer.r_sig_length issuer.r_secret (payload c) }
+    { c with rc_sig = Signing.sign ~length:sig_length issuer.r_secret (payload c) }
 
   let valid issuer ~at c =
     at <= c.rc_expires
-    && Signing.verify ~length:issuer.r_sig_length issuer.r_secret (payload c) c.rc_sig
+    && Signing.verify ~length:sig_length issuer.r_secret (payload c) c.rc_sig
 
   let revoke issuer ~holder ~role = Hashtbl.replace issuer.r_revoked (holder, role) ()
 
-  let lifetime issuer = issuer.r_lifetime
-
   let start_refresher issuer ~client_host ~holder ~role ~on_refresh =
     let engine = Net.engine issuer.r_net in
-    let period = issuer.r_lifetime *. 0.8 in
+    let period = lifetime *. 0.8 in
     let rec refresh () =
       Net.rpc issuer.r_net ~category:"refresh" ~src:client_host ~dst:issuer.r_host
         (fun () ->

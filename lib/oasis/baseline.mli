@@ -10,7 +10,9 @@
     capabilities carry a lifetime and must be re-requested before expiry, so
     background traffic is proportional to the number of live capabilities
     regardless of whether any revocation happens; revocation latency is
-    bounded by the lifetime. *)
+    bounded by the lifetime.
+
+    Both schemes sign with 16-hex-character signatures. *)
 
 type value = Oasis_rdl.Value.t
 
@@ -19,7 +21,7 @@ module Chain : sig
 
   type cap
 
-  val create_issuer : ?sig_length:int -> seed:int64 -> unit -> issuer
+  val create_issuer : seed:int64 -> issuer
 
   val issue : issuer -> holder:string -> role:string -> args:value list -> cap
   (** A root capability. *)
@@ -44,8 +46,8 @@ module Refresh : sig
 
   type cap = { rc_holder : string; rc_role : string; rc_expires : float; rc_sig : string }
 
-  val create_issuer :
-    ?sig_length:int -> ?lifetime:float -> seed:int64 -> Oasis_sim.Net.t -> Oasis_sim.Net.host -> issuer
+  val create_issuer : seed:int64 -> Oasis_sim.Net.t -> Oasis_sim.Net.host -> issuer
+  (** Capabilities live 5 s. *)
 
   val issue : issuer -> holder:string -> role:string -> cap
 
@@ -57,9 +59,7 @@ module Refresh : sig
   val start_refresher :
     issuer -> client_host:Oasis_sim.Net.host -> holder:string -> role:string ->
     on_refresh:(cap option -> unit) -> unit
-  (** Client-side loop: re-request the capability every [lifetime]·0.8 over
-      the network (counted in Net stats under ["refresh"]); stops when the
-      issuer refuses (revoked). *)
-
-  val lifetime : issuer -> float
+  (** Client-side loop: re-request the capability every 4 s (0.8 of its
+      lifetime) over the network (counted in Net stats under ["refresh"]);
+      stops when the issuer refuses (revoked). *)
 end

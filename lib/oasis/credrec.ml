@@ -27,9 +27,9 @@ type op = And | Or | Nand | Nor
    dangling reference reads permanently False and can never change again.
 
    Records.  A record's leaf mark, permanence, direct use, operator and
-   state share its [flags] word with the log2 of its child set's bucket
-   count over 16 (see [kids_in_order]); its parent count is
-   [p_true + p_false + p_unknown]. *)
+   state share its [flags] word; its parent count is
+   [p_true + p_false + p_unknown].  Cascades, sweeps and [forget] visit a
+   record's children oldest edge first (see [kids_in_order]). *)
 type record = {
   mutable flags : int;
   mutable p_true : int;
@@ -67,7 +67,6 @@ let permanent_bit = 2
 let use_bit = 4
 let op_shift = 3
 let st_shift = 5
-let buckets_shift = 7
 
 let op_code = function And -> 0 | Or -> 1 | Nand -> 2 | Nor -> 3
 let st_code = function True -> 0 | False -> 1 | Unknown -> 2
@@ -212,7 +211,6 @@ let free_edge t e =
 let edge_id t e = t.pool.((e * edge_words) + e_id) lsr 1
 let negated t e = t.pool.((e * edge_words) + e_id) land 1 = 1
 let edge_child t e = t.pool.((e * edge_words) + e_child)
-let buckets slot = 16 lsl (slot.flags lsr buckets_shift)
 
 (* A new edge [eid] from [parent] (slot [pi]) to [child] (slot [ci]), at
    the front of both lists. *)
@@ -230,8 +228,7 @@ let link t ~eid ~negated ~pi parent ~ci child =
   pool.(w + e_pprev) <- -1;
   if child.parents >= 0 then pool.((child.parents * edge_words) + e_pprev) <- e;
   child.parents <- e;
-  parent.n_kids <- parent.n_kids + 1;
-  if parent.n_kids > 2 * buckets parent then parent.flags <- parent.flags + (1 lsl buckets_shift)
+  parent.n_kids <- parent.n_kids + 1
 
 (* Unlink edge [e] from [parent]'s child list. *)
 let unlink_kid t parent e =
@@ -266,14 +263,9 @@ let drop_in_edges t slot =
   done;
   slot.parents <- -1
 
-(* [slot]'s child edges in the order a cascade visits them: the order in
-   which the [Hashtbl.create 4] keyed by edge id that once held a child
-   set listed it, so hooks fire in the order they always have.  That table
-   had [b] buckets, 16 when the child set was created and doubling
-   whenever the child count passed [2b]; a fold listed bucket
-   [Hashtbl.hash eid land (b - 1)] from the last bucket to the first, and
-   edge ids ascending within a bucket.  A child list runs newest (highest
-   id) first. *)
+(* [slot]'s child edges oldest first, the order a cascade visits them.  A
+   child list runs newest first, so it is read into the array from the
+   back. *)
 let kids_in_order t slot =
   let n = slot.n_kids in
   let edges = Array.make n 0 in
@@ -282,11 +274,6 @@ let kids_in_order t slot =
     edges.(i) <- !e;
     e := t.pool.((!e * edge_words) + e_knext)
   done;
-  if n > 1 then begin
-    let mask = buckets slot - 1 in
-    let bucket e = Hashtbl.hash (edge_id t e) land mask in
-    Array.stable_sort (fun x y -> Int.compare (bucket y) (bucket x)) edges
-  end;
   edges
 
 (* Detach [slot]'s whole child set, in visit order, and start it afresh.
@@ -305,7 +292,6 @@ let take_kids t slot =
   in
   slot.kids <- -1;
   slot.n_kids <- 0;
-  slot.flags <- slot.flags land ((1 lsl buckets_shift) - 1);
   (edges, children)
 
 (* State of a combining record from its counters (§4.8). *)
@@ -754,17 +740,14 @@ let fingerprint t =
       (* Forward edges in edge-id order, oldest first: edge ids are
          allocated by a deterministic counter, so equal histories render
          equal bytes. *)
-      let rec oldest_first e acc =
-        if e < 0 then acc else oldest_first t.pool.((e * edge_words) + e_knext) (e :: acc)
-      in
-      List.iter
+      Array.iter
         (fun e ->
           let ci = edge_child t e in
           add_int (edge_id t e);
           add_int ci;
           add_int t.magics.(ci);
           Buffer.add_char b (if negated t e then '~' else '.'))
-        (oldest_first slot.kids []);
+        (kids_in_order t slot);
       Buffer.add_char b ';'
     end
   done;

@@ -25,9 +25,8 @@
     two ends, and the links of both lists); a live record is 13 words of
     counters, list heads and one flags word; and a freed slot keeps only
     its magic, in a flat [int] array, until its next use allocates a new
-    record.  A record's children are visited in the order a
-    [Hashtbl.create 4] keyed by edge id would list them, which fixes the
-    order notify hooks fire in. *)
+    record.  Cascades, sweeps and {!forget} visit a record's children
+    oldest edge first, which fixes the order notify hooks fire in. *)
 
 type table
 

@@ -14,8 +14,6 @@ let client_id_to_string c =
   add_client_id b c;
   Buffer.contents b
 
-let pp_client_id ppf c = Format.pp_print_string ppf (client_id_to_string c)
-
 let equal_client_id a b =
   String.equal a.host b.host && a.local_id = b.local_id && a.boot_time = b.boot_time
 
@@ -84,6 +82,4 @@ module Host = struct
   let delegate_vci t d v ~to_ =
     if not (may_use t d v) then invalid_arg "Principal.Host.delegate_vci: not held";
     if not (holds to_ v.v_tag) then to_.d_vcis <- v.v_tag :: to_.d_vcis
-
-  let domain_id d = d.d_id
 end

@@ -11,8 +11,6 @@
 
 type client_id = { host : string; local_id : int; boot_time : int }
 
-val pp_client_id : Format.formatter -> client_id -> unit
-
 val client_id_to_string : client_id -> string
 (** ["host:local_id@boot_time"], the integers in decimal. *)
 
@@ -58,6 +56,4 @@ module Host : sig
 
   val delegate_vci : t -> domain -> vci -> to_:domain -> unit
   (** Explicitly share a VCI with another domain (both may then use it). *)
-
-  val domain_id : domain -> int
 end

@@ -52,9 +52,6 @@ type t = {
   g_engine : Engine.t;
   g_name : string;
   g_members : member array;
-  g_heartbeat : float;
-  g_lease : float;
-  g_stagger : float;
   g_stream_key : Siphash.key;  (* checksum key of shipped record batches *)
   mutable g_primary : int;
   mutable g_epoch : int;
@@ -87,6 +84,13 @@ let on_promote t f = t.g_on_promote <- f :: t.g_on_promote
    minority of simultaneous crashes.  (Even K buys no extra tolerance over
    K-1; deploy odd K.) *)
 let majority t = (Array.length t.g_members / 2) + 1
+
+(* The failover clock, in sim seconds: the primary heartbeats every
+   [heartbeat], and backup [j] promotes itself once it has heard none for
+   [lease + stagger * j]. *)
+let heartbeat = 0.2
+let lease = 0.45
+let stagger = 0.15
 
 let push_log t line =
   if t.g_count = Array.length t.g_log then begin
@@ -174,7 +178,7 @@ let rec ship_to t j =
     let payload = Frame.encode_all t.g_stream_key records in
     Net.rpc_async t.g_net ~category:"repl.ship"
       ~size:(32 + String.length payload)
-      ~timeout:(3.0 *. t.g_heartbeat) ~src:p.m_host ~dst:m.m_host
+      ~timeout:(3.0 *. heartbeat) ~src:p.m_host ~dst:m.m_host
       (fun reply ->
         (* At the backup.  Drain the group-commit buffer first: the log
            repair below may rewrite the WAL, which must not race a
@@ -400,7 +404,7 @@ let promote t ~member:j ~from_epoch =
       List.iter
         (fun (i, other) ->
           Net.rpc t.g_net ~category:"repl.fetch" ~size:64
-            ~timeout:(2.0 *. t.g_heartbeat) ~src:cand.m_host ~dst:other.m_host
+            ~timeout:(2.0 *. heartbeat) ~src:cand.m_host ~dst:other.m_host
             (fun () -> Ok (Journal.log_records (journal other)))
             (fun result ->
               (match result with
@@ -420,8 +424,6 @@ let promote t ~member:j ~from_epoch =
               then finish ()))
         others
   end
-
-let force_promote t j = promote t ~member:j ~from_epoch:t.g_epoch
 
 (* --- heartbeats and leases (one STATIC periodic timer per member) --- *)
 
@@ -450,13 +452,13 @@ let tick t j () =
       (* Staggered leases: the lowest-indexed live backup's lease expires
          first, and its promotion commit refreshes everyone's [m_last_hb],
          so later candidates stand down — deterministic, no elections. *)
-      let lease = t.g_lease +. (t.g_stagger *. float_of_int j) in
-      if Engine.now t.g_engine -. m.m_last_hb > lease && not m.m_promoting then
+      let expiry = lease +. (stagger *. float_of_int j) in
+      if Engine.now t.g_engine -. m.m_last_hb > expiry && not m.m_promoting then
         promote t ~member:j ~from_epoch:t.g_epoch
     end
   end
 
-let create net ~members:svcs ?(heartbeat = 0.2) ?(lease = 0.45) ?(stagger = 0.15) () =
+let create net ~members:svcs =
   if Array.length svcs = 0 then invalid_arg "Replica.create: empty group";
   if Array.length svcs > 1 && Array.exists (fun s -> Option.is_none (Service.journal s)) svcs then
     invalid_arg "Replica.create: every member of a replicated group needs a disk";
@@ -486,9 +488,6 @@ let create net ~members:svcs ?(heartbeat = 0.2) ?(lease = 0.45) ?(stagger = 0.15
       g_engine = engine;
       g_name = name;
       g_members = members;
-      g_heartbeat = heartbeat;
-      g_lease = lease;
-      g_stagger = stagger;
       g_stream_key = Wal.key ("repl:" ^ name);
       g_primary = 0;
       g_epoch = 0;

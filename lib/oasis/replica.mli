@@ -14,8 +14,8 @@
     no acknowledged operation.
 
     {b Failover} is deterministic lease/epoch promotion on the sim clock:
-    the primary heartbeats every [heartbeat]; a backup whose lease
-    ([lease + stagger·index], staggered so candidates do not race) expires
+    the primary heartbeats every 0.2 s; a backup whose lease
+    ([0.45 + 0.15·index] s, staggered so candidates do not race) expires
     promotes itself via an epoch compare-and-swap — fetch the durable log
     from every reachable peer, require a majority (which must intersect
     every ack quorum), bump the epoch, adopt the winning log, replay it
@@ -44,23 +44,15 @@
 
 type t
 
-val create :
-  Oasis_sim.Net.t ->
-  members:Service.t array ->
-  ?heartbeat:float ->
-  ?lease:float ->
-  ?stagger:float ->
-  unit ->
-  t
+val create : Oasis_sim.Net.t -> members:Service.t array -> t
 (** Wrap [members] (same name, distinct hosts; index 0 is the initial
     primary, and only it should be registry-registered) into a group.  For
     K >= 2 every member needs a journal (raises [Invalid_argument]
     otherwise); [create] installs the quorum-ack and ship hooks on the
     journals, disables per-member auto-recovery, and arms the static
-    heartbeat/lease timers.  Defaults:
-    [heartbeat] 0.2 s, [lease] 0.45 s, [stagger] 0.15 s — failover in
-    under a second of sim time.  Use odd K: an even K tolerates no more
-    crashes than K-1. *)
+    heartbeat/lease timers: a 0.2 s heartbeat, a 0.45 s lease and a
+    0.15 s stagger — failover in under a second of sim time.  Use odd K:
+    an even K tolerates no more crashes than K-1. *)
 
 val primary : t -> Service.t
 (** The current epoch's primary — resolve per request, never cache across
@@ -94,9 +86,6 @@ val promote : t -> member:int -> from_epoch:int -> unit
     completes (the CAS), the candidate is up, and a majority of the group
     is reachable.  Exposed for tests; the lease timers and restart hooks
     call it internally. *)
-
-val force_promote : t -> int -> unit
-(** [promote] from the current epoch (test convenience). *)
 
 val on_promote : t -> (Service.t -> unit) -> unit
 (** Called (in registration order) each time a promotion's replay

@@ -199,6 +199,9 @@ let tracer t = Net.trace t.sv_net
 (* Signature length in hex characters (§4.2's per-service trade-off). *)
 let sig_length = 16
 
+(* Verified signatures the cache holds (two-generation eviction). *)
+let sig_cache_cap = 1024
+
 (* --- the journal (see {!Journal}) --- *)
 
 let journal t = t.sv_journal
@@ -295,17 +298,23 @@ let check_crr t cert =
   | Credrec.False -> Error Revoked
   | Credrec.Unknown -> Error Unknown_state
 
+(* A certificate is bound to its holder's VCI (§2.8): presented by anyone
+   else, it is audited as fraud and refused. *)
+let held_by t cert client =
+  let held = Principal.equal_vci cert.Cert.holder client in
+  if not held then
+    audit t Fraud
+      ("certificate of " ^ Principal.vci_to_string cert.Cert.holder ^ " presented by "
+     ^ Principal.vci_to_string client);
+  held
+
 let validate t ~client ?need_role cert =
   if not (String.equal cert.Cert.service t.sv_name && String.equal cert.Cert.rolefile t.sv_rolefile_id)
   then begin
     audit t Erroneous ("certificate for " ^ cert.Cert.service ^ " presented out of context");
     Error Wrong_context
   end
-  else if not (Principal.equal_vci cert.Cert.holder client) then begin
-    audit t Fraud ("certificate of " ^ Principal.vci_to_string cert.Cert.holder ^ " presented by "
-                   ^ Principal.vci_to_string client);
-    Error Wrong_client
-  end
+  else if not (held_by t cert client) then Error Wrong_client
   else if not (verify_rmc_sig t cert) then begin
     audit t Fraud "forged or tampered certificate";
     Error Forged
@@ -1036,10 +1045,12 @@ let validate_at_issuer t issuer (cert : Cert.rmc) k =
           in
           k (Ok (roles, args, remote_ref, local)))
 
-(* Validate one supplied credential, local or external, producing a
-   membership (or None, with audit). *)
-let validate_credential t (cert : Cert.rmc) k =
-  if String.equal cert.Cert.service t.sv_name then
+(* Validate one credential [client] supplied, local or external, producing
+   a membership (or None, with audit).  One issued to another client is
+   refused before any validation RPC goes out. *)
+let validate_credential t ~client (cert : Cert.rmc) k =
+  if not (held_by t cert client) then k None
+  else if String.equal cert.Cert.service t.sv_name then
     (* Local certificate: direct validation. *)
     if not (verify_rmc_sig t cert) then begin
       audit t Fraud "forged local credential in entry request";
@@ -1106,7 +1117,7 @@ let request_entry t ~client_host ~client ~role ?args ?(creds = []) ?delegation k
   (* Client -> service request, then async validation of each credential. *)
   Net.send t.sv_net ~category:"oasis.entry" ~size:(128 + (96 * List.length creds))
     ~src:client_host ~dst:t.sv_host (fun () ->
-      seq_map (validate_credential t) creds (fun validated ->
+      seq_map (validate_credential t ~client) creds (fun validated ->
           let initial = List.filter_map Fun.id validated in
           let reply result =
             (* The external surrogates [validate_credential] pinned now
@@ -1671,8 +1682,8 @@ let assign_role_bits rolefile =
    service joins the registry — the federation-wide codes (OASIS001-008)
    over the registered peers and this service, keeping only the
    diagnostics anchored here: joining must not fail on a defect that is a
-   peer's alone. *)
-let lint_gate reg ~name ~register ~funcs ~callbacks ~strict parsed =
+   peer's alone.  Errors gate; warnings are logged. *)
+let lint_gate reg ~name ~register ~funcs ~callbacks parsed =
   let context =
     {
       Analyze.default_context with
@@ -1697,7 +1708,7 @@ let lint_gate reg ~name ~register ~funcs ~callbacks ~strict parsed =
           (Federation_lint.check federation)
     else diags
   in
-  match List.filter (Analyze.gates ~strict) diags with
+  match Analyze.errors diags with
   | [] ->
       (* Non-gating findings are logged, not fatal. *)
       List.iter (fun d -> Logs.warn (fun m -> m "%s" (Analyze.diag_to_string d))) diags;
@@ -1841,8 +1852,7 @@ let crash t j =
 
 let create net host reg ~name:sv_name ?(rolefile_id = "main") ~rolefile ?(funcs = [])
     ?(compound_certificates = true) ?(fixpoint_entry = false) ?(heartbeat = 1.0)
-    ?(batch_notifications = true) ?(sig_cache_cap = 1024) ?disk ?(snapshot_every = 128)
-    ?(lint = `Warn) ?(register = true) () =
+    ?(batch_notifications = true) ?disk ?(snapshot_every = 128) ?(register = true) () =
   let ( let* ) = Result.bind in
   let* parsed = Parser.parse_result rolefile in
   let callbacks =
@@ -1856,12 +1866,7 @@ let create net host reg ~name:sv_name ?(rolefile_id = "main") ~rolefile ?(funcs 
     }
   in
   let* sigs = Result.map_error (fun e -> "type error: " ^ e) (Infer.infer ~callbacks parsed) in
-  let* () =
-    match lint with
-    | `Off -> Ok ()
-    | (`Warn | `Strict) as mode ->
-        lint_gate reg ~name:sv_name ~register ~funcs ~callbacks ~strict:(mode = `Strict) parsed
-  in
+  let* () = lint_gate reg ~name:sv_name ~register ~funcs ~callbacks parsed in
   let* bits = assign_role_bits parsed in
   let prng = Prng.create (Int64.of_int (Hashtbl.hash sv_name + 7)) in
   let blacklist = Hashtbl.create 16 in

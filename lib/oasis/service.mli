@@ -36,10 +36,8 @@ val create :
   ?fixpoint_entry:bool ->
   ?heartbeat:float ->
   ?batch_notifications:bool ->
-  ?sig_cache_cap:int ->
   ?disk:Oasis_store.Disk.t ->
   ?snapshot_every:int ->
-  ?lint:[ `Off | `Warn | `Strict ] ->
   ?register:bool ->
   unit ->
   (t, string) result
@@ -51,16 +49,15 @@ val create :
     another id is out of context.  [funcs] are the extension functions the
     rolefile may call, besides the built-in [unixacl] and [acl].
 
-    [lint] (default [`Warn]) gates creation on static analysis.  The
-    per-rolefile analyzer ({!Oasis_rdl.Analyze}) always runs; when the
-    service joins the registry, the federation-wide codes of
-    {!Federation_lint} (OASIS001-008) run too, over the registered
-    services plus this one, keeping only the diagnostics anchored at this
-    service.  Error-severity diagnostics fail [create] (never-fires
-    statements, unsatisfiable constraints, unknown extension functions,
-    arity or type errors, a credential cycle no statement bootstraps, a
-    reference to a role its service does not define); warnings are logged
-    via {!Logs}.  [`Strict] also fails on warnings; [`Off] skips the gate.
+    The lint gate runs static analysis at creation.  The per-rolefile
+    analyzer ({!Oasis_rdl.Analyze}) always runs; when the service joins
+    the registry, the federation-wide codes of {!Federation_lint}
+    (OASIS001-008) run too, over the registered services plus this one,
+    keeping only the diagnostics anchored at this service.
+    Error-severity diagnostics fail [create] (never-fires statements,
+    unsatisfiable constraints, unknown extension functions, arity or type
+    errors, a credential cycle no statement bootstraps, a reference to a
+    role its service does not define); warnings are logged via {!Logs}.
 
     [compound_certificates]: fold same-argument roles entered in one
     request into one certificate (§4.3; default true).  [fixpoint_entry]:
@@ -71,9 +68,9 @@ val create :
     change notifications into one ModifiedBatch digest per peer link,
     flushed on the broker heartbeat tick (bounded by one heartbeat of
     extra latency); with [false], every record change is its own Modified
-    event, as in the unbatched scheme benchmarked by e15.
-    [sig_cache_cap] (default 1024): bound on the signature-verification
-    cache (two-generation eviction).
+    event, as in the unbatched scheme benchmarked by e15.  The
+    signature-verification cache holds at most 1024 entries
+    (two-generation eviction).
 
     [disk] enables the durable plane ({!Journal}): the §4.11 hire/fire
     databases and issued certificates (with their dependency lists) are

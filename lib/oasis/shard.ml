@@ -101,8 +101,7 @@ let replica_host_name name i j =
   else Printf.sprintf "h.%s.s%d.r%d" name i j
 
 let create net reg ~name ~rolefile ~shards ?(vnodes = 64) ?(heartbeat = 1.0) ?(durable = false)
-    ?(snapshot_every = 128) ?(groups = []) ?(lint = `Warn) ?(replicas = 1) ?repl_heartbeat
-    ?repl_lease ?repl_stagger () =
+    ?(snapshot_every = 128) ?(groups = []) ?(replicas = 1) () =
   if shards < 1 then Error "Shard.create: shards must be >= 1"
   else if replicas < 1 then Error "Shard.create: replicas must be >= 1"
   else if replicas > 1 && not durable then
@@ -113,7 +112,7 @@ let create net reg ~name ~rolefile ~shards ?(vnodes = 64) ?(heartbeat = 1.0) ?(d
     let ring = Ring.make ~vnodes ~shards () in
     let build_replica i j =
       let host = Net.add_host net (replica_host_name name i j) in
-      let disk = if durable then Some (Oasis_store.Disk.create net host ()) else None in
+      let disk = if durable then Some (Oasis_store.Disk.create net host) else None in
       match
         (* §4.3 compound folding is disabled: it bakes every same-argument
            role derived during an entry into one certificate record, but
@@ -122,7 +121,7 @@ let create net reg ~name ~rolefile ~shards ?(vnodes = 64) ?(heartbeat = 1.0) ?(d
            sharded and unsharded deployments would diverge.  One
            certificate per entered role instead. *)
         Service.create net host reg ~name:(shard_service_name name i) ~rolefile ~heartbeat
-          ?disk ~snapshot_every ~lint ~compound_certificates:false ~register:(j = 0) ()
+          ?disk ~snapshot_every ~compound_certificates:false ~register:(j = 0) ()
       with
       | Error e -> Error (Printf.sprintf "shard %d replica %d: %s" i j e)
       | Ok svc ->
@@ -149,11 +148,7 @@ let create net reg ~name ~rolefile ~shards ?(vnodes = 64) ?(heartbeat = 1.0) ?(d
         match build_members 0 [] with
         | Error e -> Error e
         | Ok members ->
-            let grp =
-              Replica.create net
-                ~members:(Array.of_list members)
-                ?heartbeat:repl_heartbeat ?lease:repl_lease ?stagger:repl_stagger ()
-            in
+            let grp = Replica.create net ~members:(Array.of_list members) in
             build (i + 1) ((grp, members) :: acc)
     in
     match build 0 [] with

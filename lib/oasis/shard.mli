@@ -102,11 +102,7 @@ val create :
   ?durable:bool ->
   ?snapshot_every:int ->
   ?groups:(string * string list) list ->
-  ?lint:[ `Off | `Warn | `Strict ] ->
   ?replicas:int ->
-  ?repl_heartbeat:float ->
-  ?repl_lease:float ->
-  ?repl_stagger:float ->
   unit ->
   (t, string) result
 (** Build the deployment: one router host plus [shards] shard services,
@@ -124,8 +120,7 @@ val create :
     stream is in global record coordinates).  Replica [j] of shard [i]
     runs on host [h.name.sI] for [j = 0] (the historical name, so K = 1 is
     byte-identical to the pre-replication plane) and [h.name.sI.rJ]
-    otherwise.  [repl_heartbeat]/[repl_lease]/[repl_stagger] tune the
-    failover clock; see {!Replica.create} for defaults.  Use odd K.
+    otherwise.  See {!Replica.create} for the failover clock.  Use odd K.
 
     Compound certificates (§4.3) are disabled on every shard: folding
     same-argument roles into one record assumes all of a principal's roles

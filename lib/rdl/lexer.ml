@@ -192,36 +192,3 @@ let tokenize src =
   done;
   emit EOF;
   List.rev !tokens
-
-let pp_token ppf = function
-  | IDENT s -> Format.fprintf ppf "IDENT %s" s
-  | INT n -> Format.fprintf ppf "INT %d" n
-  | STRING s -> Format.fprintf ppf "STRING %S" s
-  | SETLIT s -> Format.fprintf ppf "SETLIT {%s}" s
-  | OBJLIT (t, i) -> Format.fprintf ppf "OBJLIT @%s%S" t i
-  | LPAREN -> Format.pp_print_string ppf "("
-  | RPAREN -> Format.pp_print_string ppf ")"
-  | LBRACKET -> Format.pp_print_string ppf "["
-  | RBRACKET -> Format.pp_print_string ppf "]"
-  | COMMA -> Format.pp_print_string ppf ","
-  | DOT -> Format.pp_print_string ppf "."
-  | COLON -> Format.pp_print_string ppf ":"
-  | STAR -> Format.pp_print_string ppf "*"
-  | ARROW -> Format.pp_print_string ppf "<-"
-  | WEDGE -> Format.pp_print_string ppf "/\\"
-  | ELECT -> Format.pp_print_string ppf "<|"
-  | REVOKE -> Format.pp_print_string ppf "|>"
-  | EQ -> Format.pp_print_string ppf "="
-  | NE -> Format.pp_print_string ppf "<>"
-  | LT -> Format.pp_print_string ppf "<"
-  | LE -> Format.pp_print_string ppf "<="
-  | GT -> Format.pp_print_string ppf ">"
-  | GE -> Format.pp_print_string ppf ">="
-  | KW_IMPORT -> Format.pp_print_string ppf "import"
-  | KW_DEF -> Format.pp_print_string ppf "def"
-  | KW_AND -> Format.pp_print_string ppf "and"
-  | KW_OR -> Format.pp_print_string ppf "or"
-  | KW_NOT -> Format.pp_print_string ppf "not"
-  | KW_IN -> Format.pp_print_string ppf "in"
-  | KW_SUBSET -> Format.pp_print_string ppf "subset"
-  | EOF -> Format.pp_print_string ppf "<eof>"

@@ -38,5 +38,3 @@ exception Lex_error of string * int  (** message, line *)
 val tokenize : string -> (token * int) list
 (** Token stream with line numbers.  Comments run from [--] or [#] to end of
     line.  Raises {!Lex_error} on malformed input. *)
-
-val pp_token : Format.formatter -> token -> unit

@@ -50,5 +50,3 @@ let conj a b =
   match (a, b) with
   | None, c | c, None -> c
   | Some a, Some b -> Some (Cand (a, b))
-
-let conj_list cs = List.fold_left conj None cs

@@ -23,5 +23,3 @@ val constr : ?fresh:(string -> Ast.expr) -> map -> Ast.constr -> Ast.constr
 
 val conj : Ast.constr option -> Ast.constr option -> Ast.constr option
 (** Conjunction over optional constraints ([None] = true). *)
-
-val conj_list : Ast.constr option list -> Ast.constr option

@@ -90,19 +90,13 @@ let cancel tm =
 
 let cancelled tm = not tm.alive
 
-let every t ?tag ~period ?jitter action =
+let every t ?tag ~period action =
   if period <= 0.0 then invalid_arg "Engine.every: period must be positive";
   (* The handle returned to the caller is distinct from the queued one-shot
      timers: cancelling it suppresses all future firings. *)
   let handle = { alive = true; action = (fun () -> ()); tag = ""; home = None } in
   let rec arm () =
-    let extra = match jitter with Some j -> j () | None -> 0.0 in
-    (* A pathological jitter ([extra <= -period]) must not re-arm at the
-       current instant: the timer would fire and re-arm at one sim time
-       forever, and [run ~until] would never terminate.  The effective
-       delay is clamped to a positive floor instead. *)
-    let delay = Float.max (0.001 *. period) (period +. extra) in
-    schedule t ?tag ~delay (fun () ->
+    schedule t ?tag ~delay:period (fun () ->
         if handle.alive then begin
           action ();
           if handle.alive then arm ()

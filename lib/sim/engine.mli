@@ -66,12 +66,9 @@ val compact_floor : int
 
 val cancelled : timer -> bool
 
-val every :
-  t -> ?tag:string -> period:float -> ?jitter:(unit -> float) -> (unit -> unit) -> timer
-(** Periodic action; cancelling the returned timer stops the series.  If
-    [jitter] is given, its value is added to each period; the effective
-    delay is clamped to a positive floor ([period / 1000]) so a pathological
-    jitter cannot re-arm the timer at the same instant forever. *)
+val every : t -> ?tag:string -> period:float -> (unit -> unit) -> timer
+(** Periodic action, [period] seconds apart (which must be positive);
+    cancelling the returned timer stops the series. *)
 
 val step : t -> bool
 (** Execute the next pending event; [false] if the queue is empty.  With a

@@ -35,7 +35,7 @@ type t = {
   prng : Prng.t;
   fault : Fault.t;
   trace : Trace.t;
-  mutable default_latency : latency;
+  default_latency : latency;
   link_latency : (int * int, latency) Hashtbl.t;
   mutable loss : float;
   partitions : (int * int, unit) Hashtbl.t;
@@ -90,7 +90,6 @@ let host_name h = h.name
 let host_clock h = h.clock
 let host_addr h = h.addr
 let find_host t name = List.find_opt (fun h -> String.equal h.name name) t.hosts
-let set_default_latency t l = t.default_latency <- l
 let set_link_latency t src dst l = Hashtbl.replace t.link_latency (src.addr, dst.addr) l
 
 let set_loss t p =
@@ -195,7 +194,10 @@ let rpc_async t ?(category = "rpc") ?size ?(timeout = 2.0) ~src ~dst handler k =
 let rpc t ?category ?size ?timeout ~src ~dst handler k =
   rpc_async t ?category ?size ?timeout ~src ~dst (fun reply -> reply (handler ())) k
 
-let retry_loop t ~category ?(attempts = 5) ?(backoff = 0.25) ?(max_backoff = 8.0) ~src once k =
+(* The cap on one retry's backoff, before jitter. *)
+let max_backoff = 8.0
+
+let retry_loop t ~category ?(attempts = 5) ?(backoff = 0.25) ~src once k =
   if attempts < 1 then invalid_arg "Net.rpc_retry: attempts must be >= 1";
   let ctx = Trace.current t.trace in
   let rec go n =
@@ -215,29 +217,22 @@ let retry_loop t ~category ?(attempts = 5) ?(backoff = 0.25) ?(max_backoff = 8.0
   in
   go 0
 
-let rpc_retry t ?(category = "rpc") ?size ?(timeout = 2.0) ?attempts ?backoff ?max_backoff ~src
-    ~dst handler k =
-  retry_loop t ~category ?attempts ?backoff ?max_backoff ~src
+let rpc_retry t ?(category = "rpc") ?size ?(timeout = 2.0) ?attempts ?backoff ~src ~dst handler k =
+  retry_loop t ~category ?attempts ?backoff ~src
     (fun k1 -> rpc t ~category ?size ~timeout ~src ~dst handler k1)
     k
 
-let rpc_async_retry t ?(category = "rpc") ?size ?(timeout = 2.0) ?attempts ?backoff ?max_backoff
-    ~src ~dst handler k =
-  retry_loop t ~category ?attempts ?backoff ?max_backoff ~src
+let rpc_async_retry t ?(category = "rpc") ?size ?(timeout = 2.0) ?attempts ?backoff ~src ~dst
+    handler k =
+  retry_loop t ~category ?attempts ?backoff ~src
     (fun k1 -> rpc_async t ~category ?size ~timeout ~src ~dst handler k1)
     k
-
-let local_call t ?(category = "local") f =
-  Stats.incr t.stats category;
-  f ()
 
 (* --- named-port messaging (the backend-portable RPC surface) --- *)
 
 let set_remote t rm = t.remote <- rm
 
 let bind t host ~port handler = Hashtbl.replace t.bindings (host.name, port) handler
-
-let unbind t host ~port = Hashtbl.remove t.bindings (host.name, port)
 
 let dispatch t ~dst ~port payload reply =
   match Hashtbl.find_opt t.bindings (dst, port) with
@@ -284,8 +279,8 @@ let call t ?(category = "call") ?size ?(timeout = 2.0) ~src ~dst ~port payload k
                   Trace.with_ctx t.trace ctx (fun () -> k result)
                 end))
 
-let call_retry t ?(category = "call") ?size ?(timeout = 2.0) ?attempts ?backoff ?max_backoff ~src
-    ~dst ~port payload k =
-  retry_loop t ~category ?attempts ?backoff ?max_backoff ~src
+let call_retry t ?(category = "call") ?size ?(timeout = 2.0) ?attempts ?backoff ~src ~dst ~port
+    payload k =
+  retry_loop t ~category ?attempts ?backoff ~src
     (fun k1 -> call t ~category ?size ~timeout ~src ~dst ~port payload k1)
     k

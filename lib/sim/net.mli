@@ -35,8 +35,6 @@ val host_clock : host -> Clock.t
 val host_addr : host -> int
 val find_host : t -> string -> host option
 
-val set_default_latency : t -> latency -> unit
-
 val set_link_latency : t -> host -> host -> latency -> unit
 (** Override latency on the directed link from the first host to the second. *)
 
@@ -93,15 +91,14 @@ val rpc_retry :
   ?timeout:float ->
   ?attempts:int ->
   ?backoff:float ->
-  ?max_backoff:float ->
   src:host ->
   dst:host ->
   (unit -> ('a, string) result) ->
   (('a, string) result -> unit) ->
   unit
 (** Reliable RPC: like {!rpc} but timeouts are retried with exponential
-    backoff ([backoff * 2^n], capped at [max_backoff], default 0.25 s/8 s)
-    plus deterministic seeded jitter, up to [attempts] total attempts
+    backoff ([backoff * 2^n], default 0.25 s, capped at 8 s) plus
+    deterministic seeded jitter, up to [attempts] total attempts
     (default 5); then it gives up and surfaces [Error "timeout"].
     Application-level errors are not retried.  Each attempt increments
     [category ^ ".attempt"]; exhausting the budget increments
@@ -147,7 +144,6 @@ val rpc_async_retry :
   ?timeout:float ->
   ?attempts:int ->
   ?backoff:float ->
-  ?max_backoff:float ->
   src:host ->
   dst:host ->
   ((('a, string) result -> unit) -> unit) ->
@@ -159,9 +155,6 @@ val rpc_async_retry :
     earlier invocation is still working (the caller cannot tell a slow
     server from a lost request), so handlers must be idempotent under
     overlap, not merely under sequential repetition. *)
-
-val local_call : t -> ?category:string -> (unit -> 'a) -> 'a
-(** Same-host invocation: zero latency, still accounted. *)
 
 (** {1 Named-port messaging (backend-portable RPC)}
 
@@ -200,8 +193,6 @@ val bind :
 (** Register the serialized-request handler for [port] at a local host.
     The handler may reply asynchronously, from any later engine event. *)
 
-val unbind : t -> host -> port:string -> unit
-
 val dispatch :
   t -> dst:string -> port:string -> string -> ((string, string) result -> unit) -> unit
 (** Deliver an incoming serialized request to a locally-bound handler —
@@ -238,7 +229,6 @@ val call_retry :
   ?timeout:float ->
   ?attempts:int ->
   ?backoff:float ->
-  ?max_backoff:float ->
   src:host ->
   dst:string ->
   port:string ->

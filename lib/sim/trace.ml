@@ -24,7 +24,6 @@ type span = {
 type t = {
   clock : unit -> float;  (* deterministic sim-time source *)
   mutable enabled : bool;
-  capacity : int;
   ring : span option array;  (* finished spans, circular *)
   mutable head : int;  (* next write slot *)
   mutable stored : int;
@@ -35,12 +34,13 @@ type t = {
   open_tbl : (int, span) Hashtbl.t;  (* span id -> still-open span *)
 }
 
-let create ?(capacity = 4096) clock =
-  if capacity < 1 then invalid_arg "Trace.create: capacity must be >= 1";
+(* Finished spans kept; the oldest is dropped past this. *)
+let capacity = 4096
+
+let create clock =
   {
     clock;
     enabled = false;
-    capacity;
     ring = Array.make capacity None;
     head = 0;
     stored = 0;
@@ -55,7 +55,7 @@ let enabled t = t.enabled
 let set_enabled t on = t.enabled <- on
 
 let clear t =
-  Array.fill t.ring 0 t.capacity None;
+  Array.fill t.ring 0 capacity None;
   t.head <- 0;
   t.stored <- 0;
   t.dropped <- 0;
@@ -127,7 +127,7 @@ let finish t sp =
     Hashtbl.remove t.open_tbl sp.sp_id;
     if t.ring.(t.head) <> None then t.dropped <- t.dropped + 1 else t.stored <- t.stored + 1;
     t.ring.(t.head) <- Some sp;
-    t.head <- (t.head + 1) mod t.capacity
+    t.head <- (t.head + 1) mod capacity
   end
 
 let with_span t ?parent name f =
@@ -146,8 +146,8 @@ let with_span t ?parent name f =
 let spans t =
   (* Oldest first: the slot after [head] (when full) is the oldest survivor. *)
   let acc = ref [] in
-  for i = t.capacity - 1 downto 0 do
-    match t.ring.((t.head + i) mod t.capacity) with
+  for i = capacity - 1 downto 0 do
+    match t.ring.((t.head + i) mod capacity) with
     | Some sp -> acc := sp :: !acc
     | None -> ()
   done;

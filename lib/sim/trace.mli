@@ -26,10 +26,10 @@ type ctx
 (** Portable causal context: trace id + span id + the true time the trace's
     root span started, so any hop can compute its distance from the root. *)
 
-val create : ?capacity:int -> (unit -> float) -> t
-(** [create ~capacity clock] — [clock] is the deterministic time source
-    (e.g. [fun () -> Engine.now engine]); [capacity] (default 4096) bounds
-    the finished-span ring buffer. *)
+val create : (unit -> float) -> t
+(** [create clock] — [clock] is the deterministic time source (e.g.
+    [fun () -> Engine.now engine]).  The finished-span ring buffer holds
+    4096 spans, and drops the oldest past that. *)
 
 val enabled : t -> bool
 val set_enabled : t -> bool -> unit

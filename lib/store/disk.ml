@@ -10,9 +10,6 @@ module Prng = Oasis_util.Prng
 type file = { mutable data : Buffer.t; mutable synced : int }
 
 type sim = {
-  d_fsync_latency : float;
-  d_write_bw : float;
-  d_read_bw : float;
   d_files : (string, file) Hashtbl.t;
   mutable d_epoch : int;  (* bumped on crash: in-flight flushes die *)
 }
@@ -52,17 +49,14 @@ let file s name =
       Hashtbl.add s.d_files name f;
       f
 
-let create net host ?(fsync_latency = 5e-4) ?(write_bandwidth = 1e8) ?(read_bandwidth = 2e8) ()
-    =
-  let s =
-    {
-      d_fsync_latency = fsync_latency;
-      d_write_bw = write_bandwidth;
-      d_read_bw = read_bandwidth;
-      d_files = Hashtbl.create 4;
-      d_epoch = 0;
-    }
-  in
+(* The simulated device's costs: a flush's base cost in seconds, and the
+   write and sequential recovery-scan throughputs in bytes per second. *)
+let fsync_latency = 5e-4
+let write_bandwidth = 1e8
+let read_bandwidth = 2e8
+
+let create net host =
+  let s = { d_files = Hashtbl.create 4; d_epoch = 0 } in
   let t = { d_net = net; d_host = host; d_impl = Sim s } in
   Net.on_crash net host (fun () ->
       s.d_epoch <- s.d_epoch + 1;
@@ -99,7 +93,7 @@ let append t ~file:name data =
         Stats.observe (stats t) "store.write" (String.length data)
       end
 
-let flush_delay s pending = s.d_fsync_latency +. (float_of_int pending /. s.d_write_bw)
+let flush_delay pending = fsync_latency +. (float_of_int pending /. write_bandwidth)
 
 let fsync t ~file:name k =
   match t.d_impl with
@@ -119,7 +113,7 @@ let fsync t ~file:name k =
         let target = Buffer.length f.data in
         let pending = target - f.synced in
         let epoch = s.d_epoch in
-        let delay = flush_delay s pending in
+        let delay = flush_delay pending in
         Engine.schedule (Net.engine t.d_net) ~tag:("s:" ^ Net.host_name t.d_host) ~delay
           (fun () ->
             if epoch = s.d_epoch && Net.host_up t.d_net t.d_host then begin
@@ -145,7 +139,7 @@ let write_atomic t ~file:name data k =
         let f = file s name in
         let epoch = s.d_epoch in
         let baseline = Buffer.length f.data in
-        let delay = flush_delay s (String.length data) in
+        let delay = flush_delay (String.length data) in
         Stats.observe (stats t) "store.write" (String.length data);
         Engine.schedule (Net.engine t.d_net) ~tag:("s:" ^ Net.host_name t.d_host) ~delay
           (fun () ->
@@ -198,7 +192,7 @@ let unsynced t ~file:name =
 let scan_delay t ~bytes =
   match t.d_impl with
   | Ops o -> o.o_scan_delay ~bytes
-  | Sim s -> s.d_fsync_latency +. (float_of_int bytes /. s.d_read_bw)
+  | Sim _ -> fsync_latency +. (float_of_int bytes /. read_bandwidth)
 
 let files t =
   match t.d_impl with

@@ -22,18 +22,10 @@
 
 type t
 
-val create :
-  Oasis_sim.Net.t ->
-  Oasis_sim.Net.host ->
-  ?fsync_latency:float ->
-  ?write_bandwidth:float ->
-  ?read_bandwidth:float ->
-  unit ->
-  t
-(** [fsync_latency] is the base cost of a flush in seconds (default 5e-4);
-    [write_bandwidth] the sustained write throughput in bytes/second
-    (default 1e8); [read_bandwidth] the sequential recovery-scan
-    throughput (default 2e8). *)
+val create : Oasis_sim.Net.t -> Oasis_sim.Net.host -> t
+(** A simulated device.  A flush costs 5e-4 s plus its bytes at a write
+    throughput of 1e8 bytes/second; a recovery scan costs 5e-4 s plus its
+    bytes at 2e8 bytes/second. *)
 
 type ops = {
   o_append : file:string -> string -> unit;

@@ -8,8 +8,6 @@ type t = {
   w_disk : Disk.t;
   w_file : string;
   w_key : Siphash.key;
-  w_interval : float;
-  w_flush_bytes : int;
   w_fsync_each : bool;
   mutable w_pending_bytes : int;
   mutable w_pending_records : int;
@@ -30,15 +28,17 @@ let decode_with ~key:file bytes = Frame.decode (key file) bytes
 
 let stats t = Net.stats (Disk.net t.w_disk)
 
-let create disk ~file ?(flush_interval = 0.05) ?(flush_bytes = 16384) ?(fsync_each = false) ()
-    =
+(* Group commit fires once this many bytes are pending, or this many
+   seconds after the first uncommitted append, whichever comes first. *)
+let flush_bytes = 16384
+let flush_interval = 0.05
+
+let create disk ~file ?(fsync_each = false) () =
   let t =
     {
       w_disk = disk;
       w_file = file;
       w_key = key file;
-      w_interval = flush_interval;
-      w_flush_bytes = flush_bytes;
       w_fsync_each = fsync_each;
       w_pending_bytes = 0;
       w_pending_records = 0;
@@ -80,7 +80,7 @@ let append_common t ?on_durable ~notify payload =
   (match on_durable with Some k -> t.w_on_durable <- k :: t.w_on_durable | None -> ());
   Stats.observe (stats t) "store.wal.append" (String.length framed);
   (if notify then match t.w_observer with Some obs -> obs payload | None -> ());
-  if t.w_fsync_each || t.w_pending_bytes >= t.w_flush_bytes then flush t
+  if t.w_fsync_each || t.w_pending_bytes >= flush_bytes then flush t
   else if not t.w_armed then begin
     (* One-shot arming: the first uncommitted append starts the clock; the
        tick commits everything that accumulated behind it. *)
@@ -88,7 +88,7 @@ let append_common t ?on_durable ~notify payload =
     Engine.schedule
       (Net.engine (Disk.net t.w_disk))
       ~tag:("s:" ^ Net.host_name (Disk.host t.w_disk))
-      ~delay:t.w_interval
+      ~delay:flush_interval
       (fun () ->
         t.w_armed <- false;
         flush t)

@@ -7,8 +7,8 @@
 
     {b Group commit}: appends land in the device's write buffer immediately,
     but the fsync making them durable is coalesced — it fires when the
-    pending bytes cross [flush_bytes], or on a timer [flush_interval] after
-    the first uncommitted append, whichever comes first (mirroring the
+    pending bytes reach 16384, or on a timer 0.05 s after the first
+    uncommitted append, whichever comes first (mirroring the
     broker's heartbeat batching: many logical writes, one physical flush).
     [fsync_each:true] degrades to one fsync per append, the baseline the
     e17 experiment compares against.
@@ -22,13 +22,10 @@ type t
 val create :
   Disk.t ->
   file:string ->
-  ?flush_interval:float ->
-  ?flush_bytes:int ->
   ?fsync_each:bool ->
   unit ->
   t
-(** Defaults: [flush_interval] 0.05 s, [flush_bytes] 16384, [fsync_each]
-    false. *)
+(** [fsync_each] defaults to false. *)
 
 val file : t -> string
 val disk : t -> Disk.t

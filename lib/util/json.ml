@@ -72,8 +72,6 @@ let rec sorted = function
            (fun (a, _) (b, _) -> String.compare a b)
            (List.map (fun (k, v) -> (k, sorted v)) fields))
 
-let raw_to_buffer = Buffer.add_string
-
 (* --- parsing ---
 
    A small total recursive-descent parser, added for the model checker's

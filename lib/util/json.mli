@@ -37,10 +37,6 @@ val sorted : t -> t
     produce byte-different documents run to run; the bench snapshots
     ([BENCH_*.json]) are emitted through this so they diff cleanly. *)
 
-val raw_to_buffer : Buffer.t -> string -> unit
-(** Append a pre-rendered JSON fragment verbatim.  For emitters that build
-    large documents incrementally around already-serialised parts. *)
-
 val parse : string -> (t, string) result
 (** Parse one complete JSON document (strict: no trailing bytes, no
     comments).  Numbers without fraction or exponent parse as [Int]; all

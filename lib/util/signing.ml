@@ -25,16 +25,17 @@ let verify ?(length = 16) secret payload signature =
 module Rolling = struct
   type slot = { id : int; secret : secret }
 
+  (* Live secrets a table holds; a roll past this retires the oldest. *)
+  let capacity = 4
+
   type t = {
-    capacity : int;
     mutable slots : slot list; (* newest first *)
     mutable next_id : int;
     prng : Prng.t;
   }
 
-  let create ?(capacity = 4) prng =
-    if capacity < 1 then invalid_arg "Rolling.create: capacity must be >= 1";
-    let t = { capacity; slots = []; next_id = 0; prng } in
+  let create prng =
+    let t = { slots = []; next_id = 0; prng } in
     t.slots <- [ { id = 0; secret = fresh_secret prng } ];
     t.next_id <- 1;
     t
@@ -42,7 +43,7 @@ module Rolling = struct
   let roll t =
     let slot = { id = t.next_id; secret = fresh_secret t.prng } in
     t.next_id <- t.next_id + 1;
-    let keep = if List.length t.slots >= t.capacity then t.capacity - 1 else List.length t.slots in
+    let keep = if List.length t.slots >= capacity then capacity - 1 else List.length t.slots in
     t.slots <- slot :: List.filteri (fun i _ -> i < keep) t.slots
 
   let current t =

@@ -30,8 +30,8 @@ val verify : ?length:int -> secret -> string -> signature -> bool
 module Rolling : sig
   type t
 
-  val create : ?capacity:int -> Prng.t -> t
-  (** A table holding up to [capacity] (default 4) live secrets. *)
+  val create : Prng.t -> t
+  (** A table holding up to 4 live secrets. *)
 
   val roll : t -> unit
   (** Generate and install a fresh current secret, retiring the oldest if the

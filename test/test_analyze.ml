@@ -330,13 +330,13 @@ let make_world () =
   let net = Net.create ~latency:(Net.Fixed 0.005) engine in
   (engine, net, Service.create_registry ())
 
-let try_create ?lint ?funcs ~rolefile () =
+let try_create ?funcs ~rolefile () =
   let _, net, reg = make_world () in
-  Service.create net (Net.add_host net "h") reg ~name:"S" ~rolefile ?funcs ?lint ()
+  Service.create net (Net.add_host net "h") reg ~name:"S" ~rolefile ?funcs ()
 
 let test_service_gating_errors () =
   let bad = "Base(u) <-\nBad(u) <- Base(u) : w > 5\n" in
-  (match try_create ~rolefile:bad () with
+  match try_create ~rolefile:bad () with
   | Error e ->
       checkb "mentions lint" true (String.length e >= 4 && String.sub e 0 4 = "lint");
       checkb "names the code" true
@@ -344,24 +344,21 @@ let test_service_gating_errors () =
            i + 6 <= String.length e && (String.sub e i 6 = "RDL001" || go (i + 1))
          in
          go 0)
-  | Ok _ -> Alcotest.fail "lint should have failed registration");
-  (match try_create ~lint:`Off ~rolefile:bad () with
-  | Ok _ -> ()
-  | Error e -> Alcotest.failf "lint `Off should accept: %s" e)
+  | Ok _ -> Alcotest.fail "lint should have failed registration"
 
+(* A warning gates a strict lint run ([oasis_cli lint --strict]), never
+   service creation. *)
 let test_service_gating_warnings () =
   let dup = "Base(u) <-\nD(u) <- Base(u)\nD(u) <- Base(u)\n" in
   (match try_create ~rolefile:dup () with
   | Ok _ -> ()
-  | Error e -> Alcotest.failf "warnings should not gate by default: %s" e);
-  match try_create ~lint:`Strict ~rolefile:dup () with
-  | Error e ->
-      checkb "strict names RDL004" true
-        (let rec go i =
-           i + 6 <= String.length e && (String.sub e i 6 = "RDL004" || go (i + 1))
-         in
-         go 0)
-  | Ok _ -> Alcotest.fail "strict should gate on warnings"
+  | Error e -> Alcotest.failf "warnings should not gate creation: %s" e);
+  checkb "RDL004 gates a strict run only" true
+    (List.exists
+       (fun d ->
+         d.Analyze.code = "RDL004" && Analyze.gates ~strict:true d
+         && not (Analyze.gates ~strict:false d))
+       (Analyze.check (Parser.parse dup)))
 
 let test_service_gating_funcs () =
   let rf = "Base(u) <-\nF(u) <- Base(u) : magic(u) > 0\n" in

@@ -561,7 +561,7 @@ let test_detach_is_constant_time () =
   | Error e -> Alcotest.failf "self_check after churn: %s" e
 
 (* ------------------------------------------------------------------ *)
-(* Visit order: the order a [Hashtbl.create 4] keyed by edge id lists    *)
+(* Visit order: a record's surviving edges, oldest first                 *)
 (* ------------------------------------------------------------------ *)
 
 (* Children of one parent come and go: attached (one edge, or an extra
@@ -569,14 +569,12 @@ let test_detach_is_constant_time () =
    them.  Every child sees the parent through edges of one polarity, so
    each flip of the parent changes every child, and the children's hooks
    fire in the order the cascade visited them, a child with two edges at
-   its first.  That order must be the one a reference [Hashtbl.create 4],
-   fed the same edge ids, folds into: the order cascades had when each
-   record kept its children in such a table, on which the order of every
-   notification rests.  Up to 100 edges, so the reference crosses its
-   resizes at 33 and 65 entries.  Last, the parent is set True and
-   forgotten, which detaches the children in the same order: a child
-   behind plain edges is forced False at its first edge, and one behind
-   negated edges turns True once its last edge is gone. *)
+   its first.  That order must be the creation order of the edges still
+   standing, which a reference list keeps; the order of every
+   notification rests on it.  Up to 100 edges.  Last, the parent is set
+   True and forgotten, which detaches the children in the same order: a
+   child behind plain edges is forced False at its first edge, and one
+   behind negated edges turns True once its last edge is gone. *)
 type order_op = O_attach of bool * bool | O_extra of int | O_forget of int | O_sweep | O_flip
 
 let order_op_to_string = function
@@ -607,29 +605,21 @@ let order_ops_arb =
     ~print:(fun ops -> String.concat ", " (List.map order_op_to_string ops))
     QCheck.Gen.(list_size (int_range 1 220) op)
 
-type order_child = {
-  o_ref : Credrec.cref;
-  o_neg : bool;
-  o_hooked : bool;
-  mutable o_eids : int list;
-}
+type order_child = { o_ref : Credrec.cref; o_neg : bool; o_hooked : bool }
 
 let prop_visit_order ops =
   let t = Credrec.create_table () in
   let parent = Credrec.leaf t () in
   Credrec.set_direct_use t parent true;
-  let reference = Hashtbl.create 4 in
-  let children = ref [||] and next_eid = ref 0 and fired = ref [] in
+  (* One entry per surviving edge, newest first. *)
+  let reference = ref [] in
+  let children = ref [||] and fired = ref [] in
   let live () = List.filter (fun c -> Credrec.live t c.o_ref) (Array.to_list !children) in
   let pick k = match live () with [] -> None | l -> Some (List.nth l (k mod List.length l)) in
-  let attach c =
-    Hashtbl.replace reference !next_eid c;
-    c.o_eids <- !next_eid :: c.o_eids;
-    incr next_eid
-  in
-  let drop c = List.iter (Hashtbl.remove reference) c.o_eids in
-  (* The reference's listing: one entry per edge. *)
-  let listed () = Hashtbl.fold (fun _ c acc -> c :: acc) reference [] in
+  let attach c = reference := c :: !reference in
+  let drop c = reference := List.filter (fun c' -> c' != c) !reference in
+  (* The reference's listing: one entry per edge, oldest first. *)
+  let listed () = List.rev !reference in
   let hooked_at_first () =
     List.rev
       (List.fold_left
@@ -644,13 +634,13 @@ let prop_visit_order ops =
       QCheck.Test.fail_reportf "%s: hooks fired [%s], reference order [%s]" what (ids got)
         (ids want)
   in
-  let edges () = Hashtbl.length reference in
+  let edges () = List.length !reference in
   List.iter
     (fun op ->
       match op with
       | O_attach (neg, hooked) when edges () < 100 ->
           let r = Credrec.combine_fresh t [ (parent, neg) ] in
-          let c = { o_ref = r; o_neg = neg; o_hooked = hooked; o_eids = [] } in
+          let c = { o_ref = r; o_neg = neg; o_hooked = hooked } in
           if hooked then Credrec.on_change t r (fun _ -> fired := c :: !fired);
           Credrec.set_direct_use t r false;
           attach c;
@@ -893,7 +883,7 @@ let () =
           Alcotest.test_case "diamond cascade visits once" `Quick test_diamond_visits_once;
           Alcotest.test_case "O(1) detach at 10k children" `Quick test_detach_is_constant_time;
           QCheck_alcotest.to_alcotest
-            (QCheck.Test.make ~name:"children visited in Hashtbl.create 4 order" ~count:300
+            (QCheck.Test.make ~name:"children visited oldest edge first" ~count:300
                order_ops_arb prop_visit_order);
           Alcotest.test_case "table words per live record and freed slot" `Quick test_table_words;
           Alcotest.test_case "restore 2^17 refs in sorted order" `Quick test_restore_sorted_linear;

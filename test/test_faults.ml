@@ -575,7 +575,7 @@ let durable_burst_scenario ~crash seed =
   let client_host = Net.add_host net "client" in
   let login_host = Net.add_host net "h.login" in
   let meet_host = Net.add_host net "h.meet" in
-  let disk = Disk.create net meet_host () in
+  let disk = Disk.create net meet_host in
   let login =
     match Service.create net login_host reg ~name:"Login" ~rolefile:login_rolefile () with
     | Ok s -> s

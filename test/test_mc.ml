@@ -17,18 +17,30 @@ let quick_params depth = { Explore.default_params with depth; max_runs = 50_000 
    root.  Accept either. *)
 let schedule_path name = if Sys.file_exists "schedules" then "schedules/" ^ name else "test/schedules/" ^ name
 
+(* The explorer's work, pinned exactly: schedules run, decisions taken,
+   distinct states expanded, and branches pruned by sleep sets and by
+   fingerprints.  The simulation is deterministic, so these move only when
+   what the explorer walks changes, and a change that moves them must say
+   why. *)
+let check_work ?(what = "") (rp : Explore.report) ~runs ~decisions ~distinct ~sleep ~fp =
+  checki (what ^ "runs") runs rp.Explore.rp_runs;
+  checki (what ^ "decisions") decisions rp.Explore.rp_decisions;
+  checki (what ^ "distinct states") distinct rp.Explore.rp_distinct_states;
+  checki (what ^ "pruned by sleep sets") sleep rp.Explore.rp_pruned_sleep;
+  checki (what ^ "pruned by fingerprints") fp rp.Explore.rp_pruned_fp
+
 (* --- the paper scenarios hold over every interleaving --- *)
 
 let test_golf_club_exhaustive () =
   let rp = Explore.explore Scenarios.golf_club (quick_params 10) in
   checkb "exhaustive within budget" true rp.Explore.rp_exhaustive;
-  checkb "many interleavings actually explored" true (rp.Explore.rp_runs > 100);
+  check_work rp ~runs:1624 ~decisions:16240 ~distinct:889 ~sleep:29 ~fp:1764;
   checki "no violations" 0 (List.length rp.Explore.rp_violations)
 
 let test_mssa_exhaustive () =
   let rp = Explore.explore Scenarios.mssa (quick_params 12) in
   checkb "exhaustive within budget" true rp.Explore.rp_exhaustive;
-  checkb "many interleavings actually explored" true (rp.Explore.rp_runs > 50);
+  check_work rp ~runs:289 ~decisions:2496 ~distinct:201 ~sleep:1 ~fp:523;
   checki "no violations" 0 (List.length rp.Explore.rp_violations)
 
 let test_cross_shard_fire_exhaustive () =
@@ -38,7 +50,7 @@ let test_cross_shard_fire_exhaustive () =
      cross-shard ModifiedBatch digest. *)
   let rp = Explore.explore Scenarios.cross_shard_fire (quick_params 10) in
   checkb "exhaustive within budget" true rp.Explore.rp_exhaustive;
-  checkb "many interleavings actually explored" true (rp.Explore.rp_runs > 100);
+  check_work rp ~runs:2899 ~decisions:28990 ~distinct:1659 ~sleep:428 ~fp:1328;
   checki "no violations" 0 (List.length rp.Explore.rp_violations)
 
 let test_replica_failover_exhaustive () =
@@ -49,7 +61,7 @@ let test_replica_failover_exhaustive () =
      is durable on a majority but its ack died with the primary. *)
   let rp = Explore.explore Scenarios.replica_failover (quick_params 8) in
   checkb "exhaustive within budget" true rp.Explore.rp_exhaustive;
-  checkb "many interleavings actually explored" true (rp.Explore.rp_runs > 50);
+  check_work rp ~runs:605 ~decisions:4840 ~distinct:361 ~sleep:178 ~fp:386;
   checki "no violations" 0 (List.length rp.Explore.rp_violations)
 
 (* --- soundness of the reductions: sleep sets + fingerprints must not
@@ -63,12 +75,16 @@ let test_reduction_sound_on_clean_scenario () =
   checkb "reduced exhaustive" true reduced.Explore.rp_exhaustive;
   checki "naive finds nothing" 0 (List.length naive.Explore.rp_violations);
   checki "reduced finds nothing" 0 (List.length reduced.Explore.rp_violations);
+  check_work ~what:"naive " naive ~runs:525 ~decisions:3150 ~distinct:0 ~sleep:0 ~fp:0;
+  check_work ~what:"reduced " reduced ~runs:220 ~decisions:1320 ~distinct:119 ~sleep:8 ~fp:49;
   checkb "reduction strictly cheaper" true (reduced.Explore.rp_runs < naive.Explore.rp_runs)
 
 let test_reduction_sound_on_buggy_scenario () =
   let p = quick_params 6 in
   let naive = Explore.explore Scenarios.planted { p with reduce = false } in
   let reduced = Explore.explore Scenarios.planted p in
+  check_work ~what:"naive " naive ~runs:664 ~decisions:3984 ~distinct:0 ~sleep:0 ~fp:0;
+  check_work ~what:"reduced " reduced ~runs:189 ~decisions:1134 ~distinct:104 ~sleep:5 ~fp:63;
   checkb "naive finds the bug" true (naive.Explore.rp_violations <> []);
   checkb "reduced still finds the bug" true (reduced.Explore.rp_violations <> []);
   let inv cx = cx.Explore.cx_invariant in

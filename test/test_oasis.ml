@@ -712,7 +712,7 @@ let test_client_id_uniqueness () =
 (* --- baselines --- *)
 
 let test_chain_validation_and_revocation () =
-  let issuer = Baseline.Chain.create_issuer ~seed:11L () in
+  let issuer = Baseline.Chain.create_issuer ~seed:11L in
   let root = Baseline.Chain.issue issuer ~holder:"alice" ~role:"r" ~args:[] in
   let c2 = Baseline.Chain.delegate issuer root ~to_:"bob" in
   let c3 = Baseline.Chain.delegate issuer c2 ~to_:"carol" in
@@ -725,7 +725,7 @@ let test_chain_validation_and_revocation () =
   checkb "root alive" true (Baseline.Chain.validate issuer root)
 
 let test_chain_validation_cost_linear () =
-  let issuer = Baseline.Chain.create_issuer ~seed:12L () in
+  let issuer = Baseline.Chain.create_issuer ~seed:12L in
   let cap = ref (Baseline.Chain.issue issuer ~holder:"u0" ~role:"r" ~args:[]) in
   for i = 1 to 9 do
     cap := Baseline.Chain.delegate issuer !cap ~to_:(Printf.sprintf "u%d" i)

@@ -29,13 +29,12 @@ let make_world () =
   let client_host = Net.add_host net "client" in
   { engine; net; reg = Service.create_registry (); client_host; hosts = 0 }
 
-let add_service w ~name ~rolefile ?funcs ?fixpoint_entry ?compound_certificates ?sig_cache_cap ()
-    =
+let add_service w ~name ~rolefile ?funcs ?fixpoint_entry ?compound_certificates () =
   w.hosts <- w.hosts + 1;
   let host = Net.add_host w.net (Printf.sprintf "h%d" w.hosts) in
   match
     Service.create w.net host w.reg ~name ~rolefile ?funcs ?fixpoint_entry ?compound_certificates
-      ?sig_cache_cap ()
+      ()
   with
   | Ok s -> s
   | Error e -> Alcotest.failf "service %s: %s" name e
@@ -105,6 +104,44 @@ let test_entry_denied_without_credential () =
   let w, _login, conf = conference_world () in
   let nobody = fresh_vci () in
   checkb "denied" true (Result.is_error (entry w conf ~client:nobody ~role:"Chair" ()))
+
+(* §2.8: a certificate is bound to its holder's VCI, so a credential
+   presented by another client is refused at entry as it is at
+   validation, audited as fraud, and sends no validation RPC. *)
+let check_entry_refuses_stolen w svc ~owner ~thief ~role cred =
+  let rpcs () = Oasis_sim.Stats.count (Net.stats w.net) "oasis.validate.attempt" in
+  let before = rpcs () in
+  checkb "the thief is refused" true
+    (Result.is_error (entry w svc ~client:thief ~role ~creds:[ cred ] ()));
+  checki "no validation RPC sent" before (rpcs ());
+  let detail =
+    "certificate of " ^ Principal.vci_to_string owner ^ " presented by "
+    ^ Principal.vci_to_string thief
+  in
+  checkb "fraud audited" true
+    (List.exists
+       (fun e -> e.Service.kind = Service.Fraud && e.Service.detail = detail)
+       (Service.audit_log svc))
+
+let test_entry_refuses_external_credential_of_another_client () =
+  let w, login, conf = conference_world () in
+  let jmb, jmb_cert = logged_on login "jmb" "ely" in
+  check_entry_refuses_stolen w conf ~owner:jmb ~thief:(fresh_vci ()) ~role:"Chair" jmb_cert;
+  ignore (entry_ok w conf ~client:jmb ~role:"Chair" ~creds:[ jmb_cert ] ())
+
+let test_entry_refuses_local_credential_of_another_client () =
+  let w = make_world () in
+  let svc =
+    add_service w ~name:"S" ~rolefile:{|
+def Base(u) u: String
+Base(u) <-
+Top(u) <- Base(u)
+|} ()
+  in
+  let owner = fresh_vci () in
+  let base = Service.issue_arbitrary svc ~client:owner ~roles:[ "Base" ] ~args:[ V.Str "owner" ] in
+  check_entry_refuses_stolen w svc ~owner ~thief:(fresh_vci ()) ~role:"Top" base;
+  ignore (entry_ok w svc ~client:owner ~role:"Top" ~creds:[ base ] ())
 
 let test_entry_literal_argument_discriminates () =
   let w, login, conf = conference_world () in
@@ -980,35 +1017,34 @@ Worker(u) <- Login.LoggedOn(u, h)* /\ Badge.Holder(u)*
 
 module Stats = Oasis_sim.Stats
 
-(* The signature-verification cache must stay within its configured cap
+(* The signature-verification cache must stay within its cap of 1024
    under churn (two-generation eviction), and hits/misses must be
    accounted in the net's stats. *)
 let test_sig_cache_cap_holds () =
   let w = make_world () in
-  let login = add_service w ~name:"Login" ~rolefile:login_rolefile ~sig_cache_cap:4 () in
+  let login = add_service w ~name:"Login" ~rolefile:login_rolefile () in
   let stats = Net.stats w.net in
-  let certs =
-    List.init 12 (fun i ->
-        let vci, cert = logged_on login (Printf.sprintf "u%d" i) "ely" in
-        (vci, cert))
-  in
+  let n = 1100 in
+  let certs = List.init n (fun i -> logged_on login (Printf.sprintf "u%d" i) "ely") in
+  let most = ref 0 in
   List.iter
     (fun (vci, cert) ->
       checkb "validates" true (Service.validate login ~client:vci cert = Ok ());
-      checkb "cap holds under churn" true (Service.sig_cache_size login <= 4))
+      most := max !most (Service.sig_cache_size login))
     certs;
+  checki "the cache fills to its cap of 1024, and no further" 1024 !most;
   let misses = Stats.count stats "oasis.sigcache.miss" in
-  checkb "every first check missed" true (misses >= 12);
+  checkb "every first check missed" true (misses >= n);
   (* An immediate re-validation of the newest certificate is a hit... *)
   let hits0 = Stats.count stats "oasis.sigcache.hit" in
-  let vci, cert = List.nth certs 11 in
+  let vci, cert = List.nth certs (n - 1) in
   checkb "revalidates" true (Service.validate login ~client:vci cert = Ok ());
   checki "hot entry hits" (hits0 + 1) (Stats.count stats "oasis.sigcache.hit");
   (* ...while the oldest was evicted long ago and misses again. *)
   let vci0, cert0 = List.hd certs in
   ignore (Service.validate login ~client:vci0 cert0);
   checkb "evicted entry misses again" true (Stats.count stats "oasis.sigcache.miss" > misses);
-  checkb "cap still holds" true (Service.sig_cache_size login <= 4)
+  checkb "cap still holds" true (Service.sig_cache_size login <= 1024)
 
 (* Repeated role entries with the same constraint and bindings reuse the
    compiled residual instead of recompiling it. *)
@@ -1086,6 +1122,10 @@ let () =
         [
           Alcotest.test_case "external credential" `Quick test_entry_with_external_credential;
           Alcotest.test_case "denied without credential" `Quick test_entry_denied_without_credential;
+          Alcotest.test_case "another client's external credential" `Quick
+            test_entry_refuses_external_credential_of_another_client;
+          Alcotest.test_case "another client's local credential" `Quick
+            test_entry_refuses_local_credential_of_another_client;
           Alcotest.test_case "literal discriminates" `Quick test_entry_literal_argument_discriminates;
           Alcotest.test_case "first rule wins (login levels)" `Quick test_entry_first_matching_rule_wins;
           Alcotest.test_case "intermediate roles (fig 3.2)" `Quick test_entry_intermediate_roles_automatic;

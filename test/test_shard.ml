@@ -817,13 +817,13 @@ let failover_revocation_status ~batch =
         let host = Net.add_host net (Printf.sprintf "h.Login.r%d" j) in
         match
           Service.create net host reg ~name:"Login" ~rolefile:login_rolefile
-            ~batch_notifications:batch ~disk:(Oasis_store.Disk.create net host ())
+            ~batch_notifications:batch ~disk:(Oasis_store.Disk.create net host)
             ~register:(j = 0) ()
         with
         | Ok s -> s
         | Error e -> Alcotest.failf "login replica %d: %s" j e)
   in
-  let group = Replica.create net ~members:logins () in
+  let group = Replica.create net ~members:logins in
   let club =
     match
       Service.create net (Net.add_host net "h.Club") reg ~name:"Club"

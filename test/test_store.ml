@@ -29,7 +29,7 @@ let make_dworld ?seed () =
   let engine = Engine.create () in
   let net = Net.create ?seed ~latency:(Net.Fixed 0.005) engine in
   let host = Net.add_host net "store" in
-  let disk = Disk.create net host () in
+  let disk = Disk.create net host in
   { engine; net; host; disk }
 
 let drun w dt = Engine.run ~until:(Engine.now w.engine +. dt) w.engine
@@ -52,7 +52,7 @@ let test_wal_group_commit_coalesces_fsyncs () =
   let appends = 1000 in
   let fsyncs_with each =
     let w = make_dworld () in
-    let wal = Wal.create w.disk ~file:"log" ~flush_interval:0.01 ~fsync_each:each () in
+    let wal = Wal.create w.disk ~file:"log" ~fsync_each:each () in
     for i = 0 to appends - 1 do
       Engine.schedule_at w.engine ~at:(0.001 *. float_of_int i) (fun () ->
           Wal.append wal (Printf.sprintf "r%d" i))
@@ -432,7 +432,7 @@ let durable_world ?(seed = 42L) ?snapshot_every () =
   let client_host = Net.add_host net "client" in
   let login_host = Net.add_host net "h.login" in
   let meet_host = Net.add_host net "h.meet" in
-  let disk = Disk.create net meet_host () in
+  let disk = Disk.create net meet_host in
   let mk name host rolefile extra =
     match extra (Service.create net host reg ~name ~rolefile) with
     | Ok s -> s
@@ -587,7 +587,7 @@ let test_recover_reused_slot () =
   let net = Net.create ~seed:47L ~latency:(Net.Fixed 0.005) engine in
   let reg = Service.create_registry () in
   let host = Net.add_host net "h.meet" in
-  let disk = Disk.create net host () in
+  let disk = Disk.create net host in
   let create name host rolefile extra =
     match extra (Service.create net host reg ~name ~rolefile) with
     | Ok s -> s
@@ -625,7 +625,7 @@ let test_snapshot_checkpoint_in_service () =
   let client_host = Net.add_host net "client" in
   let login_host = Net.add_host net "h.login" in
   let meet_host = Net.add_host net "h.meet" in
-  let disk = Disk.create net meet_host () in
+  let disk = Disk.create net meet_host in
   let login =
     match Service.create net login_host reg ~name:"Login" ~rolefile:login_rolefile () with
     | Ok s -> s

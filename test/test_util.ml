@@ -274,16 +274,17 @@ let test_rolling_basic () =
   checkb "tamper fails" false (Signing.Rolling.verify t "payloadx" signature)
 
 let test_rolling_old_secret_survives_within_capacity () =
-  let t = Signing.Rolling.create ~capacity:3 (Prng.create 2L) in
+  let t = Signing.Rolling.create (Prng.create 2L) in
   let signature = Signing.Rolling.sign t "p" in
+  for _ = 1 to 3 do
+    Signing.Rolling.roll t
+  done;
+  checkb "still valid after 3 rolls (4 live secrets)" true (Signing.Rolling.verify t "p" signature);
   Signing.Rolling.roll t;
-  Signing.Rolling.roll t;
-  checkb "still valid (capacity 3)" true (Signing.Rolling.verify t "p" signature);
-  Signing.Rolling.roll t;
-  checkb "retired after capacity rolls" false (Signing.Rolling.verify t "p" signature)
+  checkb "retired after the 4th roll" false (Signing.Rolling.verify t "p" signature)
 
 let test_rolling_new_secret_signs () =
-  let t = Signing.Rolling.create ~capacity:2 (Prng.create 3L) in
+  let t = Signing.Rolling.create (Prng.create 3L) in
   Signing.Rolling.roll t;
   let signature = Signing.Rolling.sign t "q" in
   checkb "current secret verifies" true (Signing.Rolling.verify t "q" signature);
@@ -306,7 +307,7 @@ let test_rolling_rejects_truncated () =
 (* The key id is exactly four lowercase hex digits: other spellings of the
    same number are not the signature [sign] wrote. *)
 let test_rolling_rejects_noncanonical_key_id () =
-  let t = Signing.Rolling.create ~capacity:16 (Prng.create 6L) in
+  let t = Signing.Rolling.create (Prng.create 6L) in
   let s0 = Signing.Rolling.sign t "payload" in
   checkb "canonical id 0000 verifies" true (Signing.Rolling.verify t "payload" s0);
   let body0 = String.sub s0 4 (String.length s0 - 4) in
