@@ -670,7 +670,7 @@ Member(u) <- Login.LoggedOn(u, h)* <|* Chair : (u in staff)*
   per_op "sim-rpc-roundtrip" 100_000 (fun n ->
       for _ = 1 to n do
         let before = !answered in
-        Net.rpc net ~src:a ~dst:b (fun () -> Ok ()) k;
+        Net.rpc net ~src:a ~dst:b (fun reply -> reply (Ok ())) k;
         while !answered = before do
           ignore (Engine.step e)
         done

@@ -4,8 +4,8 @@
 
     - {b scheduling/clock} — [now], timers, a run loop
       ({!Oasis_sim.Engine});
-    - {b messaging} — [send]/[rpc]/[rpc_retry] and the serialized
-      named-port [call] surface ({!Oasis_sim.Net});
+    - {b messaging} — [send]/[rpc] and the serialized named-port [call]
+      surface ({!Oasis_sim.Net});
     - {b stable storage} — append/sync/scan with the WAL's checksum
       framing untouched ({!Oasis_store.Disk}).
 

@@ -124,8 +124,9 @@ let sight t ~badge ~home ~room =
         (* Reliable: a lost lookup would leave the badge anonymous here
            until it moves again.  [badge_arrived_at_home] is idempotent
            for a repeated (badge, at_site) pair, so retries are safe. *)
-        Net.rpc_retry t.s_net ~category:"badge.intersite" ~src:t.s_host ~dst:home_site.s_host
-          (fun () -> badge_arrived_at_home home_site ~badge ~at_site:t.s_name)
+        Net.rpc t.s_net ~category:"badge.intersite" ~attempts:Net.retry_attempts ~src:t.s_host
+          ~dst:home_site.s_host
+          (fun reply -> reply (badge_arrived_at_home home_site ~badge ~at_site:t.s_name))
           (function
             | Ok user ->
                 Hashtbl.replace t.s_foreign badge (user, home);

@@ -517,22 +517,22 @@ let attach srv ~host ~credentials ~session ?replacing () =
 
 (* The wire half of registration.  Reliable: a lost registration would
    leave the session deaf to matching events with nothing downstream to
-   notice, so it rides [rpc_retry].  The handler is idempotent at the
+   notice, so it is retried.  The handler is idempotent at the
    server (a re-sent registration replaces, not duplicates) and client-side
    duplicate suppression makes any resulting replay exactly-once, so
    retries are safe. *)
 let send_register session ?since reg_id tpl =
   let srv = session.s_server in
   let sid = session.s_id in
-  Net.rpc_retry session.s_net ~category:"evt.register" ~size:96 ~src:session.s_host
-    ~dst:srv.b_host
-    (fun () ->
+  Net.rpc session.s_net ~category:"evt.register" ~size:96 ~attempts:Net.retry_attempts
+    ~src:session.s_host ~dst:srv.b_host
+    (fun reply ->
       match find_sess srv sid with
-      | None -> Ok ()
+      | None -> reply (Ok ())
       | Some ss -> (
           let credentials = Option.value ~default:[] (Hashtbl.find_opt srv.b_creds sid) in
           match srv.b_reg_filter ~credentials tpl with
-          | None -> Ok () (* policy rejected: the client simply never hears events *)
+          | None -> reply (Ok ()) (* policy rejected: the client simply never hears events *)
           | Some tpl ->
               ss.ss_regs <- (reg_id, tpl) :: List.remove_assoc reg_id ss.ss_regs;
               (* Retrospective registration: replay retained matching events
@@ -551,7 +551,7 @@ let send_register session ?since reg_id tpl =
                   in
                   if replay <> [] then
                     push_delivery srv ss (List.map (fun e -> (reg_id, e, None)) replay));
-              Ok ()))
+              reply (Ok ())))
     (fun (_ : (unit, string) result) -> ())
 
 (* Bind the session to a fresh server-side incarnation and re-register
@@ -575,14 +575,15 @@ let try_reconnect session =
   session.s_reconnecting <- true;
   let srv = session.s_server in
   let old_id = session.s_id in
-  Net.rpc_retry session.s_net ~category:"evt.reconnect"
+  Net.rpc session.s_net ~category:"evt.reconnect"
     ~size:(64 + (16 * List.length session.s_creds))
     ~timeout:srv.b_heartbeat ~attempts:4
     ~backoff:(srv.b_heartbeat /. 4.0)
     ~src:session.s_host ~dst:srv.b_host
-    (fun () ->
-      attach srv ~host:session.s_host ~credentials:session.s_creds ~session ~replacing:old_id
-        ())
+    (fun reply ->
+      reply
+        (attach srv ~host:session.s_host ~credentials:session.s_creds ~session
+           ~replacing:old_id ()))
     (fun result ->
       session.s_reconnecting <- false;
       match result with
@@ -616,7 +617,7 @@ let connect net host srv ?(credentials = []) ~on_result () =
   in
   Net.rpc net ~category:"evt.connect" ~size:(64 + (16 * List.length credentials)) ~src:host
     ~dst:srv.b_host
-    (fun () -> attach srv ~host ~credentials ~session ())
+    (fun reply -> reply (attach srv ~host ~credentials ~session ()))
     (fun result ->
       match result with
       | Error e -> on_result (Error e)

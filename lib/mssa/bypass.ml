@@ -50,10 +50,10 @@ let read t ~client_host ~cert ~file k =
               let top_service = Vac.service route.rt_top in
               Net.rpc net ~category:"mssa.bypass.callback" ~src:bhost
                 ~dst:(Vac.host route.rt_top)
-                (fun () ->
+                (fun reply ->
                   match Service.validate_for_peer top_service cert with
-                  | Ok (_, _, remote_ref) -> Ok remote_ref
-                  | Error f -> Error (Format.asprintf "%a" Service.pp_failure f))
+                  | Ok (_, _, remote_ref) -> reply (Ok remote_ref)
+                  | Error f -> reply (Error (Format.asprintf "%a" Service.pp_failure f)))
                 (function
                   | Error e -> reply (Error ("bypass callback: " ^ e))
                   | Ok remote_ref ->

@@ -241,10 +241,10 @@ let request_access t ~client_host ~client ~login ~acl k =
           | None -> reply (Error ("unknown login service " ^ login.Cert.service))
           | Some issuer ->
               Net.rpc t.c_net ~category:"mssa.validate" ~src:t.c_host ~dst:(Service.host issuer)
-                (fun () ->
+                (fun reply ->
                   match Service.validate_for_peer issuer login with
-                  | Ok r -> Ok r
-                  | Error f -> Error (Format.asprintf "%a" Service.pp_failure f))
+                  | Ok r -> reply (Ok r)
+                  | Error f -> reply (Error (Format.asprintf "%a" Service.pp_failure f)))
                 (function
                   | Error e -> reply (Error ("login certificate: " ^ e))
                   | Ok (_roles, args, remote_ref) -> (

@@ -83,7 +83,7 @@ let rec forward_read t ~file k =
   match t.v_below with
   | Below_custode c ->
       Net.rpc t.v_net ~category:"mssa.stack" ~src:t.v_host ~dst:(Custode.host c)
-        (fun () -> Custode.read_file c ~cert:t.v_below_cert ~file)
+        (fun reply -> reply (Custode.read_file c ~cert:t.v_below_cert ~file))
         k
   | Below_vac v ->
       let reply r =
@@ -98,7 +98,7 @@ let rec forward_write t ~file data k =
   match t.v_below with
   | Below_custode c ->
       Net.rpc t.v_net ~category:"mssa.stack" ~src:t.v_host ~dst:(Custode.host c)
-        (fun () -> Custode.write_file c ~cert:t.v_below_cert ~file data)
+        (fun reply -> reply (Custode.write_file c ~cert:t.v_below_cert ~file data))
         k
   | Below_vac v ->
       let reply r =
@@ -138,8 +138,8 @@ let write t ~client_host ~cert ~file data k =
 
 let search t ~client_host ~cert word k =
   Net.rpc t.v_net ~category:"mssa.op" ~src:client_host ~dst:t.v_host
-    (fun () ->
+    (fun reply ->
       match check t ~cert with
-      | Error e -> Error e
-      | Ok () -> Ok (Option.value ~default:[] (Hashtbl.find_opt t.v_index word)))
+      | Error e -> reply (Error e)
+      | Ok () -> reply (Ok (Option.value ~default:[] (Hashtbl.find_opt t.v_index word))))
     k

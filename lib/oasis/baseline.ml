@@ -101,9 +101,10 @@ module Refresh = struct
     let period = lifetime *. 0.8 in
     let rec refresh () =
       Net.rpc issuer.r_net ~category:"refresh" ~src:client_host ~dst:issuer.r_host
-        (fun () ->
-          if Hashtbl.mem issuer.r_revoked (holder, role) then Error "revoked"
-          else Ok (issue issuer ~holder ~role))
+        (fun reply ->
+          reply
+            (if Hashtbl.mem issuer.r_revoked (holder, role) then Error "revoked"
+             else Ok (issue issuer ~holder ~role)))
         (function
           | Ok cap ->
               on_refresh (Some cap);

@@ -305,7 +305,7 @@ let forward r ~shard req reply =
   if shard < 0 || shard >= Array.length r.r_shards then
     reply (Error (Printf.sprintf "no such shard: %d" shard))
   else
-    Net.call_retry r.r_net ~category:"oasis.router.forward" ~src:r.r_host
+    Net.call r.r_net ~category:"oasis.router.forward" ~attempts:Net.retry_attempts ~src:r.r_host
       ~dst:r.r_shards.(shard) ~port:shard_port req reply
 
 let router_handle r req reply =
@@ -368,8 +368,8 @@ module Client = struct
   let create net host ~router = { c_net = net; c_host = host; c_router = router }
 
   let request c req k =
-    Net.call_retry c.c_net ~category:"oasis.client" ~src:c.c_host ~dst:c.c_router
-      ~port:router_port (encode req) k
+    Net.call c.c_net ~category:"oasis.client" ~attempts:Net.retry_attempts ~src:c.c_host
+      ~dst:c.c_router ~port:router_port (encode req) k
 
   let unit_reply k r = k (Result.map ignore r)
 

@@ -176,7 +176,7 @@ let rec ship_to t j =
     (* Framed exactly as the WAL frames them (length + SipHash under the
        group's stream key): the receiver re-validates before applying. *)
     let payload = Frame.encode_all t.g_stream_key records in
-    Net.rpc_async t.g_net ~category:"repl.ship"
+    Net.rpc t.g_net ~category:"repl.ship"
       ~size:(32 + String.length payload)
       ~timeout:(3.0 *. heartbeat) ~src:p.m_host ~dst:m.m_host
       (fun reply ->
@@ -405,7 +405,7 @@ let promote t ~member:j ~from_epoch =
         (fun (i, other) ->
           Net.rpc t.g_net ~category:"repl.fetch" ~size:64
             ~timeout:(2.0 *. heartbeat) ~src:cand.m_host ~dst:other.m_host
-            (fun () -> Ok (Journal.log_records (journal other)))
+            (fun reply -> reply (Ok (Journal.log_records (journal other))))
             (fun result ->
               (match result with
               | Ok log -> replies := (i, log) :: !replies

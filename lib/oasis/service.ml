@@ -362,7 +362,7 @@ let peer_link t peer_name =
 
 (* Batched post-heal reread: one RPC per peer link carrying every pending
    key, instead of one RPC per external record.  The handler is a pure read,
-   so when [rpc_retry] exhausts its budget mid-batch the WHOLE batch is
+   so when the RPC exhausts its retry budget mid-batch the WHOLE batch is
    simply retried after a heartbeat period — idempotent, and keys that were
    already answered by a racing digest event are reconciled last-writer-wins
    by [Credrec.set_leaf]. *)
@@ -385,17 +385,18 @@ let rec reread_pending t pl peer session =
         Trace.with_ctx tr
           (Some (Trace.ctx_of sp))
           (fun () ->
-            Net.rpc_retry t.sv_net ~category:"oasis.reread"
+            Net.rpc t.sv_net ~category:"oasis.reread"
               ~size:(32 + (16 * List.length keys))
-              ~src:t.sv_host ~dst:peer.sv_host
-              (fun () ->
-                Ok
-                  (List.filter_map
-                     (fun key ->
-                       Option.map
-                         (fun r -> (key, Credrec.state peer.sv_table r))
-                         (Credrec.unmarshal_ref key))
-                     keys))
+              ~attempts:Net.retry_attempts ~src:t.sv_host ~dst:peer.sv_host
+              (fun reply ->
+                reply
+                  (Ok
+                     (List.filter_map
+                        (fun key ->
+                          Option.map
+                            (fun r -> (key, Credrec.state peer.sv_table r))
+                            (Credrec.unmarshal_ref key))
+                        keys)))
               (function
                 | Ok states ->
                     List.iter
@@ -1031,12 +1032,12 @@ let rec seq_map f list k =
    must still fail closed promptly when the issuer is genuinely
    unreachable (§4.2). *)
 let validate_at_issuer t issuer (cert : Cert.rmc) k =
-  Net.rpc_retry t.sv_net ~category:"oasis.validate" ~attempts:3 ~backoff:0.5 ~src:t.sv_host
+  Net.rpc t.sv_net ~category:"oasis.validate" ~attempts:3 ~backoff:0.5 ~src:t.sv_host
     ~dst:issuer.sv_host
-    (fun () ->
+    (fun reply ->
       match validate_for_peer issuer cert with
-      | Ok r -> Ok r
-      | Error f -> Error (Format.asprintf "%a" pp_failure f))
+      | Ok r -> reply (Ok r)
+      | Error f -> reply (Error (Format.asprintf "%a" pp_failure f)))
     (function
       | Error e -> k (Error e)
       | Ok (roles, args, remote_ref) ->
@@ -1113,10 +1114,22 @@ let delegation_required_ok t (d : Cert.delegation) memberships =
         memberships)
     d.Cert.d_required
 
+(* The envelope of a client's request: the request travels to the
+   service's host under [category] and [size], where [handler] runs with a
+   [reply] that carries the answer back under [reply_category] and
+   [reply_size]. *)
+let client_request t ~client_host (category, size) (reply_category, reply_size) handler k =
+  Net.send t.sv_net ~category ~size ~src:client_host ~dst:t.sv_host (fun () ->
+      handler (fun result ->
+          Net.send t.sv_net ~category:reply_category ~size:reply_size ~src:t.sv_host
+            ~dst:client_host (fun () -> k result)))
+
 let request_entry t ~client_host ~client ~role ?args ?(creds = []) ?delegation k =
   (* Client -> service request, then async validation of each credential. *)
-  Net.send t.sv_net ~category:"oasis.entry" ~size:(128 + (96 * List.length creds))
-    ~src:client_host ~dst:t.sv_host (fun () ->
+  client_request t ~client_host
+    ("oasis.entry", 128 + (96 * List.length creds))
+    ("oasis.entry.reply", 160)
+    (fun send_reply ->
       seq_map (validate_credential t ~client) creds (fun validated ->
           let initial = List.filter_map Fun.id validated in
           let reply result =
@@ -1126,8 +1139,7 @@ let request_entry t ~client_host ~client ~role ?args ?(creds = []) ?delegation k
               (fun m ->
                 if not (String.equal m.m_service t.sv_name) then Credrec.unpin t.sv_table m.m_crr)
               initial;
-            Net.send t.sv_net ~category:"oasis.entry.reply" ~size:160 ~src:t.sv_host
-              ~dst:client_host (fun () -> k result)
+            send_reply result
           in
           (* Delegation certificate checks (§4.4). *)
           let delegation_checked =
@@ -1200,6 +1212,7 @@ let request_entry t ~client_host ~client ~role ?args ?(creds = []) ?delegation k
                   in
                   audit t Entry (entered_detail client roles);
                   reply (Ok cert))))
+    k
 
 (* --- delegation (§4.4) --- *)
 
@@ -1235,12 +1248,8 @@ let election_statements t role =
 
 let request_delegation t ~client_host ~delegator ~using ~role ~required ?expires_in
     ?(revoke_on_exit = false) k =
-  Net.send t.sv_net ~category:"oasis.delegate" ~size:160 ~src:client_host ~dst:t.sv_host
-    (fun () ->
-      let reply result =
-        Net.send t.sv_net ~category:"oasis.delegate.reply" ~size:200 ~src:t.sv_host
-          ~dst:client_host (fun () -> k result)
-      in
+  client_request t ~client_host ("oasis.delegate", 160) ("oasis.delegate.reply", 200)
+    (fun reply ->
       (* The delegator must hold an elector role for some election statement
          defining [role]. *)
       match validate t ~client:delegator using with
@@ -1302,13 +1311,11 @@ let request_delegation t ~client_host ~delegator ~using ~role ~required ?expires
               audit t Delegation
                 (Printf.sprintf "%s delegated %s" (Principal.vci_to_string delegator) role);
               reply (Ok (d, r)))))
+    k
 
 let request_revocation t ~client_host (rcert : Cert.revocation) k =
-  Net.send t.sv_net ~category:"oasis.revoke" ~size:96 ~src:client_host ~dst:t.sv_host (fun () ->
-      let reply result =
-        Net.send t.sv_net ~category:"oasis.revoke.reply" ~size:32 ~src:t.sv_host ~dst:client_host
-          (fun () -> k result)
-      in
+  client_request t ~client_host ("oasis.revoke", 96) ("oasis.revoke.reply", 32)
+    (fun reply ->
       if not (String.equal rcert.Cert.r_service t.sv_name) then
         reply (Error "revocation certificate for another service")
       else if not (Cert.verify_revocation ~length:sig_length t.sv_secrets rcert) then begin
@@ -1326,13 +1333,11 @@ let request_revocation t ~client_host (rcert : Cert.revocation) k =
         audit t Revocation "delegation revoked";
         reply (Ok ())
       end)
+    k
 
 let exit_role t ~client_host (cert : Cert.rmc) k =
-  Net.send t.sv_net ~category:"oasis.exit" ~size:96 ~src:client_host ~dst:t.sv_host (fun () ->
-      let reply result =
-        Net.send t.sv_net ~category:"oasis.exit.reply" ~size:32 ~src:t.sv_host ~dst:client_host
-          (fun () -> k result)
-      in
+  client_request t ~client_host ("oasis.exit", 96) ("oasis.exit.reply", 32)
+    (fun reply ->
       if not (verify_rmc_sig t cert) then reply (Error "bad certificate")
       else begin
         invalidate_traced t ~reason:"exit" cert.Cert.crr;
@@ -1340,6 +1345,7 @@ let exit_role t ~client_host (cert : Cert.rmc) k =
         audit t Exit (exited_detail cert.Cert.holder);
         reply (Ok ())
       end)
+    k
 
 (* --- role-based revocation (§4.11) --- *)
 
@@ -1378,11 +1384,8 @@ let validate_revoker t (revoker : Cert.rmc) k =
     | Some issuer -> validate_at_issuer t issuer revoker (fun r -> k (Result.map ignore r))
 
 let revoke_role_instance t ~client_host ~revoker ~role ~args k =
-  Net.send t.sv_net ~category:"oasis.rbr" ~size:128 ~src:client_host ~dst:t.sv_host (fun () ->
-      let reply result =
-        Net.send t.sv_net ~category:"oasis.rbr.reply" ~size:32 ~src:t.sv_host ~dst:client_host
-          (fun () -> k result)
-      in
+  client_request t ~client_host ("oasis.rbr", 128) ("oasis.rbr.reply", 32)
+    (fun reply ->
       validate_revoker t revoker (function
       | Error e -> reply (Error ("revoker credential: " ^ e))
       | Ok () -> (
@@ -1447,13 +1450,11 @@ let revoke_role_instance t ~client_host ~revoker ~role ~args k =
                      role);
                 ack_when_durable t (fun () -> reply (Ok (List.length eligible)))
               end)))
+    k
 
 let reinstate_role_instance t ~client_host ~revoker ~role ~args k =
-  Net.send t.sv_net ~category:"oasis.rbr" ~size:128 ~src:client_host ~dst:t.sv_host (fun () ->
-      let reply result =
-        Net.send t.sv_net ~category:"oasis.rbr.reply" ~size:32 ~src:t.sv_host ~dst:client_host
-          (fun () -> k result)
-      in
+  client_request t ~client_host ("oasis.rbr", 128) ("oasis.rbr.reply", 32)
+    (fun reply ->
       validate_revoker t revoker (function
       | Error e -> reply (Error ("revoker credential: " ^ e))
       | Ok () ->
@@ -1465,6 +1466,7 @@ let reinstate_role_instance t ~client_host ~revoker ~role ~args k =
             | None -> ());
             ack_when_durable t (fun () -> reply (Ok ()))
           end))
+    k
 
 (* --- interworking (§4.12) --- *)
 
@@ -1487,12 +1489,8 @@ let revoke_certificate t (cert : Cert.rmc) =
    revocation certificate on, under the fixed policy that the recipient must
    themselves be a member of the elector role. *)
 let delegate_revocation t ~client_host ~rcert ~to_cert k =
-  Net.send t.sv_net ~category:"oasis.redelegate" ~size:128 ~src:client_host ~dst:t.sv_host
-    (fun () ->
-      let reply result =
-        Net.send t.sv_net ~category:"oasis.redelegate.reply" ~size:160 ~src:t.sv_host
-          ~dst:client_host (fun () -> k result)
-      in
+  client_request t ~client_host ("oasis.redelegate", 128) ("oasis.redelegate.reply", 160)
+    (fun reply ->
       if not (String.equal rcert.Cert.r_service t.sv_name) then
         reply (Error "revocation certificate for another service")
       else if not (Cert.verify_revocation ~length:sig_length t.sv_secrets rcert) then
@@ -1519,6 +1517,7 @@ let delegate_revocation t ~client_host ~rcert ~to_cert k =
         audit t Delegation ("revocation right re-delegated for role " ^ rcert.Cert.r_role);
         reply (Ok (Cert.sign_revocation t.sv_secrets ~length:sig_length fresh))
       end)
+    k
 
 (* --- crash recovery (the restart hook registered by [create]) --- *)
 

@@ -195,9 +195,9 @@ let group_by_service_name t svc =
 (* Routed operations.  The router holds no state: each handler re-derives
    the owner from the request, so retried (hence possibly re-delivered)
    requests are idempotent exactly when the shard-side operation is.  The
-   asynchronous ops use rpc_async_retry because their acks are themselves
-   asynchronous — a fire ack rides the owning shard's WAL group commit
-   (Service.ack_when_durable), and answering from a synchronous handler
+   handlers answer through their reply closure because the acks are
+   themselves asynchronous — a fire ack rides the owning shard's WAL group
+   commit (Service.ack_when_durable), and answering before the work is done
    would resurrect the acked-but-lost-firing bug the model checker found
    in PR 6.  Timeouts are generous: the forwarded leg may itself run a
    cross-shard validation RPC with its own retry budget. *)
@@ -213,25 +213,25 @@ let routed_timeout = 4.0
 let forward g f = if Replica.ready g then f (Replica.primary g)
 
 let request_entry t ~client_host ~client ~role ~args ?(creds = []) k =
-  Net.rpc_async_retry t.sh_net ~category:"shard.entry"
+  Net.rpc t.sh_net ~category:"shard.entry"
     ~size:(128 + (96 * List.length creds))
-    ~timeout:routed_timeout ~src:client_host ~dst:t.sh_router
+    ~timeout:routed_timeout ~attempts:Net.retry_attempts ~src:client_host ~dst:t.sh_router
     (fun reply ->
       forward (owner_group t ~role ~args) (fun svc ->
           Service.request_entry svc ~client_host:t.sh_router ~client ~role ~args ~creds reply))
     k
 
 let revoke_role_instance t ~client_host ~revoker ~role ~args k =
-  Net.rpc_async_retry t.sh_net ~category:"shard.rbr" ~size:160 ~timeout:routed_timeout
-    ~src:client_host ~dst:t.sh_router
+  Net.rpc t.sh_net ~category:"shard.rbr" ~size:160 ~timeout:routed_timeout
+    ~attempts:Net.retry_attempts ~src:client_host ~dst:t.sh_router
     (fun reply ->
       forward (owner_group t ~role ~args) (fun svc ->
           Service.revoke_role_instance svc ~client_host:t.sh_router ~revoker ~role ~args reply))
     k
 
 let reinstate_role_instance t ~client_host ~revoker ~role ~args k =
-  Net.rpc_async_retry t.sh_net ~category:"shard.rbr" ~size:160 ~timeout:routed_timeout
-    ~src:client_host ~dst:t.sh_router
+  Net.rpc t.sh_net ~category:"shard.rbr" ~size:160 ~timeout:routed_timeout
+    ~attempts:Net.retry_attempts ~src:client_host ~dst:t.sh_router
     (fun reply ->
       forward (owner_group t ~role ~args) (fun svc ->
           Service.reinstate_role_instance svc ~client_host:t.sh_router ~revoker ~role ~args
@@ -245,8 +245,8 @@ let fail_closed_verdict service =
     service
 
 let validate t ~client_host ~client ?need_role cert k =
-  Net.rpc_async_retry t.sh_net ~category:"shard.validate" ~size:96 ~timeout:routed_timeout
-    ~src:client_host ~dst:t.sh_router
+  Net.rpc t.sh_net ~category:"shard.validate" ~size:96 ~timeout:routed_timeout
+    ~attempts:Net.retry_attempts ~src:client_host ~dst:t.sh_router
     (fun reply ->
       match group_by_service_name t cert.Cert.service with
       | None -> reply (Error ("certificate for foreign service " ^ cert.Cert.service))
@@ -254,7 +254,7 @@ let validate t ~client_host ~client ?need_role cert k =
           (* Synchronous at the issuing shard; the record reference in the
              certificate is only meaningful against that shard's table.
 
-             The forwarded leg used to surface a raw rpc_retry giveup —
+             The forwarded leg used to surface a raw retry giveup —
              [Error "timeout"] — as a hard verdict whenever the owning
              shard was down or mid-recovery, so a transient crash turned
              into a spurious "certificate invalid" at the caller.  Mirror
@@ -281,9 +281,9 @@ let validate t ~client_host ~client ?need_role cert k =
                  as unreachable. *)
               backoff_or_fail ()
             else
-              Net.rpc_retry t.sh_net ~category:"shard.validate.fwd" ~timeout:0.5 ~attempts:2
+              Net.rpc t.sh_net ~category:"shard.validate.fwd" ~timeout:0.5 ~attempts:2
                 ~backoff:0.2 ~src:t.sh_router ~dst:(Service.host svc)
-                (fun () ->
+                (fun reply ->
                   (* The handler wraps the whole verdict — including a
                      validation failure — in [Ok], so by construction the
                      only [Error _] the continuation can see is the
@@ -291,10 +291,11 @@ let validate t ~client_host ~client ?need_role cert k =
                      "timeout" sentinel here would silently misroute any
                      future [pp_failure] value that happened to collide
                      with it. *)
-                  Ok
-                    (match Service.validate svc ~client ?need_role cert with
-                    | Ok () -> Ok ()
-                    | Error f -> Error (Format.asprintf "%a" Service.pp_failure f)))
+                  reply
+                    (Ok
+                       (match Service.validate svc ~client ?need_role cert with
+                       | Ok () -> Ok ()
+                       | Error f -> Error (Format.asprintf "%a" Service.pp_failure f))))
                 (function
                   | Ok verdict -> reply verdict
                   | Error _ -> backoff_or_fail ())
@@ -303,8 +304,8 @@ let validate t ~client_host ~client ?need_role cert k =
     k
 
 let exit_role t ~client_host cert k =
-  Net.rpc_async_retry t.sh_net ~category:"shard.exit" ~size:96 ~timeout:routed_timeout
-    ~src:client_host ~dst:t.sh_router
+  Net.rpc t.sh_net ~category:"shard.exit" ~size:96 ~timeout:routed_timeout
+    ~attempts:Net.retry_attempts ~src:client_host ~dst:t.sh_router
     (fun reply ->
       match group_by_service_name t cert.Cert.service with
       | None -> reply (Error ("certificate for foreign service " ^ cert.Cert.service))

@@ -13,11 +13,9 @@
       configurable shard count and virtual nodes) decides which shard owns
       each role instance's records;
     - a front-end router host forwards role-entry, fire/re-hire and
-      certificate-validation requests to the owning shard
-      ({!Oasis_sim.Net.rpc_async_retry} for the asynchronous operations —
-      fire/re-hire acks ride the owning shard's WAL group commit and must
-      not be answered early — and a plain {!Oasis_sim.Net.rpc_retry} hop
-      for synchronous validation);
+      certificate-validation requests to the owning shard over a retried
+      {!Oasis_sim.Net.rpc}, whose reply closure lets fire/re-hire acks ride
+      the owning shard's WAL group commit rather than be answered early;
     - every shard journals to its own [lib/store] WAL/snapshot, so shards
       crash and recover independently.
 
@@ -192,9 +190,9 @@ val validate :
   Cert.rmc ->
   ((unit, string) result -> unit) ->
   unit
-(** Validate a certificate via the router: forwarded (one
-    {!Oasis_sim.Net.rpc_retry} hop) to the shard that issued it, which is
-    the only table where its record reference means anything.
+(** Validate a certificate via the router: forwarded (one retried
+    {!Oasis_sim.Net.rpc} hop) to the shard that issued it, which is the
+    only table where its record reference means anything.
 
     If the issuing shard stays unreachable past the forward budget, the
     router backs off one broker heartbeat, re-resolves the shard's primary

@@ -1,6 +1,6 @@
 module Prng = Oasis_util.Prng
 
-type latency = Fixed of float | Uniform of float * float | Exponential of float
+type latency = Fixed of float | Uniform of float * float
 
 (* The tags of the engine events that deliver messages to the host
    (["d:" ^ name]) and that fire its callers' timers (["t:" ^ name]), built
@@ -127,7 +127,6 @@ let sample_latency t src dst =
   match model with
   | Fixed d -> d
   | Uniform (lo, hi) -> Prng.uniform_in t.prng ~lo ~hi
-  | Exponential mean -> 0.001 +. Prng.exponential t.prng ~mean
 
 let account t category size =
   Stats.incr t.stats category;
@@ -157,16 +156,43 @@ let send t ?(category = "msg") ?(size = 64) ~src ~dst action =
     else
       Engine.schedule t.engine ~tag:dst.deliver_tag ~delay:(sample_latency t src dst) deliver
 
-(* The general request/response shape: the handler runs at [dst] and is
-   handed a [reply] closure it may call later, from any engine event —
-   which is what asynchronous servers (WAL group commit, nested RPCs)
-   need.  [rpc] specialises this to handlers that answer inline.
+(* The cap on one retry's backoff, before jitter. *)
+let max_backoff = 8.0
+
+let retry_attempts = 5
+
+(* Run [once] up to [attempts] times, retrying timeouts.  One attempt is
+   one plain try, with no attempt accounting. *)
+let retrying t ~category ~attempts ~backoff ~src once k =
+  if attempts < 1 then invalid_arg "Net: attempts must be >= 1";
+  if attempts = 1 then once k
+  else
+    let ctx = Trace.current t.trace in
+    let rec go n =
+      Stats.incr t.stats (category ^ ".attempt");
+      once (function
+        | Error "timeout" when n + 1 < attempts ->
+            (* Exponential backoff with deterministic (seeded) jitter to
+               decorrelate retry storms. *)
+            let base = Float.min max_backoff (backoff *. (2.0 ** float_of_int n)) in
+            let jitter = Prng.uniform_in t.prng ~lo:0.0 ~hi:(base *. 0.25) in
+            Engine.schedule t.engine ~tag:src.timer_tag ~delay:(base +. jitter) (fun () ->
+                Trace.with_ctx t.trace ctx (fun () -> go (n + 1)))
+        | Error "timeout" ->
+            Stats.incr t.stats (category ^ ".giveup");
+            k (Error "timeout")
+        | result -> k result)
+    in
+    go 0
+
+(* One try: the handler runs at [dst] and is handed a [reply] closure it
+   may call later, from any engine event.
 
    The caller's continuation waits in [pending], which the reply or the
    timeout empties, whichever comes first.  An answered call's timeout is
    not cancelled: a cancelled timer drops out of [Engine.events], which
    the model checker branches on and fingerprints. *)
-let rpc_async t ?(category = "rpc") ?size ?(timeout = 2.0) ~src ~dst handler k =
+let rpc_once t ~category ?size ~timeout ~src ~dst handler k =
   let pending = ref (Some k) in
   let ctx = Trace.current t.trace in
   Engine.schedule t.engine ~tag:src.timer_tag ~delay:timeout (fun () ->
@@ -191,41 +217,10 @@ let rpc_async t ?(category = "rpc") ?size ?(timeout = 2.0) ~src ~dst handler k =
                   pending := None;
                   k result)))
 
-let rpc t ?category ?size ?timeout ~src ~dst handler k =
-  rpc_async t ?category ?size ?timeout ~src ~dst (fun reply -> reply (handler ())) k
-
-(* The cap on one retry's backoff, before jitter. *)
-let max_backoff = 8.0
-
-let retry_loop t ~category ?(attempts = 5) ?(backoff = 0.25) ~src once k =
-  if attempts < 1 then invalid_arg "Net.rpc_retry: attempts must be >= 1";
-  let ctx = Trace.current t.trace in
-  let rec go n =
-    Stats.incr t.stats (category ^ ".attempt");
-    once (function
-      | Error "timeout" when n + 1 < attempts ->
-          (* Exponential backoff with deterministic (seeded) jitter to
-             decorrelate retry storms. *)
-          let base = Float.min max_backoff (backoff *. (2.0 ** float_of_int n)) in
-          let jitter = Prng.uniform_in t.prng ~lo:0.0 ~hi:(base *. 0.25) in
-          Engine.schedule t.engine ~tag:src.timer_tag ~delay:(base +. jitter) (fun () ->
-              Trace.with_ctx t.trace ctx (fun () -> go (n + 1)))
-      | Error "timeout" ->
-          Stats.incr t.stats (category ^ ".giveup");
-          k (Error "timeout")
-      | result -> k result)
-  in
-  go 0
-
-let rpc_retry t ?(category = "rpc") ?size ?(timeout = 2.0) ?attempts ?backoff ~src ~dst handler k =
-  retry_loop t ~category ?attempts ?backoff ~src
-    (fun k1 -> rpc t ~category ?size ~timeout ~src ~dst handler k1)
-    k
-
-let rpc_async_retry t ?(category = "rpc") ?size ?(timeout = 2.0) ?attempts ?backoff ~src ~dst
+let rpc t ?(category = "rpc") ?size ?(timeout = 2.0) ?(attempts = 1) ?(backoff = 0.25) ~src ~dst
     handler k =
-  retry_loop t ~category ?attempts ?backoff ~src
-    (fun k1 -> rpc_async t ~category ?size ~timeout ~src ~dst handler k1)
+  retrying t ~category ~attempts ~backoff ~src
+    (fun k1 -> rpc_once t ~category ?size ~timeout ~src ~dst handler k1)
     k
 
 (* --- named-port messaging (the backend-portable RPC surface) --- *)
@@ -239,13 +234,12 @@ let dispatch t ~dst ~port payload reply =
   | Some handler -> handler payload reply
   | None -> reply (Error (Printf.sprintf "no handler bound at %s:%s" dst port))
 
-let call t ?(category = "call") ?size ?(timeout = 2.0) ~src ~dst ~port payload k =
-  let size = match size with Some s -> s | None -> String.length payload + 64 in
+let call_once t ~category ~size ~timeout ~src ~dst ~port payload k =
   match find_host t dst with
   | Some dh ->
       (* Both endpoints live in this process: the request rides the
          ordinary (sim-latency, loss, partition, fault-aware) rpc path. *)
-      rpc_async t ~category ~size ~timeout ~src ~dst:dh
+      rpc_once t ~category ~size ~timeout ~src ~dst:dh
         (fun reply -> dispatch t ~dst ~port payload reply)
         k
   | None -> (
@@ -279,8 +273,9 @@ let call t ?(category = "call") ?size ?(timeout = 2.0) ~src ~dst ~port payload k
                   Trace.with_ctx t.trace ctx (fun () -> k result)
                 end))
 
-let call_retry t ?(category = "call") ?size ?(timeout = 2.0) ?attempts ?backoff ~src ~dst ~port
-    payload k =
-  retry_loop t ~category ?attempts ?backoff ~src
-    (fun k1 -> call t ~category ?size ~timeout ~src ~dst ~port payload k1)
+let call t ?(category = "call") ?size ?(timeout = 2.0) ?(attempts = 1) ?(backoff = 0.25) ~src ~dst
+    ~port payload k =
+  let size = match size with Some s -> s | None -> String.length payload + 64 in
+  retrying t ~category ~attempts ~backoff ~src
+    (fun k1 -> call_once t ~category ~size ~timeout ~src ~dst ~port payload k1)
     k

@@ -6,10 +6,7 @@
 
 type t
 
-type latency =
-  | Fixed of float
-  | Uniform of float * float  (** [lo, hi) *)
-  | Exponential of float  (** mean, shifted by a 1ms floor *)
+type latency = Fixed of float | Uniform of float * float  (** [lo, hi) *)
 
 type host
 
@@ -71,59 +68,35 @@ val rpc :
   ?category:string ->
   ?size:int ->
   ?timeout:float ->
-  src:host ->
-  dst:host ->
-  (unit -> ('a, string) result) ->
-  (('a, string) result -> unit) ->
-  unit
-(** Request/response: runs the handler at [dst] after one latency, delivers
-    its result back to [src] after another.  If either leg is lost or the
-    hosts are partitioned, the continuation receives [Error "timeout"] after
-    [timeout] seconds (default 2.0).  A reply arriving after the timeout
-    already fired is discarded and counted as [category ^ ".late_reply"]:
-    the server-side effects stand, so handlers driven through retrying
-    callers must be idempotent. *)
-
-val rpc_retry :
-  t ->
-  ?category:string ->
-  ?size:int ->
-  ?timeout:float ->
   ?attempts:int ->
   ?backoff:float ->
-  src:host ->
-  dst:host ->
-  (unit -> ('a, string) result) ->
-  (('a, string) result -> unit) ->
-  unit
-(** Reliable RPC: like {!rpc} but timeouts are retried with exponential
-    backoff ([backoff * 2^n], default 0.25 s, capped at 8 s) plus
-    deterministic seeded jitter, up to [attempts] total attempts
-    (default 5); then it gives up and surfaces [Error "timeout"].
-    Application-level errors are not retried.  Each attempt increments
-    [category ^ ".attempt"]; exhausting the budget increments
-    [category ^ ".giveup"].  The handler may run more than once (a lost
-    reply does not mean a lost request), so it must be idempotent. *)
-
-val rpc_async :
-  t ->
-  ?category:string ->
-  ?size:int ->
-  ?timeout:float ->
   src:host ->
   dst:host ->
   ((('a, string) result -> unit) -> unit) ->
   (('a, string) result -> unit) ->
   unit
-(** Like {!rpc}, but the handler receives a [reply] closure instead of
-    returning its result: it may call it later, from any subsequent engine
-    event.  This is the request/response shape for servers whose answer is
-    itself asynchronous — an ack that rides a WAL group commit, or a nested
-    RPC to another host — where a synchronous handler would have to answer
-    before the work is done.  Timeout, late-reply accounting and the
-    idempotence obligation are exactly as for {!rpc}; a reply closure
-    called twice sends two replies, of which the caller heeds at most
-    one.
+(** Request/response: runs the handler at [dst] after one latency, handing
+    it a [reply] closure, and delivers what it replies back to [src] after
+    another.  A handler that answers inline is written
+    [fun reply -> reply (...)]; one whose answer is itself asynchronous (an
+    ack that rides a WAL group commit, a nested RPC to another host) calls
+    [reply] later, from any subsequent engine event.  A reply closure
+    called twice sends two replies, of which the caller heeds at most one.
+
+    If either leg is lost or the hosts are partitioned, the continuation
+    receives [Error "timeout"] after [timeout] seconds (default 2.0).  A
+    reply arriving after the timeout already fired is discarded and counted
+    as [category ^ ".late_reply"]: the server-side effects stand.
+
+    With [attempts] above 1 (default 1) a timeout is retried after an
+    exponential backoff ([backoff * 2^n], default 0.25 s, capped at 8 s)
+    plus seeded jitter, up to [attempts] tries; then the continuation gets
+    [Error "timeout"].  Application errors are not retried.  Each try
+    counts [category ^ ".attempt"], and running out counts
+    [category ^ ".giveup"]; a single try counts neither.  A retried handler
+    may run more than once, even concurrently with an earlier run still at
+    work (a lost reply does not mean a lost request), so it must be
+    idempotent under overlap.
 
     The continuation waits in one mutable cell, which the reply or the
     timeout empties, whichever comes first, so an answered call lets go of
@@ -132,33 +105,18 @@ val rpc_async :
     emptied cell and the caller's trace context.  It is not cancelled the
     way {!call}'s wire path cancels its timer: a cancelled timer drops out
     of {!Engine.events}, which the model checker branches on and
-    fingerprints, so cancelling would change the schedules it walks.
-    This holds for {!rpc},
-    {!rpc_retry}, {!rpc_async_retry} and {!call} to a host of this
-    process too, which all run on [rpc_async]. *)
+    fingerprints, so cancelling would change the schedules it walks.  This
+    holds for {!call} to a host of this process too, which runs on
+    [rpc]. *)
 
-val rpc_async_retry :
-  t ->
-  ?category:string ->
-  ?size:int ->
-  ?timeout:float ->
-  ?attempts:int ->
-  ?backoff:float ->
-  src:host ->
-  dst:host ->
-  ((('a, string) result -> unit) -> unit) ->
-  (('a, string) result -> unit) ->
-  unit
-(** {!rpc_async} with the {!rpc_retry} discipline: exponential backoff plus
-    seeded jitter on timeout, [category ^ ".attempt"]/[".giveup"]
-    accounting.  The handler may be {e concurrently} re-invoked while an
-    earlier invocation is still working (the caller cannot tell a slow
-    server from a lost request), so handlers must be idempotent under
-    overlap, not merely under sequential repetition. *)
+val retry_attempts : int
+(** The attempt budget (5) of the library's requests that must survive a
+    lost message: those that gate no prompt decision and have nothing
+    downstream to notice the loss. *)
 
 (** {1 Named-port messaging (backend-portable RPC)}
 
-    The closure-based {!rpc} family above only works when both endpoints
+    The closure-based {!rpc} above only works when both endpoints
     live in one address space.  The named-port surface below carries
     {e serialized} requests instead, so the same calling code runs on the
     sim (in-process delivery through the ordinary latency/loss/fault
@@ -205,28 +163,6 @@ val call :
   ?category:string ->
   ?size:int ->
   ?timeout:float ->
-  src:host ->
-  dst:string ->
-  port:string ->
-  string ->
-  ((string, string) result -> unit) ->
-  unit
-(** One serialized request/response to the named host.  When [dst] is a
-    host of this process, this is {!rpc_async} onto the port's bound
-    handler (sim latency, loss, partitions and crashes all apply); when it
-    is not and a remote transport is installed, the request crosses the
-    wire.  Timeout semantics, [".timeout"] accounting and trace-ctx
-    propagation are identical on both paths.  A reply that arrives after
-    the timeout counts as [".late_reply"] on the local path only: on the
-    wire the timeout makes the transport forget the call, and the
-    transport drops the reply.  Without a transport, unknown hosts
-    answer [Error "unknown host: ..."]. *)
-
-val call_retry :
-  t ->
-  ?category:string ->
-  ?size:int ->
-  ?timeout:float ->
   ?attempts:int ->
   ?backoff:float ->
   src:host ->
@@ -235,6 +171,14 @@ val call_retry :
   string ->
   ((string, string) result -> unit) ->
   unit
-(** {!call} with the {!rpc_retry} discipline (exponential backoff, seeded
-    jitter, [".attempt"]/[".giveup"] accounting).  Handlers must be
-    idempotent: the request may execute more than once. *)
+(** One serialized request/response to the named host.  When [dst] is a
+    host of this process, this is {!rpc} onto the port's bound handler
+    (sim latency, loss, partitions and crashes all apply); when it is not
+    and a remote transport is installed, the request crosses the wire.
+    Timeout semantics, [".timeout"] accounting, trace-ctx propagation and
+    the retry discipline of [attempts] and [backoff] are those of {!rpc}
+    on both paths.  A reply that arrives after the timeout counts as
+    [".late_reply"] on the local path only: on the wire the timeout makes
+    the transport forget the call, and the transport drops the reply.
+    Without a transport, unknown hosts answer
+    [Error "unknown host: ..."]. *)

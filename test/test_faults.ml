@@ -82,7 +82,9 @@ let test_rpc_retry_recovers () =
   Net.crash_host net b;
   Engine.schedule_at engine ~at:3.0 (fun () -> Net.restart_host net b);
   let result = ref None in
-  Net.rpc_retry net ~category:"r" ~src:a ~dst:b (fun () -> Ok "pong") (fun r -> result := Some r);
+  Net.rpc net ~category:"r" ~attempts:5 ~src:a ~dst:b
+    (fun reply -> reply (Ok "pong"))
+    (fun r -> result := Some r);
   Engine.run ~until:20.0 engine;
   checkb "eventually succeeds" true (!result = Some (Ok "pong"));
   let st = Net.stats net in
@@ -95,7 +97,9 @@ let test_rpc_retry_gives_up () =
   let a = Net.add_host net "a" and b = Net.add_host net "b" in
   Net.crash_host net b;
   let result = ref None in
-  Net.rpc_retry net ~category:"r" ~src:a ~dst:b (fun () -> Ok ()) (fun r -> result := Some r);
+  Net.rpc net ~category:"r" ~attempts:5 ~src:a ~dst:b
+    (fun reply -> reply (Ok ()))
+    (fun r -> result := Some r);
   Engine.run ~until:60.0 engine;
   checkb "error surfaced" true (!result = Some (Error "timeout"));
   let st = Net.stats net in
@@ -107,8 +111,8 @@ let test_rpc_no_retry_on_application_error () =
   let net = Net.create ~latency:(Net.Fixed 0.01) engine in
   let a = Net.add_host net "a" and b = Net.add_host net "b" in
   let result = ref None in
-  Net.rpc_retry net ~category:"r" ~src:a ~dst:b
-    (fun () -> Error "denied")
+  Net.rpc net ~category:"r" ~attempts:5 ~src:a ~dst:b
+    (fun reply -> reply (Error "denied"))
     (fun r -> result := Some r);
   Engine.run ~until:10.0 engine;
   checkb "application error passes through" true (!result = Some (Error "denied"));
@@ -124,7 +128,7 @@ let test_rpc_late_reply_counted () =
   Net.set_link_latency net b a (Net.Fixed 3.0);
   let results = ref [] in
   Net.rpc net ~category:"r" ~timeout:2.0 ~src:a ~dst:b
-    (fun () -> Ok ())
+    (fun reply -> reply (Ok ()))
     (fun r -> results := r :: !results);
   Engine.run ~until:10.0 engine;
   checkb "timeout surfaced once" true (!results = [ Error "timeout" ]);
@@ -514,7 +518,7 @@ let test_chaos_revocation_spans_complete () =
     (not (List.exists is_revocation (Trace.open_spans tr)));
   Trace.set_enabled tr false
 
-(* The batched staleness reread is a single rpc_retry carrying every pending
+(* The batched staleness reread is a single retried rpc carrying every pending
    key.  If the issuer dies again mid-batch, the RPC must exhaust its budget
    (accounted under oasis.reread.giveup) and the whole batch must be retried
    idempotently once the issuer is really back — converging to the same

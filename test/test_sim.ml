@@ -259,7 +259,7 @@ let test_trace_ctx_rides_net_send () =
   | Some _, l -> Alcotest.failf "expected 1 span, got %d" (List.length l));
   checkb "ctx cleared outside delivery" true (Trace.current tr = None)
 
-let test_trace_ctx_rides_rpc_retry () =
+let test_trace_ctx_rides_retried_rpc () =
   let e = Engine.create () in
   let net = Net.create ~latency:(Net.Fixed 0.01) e in
   let tr = Net.trace net in
@@ -269,10 +269,10 @@ let test_trace_ctx_rides_rpc_retry () =
   Engine.schedule e ~delay:2.0 (fun () -> Net.heal net a b);
   let seen = ref None in
   Trace.with_span tr "origin" (fun () ->
-      Net.rpc_retry net ~timeout:0.5 ~src:a ~dst:b
-        (fun () ->
+      Net.rpc net ~timeout:0.5 ~attempts:5 ~src:a ~dst:b
+        (fun reply ->
           seen := Trace.current tr;
-          Ok ())
+          reply (Ok ()))
         (fun _ -> ()));
   Engine.run ~until:30.0 e;
   checkb "retried rpc still carries the originating ctx" true (!seen <> None)
@@ -338,7 +338,7 @@ let test_net_rpc_roundtrip () =
   let a = Net.add_host net "a" and b = Net.add_host net "b" in
   let got = ref None and at = ref 0.0 in
   Net.rpc net ~src:a ~dst:b
-    (fun () -> Ok 42)
+    (fun reply -> reply (Ok 42))
     (fun r ->
       got := Some r;
       at := Engine.now e);
@@ -364,7 +364,7 @@ let test_net_rpc_timeout_on_partition () =
   let a = Net.add_host net "a" and b = Net.add_host net "b" in
   Net.partition net a b;
   let result = ref None in
-  Net.rpc net ~timeout:1.0 ~src:a ~dst:b (fun () -> Ok ()) (fun r -> result := Some r);
+  Net.rpc net ~timeout:1.0 ~src:a ~dst:b (fun reply -> reply (Ok ())) (fun r -> result := Some r);
   Engine.run ~until:5.0 e;
   checkb "timed out" true (!result = Some (Error "timeout"))
 
@@ -435,8 +435,9 @@ let test_net_answered_call_releases_continuation () =
   in
   let weak = Weak.create 3 in
   issue_holding weak 0 (fun k ->
-      Net.rpc_async net ~src:a ~dst:b (fun reply -> reply (Ok ())) (counted k));
-  issue_holding weak 1 (fun k -> Net.rpc_retry net ~src:a ~dst:b (fun () -> Ok ()) (counted k));
+      Net.rpc net ~src:a ~dst:b (fun reply -> reply (Ok ())) (counted k));
+  issue_holding weak 1 (fun k ->
+      Net.rpc net ~attempts:5 ~src:a ~dst:b (fun reply -> reply (Ok ())) (counted k));
   issue_holding weak 2 (fun k -> Net.call net ~src:a ~dst:"b" ~port:"echo" "ping" (counted k));
   Engine.run ~until:1.0 e;
   checki "all three answered" 3 !answered;
@@ -495,7 +496,7 @@ let () =
           Alcotest.test_case "disabled is a no-op" `Quick test_trace_disabled_noop;
           Alcotest.test_case "parenting and duration" `Quick test_trace_parenting_and_duration;
           Alcotest.test_case "ctx rides Net.send" `Quick test_trace_ctx_rides_net_send;
-          Alcotest.test_case "ctx rides rpc_retry" `Quick test_trace_ctx_rides_rpc_retry;
+          Alcotest.test_case "ctx rides retried rpc" `Quick test_trace_ctx_rides_retried_rpc;
           Alcotest.test_case "ring bound" `Quick test_trace_ring_bound;
           Alcotest.test_case "json shape" `Quick test_trace_json_shape;
         ] );
