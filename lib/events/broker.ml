@@ -15,11 +15,19 @@ type delivery = { d_seq : int; d_items : item list; d_horizon : float }
 (* Client-side registration state.  The template is kept so the session can
    re-register after a reconnection; [cr_last_seen] (the highest event seq
    processed) makes replayed/retried deliveries exactly-once per
-   registration — server event seqs are monotone and survive crashes. *)
+   registration — server event seqs are monotone and survive crashes.
+
+   [cr_floor] is where a re-registration replays from.  It starts at the
+   original [~since] (or the horizon at registration) and rises to the
+   session horizon at a reconnection only if the server confirmed the
+   registration on the incarnation being replaced ([cr_confirmed]): a
+   horizon that the new incarnation's heartbeats advanced before the
+   registration landed there covers no event of it. *)
 type creg = {
   cr_tpl : Event.template;
   cr_cb : Event.t -> unit;
-  cr_floor : float;  (* replay floor: original ~since, or horizon at registration *)
+  mutable cr_floor : float;
+  mutable cr_confirmed : int;  (* session id that confirmed it, or -1 *)
   mutable cr_last_seen : int;
 }
 
@@ -520,18 +528,21 @@ let attach srv ~host ~credentials ~session ?replacing () =
    notice, so it is retried.  The handler is idempotent at the
    server (a re-sent registration replaces, not duplicates) and client-side
    duplicate suppression makes any resulting replay exactly-once, so
-   retries are safe. *)
-let send_register session ?since reg_id tpl =
+   retries are safe.  A registration that finds its session gone (a
+   reconnection replaced it) installed nothing, so it is answered with an
+   error: only a confirmed registration lets a later reconnection raise
+   its replay floor. *)
+let send_register session ?since reg_id cr =
   let srv = session.s_server in
   let sid = session.s_id in
   Net.rpc session.s_net ~category:"evt.register" ~size:96 ~attempts:Net.retry_attempts
     ~src:session.s_host ~dst:srv.b_host
     (fun reply ->
       match find_sess srv sid with
-      | None -> reply (Ok ())
+      | None -> reply (Error "no such session")
       | Some ss -> (
           let credentials = Option.value ~default:[] (Hashtbl.find_opt srv.b_creds sid) in
-          match srv.b_reg_filter ~credentials tpl with
+          match srv.b_reg_filter ~credentials cr.cr_tpl with
           | None -> reply (Ok ()) (* policy rejected: the client simply never hears events *)
           | Some tpl ->
               ss.ss_regs <- (reg_id, tpl) :: List.remove_assoc reg_id ss.ss_regs;
@@ -552,12 +563,13 @@ let send_register session ?since reg_id tpl =
                   if replay <> [] then
                     push_delivery srv ss (List.map (fun e -> (reg_id, e, None)) replay));
               reply (Ok ())))
-    (fun (_ : (unit, string) result) -> ())
+    (function Ok () -> cr.cr_confirmed <- sid | Error _ -> ())
 
 (* Bind the session to a fresh server-side incarnation and re-register
    everything retrospectively from the last safe horizon, so no retained
    event is lost across a server crash (§4.10 recovery). *)
 let rebind session id =
+  let old_id = session.s_id in
   session.s_id <- id;
   session.s_last_seq <- -1;
   Hashtbl.reset session.s_pending;
@@ -567,8 +579,8 @@ let rebind session id =
   (* recovery callbacks (e.g. external-record rereads) fired by [rx] *)
   List.iter
     (fun (reg_id, cr) ->
-      let since = Float.max cr.cr_floor session.s_horizon in
-      send_register session ~since reg_id cr.cr_tpl)
+      if cr.cr_confirmed = old_id then cr.cr_floor <- Float.max cr.cr_floor session.s_horizon;
+      send_register session ~since:cr.cr_floor reg_id cr)
     (List.rev session.s_callbacks)
 
 let try_reconnect session =
@@ -656,11 +668,12 @@ let register session ?since tpl callback =
       cr_tpl = tpl;
       cr_cb = callback;
       cr_floor = (match since with Some s -> s | None -> session.s_horizon);
+      cr_confirmed = -1;
       cr_last_seen = -1;
     }
   in
   session.s_callbacks <- (reg_id, cr) :: session.s_callbacks;
-  send_register session ?since reg_id tpl;
+  send_register session ?since reg_id cr;
   { r_session = session; r_id = reg_id; r_active = true }
 
 let deregister reg =

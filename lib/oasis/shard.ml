@@ -198,8 +198,8 @@ let group_by_service_name t svc =
    handlers answer through their reply closure because the acks are
    themselves asynchronous — a fire ack rides the owning shard's WAL group
    commit (Service.ack_when_durable), and answering before the work is done
-   would resurrect the acked-but-lost-firing bug the model checker found
-   in PR 6.  Timeouts are generous: the forwarded leg may itself run a
+   would resurrect the acked-but-lost-firing bug the model checker once
+   found.  Timeouts are generous: the forwarded leg may itself run a
    cross-shard validation RPC with its own retry budget. *)
 
 let routed_timeout = 4.0

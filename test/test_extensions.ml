@@ -553,36 +553,54 @@ OwnsBadge(u, b) <-
 
 (* --- broker delivery invariant under random loss (robustness property) --- *)
 
+(* Thirty events signalled under [loss_pct]% message loss reach a
+   registered session exactly once each, in order. *)
+let broker_delivers_exactly_once (seed, loss_pct) =
+  let engine = Engine.create () in
+  let net = Net.create ~seed:(Int64.of_int (seed + 1)) ~latency:(Net.Fixed 0.01) engine in
+  let shost = Net.add_host net "s" and chost = Net.add_host net "c" in
+  let srv = Broker.create_server net shost ~name:"s" ~heartbeat:0.3 () in
+  let session = ref None in
+  Broker.connect net chost srv
+    ~on_result:(function Ok x -> session := Some x | Error _ -> ())
+    ();
+  Engine.run ~until:1.0 engine;
+  let got = ref [] in
+  (match !session with
+  | Some sess ->
+      ignore
+        (Broker.register sess (Event.template "E" [ Event.Any ]) (fun e ->
+             got := e.Event.seq :: !got))
+  | None -> ());
+  Engine.run ~until:1.5 engine;
+  Net.set_loss net (float_of_int loss_pct /. 100.0);
+  for i = 1 to 30 do
+    Engine.schedule engine ~delay:(0.1 *. float_of_int i) (fun () ->
+        ignore (Broker.signal srv "E" [ V.Int i ]))
+  done;
+  Engine.schedule engine ~delay:4.0 (fun () -> Net.set_loss net 0.0);
+  Engine.run ~until:60.0 engine;
+  let seqs = List.rev !got in
+  List.length seqs = 30 && seqs = List.sort_uniq compare seqs
+
 let prop_broker_exactly_once_in_order =
   QCheck.Test.make ~name:"broker delivers exactly once, in order, under loss" ~count:25
     QCheck.(pair (int_bound 1000) (int_bound 45))
-    (fun (seed, loss_pct) ->
-      let engine = Engine.create () in
-      let net = Net.create ~seed:(Int64.of_int (seed + 1)) ~latency:(Net.Fixed 0.01) engine in
-      let shost = Net.add_host net "s" and chost = Net.add_host net "c" in
-      let srv = Broker.create_server net shost ~name:"s" ~heartbeat:0.3 () in
-      let session = ref None in
-      Broker.connect net chost srv
-        ~on_result:(function Ok x -> session := Some x | Error _ -> ())
-        ();
-      Engine.run ~until:1.0 engine;
-      let got = ref [] in
-      (match !session with
-      | Some sess ->
-          ignore
-            (Broker.register sess (Event.template "E" [ Event.Any ]) (fun e ->
-                 got := e.Event.seq :: !got))
-      | None -> ());
-      Engine.run ~until:1.5 engine;
-      Net.set_loss net (float_of_int loss_pct /. 100.0);
-      for i = 1 to 30 do
-        Engine.schedule engine ~delay:(0.1 *. float_of_int i) (fun () ->
-            ignore (Broker.signal srv "E" [ V.Int i ]))
-      done;
-      Engine.schedule engine ~delay:4.0 (fun () -> Net.set_loss net 0.0);
-      Engine.run ~until:60.0 engine;
-      let seqs = List.rev !got in
-      List.length seqs = 30 && seqs = List.sort_uniq compare seqs)
+    broker_delivers_exactly_once
+
+(* On these inputs a reconnection replaced the session while its
+   re-registration was still in flight, and the new incarnation's empty
+   heartbeats had already carried the horizon past events the
+   registration never saw.  The next re-registration replayed from that
+   horizon, and events 0-25 were never delivered. *)
+let test_broker_reregistration_on_replaced_session () =
+  List.iter
+    (fun input ->
+      checkb
+        (Printf.sprintf "all delivered at seed %d, %d%% loss" (fst input) (snd input))
+        true
+        (broker_delivers_exactly_once input))
+    [ (697, 40); (697, 45) ]
 
 let qt = QCheck_alcotest.to_alcotest
 
@@ -624,5 +642,10 @@ let () =
         ] );
       ( "site-policies",
         [ Alcotest.test_case "three sites (fig 7.2)" `Quick test_three_site_policies ] );
-      ("robustness", [ qt prop_broker_exactly_once_in_order ]);
+      ( "robustness",
+        [
+          qt prop_broker_exactly_once_in_order;
+          Alcotest.test_case "re-registration on a replaced session" `Quick
+            test_broker_reregistration_on_replaced_session;
+        ] );
     ]
