@@ -106,19 +106,32 @@ let e1 () =
       let c0 = Baseline.Chain.crypto_checks issuer in
       assert (Baseline.Chain.validate issuer !cap);
       let chain_checks = Baseline.Chain.crypto_checks issuer - c0 in
-      (* OASIS: recursive delegation (open-meeting style), then validate. *)
+      (* OASIS: recursive delegation (open-meeting style), then validate.
+         The founder, logged on as u0, enters Member directly; without
+         that bootstrap the registration gate refuses the Member cycle
+         (OASIS001). *)
       let w = make_world () in
+      let login = service w ~name:"Login" ~rolefile:login_rolefile in
       let svc =
         service w ~name:"Meet"
           ~rolefile:{|
 def Member()
+Founder <- Login.LoggedOn("u0", h)
+Member <- Founder
 Member <- <|* Member
 |}
       in
       let holder = ref (fresh_vci ()) in
-      let cert =
-        ref (Service.issue_arbitrary svc ~client:!holder ~roles:[ "Member" ] ~args:[])
+      let founder_login =
+        Service.issue_arbitrary login ~client:!holder ~roles:[ "LoggedOn" ]
+          ~args:[ V.Str "u0"; V.Str "office" ]
       in
+      let founder = ref None in
+      Service.request_entry svc ~client_host:w.client_host ~client:!holder ~role:"Member"
+        ~creds:[ founder_login ]
+        (function Ok c -> founder := Some c | Error e -> failwith e);
+      run_for w 1.0;
+      let cert = ref (Option.get !founder) in
       for _ = 1 to depth - 1 do
         let next = fresh_vci () in
         let d = ref None in

@@ -17,7 +17,6 @@ type t = {
   s_namer : Broker.server;
   s_home_badges : (int, home_record) Hashtbl.t;  (* badges homed here *)
   s_foreign : (int, string * string) Hashtbl.t;  (* badge -> (user, home site) *)
-  s_on_site : (int, string) Hashtbl.t;  (* badge -> current room *)
   s_user_badge : (string, int) Hashtbl.t;  (* namer db: user -> badge *)
 }
 
@@ -39,7 +38,6 @@ let create net _registry ~name ~rooms ?(heartbeat = 1.0) () =
       s_namer = namer;
       s_home_badges = Hashtbl.create 32;
       s_foreign = Hashtbl.create 32;
-      s_on_site = Hashtbl.create 32;
       s_user_badge = Hashtbl.create 32;
     }
   in
@@ -71,8 +69,6 @@ let owner t ~badge =
   | Some hr -> Some hr.hr_user
   | None -> Option.map fst (Hashtbl.find_opt t.s_foreign badge)
 
-let on_site t = Hashtbl.fold (fun b _ acc -> b :: acc) t.s_on_site []
-
 let home_location t ~badge =
   Option.map (fun hr -> hr.hr_site) (Hashtbl.find_opt t.s_home_badges badge)
 
@@ -90,10 +86,8 @@ let badge_arrived_at_home t ~badge ~at_site =
         (match Hashtbl.find_opt directory old_site with
         | Some prev when not (String.equal old_site t.s_name) ->
             Net.send t.s_net ~category:"badge.purge" ~src:t.s_host ~dst:prev.s_host (fun () ->
-                Hashtbl.remove prev.s_foreign badge;
-                Hashtbl.remove prev.s_on_site badge)
-        | _ ->
-            Hashtbl.remove t.s_on_site badge);
+                Hashtbl.remove prev.s_foreign badge)
+        | _ -> ());
         ignore
           (Broker.signal t.s_namer "MovedSite"
              [ Value.Int badge; Value.Str old_site; Value.Str at_site ])
@@ -107,7 +101,6 @@ let sight t ~badge ~home ~room =
   (* Raw sensor event, always signalled by the Master (fig 6.3). *)
   ignore (Broker.signal t.s_master "Seen" [ Value.Int badge; Value.Str room ]);
   let known = Hashtbl.mem t.s_home_badges badge || Hashtbl.mem t.s_foreign badge in
-  Hashtbl.replace t.s_on_site badge room;
   if String.equal home t.s_name then begin
     (* A home badge returning (possibly from another site). *)
     match Hashtbl.find_opt t.s_home_badges badge with

@@ -48,9 +48,6 @@ val sight : t -> badge:int -> home:string -> room:string -> unit
 val owner : t -> badge:int -> string option
 (** Naming information available at this site (home or cached foreign). *)
 
-val on_site : t -> int list
-(** Badges the sighting cache currently believes are on site. *)
-
 val home_location : t -> badge:int -> string option
 (** For a badge homed here: the site it is currently at. *)
 

@@ -166,13 +166,12 @@ let run_schedule ?seed ?twin (spec : Scenario.t) params schedule =
 let needs_twin spec =
   List.exists (fun i -> i = Scenario.Crash_equiv) spec.Scenario.sc_invariants
 
-let twin_of ?seed spec params =
+let twin_of ?seed spec =
   if not (needs_twin spec) then None
   else begin
     let stripped = Scenario.strip_faults spec in
     let w = Scenario.instantiate ?seed stripped in
     Engine.run ~until:spec.Scenario.sc_horizon w.Scenario.w_engine;
-    ignore params;
     Some
       {
         Scenario.tw_marks = Scenario.commit_marks w spec;
@@ -219,7 +218,7 @@ let subset small big =
   go small big
 
 let explore ?seed (spec : Scenario.t) params =
-  let twin = twin_of ?seed spec params in
+  let twin = twin_of ?seed spec in
   let stats =
     {
       st_runs = 0;
@@ -312,11 +311,11 @@ let explore ?seed (spec : Scenario.t) params =
 (* What testing without a model checker looks like: run the scenario under
    [n] different network seeds, default scheduling throughout.  Returns the
    violations found (with the seed in the detail). *)
-let seed_sweep ?twin:_ (spec : Scenario.t) params ~seeds =
+let seed_sweep (spec : Scenario.t) params ~seeds =
   let found = ref [] in
   for s = 1 to seeds do
     let seed = Int64.of_int s in
-    let twin = twin_of ~seed spec params in
+    let twin = twin_of ~seed spec in
     let r = run_schedule ~seed ?twin spec { params with depth = 0 } [] in
     List.iter
       (fun (inv, detail) ->
@@ -338,7 +337,7 @@ let seed_sweep ?twin:_ (spec : Scenario.t) params ~seeds =
    the same invariant, then drop the trailing zeros.  Each probe is one
    re-execution. *)
 let minimize ?seed (spec : Scenario.t) params cx =
-  let twin = twin_of ?seed spec params in
+  let twin = twin_of ?seed spec in
   let still_fails choices =
     let r = run_schedule ?seed ?twin spec params choices in
     List.exists (fun (inv, _) -> inv = cx.cx_invariant) r.r_violations
@@ -451,5 +450,5 @@ let replay (spec : Scenario.t) sf =
       max_branch = sf.sf_max_branch;
     }
   in
-  let twin = twin_of ~seed:sf.sf_seed spec params in
+  let twin = twin_of ~seed:sf.sf_seed spec in
   run_schedule ~seed:sf.sf_seed ?twin spec params sf.sf_choices

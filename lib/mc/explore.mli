@@ -50,10 +50,6 @@ val run_schedule :
     Choices beyond the schedule follow the default (earliest-deadline)
     order. *)
 
-val twin_of : ?seed:int64 -> Scenario.t -> params -> Scenario.twin option
-(** The crash-free reference run, when the scenario asserts
-    [Crash_equiv]. *)
-
 val host_of_tag : string -> string option
 (** The commutation domain of an engine tag: [d:]/[t:]/[s:] events name
     their host; actions and fault injections ([a:]/[f:]) are global. *)
@@ -78,7 +74,7 @@ val explore : ?seed:int64 -> Scenario.t -> params -> report
     depth bound.  With [reduce = false], pure enumeration — the naive
     baseline the reductions are measured against. *)
 
-val seed_sweep : ?twin:Scenario.twin -> Scenario.t -> params -> seeds:int -> counterexample list
+val seed_sweep : Scenario.t -> params -> seeds:int -> counterexample list
 (** The conventional-testing baseline: the scenario under [seeds] different
     network seeds, default scheduling throughout.  Returns whatever
     violations those runs happen to hit. *)

@@ -77,5 +77,3 @@ let read t ~cert ~seg =
         | Some buf -> Ok (Buffer.contents buf))
 
 let segment_count t = Hashtbl.length t.b_segments
-
-let bytes_stored t = Hashtbl.fold (fun _ buf acc -> acc + Buffer.length buf) t.b_segments 0

@@ -28,4 +28,3 @@ val write :
 val read : t -> cert:Oasis_core.Cert.rmc -> seg:int -> (string, string) result
 
 val segment_count : t -> int
-val bytes_stored : t -> int

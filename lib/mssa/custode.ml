@@ -221,7 +221,6 @@ let read_acl t ~cert ~id =
       | Error e -> Error e
       | Ok _ -> Ok (Acl.to_string a.a_entries))
 
-let acl_record t id = Option.map (fun a -> a.a_record) (Hashtbl.find_opt t.c_acls id)
 let acl_count t = Hashtbl.length t.c_acls
 
 (* --- access requests --- *)
@@ -449,6 +448,3 @@ let container_usage t cname =
   match Hashtbl.find_opt t.c_containers cname with
   | Some c -> (c.co_files, c.co_bytes)
   | None -> (0, 0)
-
-let file_count t = Hashtbl.length t.c_files
-let file_acl t fid = Option.map (fun f -> f.f_acl) (Hashtbl.find_opt t.c_files fid)

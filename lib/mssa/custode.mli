@@ -54,7 +54,6 @@ val modify_acl :
     contents is revoked (§5.5.2). *)
 
 val read_acl : t -> cert:Oasis_core.Cert.rmc -> id:string -> (string, string) result
-val acl_record : t -> string -> Oasis_core.Credrec.cref option
 val acl_count : t -> int
 
 (** {1 Access requests} *)
@@ -125,6 +124,3 @@ val children : t -> cert:Oasis_core.Cert.rmc -> file:int -> (Types.file_ref list
 
 val container_usage : t -> string -> int * int
 (** (files, bytes) accounted to the container. *)
-
-val file_count : t -> int
-val file_acl : t -> int -> string option

@@ -72,20 +72,6 @@ let script t steps =
     (fun (at, action) -> Engine.schedule_at t.engine ~tag:"f:" ~at (fun () -> apply t action))
     steps
 
-let flap t ~a ~b ~every ~down_for ~until =
-  if every <= 0.0 || down_for <= 0.0 then invalid_arg "Fault.flap: periods must be positive";
-  let rec go at =
-    if at < until then begin
-      Engine.schedule_at t.engine ~tag:"f:" ~at (fun () -> link_down t a b);
-      Engine.schedule_at t.engine ~tag:"f:" ~at:(min (at +. down_for) until) (fun () ->
-          link_up t a b);
-      go (at +. every)
-    end
-  in
-  go (Engine.now t.engine +. every);
-  (* Whatever the flap schedule did, the link is healed by [until]. *)
-  Engine.schedule_at t.engine ~tag:"f:" ~at:until (fun () -> link_up t a b)
-
 let chaos t ~hosts ~mtbf ~mttr ~until =
   if mtbf <= 0.0 || mttr <= 0.0 then invalid_arg "Fault.chaos: means must be positive";
   List.iter

@@ -55,11 +55,6 @@ val script : t -> (float * action) list -> unit
 (** Schedule a deterministic fault script: each action fires at its
     absolute virtual time (clamped to now if already past). *)
 
-val flap : t -> a:int -> b:int -> every:float -> down_for:float -> until:float -> unit
-(** Periodically fail the a<->b link: starting one period from now, the
-    link goes down every [every] seconds and heals [down_for] later.  All
-    flaps cease (and the link heals) by [until]. *)
-
 val chaos : t -> hosts:int list -> mtbf:float -> mttr:float -> until:float -> unit
 (** Seeded random crash/restart cycles for each listed host: exponential
     time-between-failures with mean [mtbf], exponential repair time with

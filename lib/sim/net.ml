@@ -161,29 +161,27 @@ let max_backoff = 8.0
 
 let retry_attempts = 5
 
-(* Run [once] up to [attempts] times, retrying timeouts.  One attempt is
-   one plain try, with no attempt accounting. *)
+(* Run [once] up to [attempts] (more than one) times, retrying timeouts.
+   A single try skips this loop and its attempt accounting. *)
 let retrying t ~category ~attempts ~backoff ~src once k =
   if attempts < 1 then invalid_arg "Net: attempts must be >= 1";
-  if attempts = 1 then once k
-  else
-    let ctx = Trace.current t.trace in
-    let rec go n =
-      Stats.incr t.stats (category ^ ".attempt");
-      once (function
-        | Error "timeout" when n + 1 < attempts ->
-            (* Exponential backoff with deterministic (seeded) jitter to
-               decorrelate retry storms. *)
-            let base = Float.min max_backoff (backoff *. (2.0 ** float_of_int n)) in
-            let jitter = Prng.uniform_in t.prng ~lo:0.0 ~hi:(base *. 0.25) in
-            Engine.schedule t.engine ~tag:src.timer_tag ~delay:(base +. jitter) (fun () ->
-                Trace.with_ctx t.trace ctx (fun () -> go (n + 1)))
-        | Error "timeout" ->
-            Stats.incr t.stats (category ^ ".giveup");
-            k (Error "timeout")
-        | result -> k result)
-    in
-    go 0
+  let ctx = Trace.current t.trace in
+  let rec go n =
+    Stats.incr t.stats (category ^ ".attempt");
+    once (function
+      | Error "timeout" when n + 1 < attempts ->
+          (* Exponential backoff with deterministic (seeded) jitter to
+             decorrelate retry storms. *)
+          let base = Float.min max_backoff (backoff *. (2.0 ** float_of_int n)) in
+          let jitter = Prng.uniform_in t.prng ~lo:0.0 ~hi:(base *. 0.25) in
+          Engine.schedule t.engine ~tag:src.timer_tag ~delay:(base +. jitter) (fun () ->
+              Trace.with_ctx t.trace ctx (fun () -> go (n + 1)))
+      | Error "timeout" ->
+          Stats.incr t.stats (category ^ ".giveup");
+          k (Error "timeout")
+      | result -> k result)
+  in
+  go 0
 
 (* One try: the handler runs at [dst] and is handed a [reply] closure it
    may call later, from any engine event.
@@ -219,9 +217,11 @@ let rpc_once t ~category ?size ~timeout ~src ~dst handler k =
 
 let rpc t ?(category = "rpc") ?size ?(timeout = 2.0) ?(attempts = 1) ?(backoff = 0.25) ~src ~dst
     handler k =
-  retrying t ~category ~attempts ~backoff ~src
-    (fun k1 -> rpc_once t ~category ?size ~timeout ~src ~dst handler k1)
-    k
+  if attempts = 1 then rpc_once t ~category ?size ~timeout ~src ~dst handler k
+  else
+    retrying t ~category ~attempts ~backoff ~src
+      (fun k1 -> rpc_once t ~category ?size ~timeout ~src ~dst handler k1)
+      k
 
 (* --- named-port messaging (the backend-portable RPC surface) --- *)
 
@@ -276,6 +276,8 @@ let call_once t ~category ~size ~timeout ~src ~dst ~port payload k =
 let call t ?(category = "call") ?size ?(timeout = 2.0) ?(attempts = 1) ?(backoff = 0.25) ~src ~dst
     ~port payload k =
   let size = match size with Some s -> s | None -> String.length payload + 64 in
-  retrying t ~category ~attempts ~backoff ~src
-    (fun k1 -> call_once t ~category ~size ~timeout ~src ~dst ~port payload k1)
-    k
+  if attempts = 1 then call_once t ~category ~size ~timeout ~src ~dst ~port payload k
+  else
+    retrying t ~category ~attempts ~backoff ~src
+      (fun k1 -> call_once t ~category ~size ~timeout ~src ~dst ~port payload k1)
+      k

@@ -117,17 +117,6 @@ let row t cat =
 
 let report t = List.map (row t) (categories t)
 
-let pp ppf t =
-  List.iter
-    (fun r ->
-      Format.fprintf ppf "%-32s %8d msgs %10d bytes" r.r_cat r.r_count r.r_bytes;
-      if r.r_max > 0 then Format.fprintf ppf " max %d" r.r_max;
-      if r.r_samples > 0 then
-        Format.fprintf ppf " lat[n=%d p50=%.6fs p99=%.6fs max=%.6fs]" r.r_samples r.r_p50 r.r_p99
-          r.r_lat_max;
-      Format.fprintf ppf "@.")
-    (report t)
-
 let to_json t =
   let module J = Oasis_util.Json in
   let row_json r =

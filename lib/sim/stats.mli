@@ -59,8 +59,6 @@ val report : t -> row list
 (** One {!row} per category, sorted by category — counts, bytes, the
     {!observe} max, and the latency summary (sample count, p50/p99, max). *)
 
-val pp : Format.formatter -> t -> unit
-
 val to_json : t -> string
 (** Snapshot as one JSON object keyed by category:
     [{"cat":{"count":..,"bytes":..,"max":..,"latency":{"samples","p50","p99","mean","max"}}}]

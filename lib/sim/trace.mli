@@ -89,4 +89,4 @@ val origin : ctx -> float
 val to_json : t -> string
 (** Snapshot of finished spans as one JSON object
     [{"dropped":n,"spans":[{"trace","span","parent","name","start","end","attrs"}...]}].
-    Hand-rolled (no JSON dependency); strings are escaped. *)
+    Built as an {!Oasis_util.Json} value, so strings are escaped. *)

@@ -136,6 +136,21 @@ let test_acl_meta_access_control () =
   checkb "root can" true
     (Custode.modify_acl c ~cert:root_cert ~id:"empire" ~entries:"+jeh=r" = Ok ())
 
+let test_acl_read_needs_meta_read () =
+  (* §5.4: reading an ACL takes the r right on its meta ACL. *)
+  let w = make_world () in
+  let c = make_custode ~admins:[ "root" ] w "FFC" in
+  let _, _, root_cert = access w c ~user:"root" ~acl:"system" in
+  ignore (Custode.create_acl c ~cert:root_cert ~id:"empire" ~entries:"+jeh=rw" ~meta:"system");
+  checkb "system regranted" true
+    (Custode.modify_acl c ~cert:root_cert ~id:"system" ~entries:"+root=adrwx +dm=r +jeh=w"
+     = Ok ());
+  let _, _, dm = access w c ~user:"dm" ~acl:"system" in
+  let _, _, jeh = access w c ~user:"jeh" ~acl:"system" in
+  checkb "r on the meta ACL reads it" true
+    (Custode.read_acl c ~cert:dm ~id:"empire" = Ok "+jeh=rw");
+  checkb "w alone is refused" true (Result.is_error (Custode.read_acl c ~cert:jeh ~id:"empire"))
+
 let test_acl_placement_constraint () =
   (* §5.4.2: the ACL protecting an ACL must reside in the same custode. *)
   let w = make_world () in
@@ -452,6 +467,7 @@ let () =
         [
           Alcotest.test_case "grant rights" `Quick test_acl_grant_rights;
           Alcotest.test_case "meta access control" `Quick test_acl_meta_access_control;
+          Alcotest.test_case "read needs meta r" `Quick test_acl_read_needs_meta_read;
           Alcotest.test_case "placement constraint" `Quick test_acl_placement_constraint;
           Alcotest.test_case "volatile acl" `Quick test_volatile_acl_revokes_on_modify;
           Alcotest.test_case "group cascade" `Quick test_group_revocation_cascades_to_files;
