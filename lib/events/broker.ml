@@ -566,8 +566,8 @@ let send_register session ?since reg_id cr =
     (function Ok () -> cr.cr_confirmed <- sid | Error _ -> ())
 
 (* Bind the session to a fresh server-side incarnation and re-register
-   everything retrospectively from the last safe horizon, so no retained
-   event is lost across a server crash (§4.10 recovery). *)
+   everything retrospectively from its replay floor, so no retained event
+   is lost across a server crash (§4.10 recovery). *)
 let rebind session id =
   let old_id = session.s_id in
   session.s_id <- id;

@@ -24,8 +24,10 @@
       retained-event log (stable storage) or its monotone identifier
       counters.  A client whose session stays stale for several heartbeat
       periods assumes the server died, reconnects with backed-off retries,
-      and re-registers every template retrospectively from its last safe
-      horizon — so no retained event is lost, and per-registration
+      and re-registers every template retrospectively from the last
+      horizon that covered it (the session horizon once the replaced
+      incarnation had confirmed the registration, its earlier floor
+      otherwise) — so no retained event is lost, and per-registration
       duplicate suppression (by monotone event seq) keeps delivery
       exactly-once across replays. *)
 
