@@ -106,6 +106,24 @@ let test_rpc_retry_gives_up () =
   checki "all attempts used" 5 (Stats.count st "r.attempt");
   checki "one giveup" 1 (Stats.count st "r.giveup")
 
+(* The default single attempt is one plain try: a timeout surfaces at
+   once, and no retry accounting runs. *)
+let test_rpc_single_attempt_is_one_try () =
+  let engine = Engine.create () in
+  let net = Net.create ~latency:(Net.Fixed 0.01) engine in
+  let a = Net.add_host net "a" and b = Net.add_host net "b" in
+  Net.crash_host net b;
+  let result = ref None in
+  Net.rpc net ~category:"r" ~src:a ~dst:b
+    (fun reply -> reply (Ok ()))
+    (fun r -> result := Some (r, Engine.now engine));
+  Engine.run ~until:60.0 engine;
+  checkb "timeout after one timeout period" true (!result = Some (Error "timeout", 2.0));
+  let st = Net.stats net in
+  checki "one timeout" 1 (Stats.count st "r.timeout");
+  checki "no attempt counted" 0 (Stats.count st "r.attempt");
+  checki "no giveup counted" 0 (Stats.count st "r.giveup")
+
 let test_rpc_no_retry_on_application_error () =
   let engine = Engine.create () in
   let net = Net.create ~latency:(Net.Fixed 0.01) engine in
@@ -834,6 +852,7 @@ let () =
         [
           Alcotest.test_case "retry recovers" `Quick test_rpc_retry_recovers;
           Alcotest.test_case "gives up after budget" `Quick test_rpc_retry_gives_up;
+          Alcotest.test_case "single attempt is one try" `Quick test_rpc_single_attempt_is_one_try;
           Alcotest.test_case "application errors pass through" `Quick
             test_rpc_no_retry_on_application_error;
           Alcotest.test_case "late reply counted" `Quick test_rpc_late_reply_counted;
