@@ -46,6 +46,7 @@ type t = {
   b_engine : Engine.t Lazy.t ref;
       (* tied after Engine.create because the source closes over [t] *)
   mutable b_net : Net.t option;
+  mutable b_writes : Stats.counter option;  (* "backend_unix.write", set with [b_net] *)
   b_t0 : int64;  (* CLOCK_MONOTONIC at creation, in ns *)
   b_data_dir : string;
   mutable b_listeners : Unix.file_descr list;
@@ -62,6 +63,7 @@ let now t () = Int64.to_float (Int64.sub (Monotonic_clock.now ()) t.b_t0) *. 1e-
 
 let engine t = Lazy.force !(t.b_engine)
 let net t = match t.b_net with Some n -> n | None -> assert false
+let writes t = match t.b_writes with Some c -> c | None -> assert false
 
 (* Frames still queued on the connection are dropped, and so are the calls
    sent on it: their callers are answered by their timeouts. *)
@@ -99,7 +101,7 @@ let flush t c =
   c.c_out_len <- 0;
   let rec go off =
     if off < len then begin
-      Stats.incr (Net.stats (net t)) "backend_unix.write";
+      Stats.bump (writes t) 1;
       match Unix.single_write c.c_fd c.c_out off (len - off) with
       | n -> go (off + n)
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
@@ -376,6 +378,7 @@ let create ?data_dir ?seed ?(latency = Net.Fixed 0.0) () =
     {
       b_engine = ref (lazy (assert false));
       b_net = None;
+      b_writes = None;
       b_t0 = Monotonic_clock.now ();
       b_data_dir = (match data_dir with Some d -> d | None -> default_data_dir ());
       b_listeners = [];
@@ -395,6 +398,7 @@ let create ?data_dir ?seed ?(latency = Net.Fixed 0.0) () =
   t.b_engine := lazy engine;
   let net = Net.create ?seed ~latency engine in
   t.b_net <- Some net;
+  t.b_writes <- Some (Stats.counter (Net.stats net) "backend_unix.write");
   Net.set_remote net
     (Some { Net.rm_call = (fun ~src ~dst ~port payload k -> rm_call t ~src ~dst ~port payload k) });
   t

@@ -112,7 +112,8 @@ type t = {
       (* a ring of the newest [audit_capacity] entries; it grows by
          doubling until it reaches the capacity *)
   mutable sv_audited : int;  (* entries ever audited *)
-  sv_sig_cache : (string, unit) Cache.t;
+  sv_sig_cache : (string, string) Cache.t;
+      (* RMC payload -> the signature verified for it *)
   sv_batch : bool;
   sv_policy_hash : int;
   sv_pending_mods : (string, string) Hashtbl.t;  (* local ref -> latest state *)
@@ -132,6 +133,10 @@ type t = {
   mutable sv_swept_at : int;  (* [Credrec.allocations] at the last sweep *)
   mutable sv_sweep_live : int;  (* live records the last sweep left *)
   mutable sv_on_sweep : (unit -> unit) list;
+  sv_sig_hit : Stats.counter;  (* "oasis.sigcache.hit" *)
+  sv_sig_miss : Stats.counter;
+  sv_res_hit : Stats.counter;  (* "oasis.residual.hit" *)
+  sv_res_miss : Stats.counter;
 }
 
 and registry = (string, t) Hashtbl.t
@@ -271,21 +276,22 @@ let arm_notification t cref =
 
 (* --- signature verification with caching (§4.2) --- *)
 
+(* The cache holds, per payload, the signature verified for it: a hit
+   needs the presented signature to be that one, and any other signature
+   takes the verify path. *)
 let verify_rmc_sig t cert =
   let payload = Cert.rmc_payload cert in
-  let key = String.concat "|" [ cert.Cert.rmc_sig; payload ] in
-  if Cache.find t.sv_sig_cache key <> None then begin
-    t.sv_cache_hits <- t.sv_cache_hits + 1;
-    Stats.incr (stats t) "oasis.sigcache.hit";
-    true
-  end
-  else begin
-    t.sv_crypto_checks <- t.sv_crypto_checks + 1;
-    Stats.incr (stats t) "oasis.sigcache.miss";
-    let ok = Cert.verify_rmc_payload ~length:sig_length t.sv_secrets ~payload cert in
-    if ok then Cache.set t.sv_sig_cache key ();
-    ok
-  end
+  match Cache.find t.sv_sig_cache payload with
+  | Some verified when String.equal verified cert.Cert.rmc_sig ->
+      t.sv_cache_hits <- t.sv_cache_hits + 1;
+      Stats.bump t.sv_sig_hit 1;
+      true
+  | _ ->
+      t.sv_crypto_checks <- t.sv_crypto_checks + 1;
+      Stats.bump t.sv_sig_miss 1;
+      let ok = Cert.verify_rmc_payload ~length:sig_length t.sv_secrets ~payload cert in
+      if ok then Cache.set t.sv_sig_cache payload cert.Cert.rmc_sig;
+      ok
 
 let roles_of_cert t cert =
   List.filter_map
@@ -709,10 +715,10 @@ let compile_residual_cached t env constr =
     in
     match hit with
     | Some c ->
-        Stats.incr (stats t) "oasis.residual.hit";
+        Stats.bump t.sv_res_hit 1;
         c
     | None ->
-        Stats.incr (stats t) "oasis.residual.miss";
+        Stats.bump t.sv_res_miss 1;
         let c = compile_residual t env constr in
         Cache.set t.sv_residuals key c;
         c
@@ -1870,6 +1876,7 @@ let create net host reg ~name:sv_name ?(rolefile_id = "main") ~rolefile ?(funcs 
   let prng = Prng.create (Int64.of_int (Hashtbl.hash sv_name + 7)) in
   let blacklist = Hashtbl.create 16 in
   let journal = Option.map (fun d -> Journal.create d ~name:sv_name ~snapshot_every ~blacklist) disk in
+  let stats = Net.stats net in
   let t =
     {
       sv_net = net;
@@ -1910,6 +1917,10 @@ let create net host reg ~name:sv_name ?(rolefile_id = "main") ~rolefile ?(funcs 
       sv_swept_at = 0;
       sv_sweep_live = 0;
       sv_on_sweep = [];
+      sv_sig_hit = Stats.counter stats "oasis.sigcache.hit";
+      sv_sig_miss = Stats.counter stats "oasis.sigcache.miss";
+      sv_res_hit = Stats.counter stats "oasis.residual.hit";
+      sv_res_miss = Stats.counter stats "oasis.residual.miss";
     }
   in
   (* Backup replicas share the primary's name but must not shadow it in

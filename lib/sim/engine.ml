@@ -53,6 +53,10 @@ let create ?source () =
 
 let now t = match t.source with Some s -> s.src_now () | None -> t.now
 
+(* [Stdlib.max] on floats, compared directly rather than through the
+   polymorphic compare. *)
+let[@inline] fmax (a : float) b = if a >= b then a else b
+
 let real_time t = t.source <> None
 
 let schedule_at t ?(tag = "") ~at action =
@@ -65,7 +69,7 @@ let schedule_at t ?(tag = "") ~at action =
 let schedule t ?tag ~delay action = schedule_at t ?tag ~at:(now t +. delay) action
 
 let timer t ?(tag = "") ~delay action =
-  let at = now t +. max 0.0 delay in
+  let at = now t +. fmax 0.0 delay in
   let tm = { alive = true; action; tag; home = Some t } in
   Oasis_util.Pqueue.push t.queue at tm;
   tm
@@ -115,7 +119,7 @@ let set_scheduler t s = t.scheduler <- s
 
 (* [tm] has just left the queue: a cancel from here on is not counted. *)
 let exec t at tm =
-  t.now <- max t.now at;
+  t.now <- fmax t.now at;
   tm.home <- None;
   if tm.alive then tm.action () else t.dead <- t.dead - 1;
   true
@@ -197,7 +201,7 @@ let run ?until t =
               (* With a scheduler installed, [now] may already have run ahead
                  of [until] (the scheduler executes events out of earliest-
                  first order); never move time backwards. *)
-              t.now <- max t.now u;
+              t.now <- fmax t.now u;
               continue := false
           | _ -> ignore (step t)
       done

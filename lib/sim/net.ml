@@ -29,6 +29,21 @@ type remote = {
     unit;
 }
 
+(* A message category as [send], [rpc] and [call] keep it, so a message
+   costs one table lookup and builds no string: the category's counter and
+   the derived categories every call uses, each resolved on its first use.
+   The failure suffixes ([".dead"], [".timeout"], ...) build their names on
+   their own cold paths, so no counter exists for a category that never
+   failed. *)
+type category = {
+  cat_name : string;
+  cat_msgs : Stats.counter;
+  mutable cat_reply : category option;  (* [cat_name ^ ".reply"] *)
+  mutable cat_attempt : Stats.counter option;  (* [cat_name ^ ".attempt"] *)
+}
+
+module Names = Hashtbl.Make (String)
+
 type t = {
   engine : Engine.t;
   stats : Stats.t;
@@ -44,6 +59,7 @@ type t = {
   bindings : (string * string, string -> ((string, string) result -> unit) -> unit) Hashtbl.t;
       (* (host name, port) -> serialized-request handler *)
   mutable remote : remote option;
+  categories : category Names.t;
 }
 
 let create ?(seed = 42L) ?(latency = Fixed 0.002) engine =
@@ -64,6 +80,7 @@ let create ?(seed = 42L) ?(latency = Fixed 0.002) engine =
     next_addr = 0;
     bindings = Hashtbl.create 16;
     remote = None;
+    categories = Names.create 32;
   }
 
 let engine t = t.engine
@@ -104,7 +121,7 @@ let heal t a b =
   Hashtbl.remove t.partitions (a.addr, b.addr);
   Hashtbl.remove t.partitions (b.addr, a.addr)
 
-let partitioned t a b = Hashtbl.mem t.partitions (a.addr, b.addr)
+let partitioned t a b = Hashtbl.length t.partitions > 0 && Hashtbl.mem t.partitions (a.addr, b.addr)
 
 (* --- host lifecycle (delegated to the fault plane) --- *)
 
@@ -120,41 +137,72 @@ let on_restart t h f =
 
 let sample_latency t src dst =
   let model =
-    match Hashtbl.find_opt t.link_latency (src.addr, dst.addr) with
-    | Some l -> l
-    | None -> t.default_latency
+    if Hashtbl.length t.link_latency = 0 then t.default_latency
+    else
+      match Hashtbl.find_opt t.link_latency (src.addr, dst.addr) with
+      | Some l -> l
+      | None -> t.default_latency
   in
   match model with
   | Fixed d -> d
   | Uniform (lo, hi) -> Prng.uniform_in t.prng ~lo ~hi
 
-let account t category size =
-  Stats.incr t.stats category;
-  Stats.add_bytes t.stats category size
+let resolve t name =
+  match Names.find t.categories name with
+  | c -> c
+  | exception Not_found ->
+      let c =
+        { cat_name = name; cat_msgs = Stats.counter t.stats name; cat_reply = None; cat_attempt = None }
+      in
+      Names.add t.categories name c;
+      c
 
-let send t ?(category = "msg") ?(size = 64) ~src ~dst action =
-  account t category size;
+let reply_category t c =
+  match c.cat_reply with
+  | Some r -> r
+  | None ->
+      let r = resolve t (c.cat_name ^ ".reply") in
+      c.cat_reply <- Some r;
+      r
+
+let attempt_counter t c =
+  match c.cat_attempt with
+  | Some a -> a
+  | None ->
+      let a = Stats.counter t.stats (c.cat_name ^ ".attempt") in
+      c.cat_attempt <- Some a;
+      a
+
+let account c size =
+  Stats.bump c.cat_msgs 1;
+  Stats.bump_bytes c.cat_msgs size
+
+let send_as t c size ~src ~dst action =
+  account c size;
   (* The ambient trace context at send time rides the message and is
      restored around delivery, so causality survives the latency queue. *)
   let ctx = Trace.current t.trace in
   if not (Fault.up t.fault src.addr) then
     (* A crashed host emits nothing (fail-stop). *)
-    Stats.incr t.stats (category ^ ".dead")
+    Stats.incr t.stats (c.cat_name ^ ".dead")
   else
     (* Liveness of the destination is re-checked at delivery time, so a
        message in flight when its destination crashes is lost too. *)
     let deliver () =
       if Fault.up t.fault dst.addr then Trace.with_ctx t.trace ctx action
-      else Stats.incr t.stats (category ^ ".dead")
+      else Stats.incr t.stats (c.cat_name ^ ".dead")
     in
     if src.addr = dst.addr then
       Engine.schedule t.engine ~tag:dst.deliver_tag ~delay:0.0 deliver
     else if partitioned t src dst || not (Fault.link_ok t.fault src.addr dst.addr) then
-      Stats.incr t.stats (category ^ ".partitioned")
+      Stats.incr t.stats (c.cat_name ^ ".partitioned")
     else if t.loss > 0.0 && Prng.float t.prng 1.0 < t.loss then
-      Stats.incr t.stats (category ^ ".lost")
+      Stats.incr t.stats (c.cat_name ^ ".lost")
     else
       Engine.schedule t.engine ~tag:dst.deliver_tag ~delay:(sample_latency t src dst) deliver
+
+let send t ?(category = "msg") ?(size = 64) ~src ~dst action =
+  send_as t (resolve t category) size ~src ~dst action
 
 (* The cap on one retry's backoff, before jitter. *)
 let max_backoff = 8.0
@@ -163,11 +211,11 @@ let retry_attempts = 5
 
 (* Run [once] up to [attempts] (more than one) times, retrying timeouts.
    A single try skips this loop and its attempt accounting. *)
-let retrying t ~category ~attempts ~backoff ~src once k =
+let retrying t c ~attempts ~backoff ~src once k =
   if attempts < 1 then invalid_arg "Net: attempts must be >= 1";
   let ctx = Trace.current t.trace in
   let rec go n =
-    Stats.incr t.stats (category ^ ".attempt");
+    Stats.bump (attempt_counter t c) 1;
     once (function
       | Error "timeout" when n + 1 < attempts ->
           (* Exponential backoff with deterministic (seeded) jitter to
@@ -177,7 +225,7 @@ let retrying t ~category ~attempts ~backoff ~src once k =
           Engine.schedule t.engine ~tag:src.timer_tag ~delay:(base +. jitter) (fun () ->
               Trace.with_ctx t.trace ctx (fun () -> go (n + 1)))
       | Error "timeout" ->
-          Stats.incr t.stats (category ^ ".giveup");
+          Stats.incr t.stats (c.cat_name ^ ".giveup");
           k (Error "timeout")
       | result -> k result)
   in
@@ -190,7 +238,7 @@ let retrying t ~category ~attempts ~backoff ~src once k =
    timeout empties, whichever comes first.  An answered call's timeout is
    not cancelled: a cancelled timer drops out of [Engine.events], which
    the model checker branches on and fingerprints. *)
-let rpc_once t ~category ?size ~timeout ~src ~dst handler k =
+let rpc_once t c size ~timeout ~src ~dst handler k =
   let pending = ref (Some k) in
   let ctx = Trace.current t.trace in
   Engine.schedule t.engine ~tag:src.timer_tag ~delay:timeout (fun () ->
@@ -198,30 +246,29 @@ let rpc_once t ~category ?size ~timeout ~src ~dst handler k =
       | None -> ()
       | Some k ->
           pending := None;
-          Stats.incr t.stats (category ^ ".timeout");
+          Stats.incr t.stats (c.cat_name ^ ".timeout");
           (* The timeout continuation belongs to the caller's causal chain
              even though no message carried it. *)
           Trace.with_ctx t.trace ctx (fun () -> k (Error "timeout")));
-  send t ~category ?size ~src ~dst (fun () ->
+  send_as t c size ~src ~dst (fun () ->
       handler (fun result ->
-          send t ~category:(category ^ ".reply") ?size ~src:dst ~dst:src (fun () ->
+          send_as t (reply_category t c) size ~src:dst ~dst:src (fun () ->
               match !pending with
               | None ->
                   (* The caller already gave up: the server-side effects stand
                      but the answer is discarded.  Experiments need to see how
                      often this happens (retried requests must be idempotent). *)
-                  Stats.incr t.stats (category ^ ".late_reply")
+                  Stats.incr t.stats (c.cat_name ^ ".late_reply")
               | Some k ->
                   pending := None;
                   k result)))
 
-let rpc t ?(category = "rpc") ?size ?(timeout = 2.0) ?(attempts = 1) ?(backoff = 0.25) ~src ~dst
-    handler k =
-  if attempts = 1 then rpc_once t ~category ?size ~timeout ~src ~dst handler k
+let rpc t ?(category = "rpc") ?(size = 64) ?(timeout = 2.0) ?(attempts = 1) ?(backoff = 0.25)
+    ~src ~dst handler k =
+  let c = resolve t category in
+  if attempts = 1 then rpc_once t c size ~timeout ~src ~dst handler k
   else
-    retrying t ~category ~attempts ~backoff ~src
-      (fun k1 -> rpc_once t ~category ?size ~timeout ~src ~dst handler k1)
-      k
+    retrying t c ~attempts ~backoff ~src (fun k1 -> rpc_once t c size ~timeout ~src ~dst handler k1) k
 
 (* --- named-port messaging (the backend-portable RPC surface) --- *)
 
@@ -234,12 +281,12 @@ let dispatch t ~dst ~port payload reply =
   | Some handler -> handler payload reply
   | None -> reply (Error (Printf.sprintf "no handler bound at %s:%s" dst port))
 
-let call_once t ~category ~size ~timeout ~src ~dst ~port payload k =
+let call_once t c size ~timeout ~src ~dst ~port payload k =
   match find_host t dst with
   | Some dh ->
       (* Both endpoints live in this process: the request rides the
          ordinary (sim-latency, loss, partition, fault-aware) rpc path. *)
-      rpc_once t ~category ~size ~timeout ~src ~dst:dh
+      rpc_once t c size ~timeout ~src ~dst:dh
         (fun reply -> dispatch t ~dst ~port payload reply)
         k
   | None -> (
@@ -248,7 +295,7 @@ let call_once t ~category ~size ~timeout ~src ~dst ~port payload k =
           Engine.schedule t.engine ~tag:src.timer_tag ~delay:0.0 (fun () ->
               k (Error ("unknown host: " ^ dst)))
       | Some rm ->
-          account t category size;
+          account c size;
           let done_ = ref false in
           let forget = ref ignore in
           let ctx = Trace.current t.trace in
@@ -260,13 +307,13 @@ let call_once t ~category ~size ~timeout ~src ~dst ~port payload k =
                 if not !done_ then begin
                   done_ := true;
                   !forget ();
-                  Stats.incr t.stats (category ^ ".timeout");
+                  Stats.incr t.stats (c.cat_name ^ ".timeout");
                   Trace.with_ctx t.trace ctx (fun () -> k (Error "timeout"))
                 end)
           in
           forget :=
             rm.rm_call ~src:src.name ~dst ~port payload (fun result ->
-                if !done_ then Stats.incr t.stats (category ^ ".late_reply")
+                if !done_ then Stats.incr t.stats (c.cat_name ^ ".late_reply")
                 else begin
                   done_ := true;
                   Engine.cancel timer;
@@ -276,8 +323,9 @@ let call_once t ~category ~size ~timeout ~src ~dst ~port payload k =
 let call t ?(category = "call") ?size ?(timeout = 2.0) ?(attempts = 1) ?(backoff = 0.25) ~src ~dst
     ~port payload k =
   let size = match size with Some s -> s | None -> String.length payload + 64 in
-  if attempts = 1 then call_once t ~category ~size ~timeout ~src ~dst ~port payload k
+  let c = resolve t category in
+  if attempts = 1 then call_once t c size ~timeout ~src ~dst ~port payload k
   else
-    retrying t ~category ~attempts ~backoff ~src
-      (fun k1 -> call_once t ~category ~size ~timeout ~src ~dst ~port payload k1)
+    retrying t c ~attempts ~backoff ~src
+      (fun k1 -> call_once t c size ~timeout ~src ~dst ~port payload k1)
       k

@@ -2,7 +2,17 @@
 
     Messages are modelled as delayed closures executed "at" the destination;
     the network charges latency, applies loss and partitions, and accounts
-    traffic per category in {!Stats}. *)
+    traffic per category in {!Stats}.
+
+    Accounting a message costs one table lookup and builds no string: a
+    category name resolves once to its {!type:Stats.counter}, and so do the
+    names every call derives from it ([".reply"] on the first reply,
+    [".attempt"] on the first retried try).  The failure suffixes
+    ([".dead"], [".partitioned"], [".lost"], [".timeout"], [".late_reply"],
+    [".giveup"]) are built only on their failure paths, so a category that
+    never failed has no such counter.  With no host down, no link or pair
+    of hosts cut and no per-link latency set, the fault, partition and
+    latency checks each message makes answer without a table probe. *)
 
 type t
 

@@ -14,14 +14,21 @@ let bucket_of v =
 
 type lat = { hist : int array; mutable n : int; mutable sum : float; mutable lmax : float }
 
-type cell = {
+(* One category's counters.  [touched] says whether anything updated them
+   since the counter was created or last reset: a handle can be resolved
+   long before (or without) its first update, and only updated categories
+   are listed. *)
+type counter = {
   mutable count : int;
   mutable bytes : int;
   mutable vmax : int;
-  mutable lat : lat option;  (* allocated on first [observe_latency] *)
+  mutable lat : lat option;  (* allocated on first [sample_latency] *)
+  mutable touched : bool;
 }
 
-type t = (string, cell) Hashtbl.t
+module Tbl = Hashtbl.Make (String)
+
+type t = counter Tbl.t
 
 type row = {
   r_cat : string;
@@ -34,33 +41,33 @@ type row = {
   r_lat_max : float;
 }
 
-let create () : t = Hashtbl.create 32
+let create () : t = Tbl.create 32
 
-let cell t cat =
-  match Hashtbl.find_opt t cat with
-  | Some c -> c
-  | None ->
-      let c = { count = 0; bytes = 0; vmax = 0; lat = None } in
-      Hashtbl.add t cat c;
+let counter t cat =
+  match Tbl.find t cat with
+  | c -> c
+  | exception Not_found ->
+      let c = { count = 0; bytes = 0; vmax = 0; lat = None; touched = false } in
+      Tbl.add t cat c;
       c
 
-let incr t ?(n = 1) cat =
-  let c = cell t cat in
+let bump c n =
+  c.touched <- true;
   c.count <- c.count + n
 
-let add_bytes t cat n =
-  let c = cell t cat in
+let bump_bytes c n =
+  c.touched <- true;
   c.bytes <- c.bytes + n
 
-let observe t cat n =
-  let c = cell t cat in
+let sample c n =
+  c.touched <- true;
   c.count <- c.count + 1;
   c.bytes <- c.bytes + n;
   if n > c.vmax then c.vmax <- n
 
-let observe_latency t cat v =
+let sample_latency c v =
   let v = if v < 0.0 || Float.is_nan v then 0.0 else v in
-  let c = cell t cat in
+  c.touched <- true;
   let l =
     match c.lat with
     | Some l -> l
@@ -75,12 +82,17 @@ let observe_latency t cat v =
   l.sum <- l.sum +. v;
   if v > l.lmax then l.lmax <- v
 
-let count t cat = match Hashtbl.find_opt t cat with Some c -> c.count | None -> 0
-let max_of t cat = match Hashtbl.find_opt t cat with Some c -> c.vmax | None -> 0
-let bytes t cat = match Hashtbl.find_opt t cat with Some c -> c.bytes | None -> 0
+let incr t ?(n = 1) cat = bump (counter t cat) n
+let add_bytes t cat n = bump_bytes (counter t cat) n
+let observe t cat n = sample (counter t cat) n
+let observe_latency t cat v = sample_latency (counter t cat) v
+
+let count t cat = match Tbl.find_opt t cat with Some c -> c.count | None -> 0
+let max_of t cat = match Tbl.find_opt t cat with Some c -> c.vmax | None -> 0
+let bytes t cat = match Tbl.find_opt t cat with Some c -> c.bytes | None -> 0
 
 let lat_of t cat =
-  match Hashtbl.find_opt t cat with Some { lat = Some l; _ } -> Some l | _ -> None
+  match Tbl.find_opt t cat with Some { lat = Some l; _ } -> Some l | _ -> None
 
 let latency_samples t cat = match lat_of t cat with Some l -> l.n | None -> 0
 let latency_max t cat = match lat_of t cat with Some l -> l.lmax | None -> 0.0
@@ -98,10 +110,21 @@ let percentile t cat p =
       in
       go 0 0
 
-let reset = Hashtbl.reset
+(* In place, so a handle resolved before the reset still counts into its
+   category after it. *)
+let reset t =
+  Tbl.iter
+    (fun _ c ->
+      c.count <- 0;
+      c.bytes <- 0;
+      c.vmax <- 0;
+      c.lat <- None;
+      c.touched <- false)
+    t
 
 let categories t =
-  Hashtbl.fold (fun k _ acc -> k :: acc) t [] |> List.sort String.compare
+  Tbl.fold (fun k c acc -> if c.touched then k :: acc else acc) t []
+  |> List.sort String.compare
 
 let row t cat =
   {

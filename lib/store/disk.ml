@@ -34,7 +34,14 @@ type ops = {
 
 type impl = Sim of sim | Ops of ops
 
-type t = { d_net : Net.t; d_host : Net.host; d_impl : impl }
+type t = {
+  d_net : Net.t;
+  d_host : Net.host;
+  d_impl : impl;
+  d_write : Stats.counter;  (* "store.write" *)
+  d_fsync : Stats.counter;  (* "store.fsync" *)
+  d_tag : string;  (* the engine tag of this device's flushes *)
+}
 
 let stats t = Net.stats t.d_net
 let host t = t.d_host
@@ -55,9 +62,20 @@ let fsync_latency = 5e-4
 let write_bandwidth = 1e8
 let read_bandwidth = 2e8
 
+let make net host impl =
+  let stats = Net.stats net in
+  {
+    d_net = net;
+    d_host = host;
+    d_impl = impl;
+    d_write = Stats.counter stats "store.write";
+    d_fsync = Stats.counter stats "store.fsync";
+    d_tag = "s:" ^ Net.host_name host;
+  }
+
 let create net host =
   let s = { d_files = Hashtbl.create 4; d_epoch = 0 } in
-  let t = { d_net = net; d_host = host; d_impl = Sim s } in
+  let t = make net host (Sim s) in
   Net.on_crash net host (fun () ->
       s.d_epoch <- s.d_epoch + 1;
       let prng = Net.prng net in
@@ -79,18 +97,18 @@ let create net host =
         s.d_files);
   t
 
-let create_ops net host ops = { d_net = net; d_host = host; d_impl = Ops ops }
+let create_ops net host ops = make net host (Ops ops)
 
 let append t ~file:name data =
   match t.d_impl with
   | Ops o ->
       o.o_append ~file:name data;
-      Stats.observe (stats t) "store.write" (String.length data)
+      Stats.sample t.d_write (String.length data)
   | Sim s ->
       if Net.host_up t.d_net t.d_host then begin
         let f = file s name in
         Buffer.add_string f.data data;
-        Stats.observe (stats t) "store.write" (String.length data)
+        Stats.sample t.d_write (String.length data)
       end
 
 let flush_delay pending = fsync_latency +. (float_of_int pending /. write_bandwidth)
@@ -104,8 +122,8 @@ let fsync t ~file:name k =
       let engine = Net.engine t.d_net in
       let before = Engine.now engine in
       o.o_fsync ~file:name (fun () ->
-          Stats.incr (stats t) "store.fsync";
-          Stats.observe_latency (stats t) "store.fsync" (Engine.now engine -. before);
+          Stats.bump t.d_fsync 1;
+          Stats.sample_latency t.d_fsync (Engine.now engine -. before);
           k ())
   | Sim s ->
       if Net.host_up t.d_net t.d_host then begin
@@ -114,12 +132,12 @@ let fsync t ~file:name k =
         let pending = target - f.synced in
         let epoch = s.d_epoch in
         let delay = flush_delay pending in
-        Engine.schedule (Net.engine t.d_net) ~tag:("s:" ^ Net.host_name t.d_host) ~delay
+        Engine.schedule (Net.engine t.d_net) ~tag:t.d_tag ~delay
           (fun () ->
             if epoch = s.d_epoch && Net.host_up t.d_net t.d_host then begin
               if target > f.synced then f.synced <- target;
-              Stats.incr (stats t) "store.fsync";
-              Stats.observe_latency (stats t) "store.fsync" delay;
+              Stats.bump t.d_fsync 1;
+              Stats.sample_latency t.d_fsync delay;
               k ()
             end)
       end
@@ -129,10 +147,10 @@ let write_atomic t ~file:name data k =
   | Ops o ->
       let engine = Net.engine t.d_net in
       let before = Engine.now engine in
-      Stats.observe (stats t) "store.write" (String.length data);
+      Stats.sample t.d_write (String.length data);
       o.o_write_atomic ~file:name data (fun () ->
-          Stats.incr (stats t) "store.fsync";
-          Stats.observe_latency (stats t) "store.fsync" (Engine.now engine -. before);
+          Stats.bump t.d_fsync 1;
+          Stats.sample_latency t.d_fsync (Engine.now engine -. before);
           k ())
   | Sim s ->
       if Net.host_up t.d_net t.d_host then begin
@@ -140,8 +158,8 @@ let write_atomic t ~file:name data k =
         let epoch = s.d_epoch in
         let baseline = Buffer.length f.data in
         let delay = flush_delay (String.length data) in
-        Stats.observe (stats t) "store.write" (String.length data);
-        Engine.schedule (Net.engine t.d_net) ~tag:("s:" ^ Net.host_name t.d_host) ~delay
+        Stats.sample t.d_write (String.length data);
+        Engine.schedule (Net.engine t.d_net) ~tag:t.d_tag ~delay
           (fun () ->
             if epoch = s.d_epoch && Net.host_up t.d_net t.d_host then begin
               (* The rename lands: everything that existed at the call is
@@ -157,8 +175,8 @@ let write_atomic t ~file:name data k =
               Buffer.add_string b tail;
               f.data <- b;
               f.synced <- String.length data + synced_tail;
-              Stats.incr (stats t) "store.fsync";
-              Stats.observe_latency (stats t) "store.fsync" delay;
+              Stats.bump t.d_fsync 1;
+              Stats.sample_latency t.d_fsync delay;
               k ()
             end)
       end

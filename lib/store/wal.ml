@@ -19,6 +19,9 @@ type t = {
          [append] (the authoritative stream), but NOT via
          [follower_append] — records arriving from the stream must not
          re-enter it *)
+  w_appends : Stats.counter;  (* "store.wal.append" *)
+  w_batches : Stats.counter;  (* "store.fsync.batch" *)
+  w_tag : string;  (* the engine tag of the group-commit tick *)
 }
 
 let key file = Siphash.key_of_string ("oasis.wal:" ^ file)
@@ -34,6 +37,7 @@ let flush_bytes = 16384
 let flush_interval = 0.05
 
 let create disk ~file ?(fsync_each = false) () =
+  let stats = Net.stats (Disk.net disk) in
   let t =
     {
       w_disk = disk;
@@ -46,6 +50,9 @@ let create disk ~file ?(fsync_each = false) () =
       w_on_durable = [];
       w_appended = 0;
       w_observer = None;
+      w_appends = Stats.counter stats "store.wal.append";
+      w_batches = Stats.counter stats "store.fsync.batch";
+      w_tag = "s:" ^ Net.host_name (Disk.host disk);
     }
   in
   (* The device already tears/loses the buffered bytes on crash; the log's
@@ -67,7 +74,7 @@ let flush t =
     t.w_pending_bytes <- 0;
     t.w_pending_records <- 0;
     t.w_on_durable <- [];
-    Stats.observe (stats t) "store.fsync.batch" records;
+    Stats.sample t.w_batches records;
     Disk.fsync t.w_disk ~file:t.w_file (fun () -> List.iter (fun k -> k ()) callbacks)
   end
 
@@ -78,18 +85,14 @@ let append_common t ?on_durable ~notify payload =
   t.w_pending_bytes <- t.w_pending_bytes + String.length framed;
   t.w_pending_records <- t.w_pending_records + 1;
   (match on_durable with Some k -> t.w_on_durable <- k :: t.w_on_durable | None -> ());
-  Stats.observe (stats t) "store.wal.append" (String.length framed);
+  Stats.sample t.w_appends (String.length framed);
   (if notify then match t.w_observer with Some obs -> obs payload | None -> ());
   if t.w_fsync_each || t.w_pending_bytes >= flush_bytes then flush t
   else if not t.w_armed then begin
     (* One-shot arming: the first uncommitted append starts the clock; the
        tick commits everything that accumulated behind it. *)
     t.w_armed <- true;
-    Engine.schedule
-      (Net.engine (Disk.net t.w_disk))
-      ~tag:("s:" ^ Net.host_name (Disk.host t.w_disk))
-      ~delay:flush_interval
-      (fun () ->
+    Engine.schedule (Net.engine (Disk.net t.w_disk)) ~tag:t.w_tag ~delay:flush_interval (fun () ->
         t.w_armed <- false;
         flush t)
   end

@@ -27,7 +27,9 @@ let[@inline] word_le s i = if Sys.big_endian then bswap64 (get64u s i) else get6
 (* The state words live in local refs that no closure captures, so the
    native compiler keeps them unboxed: a call allocates only its result.
    Capturing them (say, in a local [sipround] function) would box every
-   64-bit step. *)
+   64-bit step, and a loop over the rounds costs its own counter and branch,
+   so the rounds are written out, one SipRound to four lines as in the
+   reference code. *)
 let hash_sub { k0; k1 } msg off len =
   if off < 0 || len < 0 || off > String.length msg - len then invalid_arg "Siphash.hash_sub";
   let v0 = ref (Int64.logxor k0 0x736f6d6570736575L) in
@@ -35,40 +37,55 @@ let hash_sub { k0; k1 } msg off len =
   let v2 = ref (Int64.logxor k0 0x6c7967656e657261L) in
   let v3 = ref (Int64.logxor k1 0x7465646279746573L) in
   let nblocks = len / 8 in
-  (* The last block: the remaining bytes plus the length in the top byte. *)
-  let last = ref (Int64.shift_left (Int64.of_int (len land 0xff)) 56) in
-  for i = 0 to (len land 7) - 1 do
-    last :=
-      Int64.logor !last
-        (Int64.shift_left (Int64.of_int (Char.code (String.unsafe_get msg (off + (nblocks * 8) + i)))) (8 * i))
-  done;
-  (* Passes 0 .. nblocks compress the message words with two rounds each;
-     pass nblocks + 1 is the finalisation: v2 ^= 0xff and four rounds, its
-     message word 0 leaving v3 and v0 as they are. *)
-  for i = 0 to nblocks + 1 do
-    let m =
-      if i < nblocks then word_le msg (off + (i * 8)) else if i = nblocks then !last else 0L
-    in
-    if i > nblocks then v2 := Int64.logxor !v2 0xffL;
+  (* Each message word: two compression rounds. *)
+  for i = 0 to nblocks - 1 do
+    let m = word_le msg (off + (i * 8)) in
     v3 := Int64.logxor !v3 m;
-    for _ = 1 to if i > nblocks then 4 else 2 do
-      v0 := Int64.add !v0 !v1;
-      v1 := rotl !v1 13;
-      v1 := Int64.logxor !v1 !v0;
-      v0 := rotl !v0 32;
-      v2 := Int64.add !v2 !v3;
-      v3 := rotl !v3 16;
-      v3 := Int64.logxor !v3 !v2;
-      v0 := Int64.add !v0 !v3;
-      v3 := rotl !v3 21;
-      v3 := Int64.logxor !v3 !v0;
-      v2 := Int64.add !v2 !v1;
-      v1 := rotl !v1 17;
-      v1 := Int64.logxor !v1 !v2;
-      v2 := rotl !v2 32
-    done;
+    v0 := Int64.add !v0 !v1; v1 := Int64.logxor (rotl !v1 13) !v0; v0 := rotl !v0 32;
+    v2 := Int64.add !v2 !v3; v3 := Int64.logxor (rotl !v3 16) !v2;
+    v0 := Int64.add !v0 !v3; v3 := Int64.logxor (rotl !v3 21) !v0;
+    v2 := Int64.add !v2 !v1; v1 := Int64.logxor (rotl !v1 17) !v2; v2 := rotl !v2 32;
+    v0 := Int64.add !v0 !v1; v1 := Int64.logxor (rotl !v1 13) !v0; v0 := rotl !v0 32;
+    v2 := Int64.add !v2 !v3; v3 := Int64.logxor (rotl !v3 16) !v2;
+    v0 := Int64.add !v0 !v3; v3 := Int64.logxor (rotl !v3 21) !v0;
+    v2 := Int64.add !v2 !v1; v1 := Int64.logxor (rotl !v1 17) !v2; v2 := rotl !v2 32;
     v0 := Int64.logxor !v0 m
   done;
+  (* The last word: the remaining bytes plus the length in the top byte. *)
+  let m = ref (Int64.shift_left (Int64.of_int (len land 0xff)) 56) in
+  for i = 0 to (len land 7) - 1 do
+    m :=
+      Int64.logor !m
+        (Int64.shift_left (Int64.of_int (Char.code (String.unsafe_get msg (off + (nblocks * 8) + i)))) (8 * i))
+  done;
+  v3 := Int64.logxor !v3 !m;
+  v0 := Int64.add !v0 !v1; v1 := Int64.logxor (rotl !v1 13) !v0; v0 := rotl !v0 32;
+  v2 := Int64.add !v2 !v3; v3 := Int64.logxor (rotl !v3 16) !v2;
+  v0 := Int64.add !v0 !v3; v3 := Int64.logxor (rotl !v3 21) !v0;
+  v2 := Int64.add !v2 !v1; v1 := Int64.logxor (rotl !v1 17) !v2; v2 := rotl !v2 32;
+  v0 := Int64.add !v0 !v1; v1 := Int64.logxor (rotl !v1 13) !v0; v0 := rotl !v0 32;
+  v2 := Int64.add !v2 !v3; v3 := Int64.logxor (rotl !v3 16) !v2;
+  v0 := Int64.add !v0 !v3; v3 := Int64.logxor (rotl !v3 21) !v0;
+  v2 := Int64.add !v2 !v1; v1 := Int64.logxor (rotl !v1 17) !v2; v2 := rotl !v2 32;
+  v0 := Int64.logxor !v0 !m;
+  (* Finalisation: four rounds. *)
+  v2 := Int64.logxor !v2 0xffL;
+  v0 := Int64.add !v0 !v1; v1 := Int64.logxor (rotl !v1 13) !v0; v0 := rotl !v0 32;
+  v2 := Int64.add !v2 !v3; v3 := Int64.logxor (rotl !v3 16) !v2;
+  v0 := Int64.add !v0 !v3; v3 := Int64.logxor (rotl !v3 21) !v0;
+  v2 := Int64.add !v2 !v1; v1 := Int64.logxor (rotl !v1 17) !v2; v2 := rotl !v2 32;
+  v0 := Int64.add !v0 !v1; v1 := Int64.logxor (rotl !v1 13) !v0; v0 := rotl !v0 32;
+  v2 := Int64.add !v2 !v3; v3 := Int64.logxor (rotl !v3 16) !v2;
+  v0 := Int64.add !v0 !v3; v3 := Int64.logxor (rotl !v3 21) !v0;
+  v2 := Int64.add !v2 !v1; v1 := Int64.logxor (rotl !v1 17) !v2; v2 := rotl !v2 32;
+  v0 := Int64.add !v0 !v1; v1 := Int64.logxor (rotl !v1 13) !v0; v0 := rotl !v0 32;
+  v2 := Int64.add !v2 !v3; v3 := Int64.logxor (rotl !v3 16) !v2;
+  v0 := Int64.add !v0 !v3; v3 := Int64.logxor (rotl !v3 21) !v0;
+  v2 := Int64.add !v2 !v1; v1 := Int64.logxor (rotl !v1 17) !v2; v2 := rotl !v2 32;
+  v0 := Int64.add !v0 !v1; v1 := Int64.logxor (rotl !v1 13) !v0; v0 := rotl !v0 32;
+  v2 := Int64.add !v2 !v3; v3 := Int64.logxor (rotl !v3 16) !v2;
+  v0 := Int64.add !v0 !v3; v3 := Int64.logxor (rotl !v3 21) !v0;
+  v2 := Int64.add !v2 !v1; v1 := Int64.logxor (rotl !v1 17) !v2; v2 := rotl !v2 32;
   Int64.logxor (Int64.logxor !v0 !v1) (Int64.logxor !v2 !v3)
 
 let hash key msg = hash_sub key msg 0 (String.length msg)

@@ -408,13 +408,24 @@ let test_delegation_electorless_role_refused () =
 
 let test_truncated_certificate_rejected () =
   (* Regression: verification used to take the expected signature length from
-     the certificate itself, so a truncated signature prefix verified. *)
+     the certificate itself, so a truncated signature prefix verified.  The
+     genuine certificate is validated first, so its payload sits in the
+     signature cache: a hit must never answer for another signature. *)
   let w, login, conf = conference_world () in
   let jmb, jmb_cert = logged_on login "jmb" "ely" in
   let chair = entry_ok w conf ~client:jmb ~role:"Chair" ~creds:[ jmb_cert ] () in
-  let forged = { chair with Cert.rmc_sig = String.sub chair.Cert.rmc_sig 0 4 } in
+  checkb "genuine certificate validates" true (Service.validate conf ~client:jmb chair = Ok ());
+  let sig_ = chair.Cert.rmc_sig in
+  let forged = { chair with Cert.rmc_sig = String.sub sig_ 0 4 } in
   checkb "truncated signature is Forged" true
-    (Service.validate conf ~client:jmb forged = Error Service.Forged)
+    (Service.validate conf ~client:jmb forged = Error Service.Forged);
+  let last = String.length sig_ - 1 in
+  let digit = if sig_.[last] = '0' then "1" else "0" in
+  let altered = { chair with Cert.rmc_sig = String.sub sig_ 0 last ^ digit } in
+  checkb "one digit changed is Forged" true
+    (Service.validate conf ~client:jmb altered = Error Service.Forged);
+  checkb "genuine certificate still validates" true
+    (Service.validate conf ~client:jmb chair = Ok ())
 
 let test_delegation_required_roles_enforced () =
   let w, login, conf = conference_world () in

@@ -154,14 +154,34 @@ let test_clock_drift () =
 
 let test_stats_counting () =
   let s = Stats.create () in
+  let h = Stats.counter s "h" in
+  let _idle = Stats.counter s "idle" in
   Stats.incr s "a";
   Stats.incr s ~n:4 "a";
   Stats.add_bytes s "a" 100;
+  Stats.bump h 2;
   checki "count" 5 (Stats.count s "a");
   checki "bytes" 100 (Stats.bytes s "a");
+  checki "handle count" 2 (Stats.count s "h");
   checki "missing" 0 (Stats.count s "zzz");
+  let listed what want =
+    Alcotest.(check (list string)) (what ^ ": categories") want (Stats.categories s);
+    Alcotest.(check (list string))
+      (what ^ ": report") want
+      (List.map (fun r -> r.Stats.r_cat) (Stats.report s))
+  in
+  listed "a handle resolved and never updated is not listed" [ "a"; "h" ];
   Stats.reset s;
-  checki "after reset" 0 (Stats.count s "a")
+  checki "after reset" 0 (Stats.count s "a");
+  checki "handle after reset" 0 (Stats.count s "h");
+  listed "nothing updated since the reset" [];
+  (* A handle resolved before the reset keeps counting into its category. *)
+  Stats.bump h 3;
+  Stats.bump_bytes h 10;
+  checki "handle counts after reset" 3 (Stats.count s "h");
+  checki "handle bytes after reset" 10 (Stats.bytes s "h");
+  Stats.add_bytes s "zero" 0;
+  listed "updated since the reset, an update of 0 included" [ "h"; "zero" ]
 
 let test_stats_report_includes_max () =
   (* Regression: [report]/[pp] used to drop the observed max entirely. *)
