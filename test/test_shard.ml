@@ -162,14 +162,17 @@ let fresh_vci =
 
 let users = [ "u0"; "u1"; "u2"; "u3"; "u4"; "u5" ]
 
-let make_world ?(replicas = 1) ~seed ~shards () =
+let make_world ?(replicas = 1) ?(batch = true) ~seed ~shards () =
   let engine = Engine.create () in
   let net = Net.create ~seed ~latency:(Net.Fixed 0.005) engine in
   let reg = Service.create_registry () in
   let client = Net.add_host net "client" in
   let login_host = Net.add_host net "h.Login" in
   let login =
-    match Service.create net login_host reg ~name:"Login" ~rolefile:login_rolefile () with
+    match
+      Service.create net login_host reg ~name:"Login" ~rolefile:login_rolefile
+        ~batch_notifications:batch ()
+    with
     | Ok s -> s
     | Error e -> Alcotest.failf "login: %s" e
   in
@@ -806,10 +809,12 @@ let test_single_replica_crash_costs_nothing () =
    Club mirrors one LoggedOn record through a Member certificate.  After
    the primary crashes and a backup takes over, revoking LoggedOn at the
    new primary must reach Club's Member certificate, for both notification
-   schemes. *)
-let failover_revocation_status ~batch =
+   schemes.  Returns the world, Club, Login's members and replica group,
+   and Club's verdict on the Member certificate. *)
+let failover_run ?(traced = false) ~batch () =
   let engine = Engine.create () in
   let net = Net.create ~seed:5L ~latency:(Net.Fixed 0.005) engine in
+  Oasis_sim.Trace.set_enabled (Net.trace net) traced;
   let w = { w_engine = engine; w_net = net; w_client = Net.add_host net "client" } in
   let reg = Service.create_registry () in
   let logins =
@@ -850,9 +855,16 @@ let failover_revocation_status ~batch =
   checkb "a backup took over" true (primary != old_primary && Replica.ready group);
   Service.revoke_certificate primary logged_on;
   srun w 10.0;
-  match Service.validate club ~client:vci member with
-  | Ok () -> "ok"
-  | Error f -> Format.asprintf "%a" Service.pp_failure f
+  let status =
+    match Service.validate club ~client:vci member with
+    | Ok () -> "ok"
+    | Error f -> Format.asprintf "%a" Service.pp_failure f
+  in
+  (w, club, logins, group, status)
+
+let failover_revocation_status ~batch =
+  let _, _, _, _, status = failover_run ~batch () in
+  status
 
 let test_unbatched_failover_revocation () =
   Alcotest.(check string) "batched issuer" "revoked" (failover_revocation_status ~batch:true);
@@ -867,13 +879,17 @@ let test_unbatched_failover_revocation () =
    fire, a fire and re-hire, and a routed exit.  It runs either under the
    seeded chaos of the differential harness (every shard replica and the
    router crash and restart) or with one scripted crash and restart of
-   shard 0's primary in the middle.  The pinned constants are the digests
-   of the implementation they were minted on; a refactor that claims
-   identical behaviour must leave every one of them unchanged. *)
+   shard 0's primary in the middle, and with Login batching its
+   notifications or signalling each record change on its own.  One more
+   world is the failover above, traced: a K = 3 Login fails over under a
+   mirroring Club, under both notification schemes.  The pinned constants
+   are the digests of the implementation they were minted on; a refactor
+   that claims identical behaviour must leave every one of them
+   unchanged. *)
 
 let digest_key = Oasis_util.Siphash.key_of_string "test_shard.trace-digest"
 
-let trace_digest w club =
+let trace_digest w fingerprint =
   let module J = Oasis_util.Json in
   let module Trace = Oasis_sim.Trace in
   let tr = Net.trace w.w_net in
@@ -887,11 +903,11 @@ let trace_digest w club =
         (match Trace.span_parent sp with Some p -> string_of_int p | None -> "-")
         (Trace.span_start sp) (Trace.span_end sp))
     (Trace.spans tr);
-  Printf.bprintf b "\ndropped=%d fp=%Ld" (Trace.dropped tr) (Shard.fingerprint club);
+  Printf.bprintf b "\ndropped=%d fp=%s" (Trace.dropped tr) fingerprint;
   Oasis_util.Siphash.hash_hex digest_key (Buffer.contents b)
 
-let digest_run ~faults ~replicas ~seed () =
-  let w, login, club = make_world ~replicas ~seed ~shards:2 () in
+let digest_run ~batch ~faults ~replicas ~seed () =
+  let w, login, club = make_world ~replicas ~batch ~seed ~shards:2 () in
   Oasis_sim.Trace.set_enabled (Net.trace w.w_net) true;
   srun w 0.2;
   let creds = setup w login club in
@@ -931,19 +947,35 @@ let digest_run ~faults ~replicas ~seed () =
   until_ok w "exit-u4" 8 (fun k -> Shard.exit_role club ~client_host:w.w_client m4 k);
   srun w (max 0.0 (calm_at -. Engine.now w.w_engine) +. 5.0);
   checkb "a host actually crashed" true (Stats.count (Net.stats w.w_net) "fault.crash" >= 1);
-  trace_digest w club
+  trace_digest w (Int64.to_string (Shard.fingerprint club))
+
+let failover_digest ~batch () =
+  let w, club, logins, group, status = failover_run ~traced:true ~batch () in
+  Alcotest.(check string) "traced failover revokes" "revoked" status;
+  trace_digest w
+    (String.concat ","
+       (List.map
+          (fun s -> Int64.to_string (Service.fingerprint s))
+          (club :: Array.to_list logins)
+       @ [ Int64.to_string (Replica.fingerprint group) ]))
 
 let test_trace_digest () =
+  let chaos ~batch replicas seed = digest_run ~batch ~faults:`Chaos ~replicas ~seed in
   List.iter
-    (fun (label, faults, replicas, seed, want) ->
-      Alcotest.(check string) (label ^ ": digest unchanged") want
-        (digest_run ~faults ~replicas ~seed ()))
+    (fun (label, run, want) ->
+      Alcotest.(check string) (label ^ ": digest unchanged") want (run ()))
     [
-      ("K=1 seed 7", `Chaos, 1, 7L, "33a39b28a3f7f179");
-      ("K=3 seed 7", `Chaos, 3, 7L, "8761d77eaf289016");
-      ("K=1 seed 21", `Chaos, 1, 21L, "616b717ac9a08fbf");
-      ("K=3 seed 21", `Chaos, 3, 21L, "c0c4effb26ef8bd7");
-      ("K=1 seed 7, crash and recover", `Crash, 1, 7L, "70eea455cb4dcabc");
+      ("K=1 seed 7", chaos ~batch:true 1 7L, "33a39b28a3f7f179");
+      ("K=3 seed 7", chaos ~batch:true 3 7L, "8761d77eaf289016");
+      ("K=1 seed 21", chaos ~batch:true 1 21L, "616b717ac9a08fbf");
+      ("K=3 seed 21", chaos ~batch:true 3 21L, "c0c4effb26ef8bd7");
+      ( "K=1 seed 7, crash and recover",
+        digest_run ~batch:true ~faults:`Crash ~replicas:1 ~seed:7L,
+        "70eea455cb4dcabc" );
+      ("K=1 seed 7, unbatched Login", chaos ~batch:false 1 7L, "17dfd45f17108d5d");
+      ("K=3 seed 7, unbatched Login", chaos ~batch:false 3 7L, "c838f0cb47a109f4");
+      ("Login failover, batched", failover_digest ~batch:true, "5a3a881fe0a8f704");
+      ("Login failover, unbatched", failover_digest ~batch:false, "2a59a54b5bda0b4d");
     ]
 
 let () =
