@@ -47,19 +47,9 @@ let read t ~client_host ~cert ~file k =
               (* Cold path: callback to the issuing (top-level) service to
                  validate the cryptographic check (fig 5.8b). *)
               t.bp_callbacks <- t.bp_callbacks + 1;
-              let top_service = Vac.service route.rt_top in
-              Net.rpc net ~category:"mssa.bypass.callback" ~src:bhost
-                ~dst:(Vac.host route.rt_top)
-                (fun reply ->
-                  match Service.validate_for_peer top_service cert with
-                  | Ok (_, _, remote_ref) -> reply (Ok remote_ref)
-                  | Error f -> reply (Error (Format.asprintf "%a" Service.pp_failure f)))
-                (function
-                  | Error e -> reply (Error ("bypass callback: " ^ e))
-                  | Ok remote_ref ->
-                      let local =
-                        Service.import_remote_record (Custode.service bottom)
-                          ~peer:cert.Cert.service ~remote:remote_ref
-                      in
-                      Hashtbl.replace t.bp_cache cert.Cert.rmc_sig local;
-                      execute ())))
+              Service.validate_at_issuer (Custode.service bottom) (Vac.service route.rt_top)
+                ~category:"mssa.bypass.callback" ~attempts:1 cert (function
+                | Error e -> reply (Error ("bypass callback: " ^ e))
+                | Ok (_, _, _, local) ->
+                    Hashtbl.replace t.bp_cache cert.Cert.rmc_sig local;
+                    execute ())))

@@ -239,54 +239,46 @@ let request_access t ~client_host ~client ~login ~acl k =
           match Service.find_service t.c_registry login.Cert.service with
           | None -> reply (Error ("unknown login service " ^ login.Cert.service))
           | Some issuer ->
-              Net.rpc t.c_net ~category:"mssa.validate" ~src:t.c_host ~dst:(Service.host issuer)
-                (fun reply ->
-                  match Service.validate_for_peer issuer login with
-                  | Ok r -> reply (Ok r)
-                  | Error f -> reply (Error (Format.asprintf "%a" Service.pp_failure f)))
-                (function
-                  | Error e -> reply (Error ("login certificate: " ^ e))
-                  | Ok (_roles, args, remote_ref) -> (
-                      match args with
-                      | Value.Str user :: _ ->
-                          let login_record =
-                            Service.import_remote_record t.c_service
-                              ~peer:login.Cert.service ~remote:remote_ref
+              Service.validate_at_issuer t.c_service issuer ~category:"mssa.validate" ~attempts:1
+                login (function
+                | Error e -> reply (Error ("login certificate: " ^ e))
+                | Ok (_roles, args, _remote, login_record) -> (
+                    match args with
+                    | Value.Str user :: _ ->
+                        (* Track which group memberships the grant used so
+                           that only those become membership rules. *)
+                        let used_groups = ref [] in
+                        let in_group g =
+                          let member = Group.mem (Service.group t.c_service g) (Value.Str user) in
+                          if member && not (List.mem g !used_groups) then
+                            used_groups := g :: !used_groups;
+                          member
+                        in
+                        let rights =
+                          Acl.rights a.a_entries ~user ~in_group ~full:Types.full_rights
+                        in
+                        if String.length rights = 0 then
+                          reply (Error ("no rights for " ^ user ^ " on ACL " ^ acl))
+                        else begin
+                          let group_parents =
+                            List.map
+                              (fun g ->
+                                (Group.credential (Service.group t.c_service g) (Value.Str user), false))
+                              !used_groups
                           in
-                          (* Track which group memberships the grant used so
-                             that only those become membership rules. *)
-                          let used_groups = ref [] in
-                          let in_group g =
-                            let member = Group.mem (Service.group t.c_service g) (Value.Str user) in
-                            if member && not (List.mem g !used_groups) then
-                              used_groups := g :: !used_groups;
-                            member
+                          let crr =
+                            Credrec.combine_fresh (table t)
+                              ((login_record, false) :: (a.a_record, false) :: group_parents)
                           in
-                          let rights =
-                            Acl.rights a.a_entries ~user ~in_group ~full:Types.full_rights
+                          let cert =
+                            Service.issue_with_record t.c_service ~client
+                              ~roles:[ "UseAcl" ]
+                              ~args:[ Value.Str acl; Value.Set rights ]
+                              ~crr
                           in
-                          if String.length rights = 0 then
-                            reply (Error ("no rights for " ^ user ^ " on ACL " ^ acl))
-                          else begin
-                            let group_parents =
-                              List.map
-                                (fun g ->
-                                  (Group.credential (Service.group t.c_service g) (Value.Str user), false))
-                                !used_groups
-                            in
-                            let crr =
-                              Credrec.combine_fresh (table t)
-                                ((login_record, false) :: (a.a_record, false) :: group_parents)
-                            in
-                            let cert =
-                              Service.issue_with_record t.c_service ~client
-                                ~roles:[ "UseAcl" ]
-                                ~args:[ Value.Str acl; Value.Set rights ]
-                                ~crr
-                            in
-                            reply (Ok cert)
-                          end
-                      | _ -> reply (Error "login certificate carries no user identity")))))
+                          reply (Ok cert)
+                        end
+                    | _ -> reply (Error "login certificate carries no user identity")))))
 
 let delegate_file_access t ~client_host ~holder ~file ~rights ~candidate ?expires_in () k =
   Net.send t.c_net ~category:"mssa.delegate" ~size:160 ~src:client_host ~dst:t.c_host (fun () ->

@@ -14,8 +14,6 @@ module Trace = Oasis_sim.Trace
 module Net = Oasis_sim.Net
 module Engine = Oasis_sim.Engine
 module Clock = Oasis_sim.Clock
-module Broker = Oasis_events.Broker
-module Event = Oasis_events.Event
 
 type value = Value.t
 
@@ -40,28 +38,6 @@ let pp_failure ppf f =
 type audit_kind = Fraud | Erroneous | Revocation_denied | Entry | Delegation | Revocation | Exit
 
 type audit_entry = { at : float; kind : audit_kind; detail : string }
-
-(* A peer link: the local face of another service (fig 4.8): one broker
-   session plus the external records mirroring that peer's credential
-   records. *)
-type peer_link = {
-  pl_peer : string;
-  mutable pl_session : Broker.session option;
-  mutable pl_connecting : bool;
-  mutable pl_queued : (Broker.session -> unit) list;
-  pl_externals : (string, Credrec.cref) Hashtbl.t;  (* remote ref -> local surrogate *)
-  mutable pl_batch_reg : bool;  (* ModifiedBatch registration installed *)
-  pl_reread_pending : (string, unit) Hashtbl.t;  (* keys awaiting post-heal reread *)
-  mutable pl_rereading : bool;  (* a batched reread is in flight / scheduled *)
-  mutable pl_bound_host : string;
-      (* host the live session's broker runs on; when the peer's registry
-         entry moves to another host (replica failover, see {!Replica}) the
-         stale session can never heal and the link must rebind *)
-  mutable pl_retargeting : bool;  (* a stale-session registry watch is scheduled *)
-  pl_regs : (string, Broker.registration) Hashtbl.t;
-      (* remote ref -> its own Modified registration, at an unbatched
-         issuer only *)
-}
 
 (* A compiled residual membership rule (§4.7): either a constant or a
    credential record seen through an optional negation. *)
@@ -93,9 +69,7 @@ type t = {
   sv_table : Credrec.table;
   sv_groups : (string, Group.t) Hashtbl.t;
   sv_funcs : (string * (value list -> (value, string) result)) list;
-  sv_broker : Broker.server;
-  sv_peers : (string, peer_link) Hashtbl.t;
-  sv_notifying : (string, unit) Hashtbl.t;  (* local refs armed for Modified events *)
+  sv_coherence : Coherence.t;  (* this service's links to its peers (§4.9-4.10) *)
   sv_family : (string, unit) Hashtbl.t;
       (* sibling shards of the same logical service (see {!Shard}): their
          names satisfy unqualified rolefile references, their certificates
@@ -114,12 +88,7 @@ type t = {
   mutable sv_audited : int;  (* entries ever audited *)
   sv_sig_cache : (string, string) Cache.t;
       (* RMC payload -> the signature verified for it *)
-  sv_batch : bool;
   sv_policy_hash : int;
-  sv_pending_mods : (string, string) Hashtbl.t;  (* local ref -> latest state *)
-  sv_pending_ctx : (string, Trace.ctx) Hashtbl.t;
-      (* trace context ambient when each pending mod was recorded, so the
-         digest flush can join the revocation trace that caused it *)
   sv_residuals : (string, compiled) Cache.t;
   sv_journal : Journal.t option;
       (* §4.11 databases and issued certificates on stable storage, with
@@ -157,7 +126,7 @@ let add_sibling t n = if not (String.equal n t.sv_name) then Hashtbl.replace t.s
    service itself, or any sibling shard of the same logical service. *)
 let in_family t n = String.equal n t.sv_name || Hashtbl.mem t.sv_family n
 let table t = t.sv_table
-let broker t = t.sv_broker
+let broker t = Coherence.broker t.sv_coherence
 let rolefile t = t.sv_rolefile
 let registry t = t.sv_registry
 let role_bits t = t.sv_role_bits
@@ -252,28 +221,6 @@ let group t gname =
       Hashtbl.replace t.sv_groups gname g;
       g
 
-(* --- Modified event notification for records other services depend on --- *)
-
-let arm_notification t cref =
-  let key = Credrec.marshal_ref cref in
-  if not (Hashtbl.mem t.sv_notifying key) then begin
-    Hashtbl.replace t.sv_notifying key ();
-    Credrec.on_change t.sv_table cref (fun st ->
-        let state_str =
-          match st with Credrec.True -> "true" | Credrec.False -> "false" | Credrec.Unknown -> "unknown"
-        in
-        if t.sv_batch then begin
-          (* Coalesce: only the latest state per record matters; the
-             heartbeat-tick hook turns the buffer into one digest event. *)
-          Hashtbl.replace t.sv_pending_mods key state_str;
-          match Trace.current (tracer t) with
-          | Some ctx -> Hashtbl.replace t.sv_pending_ctx key ctx
-          | None -> ()
-        end
-        else
-          ignore (Broker.signal t.sv_broker "Modified" [ Value.Str key; Value.Str state_str ]))
-  end
-
 (* --- signature verification with caching (§4.2) --- *)
 
 (* The cache holds, per payload, the signature verified for it: a hit
@@ -339,275 +286,8 @@ let validate_for_peer t cert =
     match check_crr t cert with
     | Error e -> Error e
     | Ok () ->
-        arm_notification t cert.Cert.crr;
+        Coherence.arm t.sv_coherence cert.Cert.crr;
         Ok (roles_of_cert t cert, cert.Cert.args, cert.Cert.crr)
-
-(* --- external records (§4.9, fig 4.8) --- *)
-
-let peer_link t peer_name =
-  match Hashtbl.find_opt t.sv_peers peer_name with
-  | Some pl -> pl
-  | None ->
-      let pl =
-        {
-          pl_peer = peer_name;
-          pl_session = None;
-          pl_connecting = false;
-          pl_queued = [];
-          pl_externals = Hashtbl.create 16;
-          pl_batch_reg = false;
-          pl_reread_pending = Hashtbl.create 16;
-          pl_rereading = false;
-          pl_bound_host = "";
-          pl_retargeting = false;
-          pl_regs = Hashtbl.create 16;
-        }
-      in
-      Hashtbl.replace t.sv_peers peer_name pl;
-      pl
-
-(* Batched post-heal reread: one RPC per peer link carrying every pending
-   key, instead of one RPC per external record.  The handler is a pure read,
-   so when the RPC exhausts its retry budget mid-batch the WHOLE batch is
-   simply retried after a heartbeat period — idempotent, and keys that were
-   already answered by a racing digest event are reconciled last-writer-wins
-   by [Credrec.set_leaf]. *)
-let rec reread_pending t pl peer session =
-  match pl.pl_session with
-  | Some s when s == session && not (Broker.stale session) ->
-      let keys =
-        Hashtbl.fold (fun k () acc -> k :: acc) pl.pl_reread_pending []
-        |> List.sort String.compare
-      in
-      if keys = [] then pl.pl_rereading <- false
-      else begin
-        pl.pl_rereading <- true;
-        (* Post-heal recovery is its own trace root (staleness, not any one
-           revocation, caused it); the span stays open across retries and
-           closes when the batch lands or is rescheduled. *)
-        let tr = tracer t in
-        let sp = Trace.start tr "revoke.reread" in
-        Trace.add_attr sp "keys" (string_of_int (List.length keys));
-        Trace.with_ctx tr
-          (Some (Trace.ctx_of sp))
-          (fun () ->
-            Net.rpc t.sv_net ~category:"oasis.reread"
-              ~size:(32 + (16 * List.length keys))
-              ~attempts:Net.retry_attempts ~src:t.sv_host ~dst:peer.sv_host
-              (fun reply ->
-                reply
-                  (Ok
-                     (List.filter_map
-                        (fun key ->
-                          Option.map
-                            (fun r -> (key, Credrec.state peer.sv_table r))
-                            (Credrec.unmarshal_ref key))
-                        keys)))
-              (function
-                | Ok states ->
-                    List.iter
-                      (fun (key, st) ->
-                        Hashtbl.remove pl.pl_reread_pending key;
-                        match Hashtbl.find_opt pl.pl_externals key with
-                        | Some local -> Credrec.set_leaf t.sv_table local st
-                        | None -> ())
-                      states;
-                    Trace.finish tr sp;
-                    (* Anything queued while the batch was in flight. *)
-                    reread_pending t pl peer session
-                | Error _ ->
-                    Trace.finish tr sp;
-                    Engine.schedule (Net.engine t.sv_net)
-                      ~delay:(Broker.server_heartbeat (broker peer))
-                      (fun () -> reread_pending t pl peer session)))
-      end
-  | _ -> pl.pl_rereading <- false
-
-let state_of_string = function
-  | "true" -> Credrec.True
-  | "false" -> Credrec.False
-  | _ -> Credrec.Unknown
-
-(* Apply one ModifiedBatch digest ("key=state;key=state;...") to the link's
-   mirrored externals.  Keys not mirrored here are skipped; re-application
-   (retries, retained-log replays after reconnect) is idempotent. *)
-let apply_mod_digest t pl digest =
-  let tr = tracer t in
-  Trace.with_span tr "revoke.apply" (fun () ->
-      List.iter
-        (fun item ->
-          match String.index_opt item '=' with
-          | None -> ()
-          | Some i -> (
-              let key = String.sub item 0 i in
-              let state = String.sub item (i + 1) (String.length item - i - 1) in
-              match Hashtbl.find_opt pl.pl_externals key with
-              | None -> ()
-              | Some local -> Credrec.set_leaf t.sv_table local (state_of_string state)))
-        (String.split_on_char ';' digest);
-      (* This hop closes the paper's revocation path: invalidation at the
-         issuer -> digest -> heartbeat flush -> this peer's recompute.  The
-         context carries the root's start time, so the distance from it is
-         the end-to-end propagation latency. *)
-      match Trace.current tr with
-      | Some ctx -> Stats.observe_latency (stats t) "oasis.revoke.e2e" (Trace.since_origin tr ctx)
-      | None -> ())
-
-let live_link t pl =
-  match Hashtbl.find_opt t.sv_peers pl.pl_peer with Some pl' -> pl' == pl | None -> false
-
-(* One connect attempt to a peer's broker.  Failure does not abandon the
-   link: if continuations are still queued (a recovery-time reread, a
-   pending notification registration) the attempt is retried after a peer
-   heartbeat, for as long as this link is still the live one in
-   [sv_peers] — a crash on our side resets the peer table and orphans the
-   loop, which then stops. *)
-let rec connect_peer t pl peer =
-  pl.pl_connecting <- true;
-  Broker.connect t.sv_net t.sv_host (broker peer)
-    ~credentials:[ "service:" ^ t.sv_name ]
-    ~on_result:(fun result ->
-      pl.pl_connecting <- false;
-      match result with
-      | Error _ ->
-          if pl.pl_queued <> [] then
-            Engine.schedule (Net.engine t.sv_net)
-              ~delay:(Broker.server_heartbeat (broker peer))
-              (fun () ->
-                if
-                  live_link t pl && pl.pl_session = None && (not pl.pl_connecting)
-                  && pl.pl_queued <> []
-                then connect_peer t pl peer)
-      | Ok session ->
-          pl.pl_session <- Some session;
-          pl.pl_bound_host <- Net.host_name peer.sv_host;
-          (* §4.10: missed heartbeats mark every external record
-             from this peer Unknown; recovery batch-rereads the
-             states over one reliable RPC per link. *)
-          Broker.on_staleness session (fun is_stale ->
-              if is_stale then begin
-                Hashtbl.iter
-                  (fun _ local_ref ->
-                    Credrec.set_leaf t.sv_table local_ref Credrec.Unknown)
-                  pl.pl_externals;
-                (* While stale, watch the registry: if the peer's entry
-                   moves to another host (replica failover), this session
-                   can never heal — the watch rebinds the link to the new
-                   primary's broker. *)
-                if not pl.pl_retargeting then begin
-                  pl.pl_retargeting <- true;
-                  Engine.schedule (Net.engine t.sv_net)
-                    ~delay:(Broker.server_heartbeat t.sv_broker)
-                    (fun () -> retarget_watch t pl session)
-                end
-              end
-              else begin
-                Hashtbl.iter
-                  (fun key _ -> Hashtbl.replace pl.pl_reread_pending key ())
-                  pl.pl_externals;
-                match find_service t.sv_registry pl.pl_peer with
-                | None -> ()
-                | Some peer ->
-                    if not pl.pl_rereading then reread_pending t pl peer session
-              end);
-          let queued = List.rev pl.pl_queued in
-          pl.pl_queued <- [];
-          List.iter (fun k -> k session) queued)
-    ()
-
-and with_peer_session t pl k =
-  match pl.pl_session with
-  | Some s -> k s
-  | None ->
-      pl.pl_queued <- k :: pl.pl_queued;
-      if not pl.pl_connecting then (
-        match find_service t.sv_registry pl.pl_peer with
-        | None -> () (* unknown peer: queued actions never run; externals stay Unknown *)
-        | Some peer -> connect_peer t pl peer)
-
-(* Subscribe the link to changes of the mirrored record [key], whose local
-   surrogate is [local] — on first mirroring, and again for every mirrored
-   record when a failover rebinds the link to another broker.  A batching
-   issuer needs one ModifiedBatch registration per link, covering every
-   record; otherwise each record needs its own Modified template (and the
-   issuer's signal path scans O(records) registrations per change). *)
-and subscribe t pl key local =
-  let issuer_batches =
-    match find_service t.sv_registry pl.pl_peer with Some peer -> peer.sv_batch | None -> false
-  in
-  if not issuer_batches then
-    with_peer_session t pl (fun session ->
-        (* A sweep may have dropped the mirror while the session was
-           still connecting. *)
-        if Hashtbl.find_opt pl.pl_externals key = Some local then begin
-          let tpl = Event.template "Modified" [ Event.Lit (Value.Str key); Event.Any ] in
-          Hashtbl.replace pl.pl_regs key
-            (Broker.register session tpl (fun e ->
-                 match e.Event.params with
-                 | [| _; Value.Str state |] ->
-                     Credrec.set_leaf t.sv_table local (state_of_string state)
-                 | _ -> ()))
-        end)
-  else if not pl.pl_batch_reg then begin
-    pl.pl_batch_reg <- true;
-    with_peer_session t pl (fun session ->
-        let tpl = Event.template "ModifiedBatch" [ Event.Any ] in
-        ignore
-          (Broker.register session tpl (fun e ->
-               match e.Event.params with
-               | [| Value.Str digest |] -> apply_mod_digest t pl digest
-               | _ -> ())))
-  end
-
-(* The stale-session registry watch (armed by the staleness hook in
-   [connect_peer]): while a peer session is stale, poll the registry once
-   per heartbeat.  If the peer's registered service has moved to a
-   different host — a replica group promoted a backup — drop the dead
-   session and rebind the link: re-subscribe every mirrored external at the
-   new primary's broker and queue each for a reread there, so revocation
-   notifications flow again.  If the peer heals in place (same host
-   restarted), the ordinary §4.10 reread path takes over and the watch
-   stands down. *)
-and retarget_watch t pl session =
-  let current =
-    match pl.pl_session with Some s -> s == session | None -> false
-  in
-  if not (live_link t pl && current) then pl.pl_retargeting <- false
-  else if not (Broker.stale session) then pl.pl_retargeting <- false
-  else
-    match find_service t.sv_registry pl.pl_peer with
-    | Some peer when not (String.equal (Net.host_name peer.sv_host) pl.pl_bound_host) ->
-        pl.pl_retargeting <- false;
-        Broker.close session;
-        pl.pl_session <- None;
-        pl.pl_batch_reg <- false;
-        pl.pl_rereading <- false;
-        Stats.incr (stats t) "oasis.peer.retarget";
-        Hashtbl.iter
-          (fun key _ -> Hashtbl.replace pl.pl_reread_pending key ())
-          pl.pl_externals;
-        Hashtbl.iter (subscribe t pl) pl.pl_externals;
-        with_peer_session t pl (fun s ->
-            if not pl.pl_rereading then reread_pending t pl peer s)
-    | _ ->
-        Engine.schedule (Net.engine t.sv_net)
-          ~delay:(Broker.server_heartbeat t.sv_broker)
-          (fun () -> retarget_watch t pl session)
-
-(* Create (or reuse) the local surrogate for a remote credential record and
-   subscribe to its changes. *)
-let external_record t ~peer_name ~remote_ref ~initial =
-  let pl = peer_link t peer_name in
-  let key = Credrec.marshal_ref remote_ref in
-  match Hashtbl.find_opt pl.pl_externals key with
-  | Some local when Credrec.live t.sv_table local ->
-      Credrec.set_leaf t.sv_table local initial;
-      local
-  | _ ->
-      let local = Credrec.leaf t.sv_table ~state:initial () in
-      Hashtbl.replace pl.pl_externals key local;
-      subscribe t pl key local;
-      local
 
 (* --- constraint-evaluation context --- *)
 
@@ -1028,29 +708,22 @@ let rec seq_map f list k =
   | [] -> k []
   | x :: rest -> f x (fun y -> seq_map f rest (fun ys -> k (y :: ys)))
 
-(* Check a certificate at its issuing service over the reliable validation
-   RPC (§2.10), then mirror its credential record here as an external
-   record, so a later revocation at the issuer propagates like any other
-   external dependency.  Reliable because a dropped reply would reject a
-   perfectly good credential; [validate_for_peer] is idempotent (the
-   Modified-notification arm is guarded), so retries are safe.  The budget
-   is kept short (~7.5 s worst case): validation gates a decision, which
-   must still fail closed promptly when the issuer is genuinely
-   unreachable (§4.2). *)
-let validate_at_issuer t issuer (cert : Cert.rmc) k =
-  Net.rpc t.sv_net ~category:"oasis.validate" ~attempts:3 ~backoff:0.5 ~src:t.sv_host
-    ~dst:issuer.sv_host
-    (fun reply ->
+(* Check a certificate at its issuing service over the validation RPC
+   (§2.10), then mirror its credential record here as an external record
+   (see {!Coherence.validate_at}).  The service's own callers retry: a
+   dropped reply would reject a perfectly good credential, and
+   [validate_for_peer] is idempotent (the Modified-notification arm is
+   guarded).  Their budget is kept short (~7.5 s worst case at 3
+   attempts): validation gates a decision, which must still fail closed
+   promptly when the issuer is genuinely unreachable (§4.2).  A failure is
+   formatted only on its error branch. *)
+let validate_at_issuer t issuer ~category ~attempts (cert : Cert.rmc) k =
+  Coherence.validate_at t.sv_coherence ~issuer:issuer.sv_coherence ~category ~attempts
+    (fun () ->
       match validate_for_peer issuer cert with
-      | Ok r -> reply (Ok r)
-      | Error f -> reply (Error (Format.asprintf "%a" pp_failure f)))
-    (function
-      | Error e -> k (Error e)
-      | Ok (roles, args, remote_ref) ->
-          let local =
-            external_record t ~peer_name:cert.Cert.service ~remote_ref ~initial:Credrec.True
-          in
-          k (Ok (roles, args, remote_ref, local)))
+      | Ok r -> Ok r
+      | Error f -> Error (Format.asprintf "%a" pp_failure f))
+    k
 
 (* Validate one credential [client] supplied, local or external, producing
    a membership (or None, with audit).  One issued to another client is
@@ -1085,7 +758,7 @@ let validate_credential t ~client (cert : Cert.rmc) k =
         audit t Erroneous ("credential from unknown service " ^ cert.Cert.service);
         k None
     | Some issuer ->
-        validate_at_issuer t issuer cert (function
+        validate_at_issuer t issuer ~category:"oasis.validate" ~attempts:3 cert (function
           | Error _ -> k None
           | Ok (roles, args, remote_ref, local) ->
               (* The surrogate is a childless leaf until the request
@@ -1387,7 +1060,9 @@ let validate_revoker t (revoker : Cert.rmc) k =
   else
     match find_service t.sv_registry revoker.Cert.service with
     | None -> k (Error ("unknown sibling shard " ^ revoker.Cert.service))
-    | Some issuer -> validate_at_issuer t issuer revoker (fun r -> k (Result.map ignore r))
+    | Some issuer ->
+        validate_at_issuer t issuer ~category:"oasis.validate" ~attempts:3 revoker (fun r ->
+            k (Result.map ignore r))
 
 let revoke_role_instance t ~client_host ~revoker ~role ~args k =
   client_request t ~client_host ("oasis.rbr", 128) ("oasis.rbr.reply", 32)
@@ -1483,7 +1158,7 @@ let issue_arbitrary t ~client ~roles ~args =
 let issue_with_record t ~client ~roles ~args ~crr = issue_cert t ~client ~roles ~args ~crr ()
 
 let import_remote_record t ~peer ~remote =
-  external_record t ~peer_name:peer ~remote_ref:remote ~initial:Credrec.True
+  Coherence.mirror t.sv_coherence ~peer ~remote ~initial:Credrec.True
 
 let mint_delegation_record t ~delegator_crr ?expires_in ?(revoke_on_exit = false) () =
   mint_delegation t ~delegator_crr ~revoker_role:"" ~revoke_on_exit ~expire_after:expires_in
@@ -1584,7 +1259,7 @@ let recover ?on_done t =
                  List.iter
                    (fun (_, cref) ->
                      Credrec.set_direct_use t.sv_table cref true;
-                     arm_notification t cref)
+                     Coherence.arm t.sv_coherence cref)
                    restored;
                  List.iter
                    (fun (key, cref) ->
@@ -1611,8 +1286,8 @@ let recover ?on_done t =
                                  | None -> ()
                                  | Some remote_ref ->
                                      let local =
-                                       external_record t ~peer_name ~remote_ref
-                                         ~initial:Credrec.Unknown
+                                       Coherence.mirror t.sv_coherence ~peer:peer_name
+                                         ~remote:remote_ref ~initial:Credrec.Unknown
                                      in
                                      Credrec.add_parent t.sv_table ~child:cref local))
                            deps;
@@ -1652,17 +1327,7 @@ let recover ?on_done t =
                    restored;
                  (* Kick the reread machinery: every re-mirrored external is
                     Unknown until its issuer answers (§4.10). *)
-                 Hashtbl.iter
-                   (fun peer_name pl ->
-                     Hashtbl.iter
-                       (fun key _ -> Hashtbl.replace pl.pl_reread_pending key ())
-                       pl.pl_externals;
-                     match find_service t.sv_registry peer_name with
-                     | None -> ()
-                     | Some peer ->
-                         with_peer_session t pl (fun session ->
-                             if not pl.pl_rereading then reread_pending t pl peer session))
-                   t.sv_peers;
+                 Coherence.resync_all t.sv_coherence;
                  Stats.incr (stats t) "oasis.recover";
                  Stats.observe (stats t) "oasis.recover.records" replayed));
           Trace.finish tr sp;
@@ -1725,40 +1390,6 @@ let lint_gate reg ~name ~register ~funcs ~callbacks parsed =
            | 0 -> ""
            | n -> Printf.sprintf " (and %d more issue(s))" n))
 
-(* Batched notification: record changes accumulate in [sv_pending_mods]
-   and are flushed as ONE ModifiedBatch digest at the top of each broker
-   heartbeat tick, so the digest rides that very tick's coalesced
-   heartbeat message (steady-state: O(peers) messages per period, §4.10). *)
-let flush_pending_mods t =
-  if Hashtbl.length t.sv_pending_mods > 0 then begin
-    let mods =
-      Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.sv_pending_mods []
-      |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-    in
-    Hashtbl.reset t.sv_pending_mods;
-    Stats.observe (stats t) "oasis.mods.flush" (List.length mods);
-    let digest = String.concat ";" (List.map (fun (k, v) -> k ^ "=" ^ v) mods) in
-    (* The flush span's parent is the buffered context with the earliest
-       origin: a digest merging several bursts is attributed to the oldest
-       one it carries, so no end-to-end latency is under-reported. *)
-    let tr = tracer t in
-    let parent =
-      Hashtbl.fold
-        (fun _ c acc ->
-          match acc with
-          | Some best when Trace.origin best <= Trace.origin c -> acc
-          | _ -> Some c)
-        t.sv_pending_ctx None
-    in
-    Hashtbl.reset t.sv_pending_ctx;
-    let sp = Trace.start tr ?parent "revoke.flush" in
-    Trace.add_attr sp "mods" (string_of_int (List.length mods));
-    Trace.with_ctx tr
-      (Some (Trace.ctx_of sp))
-      (fun () -> ignore (Broker.signal t.sv_broker "ModifiedBatch" [ Value.Str digest ]));
-    Trace.finish tr sp
-  end
-
 (* --- the §4.8 sweep, in service ---
 
    A sweep frees the records that can no longer change an observable
@@ -1789,19 +1420,7 @@ let sweep t =
   let freed = Credrec.gc_sweep table in
   let live r = Credrec.live table r in
   Hashtbl.iter (fun _ g -> Group.prune g) t.sv_groups;
-  Hashtbl.iter
-    (fun _ pl ->
-      Hashtbl.filter_map_inplace
-        (fun key local ->
-          if live local then Some local
-          else begin
-            Hashtbl.remove pl.pl_reread_pending key;
-            Option.iter Broker.deregister (Hashtbl.find_opt pl.pl_regs key);
-            Hashtbl.remove pl.pl_regs key;
-            None
-          end)
-        pl.pl_externals)
-    t.sv_peers;
+  Coherence.prune t.sv_coherence;
   (* An arm whose record went leaves its cell, and so does a cell left
      empty, unless its instance is blacklisted: there it marks a fire
      already committed (see [revoke_role_instance]).  An issued record
@@ -1830,28 +1449,23 @@ let on_sweep t f = t.sv_on_sweep <- t.sv_on_sweep @ [ f ]
    forgotten from the in-memory table (their children now read a dangling
    — permanently False — reference: fail closed), sessions drop, caches
    clear.  The journal's device survives and is replayed by the restart
-   hook. *)
+   hook.  The coherence drops its links, armed set and pending digest
+   only after the forgetting, which fires the children's hooks. *)
 let crash t j =
-  Hashtbl.iter
-    (fun _ pl ->
-      Option.iter Broker.close pl.pl_session;
-      Hashtbl.iter (fun _ surrogate -> Credrec.forget t.sv_table surrogate) pl.pl_externals)
-    t.sv_peers;
+  Coherence.crash t.sv_coherence;
   Hashtbl.iter
     (fun _ cell -> List.iter (fun a -> Credrec.forget t.sv_table a.a_rbr) !cell)
     t.sv_rbr;
   Journal.iter_issued j (fun key ->
-      Hashtbl.remove t.sv_notifying key;
       match Credrec.unmarshal_ref key with
       | Some cref -> Credrec.forget t.sv_table cref
       | None -> ());
-  Hashtbl.reset t.sv_peers;
+  (* Only issued records are armed, and every one is forgotten above. *)
+  Coherence.reset t.sv_coherence;
   Hashtbl.reset t.sv_rbr;
   Hashtbl.reset t.sv_arms;
   Hashtbl.reset t.sv_blacklist;
   Journal.reset j;
-  Hashtbl.reset t.sv_pending_mods;
-  Hashtbl.reset t.sv_pending_ctx;
   Cache.clear t.sv_sig_cache;
   Cache.clear t.sv_residuals
 
@@ -1877,6 +1491,13 @@ let create net host reg ~name:sv_name ?(rolefile_id = "main") ~rolefile ?(funcs 
   let blacklist = Hashtbl.create 16 in
   let journal = Option.map (fun d -> Journal.create d ~name:sv_name ~snapshot_every ~blacklist) disk in
   let stats = Net.stats net in
+  let table = Credrec.create_table () in
+  let coherence =
+    Coherence.create net host ~name:sv_name ~table
+      ~lookup:(fun n ->
+        match find_service reg n with Some peer -> Some peer.sv_coherence | None -> None)
+      ~heartbeat ~batch:batch_notifications ~disk
+  in
   let t =
     {
       sv_net = net;
@@ -1890,24 +1511,17 @@ let create net host reg ~name:sv_name ?(rolefile_id = "main") ~rolefile ?(funcs 
       sv_secrets = Signing.Rolling.create prng;
       sv_compound = compound_certificates;
       sv_fixpoint = fixpoint_entry;
-      sv_table = Credrec.create_table ();
+      sv_table = table;
       sv_groups = Hashtbl.create 8;
       sv_funcs = funcs;
-      sv_broker =
-        Broker.create_server net host ~name:sv_name ~heartbeat ~coalesce:batch_notifications ?disk
-          ();
-      sv_peers = Hashtbl.create 8;
-      sv_notifying = Hashtbl.create 64;
+      sv_coherence = coherence;
       sv_family = Hashtbl.create 4;
       sv_rbr = Hashtbl.create 16;
       sv_blacklist = blacklist;
       sv_audit = [||];
       sv_audited = 0;
       sv_sig_cache = Cache.create sig_cache_cap;
-      sv_batch = batch_notifications;
       sv_policy_hash = Hashtbl.hash rolefile;
-      sv_pending_mods = Hashtbl.create 64;
-      sv_pending_ctx = Hashtbl.create 64;
       sv_residuals = Cache.create 4096;
       sv_journal = journal;
       sv_auto_recover = true;
@@ -1931,8 +1545,8 @@ let create net host reg ~name:sv_name ?(rolefile_id = "main") ~rolefile ?(funcs 
       Net.on_crash net host (fun () -> crash t j);
       Net.on_restart net host (fun () -> if t.sv_auto_recover then recover t))
     journal;
-  if batch_notifications then Broker.on_heartbeat_tick t.sv_broker (fun () -> flush_pending_mods t);
-  Broker.on_heartbeat_tick t.sv_broker (fun () -> maybe_sweep t);
+  (* After the coherence's digest flush, which it registered first. *)
+  Oasis_events.Broker.on_heartbeat_tick (broker t) (fun () -> maybe_sweep t);
   Ok t
 
 (* --- durability introspection (tests and benches) --- *)
@@ -1958,7 +1572,7 @@ let fingerprint t =
   add_sorted
     (Hashtbl.fold (fun (r, a) () acc -> (r ^ "\x01" ^ a) :: acc) t.sv_blacklist []);
   Buffer.add_char b '\x03';
-  add_sorted (Hashtbl.fold (fun k v acc -> (k ^ "=" ^ v) :: acc) t.sv_pending_mods []);
+  add_sorted (Coherence.pending t.sv_coherence);
   Buffer.add_char b '\x03';
   Option.iter (fun j -> Buffer.add_string b (Journal.fingerprint j)) t.sv_journal;
   Oasis_util.Siphash.hash fp_key (Buffer.contents b)

@@ -2,14 +2,16 @@
     validation, delegation/election, revocation — chapters 3 and 4.
 
     A service lives on a simulated host, owns a credential-record table, a
-    rolling secret table, a set of local groups and extension functions, and
-    an event broker over which it publishes [Modified(crr, state)] events so
-    that {e other} services holding certificates it issued can cascade
-    revocation (§4.9).  Client-facing operations travel over the simulated
-    network; inter-service certificate validation is an RPC to the issuing
-    service (§2.10), with the result cached locally as an {e external
-    record} kept coherent by event notification and marked [Unknown] when
-    heartbeats stop (§4.10). *)
+    rolling secret table, a set of local groups and extension functions,
+    the §4.11 role-based revocation state and, with [disk], a journal it
+    recovers from.  Client-facing operations travel over the simulated
+    network.  Everything between services goes through the service's
+    {!Coherence}: the broker that publishes [Modified] events for the
+    records other services hold certificates of, the inter-service
+    validation RPC to an issuing service (§2.10), and the {e external
+    records} that mirror a peer's credential records, kept coherent by
+    event notification and marked [Unknown] when heartbeats stop
+    (§4.9–4.10). *)
 
 type value = Oasis_rdl.Value.t
 
@@ -141,6 +143,23 @@ val validate_for_peer :
 (** The inter-service validation interface (§2.10): returns role names,
     arguments and the CRR; also arms [Modified] event notification for that
     record. *)
+
+val validate_at_issuer :
+  t ->
+  t ->
+  category:string ->
+  attempts:int ->
+  Cert.rmc ->
+  ((string list * value list * Credrec.cref * Credrec.cref, string) result -> unit) ->
+  unit
+(** [validate_at_issuer t issuer ~category ~attempts cert k] checks [cert]
+    at [issuer] with {!validate_for_peer}, over one RPC of [category]
+    (§2.10) tried up to [attempts] times, and mirrors its credential record
+    in [t] as an external record (§4.9.1).  [k] gets the roles, the
+    arguments, the issuer's record and its local surrogate; an error is
+    the printed {!failure}, or ["timeout"].  The entry engine and the
+    revoker check use it, as do embedding systems (the MSSA custodes)
+    that validate their clients' certificates at the issuer. *)
 
 (** {1 Role entry} *)
 
