@@ -212,30 +212,33 @@ let routed_timeout = 4.0
    message. *)
 let forward g f = if Replica.ready g then f (Replica.primary g)
 
+(* The envelope of a routed request: the client's RPC to the router under
+   [category] and [size], with the routed timeout and retry budget;
+   [handler] runs at the router. *)
+let routed t ~client_host (category, size) handler k =
+  Net.rpc t.sh_net ~category ~size ~timeout:routed_timeout ~attempts:Net.retry_attempts
+    ~src:client_host ~dst:t.sh_router handler k
+
+(* Forward to the primary owning the role instance, re-derived on every
+   attempt: [op] runs there for the router as its client. *)
+let to_owner t ~role ~args op reply =
+  forward (owner_group t ~role ~args) (fun svc -> op svc ~client_host:t.sh_router reply)
+
 let request_entry t ~client_host ~client ~role ~args ?(creds = []) k =
-  Net.rpc t.sh_net ~category:"shard.entry"
-    ~size:(128 + (96 * List.length creds))
-    ~timeout:routed_timeout ~attempts:Net.retry_attempts ~src:client_host ~dst:t.sh_router
-    (fun reply ->
-      forward (owner_group t ~role ~args) (fun svc ->
-          Service.request_entry svc ~client_host:t.sh_router ~client ~role ~args ~creds reply))
+  routed t ~client_host
+    ("shard.entry", 128 + (96 * List.length creds))
+    (to_owner t ~role ~args (fun svc ~client_host reply ->
+         Service.request_entry svc ~client_host ~client ~role ~args ~creds reply))
     k
 
 let revoke_role_instance t ~client_host ~revoker ~role ~args k =
-  Net.rpc t.sh_net ~category:"shard.rbr" ~size:160 ~timeout:routed_timeout
-    ~attempts:Net.retry_attempts ~src:client_host ~dst:t.sh_router
-    (fun reply ->
-      forward (owner_group t ~role ~args) (fun svc ->
-          Service.revoke_role_instance svc ~client_host:t.sh_router ~revoker ~role ~args reply))
+  routed t ~client_host ("shard.rbr", 160)
+    (to_owner t ~role ~args (Service.revoke_role_instance ~revoker ~role ~args))
     k
 
 let reinstate_role_instance t ~client_host ~revoker ~role ~args k =
-  Net.rpc t.sh_net ~category:"shard.rbr" ~size:160 ~timeout:routed_timeout
-    ~attempts:Net.retry_attempts ~src:client_host ~dst:t.sh_router
-    (fun reply ->
-      forward (owner_group t ~role ~args) (fun svc ->
-          Service.reinstate_role_instance svc ~client_host:t.sh_router ~revoker ~role ~args
-            reply))
+  routed t ~client_host ("shard.rbr", 160)
+    (to_owner t ~role ~args (Service.reinstate_role_instance ~revoker ~role ~args))
     k
 
 let fail_closed_verdict service =
@@ -245,8 +248,7 @@ let fail_closed_verdict service =
     service
 
 let validate t ~client_host ~client ?need_role cert k =
-  Net.rpc t.sh_net ~category:"shard.validate" ~size:96 ~timeout:routed_timeout
-    ~attempts:Net.retry_attempts ~src:client_host ~dst:t.sh_router
+  routed t ~client_host ("shard.validate", 96)
     (fun reply ->
       match group_by_service_name t cert.Cert.service with
       | None -> reply (Error ("certificate for foreign service " ^ cert.Cert.service))
@@ -304,8 +306,7 @@ let validate t ~client_host ~client ?need_role cert k =
     k
 
 let exit_role t ~client_host cert k =
-  Net.rpc t.sh_net ~category:"shard.exit" ~size:96 ~timeout:routed_timeout
-    ~attempts:Net.retry_attempts ~src:client_host ~dst:t.sh_router
+  routed t ~client_host ("shard.exit", 96)
     (fun reply ->
       match group_by_service_name t cert.Cert.service with
       | None -> reply (Error ("certificate for foreign service " ^ cert.Cert.service))
