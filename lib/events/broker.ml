@@ -62,6 +62,7 @@ and sess_srv = {
   ss_id : int;
   ss_client : session;
   ss_host : Net.host;
+  ss_creds : string list;  (* the credentials the session was admitted with *)
   mutable ss_regs : (int * Event.template) list;
   mutable ss_seq : int;  (* next delivery stream seq *)
   ss_buffer : (int, delivery) Hashtbl.t;  (* unacked deliveries *)
@@ -85,7 +86,6 @@ and server = {
   mutable b_admission : credentials:string list -> bool;
   mutable b_reg_filter : credentials:string list -> Event.template -> Event.template option;
   mutable b_next_session : int;
-  b_creds : (int, string list) Hashtbl.t;  (* session id -> credentials *)
   b_coalesce : bool;
   mutable b_on_tick : (unit -> unit) list;
   mutable b_hb_timer : Engine.timer option;
@@ -189,7 +189,6 @@ let rec create_server net host ~name ?(heartbeat = 1.0) ?(retention = 10.0) ?(ho
       b_admission = (fun ~credentials:_ -> true);
       b_reg_filter = (fun ~credentials:_ tpl -> Some tpl);
       b_next_session = 0;
-      b_creds = Hashtbl.create 8;
       b_coalesce = coalesce;
       b_on_tick = [];
       b_hb_timer = None;
@@ -210,7 +209,6 @@ let rec create_server net host ~name ?(heartbeat = 1.0) ?(retention = 10.0) ?(ho
      clients). *)
   Net.on_crash net host (fun () ->
       srv.b_sessions <- [];
-      Hashtbl.reset srv.b_creds;
       if Option.is_some srv.b_wal then Queue.clear srv.b_retained);
   (match wal with
   | None -> ()
@@ -498,18 +496,16 @@ let attach srv ~host ~credentials ~session ?replacing () =
   else if not (srv.b_admission ~credentials) then Error "admission denied"
   else begin
     (match replacing with
-    | Some old ->
-        srv.b_sessions <- List.filter (fun ss -> ss.ss_id <> old) srv.b_sessions;
-        Hashtbl.remove srv.b_creds old
+    | Some old -> srv.b_sessions <- List.filter (fun ss -> ss.ss_id <> old) srv.b_sessions
     | None -> ());
     let id = srv.b_next_session in
     srv.b_next_session <- id + 1;
-    Hashtbl.replace srv.b_creds id credentials;
     let ss =
       {
         ss_id = id;
         ss_client = session;
         ss_host = host;
+        ss_creds = credentials;
         ss_regs = [];
         ss_seq = 0;
         ss_buffer = Hashtbl.create 16;
@@ -541,8 +537,7 @@ let send_register session ?since reg_id cr =
       match find_sess srv sid with
       | None -> reply (Error "no such session")
       | Some ss -> (
-          let credentials = Option.value ~default:[] (Hashtbl.find_opt srv.b_creds sid) in
-          match srv.b_reg_filter ~credentials cr.cr_tpl with
+          match srv.b_reg_filter ~credentials:ss.ss_creds cr.cr_tpl with
           | None -> reply (Ok ()) (* policy rejected: the client simply never hears events *)
           | Some tpl ->
               ss.ss_regs <- (reg_id, tpl) :: List.remove_assoc reg_id ss.ss_regs;
@@ -727,8 +722,7 @@ let shutdown_server srv =
         Engine.cancel tm;
         srv.b_hb_timer <- None
     | None -> ());
-    srv.b_sessions <- [];
-    Hashtbl.reset srv.b_creds
+    srv.b_sessions <- []
   end
 
 let server_buffered srv =

@@ -273,7 +273,36 @@ let test_broker_close () =
   ignore (Broker.signal w.server "E" []);
   run_for w 0.5;
   checki "closed session gets nothing" 0 !got;
-  checki "server dropped session" 0 (Broker.sessions w.server)
+  checki "server dropped session" 0 (Broker.sessions w.server);
+  (* A closed session leaves nothing behind at the server: sessions
+     connect and close in rounds of 50, each round run until its connect
+     timeouts have expired and its closes have landed, and the server
+     holds as many words after 1,050 closed sessions as after 550. *)
+  let w = make_world () in
+  let round () =
+    let sessions = ref [] in
+    for _ = 1 to 50 do
+      Broker.connect w.net w.client_host w.server
+        ~on_result:(function
+          | Ok s -> sessions := s :: !sessions
+          | Error e -> Alcotest.failf "connect: %s" e)
+        ()
+    done;
+    run_for w 1.0;
+    checki "every session connected" 50 (List.length !sessions);
+    List.iter Broker.close !sessions;
+    run_for w 3.0
+  in
+  let words_after rounds =
+    for _ = 1 to rounds do
+      round ()
+    done;
+    checki "server dropped every closed session" 0 (Broker.sessions w.server);
+    Obj.reachable_words (Obj.repr w.server)
+  in
+  let at_550 = words_after 11 in
+  let at_1050 = words_after 10 in
+  checki "server words after 1,050 closed sessions = after 550" at_550 at_1050
 
 let test_broker_stamps_monotone () =
   let w = make_world () in
