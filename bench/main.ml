@@ -1106,6 +1106,89 @@ Member(u) <- Login.LoggedOn(u, h)* : ((u in staff) and (u in eng))*
   row "       O(peer links) heartbeat-piggybacked digests (>=5x fewer, same final state);\n";
   row "       re-entry outpaces first entry via the compiled-residual and signature caches.\n"
 
+(* The nearest-rank percentile [p] of an ascending array; 0 when it is
+   empty. *)
+let percentile sorted p =
+  match Array.length sorted with
+  | 0 -> 0.0
+  | len ->
+      let rank = int_of_float (Float.ceil (p /. 100.0 *. float_of_int len)) in
+      sorted.(max 0 (min (len - 1) (rank - 1)))
+
+(* Stats/Trace pre-render their own JSON; parse and re-emit through the
+   shared emitter with sorted keys so the snapshot diffs cleanly against
+   other runs (hash-iteration order used to leak into the byte layout). *)
+let reparse experiment what s =
+  match J.parse s with Ok j -> j | Error e -> failwith (experiment ^ " " ^ what ^ " json: " ^ e)
+
+(* The revocation-burst method of E16 and E20: revoke the first
+   [min n 500] of [certs] at [login], traced, one every 0.2 s.  Staggered
+   across many heartbeat periods, the revocations arrive at every phase
+   of the coalescing tick, so each flush window yields one end-to-end
+   sample and the samples trace out the full 0..heartbeat
+   coalescing-delay distribution, not one point.  A window's trace is
+   rooted at its earliest [revoke.invalidate] and closed by the peer's
+   [revoke.apply].  Gates: some window closed, no span left open, the
+   slowest within 2 heartbeats (one heartbeat of buffering plus delivery
+   latency), and as many [oasis.revoke.e2e] histogram samples as
+   windows.  Returns the burst size, the ascending latencies and their
+   max. *)
+let revocation_burst experiment w ~heartbeat login certs =
+  let fail msg = failwith (experiment ^ ": " ^ msg) in
+  (* Trace only the burst: earlier spans would otherwise age the ring
+     buffer out from under the measurement. *)
+  let tr = Net.trace w.net in
+  Trace.set_enabled tr true;
+  Trace.clear tr;
+  Stats.reset (Net.stats w.net);
+  let burst = min (Array.length certs) 500 in
+  let gap = 0.2 in
+  for i = 0 to burst - 1 do
+    Engine.schedule w.engine
+      ~delay:(float_of_int i *. gap)
+      (fun () -> Service.revoke_certificate login certs.(i))
+  done;
+  run_for w ((float_of_int burst *. gap) +. 10.0);
+  Trace.set_enabled tr false;
+  let spans = Trace.spans tr in
+  let roots = Hashtbl.create 64 in
+  List.iter
+    (fun sp ->
+      if Trace.span_parent sp = None && Trace.span_name sp = "revoke.invalidate" then
+        Hashtbl.replace roots (Trace.span_trace sp) (Trace.span_start sp))
+    spans;
+  let e2e =
+    List.filter_map
+      (fun sp ->
+        if Trace.span_name sp = "revoke.apply" then
+          Option.map
+            (fun root_start -> Trace.span_end sp -. root_start)
+            (Hashtbl.find_opt roots (Trace.span_trace sp))
+        else None)
+      spans
+    |> List.sort compare |> Array.of_list
+  in
+  let samples = Array.length e2e in
+  if samples = 0 then fail "no end-to-end revocation spans recorded";
+  if Trace.open_spans tr <> [] then fail "revocation spans left open after settling";
+  let mx = Array.fold_left Float.max 0.0 e2e in
+  if mx > 2.0 *. heartbeat then
+    fail (Printf.sprintf "propagation latency %.3fs exceeds 2 heartbeats" mx);
+  if Stats.latency_samples (Net.stats w.net) "oasis.revoke.e2e" <> samples then
+    fail "span-derived and histogram sample counts disagree";
+  (burst, e2e, mx)
+
+(* The snapshot's summary of a burst's end-to-end latencies. *)
+let e2e_json e2e mx =
+  ( "e2e",
+    J.Obj
+      [
+        ("samples", J.Int (Array.length e2e));
+        ("p50", J.Float (percentile e2e 50.0));
+        ("p99", J.Float (percentile e2e 99.0));
+        ("max", J.Float mx);
+      ] )
+
 (* ------------------------------------------------------------------ *)
 (* E16 — end-to-end revocation-propagation latency: causal spans over   *)
 (* the invalidate -> digest -> heartbeat flush -> peer apply pipeline,  *)
@@ -1143,89 +1226,19 @@ Member(u) <- Login.LoggedOn(u, h)*
           (function Ok _ -> () | Error e -> failwith ("e16 entry: " ^ e)))
       users;
     run_for w 60.0;
-    (* Trace only the burst: entry-phase spans would otherwise age the
-       ring buffer out from under the measurement. *)
-    let tr = Net.trace w.net in
-    Trace.set_enabled tr true;
-    Trace.clear tr;
-    Stats.reset (Net.stats w.net);
-    (* Stagger the revocations across many heartbeat periods so their
-       arrival phase relative to the coalescing tick varies: each flush
-       window yields one end-to-end sample and the samples trace out the
-       full 0..heartbeat coalescing-delay distribution, not one point. *)
-    let burst = min n 500 in
-    let gap = 0.2 in
-    for i = 0 to burst - 1 do
-      Engine.schedule w.engine
-        ~delay:(float_of_int i *. gap)
-        (fun () -> Service.revoke_certificate login login_certs.(i))
-    done;
-    run_for w ((float_of_int burst *. gap) +. 10.0);
-    Trace.set_enabled tr false;
-    (* End-to-end latency per flush window, derived from the spans: a
-       window's trace is rooted at its earliest [revoke.invalidate] and
-       closed by the peer's [revoke.apply]. *)
-    let spans = Trace.spans tr in
-    let roots = Hashtbl.create 64 in
-    List.iter
-      (fun sp ->
-        if Trace.span_parent sp = None && Trace.span_name sp = "revoke.invalidate" then
-          Hashtbl.replace roots (Trace.span_trace sp) (Trace.span_start sp))
-      spans;
-    let e2e =
-      List.filter_map
-        (fun sp ->
-          if Trace.span_name sp = "revoke.apply" then
-            Option.map
-              (fun root_start -> Trace.span_end sp -. root_start)
-              (Hashtbl.find_opt roots (Trace.span_trace sp))
-          else None)
-        spans
-      |> List.sort compare |> Array.of_list
-    in
-    let pct p =
-      match Array.length e2e with
-      | 0 -> 0.0
-      | len ->
-          let rank = int_of_float (Float.ceil (p /. 100.0 *. float_of_int len)) in
-          e2e.(max 0 (min (len - 1) (rank - 1)))
-    in
-    let samples = Array.length e2e in
-    if samples = 0 then failwith "e16: no end-to-end revocation spans recorded";
-    if Trace.open_spans tr <> [] then failwith "e16: revocation spans left open after settling";
-    let mx = Array.fold_left Float.max 0.0 e2e in
-    (* Coalescing bounds propagation by one heartbeat of buffering plus
-       delivery latency; anything beyond that is a regression. *)
-    if mx > 2.0 *. heartbeat then
-      failwith (Printf.sprintf "e16: propagation latency %.3fs exceeds 2 heartbeats" mx);
+    let burst, e2e, mx = revocation_burst "e16" w ~heartbeat login login_certs in
     let s = Net.stats w.net in
-    if Stats.latency_samples s "oasis.revoke.e2e" <> samples then
-      failwith "e16: span-derived and histogram sample counts disagree";
-    (* Stats/Trace pre-render their own JSON; parse and re-emit through
-       the shared emitter with sorted keys so the snapshot diffs cleanly
-       against other runs (hash-iteration order used to leak into the
-       byte layout). *)
-    let reparse what s =
-      match J.parse s with Ok j -> j | Error e -> failwith ("e16 " ^ what ^ " json: " ^ e)
-    in
     let snapshot =
       [
         ("n", J.Int n);
         ("burst", J.Int burst);
         ("heartbeat", J.Float heartbeat);
-        ( "e2e",
-          J.Obj
-            [
-              ("samples", J.Int samples);
-              ("p50", J.Float (pct 50.0));
-              ("p99", J.Float (pct 99.0));
-              ("max", J.Float mx);
-            ] );
-        ("stats", reparse "stats" (Stats.to_json s));
-        ("trace", reparse "trace" (Trace.to_json tr));
+        e2e_json e2e mx;
+        ("stats", reparse "e16" "stats" (Stats.to_json s));
+        ("trace", reparse "e16" "trace" (Trace.to_json (Net.trace w.net)));
       ]
     in
-    (samples, pct 50.0, pct 99.0, mx,
+    (Array.length e2e, percentile e2e 50.0, percentile e2e 99.0, mx,
      Stats.percentile s "oasis.revoke.e2e" 50.0,
      Stats.percentile s "oasis.revoke.e2e" 99.0, snapshot)
   in
@@ -1702,59 +1715,11 @@ Member(u) <- Login.LoggedOn(u, h)*
     if !committed <> members then
       failwith (Printf.sprintf "e20: only %d/%d entries committed" !committed members);
     let thpt = float_of_int members /. wall in
-    (* Revocation phase: e16's method verbatim — a staggered traced burst
-       of login-certificate revocations, end-to-end latency from each
+    (* Revocation phase: e16's method — a staggered traced burst of
+       login-certificate revocations, end-to-end latency from each
        window's [revoke.invalidate] root to the owning shard's
        [revoke.apply]. *)
-    let tr = Net.trace w.net in
-    Trace.set_enabled tr true;
-    Trace.clear tr;
-    Stats.reset (Net.stats w.net);
-    let burst = min members 500 in
-    let gap = 0.2 in
-    for i = 0 to burst - 1 do
-      Engine.schedule w.engine
-        ~delay:(float_of_int i *. gap)
-        (fun () -> Service.revoke_certificate login login_certs.(i))
-    done;
-    run_for w ((float_of_int burst *. gap) +. 10.0);
-    Trace.set_enabled tr false;
-    let spans = Trace.spans tr in
-    let roots = Hashtbl.create 64 in
-    List.iter
-      (fun sp ->
-        if Trace.span_parent sp = None && Trace.span_name sp = "revoke.invalidate" then
-          Hashtbl.replace roots (Trace.span_trace sp) (Trace.span_start sp))
-      spans;
-    let e2e =
-      List.filter_map
-        (fun sp ->
-          if Trace.span_name sp = "revoke.apply" then
-            Option.map
-              (fun root_start -> Trace.span_end sp -. root_start)
-              (Hashtbl.find_opt roots (Trace.span_trace sp))
-          else None)
-        spans
-      |> List.sort compare |> Array.of_list
-    in
-    let pct p =
-      match Array.length e2e with
-      | 0 -> 0.0
-      | len ->
-          let rank = int_of_float (Float.ceil (p /. 100.0 *. float_of_int len)) in
-          e2e.(max 0 (min (len - 1) (rank - 1)))
-    in
-    let samples = Array.length e2e in
-    if samples = 0 then failwith "e20: no end-to-end revocation spans recorded";
-    let mx = Array.fold_left Float.max 0.0 e2e in
-    if mx > 2.0 *. heartbeat then
-      failwith (Printf.sprintf "e20: propagation latency %.3fs exceeds 2 heartbeats" mx);
-    let s = Net.stats w.net in
-    if Stats.latency_samples s "oasis.revoke.e2e" <> samples then
-      failwith "e20: span-derived and histogram sample counts disagree";
-    let reparse what str =
-      match J.parse str with Ok j -> j | Error e -> failwith ("e20 " ^ what ^ " json: " ^ e)
-    in
+    let _, e2e, mx = revocation_burst "e20" w ~heartbeat login login_certs in
     let snapshot =
       [
         ("shards", J.Int n);
@@ -1762,18 +1727,11 @@ Member(u) <- Login.LoggedOn(u, h)*
         ("heartbeat", J.Float heartbeat);
         ("issue_wall_s", J.Float wall);
         ("issues_per_s", J.Float thpt);
-        ( "e2e",
-          J.Obj
-            [
-              ("samples", J.Int samples);
-              ("p50", J.Float (pct 50.0));
-              ("p99", J.Float (pct 99.0));
-              ("max", J.Float mx);
-            ] );
-        ("stats", reparse "stats" (Stats.to_json s));
+        e2e_json e2e mx;
+        ("stats", reparse "e20" "stats" (Stats.to_json (Net.stats w.net)));
       ]
     in
-    (thpt, pct 50.0, pct 99.0, mx, snapshot)
+    (thpt, percentile e2e 50.0, percentile e2e 99.0, mx, snapshot)
   in
   row "%8s %10s %14s %12s %12s %12s\n" "shards" "members" "issues/s" "p50 (s)" "p99 (s)" "max (s)";
   let results =
@@ -1845,13 +1803,6 @@ Chair <- Login.LoggedOn("jmb", h)
 Member(u) <- Login.LoggedOn(u, h)* |>* Chair
 |} in
   let nfires = min 60 (members / 4) in
-  let pct arr p =
-    match Array.length arr with
-    | 0 -> 0.0
-    | len ->
-        let rank = int_of_float (Float.ceil (p /. 100.0 *. float_of_int len)) in
-        arr.(max 0 (min (len - 1) (rank - 1)))
-  in
   let run ~k ~crash =
     let w = make_world () in
     let login = service ~batch:true w ~name:"Login" ~rolefile:login_rolefile in
@@ -1990,8 +1941,8 @@ Member(u) <- Login.LoggedOn(u, h)* |>* Chair
       List.length !acked_fires,
       Array.length lat,
       !probe_err,
-      pct lat 50.0,
-      pct lat 99.0,
+      percentile lat 50.0,
+      percentile lat 99.0,
       (if Array.length lat = 0 then 0.0 else lat.(Array.length lat - 1)) )
   in
   row "%4s %6s %8s %8s %8s %8s %10s %10s %10s\n" "K" "crash" "lost" "entries" "fires" "errs"
