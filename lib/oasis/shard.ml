@@ -212,34 +212,32 @@ let routed_timeout = 4.0
    message. *)
 let forward g f = if Replica.ready g then f (Replica.primary g)
 
-(* The envelope of a routed request: the client's RPC to the router under
-   [category] and [size], with the routed timeout and retry budget;
-   [handler] runs at the router. *)
+(* A routed request: the client's RPC to the router, under the routed
+   timeout and retry budget. *)
 let routed t ~client_host (category, size) handler k =
   Net.rpc t.sh_net ~category ~size ~timeout:routed_timeout ~attempts:Net.retry_attempts
     ~src:client_host ~dst:t.sh_router handler k
 
-(* Forward to the primary owning the role instance, re-derived on every
-   attempt: [op] runs there for the router as its client. *)
-let to_owner t ~role ~args op reply =
-  forward (owner_group t ~role ~args) (fun svc -> op svc ~client_host:t.sh_router reply)
+(* One forwarded to the owner of a role instance, re-derived per attempt. *)
+let to_owner t ~client_host request ~role ~args op k =
+  routed t ~client_host request
+    (fun reply ->
+      forward (owner_group t ~role ~args) (fun svc -> op svc ~client_host:t.sh_router reply))
+    k
 
 let request_entry t ~client_host ~client ~role ~args ?(creds = []) k =
-  routed t ~client_host
-    ("shard.entry", 128 + (96 * List.length creds))
-    (to_owner t ~role ~args (fun svc ~client_host reply ->
-         Service.request_entry svc ~client_host ~client ~role ~args ~creds reply))
+  to_owner t ~client_host ("shard.entry", 128 + (96 * List.length creds)) ~role ~args
+    (fun svc ~client_host reply ->
+      Service.request_entry svc ~client_host ~client ~role ~args ~creds reply)
     k
 
 let revoke_role_instance t ~client_host ~revoker ~role ~args k =
-  routed t ~client_host ("shard.rbr", 160)
-    (to_owner t ~role ~args (Service.revoke_role_instance ~revoker ~role ~args))
-    k
+  to_owner t ~client_host ("shard.rbr", 160) ~role ~args
+    (Service.revoke_role_instance ~revoker ~role ~args) k
 
 let reinstate_role_instance t ~client_host ~revoker ~role ~args k =
-  routed t ~client_host ("shard.rbr", 160)
-    (to_owner t ~role ~args (Service.reinstate_role_instance ~revoker ~role ~args))
-    k
+  to_owner t ~client_host ("shard.rbr", 160) ~role ~args
+    (Service.reinstate_role_instance ~revoker ~role ~args) k
 
 let fail_closed_verdict service =
   Printf.sprintf
