@@ -398,8 +398,7 @@ let mirror c ~peer ~remote ~initial =
    [attempts] is above 1 (arming is guarded, so a service's own check
    is). *)
 let validate_at c ~issuer ~category ~attempts check k =
-  Net.rpc c.c_net ~category ~attempts ~backoff:0.5 ~src:c.c_host ~dst:issuer.c_host
-    (fun reply -> reply (check ()))
+  Net.rpc c.c_net ~category ~attempts ~backoff:0.5 ~src:c.c_host ~dst:issuer.c_host check
     (function
       | Error e -> k (Error e)
       | Ok (roles, args, remote) ->

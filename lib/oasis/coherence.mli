@@ -52,12 +52,12 @@ val validate_at :
   issuer:t ->
   category:string ->
   attempts:int ->
-  (unit -> (string list * Oasis_rdl.Value.t list * Credrec.cref, string) result) ->
+  (((string list * Oasis_rdl.Value.t list * Credrec.cref, string) result -> unit) -> unit) ->
   ((string list * Oasis_rdl.Value.t list * Credrec.cref * Credrec.cref, string) result ->
   unit) ->
   unit
 (** Run [check] at [issuer] over one RPC of [category], tried up to
-    [attempts] times, then {!mirror} the record it answers with: the
+    [attempts] times, then {!mirror} the record it replies with: the
     continuation gets the roles, arguments, remote record and its local
     surrogate.  A timeout or [check]'s own error is passed on. *)
 

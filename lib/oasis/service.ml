@@ -719,10 +719,10 @@ let rec seq_map f list k =
    formatted only on its error branch. *)
 let validate_at_issuer t issuer ~category ~attempts (cert : Cert.rmc) k =
   Coherence.validate_at t.sv_coherence ~issuer:issuer.sv_coherence ~category ~attempts
-    (fun () ->
+    (fun reply ->
       match validate_for_peer issuer cert with
-      | Ok r -> Ok r
-      | Error f -> Error (Format.asprintf "%a" pp_failure f))
+      | Ok r -> reply (Ok r)
+      | Error f -> reply (Error (Format.asprintf "%a" pp_failure f)))
     k
 
 (* Validate one credential [client] supplied, local or external, producing
@@ -1495,7 +1495,9 @@ let create net host reg ~name:sv_name ?(rolefile_id = "main") ~rolefile ?(funcs 
   let coherence =
     Coherence.create net host ~name:sv_name ~table
       ~lookup:(fun n ->
-        match find_service reg n with Some peer -> Some peer.sv_coherence | None -> None)
+        match Hashtbl.find reg n with
+        | peer -> Some peer.sv_coherence
+        | exception Not_found -> None)
       ~heartbeat ~batch:batch_notifications ~disk
   in
   let t =

@@ -213,31 +213,34 @@ let routed_timeout = 4.0
 let forward g f = if Replica.ready g then f (Replica.primary g)
 
 (* A routed request: the client's RPC to the router, under the routed
-   timeout and retry budget. *)
-let routed t ~client_host (category, size) handler k =
+   timeout and retry budget; [handler] runs at the router. *)
+let routed t ~client_host ~category ~size handler k =
   Net.rpc t.sh_net ~category ~size ~timeout:routed_timeout ~attempts:Net.retry_attempts
     ~src:client_host ~dst:t.sh_router handler k
 
-(* One forwarded to the owner of a role instance, re-derived per attempt. *)
-let to_owner t ~client_host request ~role ~args op k =
-  routed t ~client_host request
-    (fun reply ->
-      forward (owner_group t ~role ~args) (fun svc -> op svc ~client_host:t.sh_router reply))
-    k
+(* Forward to the primary owning a role instance, derived afresh. *)
+let to_owner t ~role ~args f = forward (owner_group t ~role ~args) f
 
 let request_entry t ~client_host ~client ~role ~args ?(creds = []) k =
-  to_owner t ~client_host ("shard.entry", 128 + (96 * List.length creds)) ~role ~args
-    (fun svc ~client_host reply ->
-      Service.request_entry svc ~client_host ~client ~role ~args ~creds reply)
+  routed t ~client_host ~category:"shard.entry" ~size:(128 + (96 * List.length creds))
+    (fun reply ->
+      to_owner t ~role ~args (fun svc ->
+          Service.request_entry svc ~client_host:t.sh_router ~client ~role ~args ~creds reply))
     k
 
 let revoke_role_instance t ~client_host ~revoker ~role ~args k =
-  to_owner t ~client_host ("shard.rbr", 160) ~role ~args
-    (Service.revoke_role_instance ~revoker ~role ~args) k
+  routed t ~client_host ~category:"shard.rbr" ~size:160
+    (fun reply ->
+      to_owner t ~role ~args (fun svc ->
+          Service.revoke_role_instance svc ~client_host:t.sh_router ~revoker ~role ~args reply))
+    k
 
 let reinstate_role_instance t ~client_host ~revoker ~role ~args k =
-  to_owner t ~client_host ("shard.rbr", 160) ~role ~args
-    (Service.reinstate_role_instance ~revoker ~role ~args) k
+  routed t ~client_host ~category:"shard.rbr" ~size:160
+    (fun reply ->
+      to_owner t ~role ~args (fun svc ->
+          Service.reinstate_role_instance svc ~client_host:t.sh_router ~revoker ~role ~args reply))
+    k
 
 let fail_closed_verdict service =
   Printf.sprintf
@@ -246,7 +249,7 @@ let fail_closed_verdict service =
     service
 
 let validate t ~client_host ~client ?need_role cert k =
-  routed t ~client_host ("shard.validate", 96)
+  routed t ~client_host ~category:"shard.validate" ~size:96
     (fun reply ->
       match group_by_service_name t cert.Cert.service with
       | None -> reply (Error ("certificate for foreign service " ^ cert.Cert.service))
@@ -304,7 +307,7 @@ let validate t ~client_host ~client ?need_role cert k =
     k
 
 let exit_role t ~client_host cert k =
-  routed t ~client_host ("shard.exit", 96)
+  routed t ~client_host ~category:"shard.exit" ~size:96
     (fun reply ->
       match group_by_service_name t cert.Cert.service with
       | None -> reply (Error ("certificate for foreign service " ^ cert.Cert.service))
