@@ -394,9 +394,8 @@ let mirror c ~peer ~remote ~initial =
 (* Check a certificate at its issuing service over the validation RPC
    (§2.10), then mirror its credential record here as an external record,
    so a later revocation at the issuer propagates like any other external
-   dependency.  [check] runs at the issuer; it must be idempotent when
-   [attempts] is above 1 (arming is guarded, so a service's own check
-   is). *)
+   dependency.  [check] runs at the issuer and answers through its reply;
+   with [attempts] above 1 it may run again, so it must be idempotent. *)
 let validate_at c ~issuer ~category ~attempts check k =
   Net.rpc c.c_net ~category ~attempts ~backoff:0.5 ~src:c.c_host ~dst:issuer.c_host check
     (function

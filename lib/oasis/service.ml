@@ -716,7 +716,8 @@ let rec seq_map f list k =
    guarded).  Their budget is kept short (~7.5 s worst case at 3
    attempts): validation gates a decision, which must still fail closed
    promptly when the issuer is genuinely unreachable (§4.2).  A failure is
-   formatted only on its error branch. *)
+   formatted only on its error branch: formatting allocates a formatter,
+   which every validation would pay. *)
 let validate_at_issuer t issuer ~category ~attempts (cert : Cert.rmc) k =
   Coherence.validate_at t.sv_coherence ~issuer:issuer.sv_coherence ~category ~attempts
     (fun reply ->
