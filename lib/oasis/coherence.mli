@@ -56,10 +56,12 @@ val validate_at :
   ((string list * Oasis_rdl.Value.t list * Credrec.cref * Credrec.cref, string) result ->
   unit) ->
   unit
-(** Run [check] at [issuer] over one RPC of [category], tried up to
-    [attempts] times, then {!mirror} the record it replies with: the
-    continuation gets the roles, arguments, remote record and its local
-    surrogate.  A timeout or [check]'s own error is passed on. *)
+(** [validate_at c ~issuer ~category ~attempts check k] runs [check] at
+    [issuer], over one RPC of [category] tried up to [attempts] times;
+    [check] answers through the reply it is handed.  On [Ok] the record it
+    names is {!mirror}ed in [c], and [k] gets the roles, arguments, remote
+    record and its local surrogate.  A timeout or [check]'s own error is
+    passed on. *)
 
 val resync_all : t -> unit
 (** Queue every mirrored record for a reread and start each link's
