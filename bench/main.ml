@@ -648,8 +648,8 @@ Member(u) <- Login.LoggedOn(u, h)* <|* Chair : (u in staff)*
     tests;
   (* The sim substrate's per-event layer, timed by hand so one loop reads
      both CPU time and minor words.  Each engine first queues events far
-     beyond the loop's reach, so the loop works at about sim-session's
-     depth of 4,000 queued events. *)
+     beyond the loop's reach, so the loop works at a depth of 3,000-4,000
+     queued events, above sim-session's peak (1,190 on seed 1009). *)
   let deep_engine queued =
     let e = Engine.create () in
     for i = 1 to queued do
@@ -672,9 +672,9 @@ Member(u) <- Login.LoggedOn(u, h)* <|* Chair : (u in staff)*
         Engine.schedule e ~delay:0.0 ignore;
         ignore (Engine.step e)
       done);
-  (* A 1 ms link and the default 2 s timeout keep about 1,000 call
-     timeouts queued on top of the 3,000 background events; a round trip
-     runs its request, its reply and, once warm, one expiring timeout. *)
+  (* The reply cancels its call's timeout, which leaves the queue at
+     once, so no timeout stays queued: a round trip runs its request and
+     its reply over the 3,000 background events. *)
   let e = deep_engine 3_000 in
   let net = Net.create ~latency:(Net.Fixed 0.001) e in
   let a = Net.add_host net "a" and b = Net.add_host net "b" in
@@ -683,7 +683,7 @@ Member(u) <- Login.LoggedOn(u, h)* <|* Chair : (u in staff)*
   per_op "sim-rpc-roundtrip" 100_000 (fun n ->
       for _ = 1 to n do
         let before = !answered in
-        Net.rpc net ~src:a ~dst:b (fun reply -> reply (Ok ())) k;
+        Net.rpc net ~category:"rpc" ~src:a ~dst:b (fun reply -> reply (Ok ())) k;
         while !answered = before do
           ignore (Engine.step e)
         done

@@ -63,7 +63,7 @@ let aggregate io ?(env = []) ?until comp handlers =
       (Bead.detect io ~env comp ~on_occur:(fun o ->
            if not t.ended then begin
              t.handlers.on_event o;
-             Pqueue.push t.queue o.Bead.at o;
+             ignore (Pqueue.push t.queue o.Bead.at o);
              drain_fixed t
            end));
   (match until with

@@ -26,7 +26,7 @@ let wrap (io : Bead.io) : Bead.io =
         let unsub =
           io.Bead.subscribe tpl ~since (fun e ->
               if !live then begin
-                Pqueue.push buffer e.Event.stamp { h_event = e; h_cb = cb; h_live = live };
+                ignore (Pqueue.push buffer e.Event.stamp { h_event = e; h_cb = cb; h_live = live });
                 release ()
               end)
         in

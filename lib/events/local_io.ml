@@ -111,6 +111,6 @@ let io t =
         t.horizon_watchers <- watcher :: t.horizon_watchers;
         fun () -> live := false);
     io_now = (fun () -> t.time);
-    io_after = (fun delay action -> Pqueue.push t.timers (t.time +. delay) action);
+    io_after = (fun delay action -> ignore (Pqueue.push t.timers (t.time +. delay) action));
     clock_uncertainty = t.clock_uncertainty;
   }

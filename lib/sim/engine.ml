@@ -17,39 +17,38 @@ type source = {
          (no I/O sources registered), which lets [run] terminate. *)
 }
 
-(* While queued, a timer from [timer] reaches its engine through [home], so
-   [cancel] can count it among the queue's dead entries.  [home] is [None]
-   otherwise: for [schedule]'s events, which no caller can cancel, for
-   [every]'s handle, which is never queued, and once the timer has left
-   the queue. *)
+(* An engine event.  [state] folds where the event is into one int: a
+   [timer]'s handle in [queue] while it is queued ([>= 0]), [idle] when it
+   is live but not queued or not tracked (a [schedule]d event, which no
+   caller can cancel; a timer that fired; [every]'s handle, never queued)
+   and [cancelled_state].  [home] is the engine's preallocated [Some t] for a
+   [timer], so [cancel] reaches its queue, and [None] otherwise. *)
 type timer = {
-  mutable alive : bool;
+  mutable state : int;
   mutable action : unit -> unit;
   tag : string;
-  mutable home : t option;
+  home : t option;
 }
 
 and t = {
   mutable now : float;
   queue : timer Oasis_util.Pqueue.t;
-  mutable dead : int;  (* cancelled timers still in [queue] *)
+  self : t option;  (* [Some t], every timer's [home] *)
   mutable scheduler : scheduler option;
   source : source option;
   mutable stopped : bool;
 }
 
+let idle = -1
+let cancelled_state = -2
+
 (* What a queue slot holds when no event occupies it. *)
-let vacant_timer = { alive = false; action = ignore; tag = ""; home = None }
+let vacant_timer = { state = idle; action = ignore; tag = ""; home = None }
 
 let create ?source () =
-  {
-    now = 0.0;
-    queue = Oasis_util.Pqueue.create ~vacant:vacant_timer;
-    dead = 0;
-    scheduler = None;
-    source;
-    stopped = false;
-  }
+  let queue = Oasis_util.Pqueue.create ~vacant:vacant_timer in
+  let rec t = { now = 0.0; queue; self = Some t; scheduler = None; source; stopped = false } in
+  t
 
 let now t = match t.source with Some s -> s.src_now () | None -> t.now
 
@@ -64,64 +63,60 @@ let schedule_at t ?(tag = "") ~at action =
     let n = now t in
     if at < n then n else at
   in
-  Oasis_util.Pqueue.push t.queue at { alive = true; action; tag; home = None }
+  ignore (Oasis_util.Pqueue.push t.queue at { state = idle; action; tag; home = None })
 
 let schedule t ?tag ~delay action = schedule_at t ?tag ~at:(now t +. delay) action
 
 let timer t ?(tag = "") ~delay action =
   let at = now t +. fmax 0.0 delay in
-  let tm = { alive = true; action; tag; home = Some t } in
-  Oasis_util.Pqueue.push t.queue at tm;
+  let tm = { state = idle; action; tag; home = t.self } in
+  tm.state <- Oasis_util.Pqueue.push t.queue at tm;
   tm
 
-(* Below this many, cancelled timers wait for their deadline: the small
-   worlds of the tests and the model checker never compact. *)
-let compact_floor = 512
-
 let cancel tm =
-  if tm.alive then begin
-    tm.alive <- false;
-    tm.action <- (fun () -> ());
-    match tm.home with
-    | None -> ()
-    | Some t ->
-        t.dead <- t.dead + 1;
-        if t.dead > compact_floor && 2 * t.dead > Oasis_util.Pqueue.length t.queue then begin
-          Oasis_util.Pqueue.filter_inplace t.queue (fun tm -> tm.alive);
-          t.dead <- 0
-        end
+  if tm.state <> cancelled_state then begin
+    (match tm.home with
+    | Some t when tm.state >= 0 -> Oasis_util.Pqueue.remove t.queue tm.state
+    | _ -> ());
+    tm.state <- cancelled_state;
+    tm.action <- ignore
   end
 
-let cancelled tm = not tm.alive
+let cancelled tm = tm.state = cancelled_state
+
+let settle tm =
+  match tm.home with
+  | Some { scheduler = Some _; _ } -> ()
+  | _ -> cancel tm
 
 let every t ?tag ~period action =
   if period <= 0.0 then invalid_arg "Engine.every: period must be positive";
   (* The handle returned to the caller is distinct from the queued one-shot
      timers: cancelling it suppresses all future firings. *)
-  let handle = { alive = true; action = (fun () -> ()); tag = ""; home = None } in
+  let handle = { state = idle; action = ignore; tag = ""; home = None } in
   let rec arm () =
     schedule t ?tag ~delay:period (fun () ->
-        if handle.alive then begin
+        if not (cancelled handle) then begin
           action ();
-          if handle.alive then arm ()
+          if not (cancelled handle) then arm ()
         end)
   in
   arm ();
   handle
 
 let events t =
-  List.filter_map
-    (fun (at, seq, tm) ->
-      if tm.alive then Some { ev_at = at; ev_seq = seq; ev_tag = tm.tag } else None)
+  List.map
+    (fun (at, seq, tm) -> { ev_at = at; ev_seq = seq; ev_tag = tm.tag })
     (Oasis_util.Pqueue.entries t.queue)
 
 let set_scheduler t s = t.scheduler <- s
 
-(* [tm] has just left the queue: a cancel from here on is not counted. *)
+(* [tm] has just left the queue: a cancel from here on leaves the queue
+   alone.  Only live events are queued. *)
 let exec t at tm =
   t.now <- fmax t.now at;
-  tm.home <- None;
-  if tm.alive then tm.action () else t.dead <- t.dead - 1;
+  tm.state <- idle;
+  tm.action ();
   true
 
 (* The earliest event, whose deadline [at] the caller has just read. *)
@@ -135,7 +130,7 @@ let step t =
   | None -> default_step t
   | Some pick -> (
       match events t with
-      | [] -> default_step t (* only cancelled timers left: drain them *)
+      | [] -> false
       | evs -> (
           match pick evs with
           | None -> default_step t
@@ -212,11 +207,7 @@ let pending_tagged t prefix =
   let plen = String.length prefix in
   List.fold_left
     (fun n (_, _, tm) ->
-      if
-        tm.alive
-        && String.length tm.tag >= plen
-        && String.equal (String.sub tm.tag 0 plen) prefix
-      then n + 1
+      if String.length tm.tag >= plen && String.equal (String.sub tm.tag 0 plen) prefix then n + 1
       else n)
     0
     (Oasis_util.Pqueue.entries t.queue)

@@ -52,17 +52,17 @@ type timer
 val timer : t -> ?tag:string -> delay:float -> (unit -> unit) -> timer
 
 val cancel : timer -> unit
-(** The timer will not fire.  Cancelling it again, or after it fired,
-    leaves the queue alone.  A cancelled timer stays queued until its
-    deadline passes, unless cancelled timers come to fill more than half
-    the queue and number more than {!compact_floor}: then all of them are
-    dropped in one O(n) rebuild, which leaves the order of the live events
-    unchanged.  A dropped timer no longer advances virtual time to its
-    deadline. *)
+(** The timer will not fire: a queued timer leaves the queue at once, in
+    O(log n), so it never advances the clock to its deadline.  Cancelling
+    it again, or after it fired, changes nothing. *)
 
-val compact_floor : int
-(** The number of cancelled timers the queue may hold before they are
-    dropped early (512), so small worlds never compact. *)
+val settle : timer -> unit
+(** What the timer guards has happened (a call's reply arrived), so its
+    action has nothing left to do.  Without a scheduler installed this is
+    {!cancel}.  With one installed (see {!set_scheduler}) the timer stays
+    queued and runs at its deadline, so {!events}, which the model checker
+    branches on and fingerprints, lists it as if nothing had been
+    answered; the caller's action must then do nothing. *)
 
 val cancelled : timer -> bool
 
@@ -89,31 +89,33 @@ val run : ?until:float -> t -> unit
     flat queue ({!Oasis_util.Pqueue.min_prio},
     {!Oasis_util.Pqueue.take_min}).  Scheduling an event still allocates its
     timer record, its closure and its deadline as a boxed float, and taking
-    it boxes the deadline again for the clock. *)
+    it boxes the deadline again for the clock; a timer's record reaches its
+    engine through an option allocated once per engine.  Cancelling a
+    queued timer allocates nothing. *)
 
 val stop : t -> unit
 (** Make a running real-time {!run} loop return after the current handler.
     No effect on the virtual-time loop (which always drains). *)
 
 val pending : t -> int
-(** Queued events, including cancelled timers not yet dropped (see
-    {!cancel}). *)
+(** Queued events.  Every one of them will run: a cancelled timer has left
+    the queue (see {!cancel}). *)
 
 val pending_tagged : t -> string -> int
-(** Live (non-cancelled) pending events whose tag starts with the given
-    prefix.  Used by tests asserting that crash/restart cycles do not leak
-    timers: a component whose periodic timers are static has a constant
-    tagged-pending count at quiescence. *)
+(** Queued events whose tag starts with the given prefix.  Used by tests
+    asserting that crash/restart cycles do not leak timers: a component
+    whose periodic timers are static has a constant tagged-pending count
+    at quiescence. *)
 
 (** {1 Single-step scheduling (model checking)} *)
 
 type event = { ev_at : float; ev_seq : int; ev_tag : string }
-(** A live pending entry: its deadline, its queue-lifetime-unique insertion
+(** A queued event: its deadline, its queue-lifetime-unique insertion
     sequence (stable across deterministic replays of the same prefix) and
     its tag. *)
 
 type scheduler = event list -> int option
-(** Consulted by {!step} with the live pending events in earliest-first
+(** Consulted by {!step} with the queued events in earliest-first
     order; returns the [ev_seq] to execute next, or [None] for the default
     (earliest) choice.  Executing an event whose deadline lies beyond the
     earliest one advances virtual time to that deadline; earlier events then
@@ -121,7 +123,7 @@ type scheduler = event list -> int option
     reordering the model checker explores. *)
 
 val events : t -> event list
-(** The live (non-cancelled) pending events, earliest first. *)
+(** The queued events, earliest first, sorted afresh on every call. *)
 
 val set_scheduler : t -> scheduler option -> unit
 (** Install or remove the single-step scheduler hook. *)

@@ -201,7 +201,7 @@ let send_as t c size ~src ~dst action =
     else
       Engine.schedule t.engine ~tag:dst.deliver_tag ~delay:(sample_latency t src dst) deliver
 
-let send t ?(category = "msg") ?(size = 64) ~src ~dst action =
+let send t ~category ?(size = 64) ~src ~dst action =
   send_as t (resolve t category) size ~src ~dst action
 
 (* The cap on one retry's backoff, before jitter. *)
@@ -235,35 +235,41 @@ let retrying t c ~attempts ~backoff ~src once k =
    may call later, from any engine event.
 
    The caller's continuation waits in [pending], which the reply or the
-   timeout empties, whichever comes first.  An answered call's timeout is
-   not cancelled: a cancelled timer drops out of [Engine.events], which
-   the model checker branches on and fingerprints. *)
+   timeout empties, whichever comes first.  The reply settles the timeout
+   ([Engine.settle]): it leaves the queue, unless the model checker's
+   scheduler is installed, which branches on queued timeouts; the timeout
+   then finds [pending] empty and does nothing.  [reply] is built here, so
+   the request's delivery closure captures only it and [handler]. *)
 let rpc_once t c size ~timeout ~src ~dst handler k =
   let pending = ref (Some k) in
   let ctx = Trace.current t.trace in
-  Engine.schedule t.engine ~tag:src.timer_tag ~delay:timeout (fun () ->
-      match !pending with
-      | None -> ()
-      | Some k ->
-          pending := None;
-          Stats.incr t.stats (c.cat_name ^ ".timeout");
-          (* The timeout continuation belongs to the caller's causal chain
-             even though no message carried it. *)
-          Trace.with_ctx t.trace ctx (fun () -> k (Error "timeout")));
-  send_as t c size ~src ~dst (fun () ->
-      handler (fun result ->
-          send_as t (reply_category t c) size ~src:dst ~dst:src (fun () ->
-              match !pending with
-              | None ->
-                  (* The caller already gave up: the server-side effects stand
-                     but the answer is discarded.  Experiments need to see how
-                     often this happens (retried requests must be idempotent). *)
-                  Stats.incr t.stats (c.cat_name ^ ".late_reply")
-              | Some k ->
-                  pending := None;
-                  k result)))
+  let timer =
+    Engine.timer t.engine ~tag:src.timer_tag ~delay:timeout (fun () ->
+        match !pending with
+        | None -> ()
+        | Some k ->
+            pending := None;
+            Stats.incr t.stats (c.cat_name ^ ".timeout");
+            (* The timeout continuation belongs to the caller's causal chain
+               even though no message carried it. *)
+            Trace.with_ctx t.trace ctx (fun () -> k (Error "timeout")))
+  in
+  let reply result =
+    send_as t (reply_category t c) size ~src:dst ~dst:src (fun () ->
+        match !pending with
+        | None ->
+            (* The caller already gave up: the server-side effects stand
+               but the answer is discarded.  Experiments need to see how
+               often this happens (retried requests must be idempotent). *)
+            Stats.incr t.stats (c.cat_name ^ ".late_reply")
+        | Some k ->
+            pending := None;
+            Engine.settle timer;
+            k result)
+  in
+  send_as t c size ~src ~dst (fun () -> handler reply)
 
-let rpc t ?(category = "rpc") ?(size = 64) ?(timeout = 2.0) ?(attempts = 1) ?(backoff = 0.25)
+let rpc t ~category ?(size = 64) ?(timeout = 2.0) ?(attempts = 1) ?(backoff = 0.25)
     ~src ~dst handler k =
   let c = resolve t category in
   if attempts = 1 then rpc_once t c size ~timeout ~src ~dst handler k
@@ -320,7 +326,7 @@ let call_once t c size ~timeout ~src ~dst ~port payload k =
                   Trace.with_ctx t.trace ctx (fun () -> k result)
                 end))
 
-let call t ?(category = "call") ?size ?(timeout = 2.0) ?(attempts = 1) ?(backoff = 0.25) ~src ~dst
+let call t ~category ?size ?(timeout = 2.0) ?(attempts = 1) ?(backoff = 0.25) ~src ~dst
     ~port payload k =
   let size = match size with Some s -> s | None -> String.length payload + 64 in
   let c = resolve t category in

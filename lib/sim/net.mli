@@ -69,13 +69,13 @@ val on_crash : t -> host -> (unit -> unit) -> unit
 
 val on_restart : t -> host -> (unit -> unit) -> unit
 
-val send : t -> ?category:string -> ?size:int -> src:host -> dst:host -> (unit -> unit) -> unit
+val send : t -> category:string -> ?size:int -> src:host -> dst:host -> (unit -> unit) -> unit
 (** One-way message: the closure runs at the destination after link latency,
     unless lost or partitioned. *)
 
 val rpc :
   t ->
-  ?category:string ->
+  category:string ->
   ?size:int ->
   ?timeout:float ->
   ?attempts:int ->
@@ -110,14 +110,15 @@ val rpc :
 
     The continuation waits in one mutable cell, which the reply or the
     timeout empties, whichever comes first, so an answered call lets go of
-    it as soon as the reply arrives.  Its timeout event stays queued to its
-    deadline, with its sequence number and [t:] tag, and holds only the
-    emptied cell and the caller's trace context.  It is not cancelled the
-    way {!call}'s wire path cancels its timer: a cancelled timer drops out
-    of {!Engine.events}, which the model checker branches on and
-    fingerprints, so cancelling would change the schedules it walks.  This
-    holds for {!call} to a host of this process too, which runs on
-    [rpc]. *)
+    it as soon as the reply arrives.  The reply also settles the timeout
+    ({!Engine.settle}), which leaves the queue at once: an answered call
+    leaves no event behind.  While the model checker's scheduler is
+    installed the timeout stays queued to its deadline instead, with its
+    sequence number and [t:] tag, and fires holding only the emptied cell
+    and the caller's trace context: the model checker branches on
+    {!Engine.events} and fingerprints them, so its schedules and reports
+    are those of a timeout that is never cancelled.  This holds for
+    {!call} to a host of this process too, which runs on [rpc]. *)
 
 val retry_attempts : int
 (** The attempt budget (5) of the library's requests that must survive a
@@ -170,7 +171,7 @@ val dispatch :
 
 val call :
   t ->
-  ?category:string ->
+  category:string ->
   ?size:int ->
   ?timeout:float ->
   ?attempts:int ->

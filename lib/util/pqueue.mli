@@ -5,26 +5,32 @@
     two-section queue (fig 6.6), the global-view buffer and the local
     event substrate's timers.
 
-    The heap is flat: slot [i] is the [i]th element of three parallel
-    arrays, the priorities in a [Float.Array.t], the insertion sequence
-    numbers in an [int array] and the values in an ['a array], so a queued
-    entry costs three words and no block of its own.  A value slot that no
-    entry occupies holds the [vacant] filler given to {!create}, so a value
-    that left the queue is not reachable from it.  {!min_prio} and
-    {!take_min} together take the earliest entry without allocating. *)
+    The heap is flat: slot [i] holds an entry's priority, in a
+    [Float.Array.t], and its insertion sequence number and handle, in
+    [int array]s, while its value stays put in an array indexed by handle.
+    A sift therefore moves floats and ints only, and a queued entry costs
+    five words and no block of its own.  A value place that no entry
+    occupies holds the [vacant] filler given to {!create}, so a value that
+    left the queue is not reachable from it.  {!min_prio} and {!take_min}
+    together take the earliest entry without allocating. *)
 
 type 'a t
 
 val create : vacant:'a -> 'a t
-(** An empty queue.  [vacant] fills every value slot no entry occupies; it
+(** An empty queue.  [vacant] fills every value place no entry occupies; it
     is never returned. *)
 
 val is_empty : 'a t -> bool
 val length : 'a t -> int
 
-val push : 'a t -> float -> 'a -> unit
-(** [push q priority v] inserts [v]. Lower priorities pop first; equal
-    priorities pop in insertion order. *)
+type handle = int
+(** Names a queued entry for {!remove}: a small non-negative int, valid
+    until the entry leaves the queue.  The queue then hands it to a later
+    push, so a holder must forget it once its entry has left. *)
+
+val push : 'a t -> float -> 'a -> handle
+(** [push q priority v] inserts [v] and returns its handle.  Lower
+    priorities pop first; equal priorities pop in insertion order. *)
 
 val min_prio : 'a t -> float
 (** The earliest entry's priority.  Raises [Invalid_argument] when the
@@ -34,11 +40,12 @@ val take_min : 'a t -> 'a
 (** Remove the earliest entry and return its value, allocating nothing.
     Raises [Invalid_argument] when the queue is empty. *)
 
-val filter_inplace : 'a t -> ('a -> bool) -> unit
-(** [filter_inplace q keep] drops every entry whose value fails [keep] and
-    rebuilds the heap in one O(n) pass.  The kept entries pop in the same
-    order as before: order depends only on each entry's priority and
-    insertion sequence, and that pair is unique. *)
+val remove : 'a t -> handle -> unit
+(** [remove q h] takes the entry [h] names out of the queue in O(log n),
+    allocating nothing.  The other entries pop in the same order as
+    before: order depends only on each entry's priority and insertion
+    sequence, and that pair is unique.  Raises [Invalid_argument] when [h]
+    names no queued entry. *)
 
 val to_list : 'a t -> (float * 'a) list
 (** Non-destructive snapshot in pop order (O(n log n)). *)

@@ -70,8 +70,8 @@ let test_send_delivery fl () =
   let a = Net.add_host net "a" and b = Net.add_host net "b" in
   ignore b;
   let got = ref 0 in
-  Net.send net ~src:a ~dst:b (fun () -> incr got);
-  Net.send net ~src:a ~dst:b (fun () -> incr got);
+  Net.send net ~category:"msg" ~src:a ~dst:b (fun () -> incr got);
+  Net.send net ~category:"msg" ~src:a ~dst:b (fun () -> incr got);
   run_until_done backend ~deadline:2.0 (fun () -> !got = 2)
 
 let test_call_roundtrip fl () =
@@ -80,7 +80,7 @@ let test_call_roundtrip fl () =
   let a = Net.add_host net "a" and b = Net.add_host net "b" in
   Net.bind net b ~port:"echo" (fun req reply -> reply (Ok ("echo:" ^ req)));
   let answer = ref "" in
-  Net.call net ~src:a ~dst:"b" ~port:"echo" "hi" (function
+  Net.call net ~category:"call" ~src:a ~dst:"b" ~port:"echo" "hi" (function
     | Ok s -> answer := s
     | Error e -> answer := "error:" ^ e);
   run_until_done backend ~deadline:2.0 (fun () -> !answer <> "");
@@ -93,19 +93,19 @@ let test_call_error_paths fl () =
   (* A silent handler: the caller's timeout must answer. *)
   Net.bind net b ~port:"void" (fun _req _reply -> ());
   let timed_out = ref false and unknown = ref "" in
-  Net.call net ~timeout:0.1 ~src:a ~dst:"b" ~port:"void" "x" (function
+  Net.call net ~category:"call" ~timeout:0.1 ~src:a ~dst:"b" ~port:"void" "x" (function
     | Error "timeout" -> timed_out := true
     | _ -> ());
   (match fl with
   | Sim ->
       (* No remote transport: a non-local destination answers explicitly. *)
-      Net.call net ~timeout:0.1 ~src:a ~dst:"elsewhere" ~port:"p" "x" (function
+      Net.call net ~category:"call" ~timeout:0.1 ~src:a ~dst:"elsewhere" ~port:"p" "x" (function
         | Error e -> unknown := e
         | Ok _ -> ())
   | Ux ->
       (* A transport is installed but has no peer for the name: the frame
          is dropped and the timeout answers, like a dead remote. *)
-      Net.call net ~timeout:0.1 ~src:a ~dst:"elsewhere" ~port:"p" "x" (function
+      Net.call net ~category:"call" ~timeout:0.1 ~src:a ~dst:"elsewhere" ~port:"p" "x" (function
         | Error "timeout" -> unknown := "unknown host: elsewhere"
         | _ -> ()));
   run_until_done backend ~deadline:3.0 (fun () -> !timed_out && !unknown <> "");
@@ -212,7 +212,7 @@ let test_unix_loopback_call () =
   Net.bind net srv ~port:"sum" (fun req reply ->
       reply (Ok (string_of_int (String.length req))));
   let answer = ref "" in
-  Net.call net ~src:a ~dst:"wire.srv" ~port:"sum" "12345" (function
+  Net.call net ~category:"call" ~src:a ~dst:"wire.srv" ~port:"sum" "12345" (function
     | Ok s -> answer := s
     | Error e -> answer := "error:" ^ e);
   run_until_done backend ~deadline:5.0 (fun () -> !answer <> "");
@@ -244,7 +244,8 @@ let test_unix_clock_monotonic () =
     Engine.schedule engine ~delay:(0.001 *. float_of_int (i mod 8)) (fun () ->
         observe "timer";
         incr fired);
-    Net.call net ~src:a ~dst:"wire.srv" ~port:"echo" (string_of_int i) (function
+    Net.call net ~category:"call" ~src:a ~dst:"wire.srv" ~port:"echo" (string_of_int i)
+      (function
       | Ok _ ->
           observe "reply";
           incr answered
@@ -265,7 +266,8 @@ let test_unix_completed_calls_leave_no_timers () =
   let burst = 32 in
   let answered = ref 0 in
   for i = 1 to burst do
-    Net.call net ~src:a ~dst:"wire.srv" ~port:"echo" (string_of_int i) (function
+    Net.call net ~category:"call" ~src:a ~dst:"wire.srv" ~port:"echo" (string_of_int i)
+      (function
       | Ok _ -> incr answered
       | Error e -> Alcotest.failf "call %d: %s" i e)
   done;
@@ -281,7 +283,8 @@ let test_unix_writes_coalesce () =
   let answers = ref [] in
   Engine.schedule (Backend.engine backend) ~delay:0.0 (fun () ->
       for i = 1 to 64 do
-        Net.call net ~src:a ~dst:"wire.srv" ~port:"echo" (string_of_int i) (function
+        Net.call net ~category:"call" ~src:a ~dst:"wire.srv" ~port:"echo" (string_of_int i)
+          (function
           | Ok s -> answers := s :: !answers
           | Error e -> Alcotest.failf "call %d: %s" i e)
       done);
@@ -356,7 +359,7 @@ let test_unix_stop_keeps_queued_frames () =
   let engine = Backend.engine backend in
   let answer = ref "" in
   Engine.schedule engine ~delay:0.0 (fun () ->
-      Net.call net ~src:a ~dst:"wire.srv" ~port:"echo" "again" (function
+      Net.call net ~category:"call" ~src:a ~dst:"wire.srv" ~port:"echo" "again" (function
         | Ok s -> answer := s
         | Error e -> answer := "error:" ^ e);
       Backend.stop backend);
@@ -366,7 +369,7 @@ let test_unix_stop_keeps_queued_frames () =
   checks "the next run delivers it" "again" !answer;
   with_raw_peer b @@ fun accept ->
   Engine.schedule engine ~delay:0.0 (fun () ->
-      Net.call net ~src:a ~dst:"raw" ~port:"p" "last" (fun _ -> ());
+      Net.call net ~category:"call" ~src:a ~dst:"raw" ~port:"p" "last" (fun _ -> ());
       Backend.stop backend);
   Backend.run ~until:(Engine.now engine +. 5.0) backend;
   let fd = accept () in
@@ -389,9 +392,9 @@ let test_unix_closed_conn_drops_queued_frame () =
   let a = Net.add_host net "a" in
   with_raw_peer b @@ fun accept ->
   let second = ref None in
-  Net.call net ~timeout:0.2 ~src:a ~dst:"raw" ~port:"p" "first" (function
+  Net.call net ~category:"call" ~timeout:0.2 ~src:a ~dst:"raw" ~port:"p" "first" (function
     | Ok _ ->
-        Net.call net ~timeout:0.2 ~src:a ~dst:"raw" ~port:"p" "second" (fun r ->
+        Net.call net ~category:"call" ~timeout:0.2 ~src:a ~dst:"raw" ~port:"p" "second" (fun r ->
             second := Some r)
     | Error e -> Alcotest.failf "first call: %s" e);
   let fd = accept () in
@@ -429,7 +432,8 @@ let test_unix_reply_only_on_call_conn () =
   let port = Backend_unix.listen b () in
   with_raw_peer b @@ fun accept ->
   let answer = ref None in
-  Net.call net ~timeout:0.3 ~src:a ~dst:"raw" ~port:"p" "x" (fun r -> answer := Some r);
+  Net.call net ~category:"call" ~timeout:0.3 ~src:a ~dst:"raw" ~port:"p" "x" (fun r ->
+      answer := Some r);
   ignore (accept ());
   let forger = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Fun.protect ~finally:(fun () -> Unix.close forger) @@ fun () ->
@@ -449,7 +453,7 @@ let test_unix_timed_out_calls_forgotten () =
   Net.bind net srv ~port:"void" (fun _ _ -> ());
   let timed_out = ref 0 in
   for _ = 1 to 3 do
-    Net.call net ~timeout:0.1 ~src:a ~dst:"wire.srv" ~port:"void" "x" (function
+    Net.call net ~category:"call" ~timeout:0.1 ~src:a ~dst:"wire.srv" ~port:"void" "x" (function
       | Error "timeout" -> incr timed_out
       | _ -> ())
   done;
@@ -479,7 +483,7 @@ let peer_closes_with_frames_queued () =
   | _ -> assert false);
   let answers = ref [] in
   let call payload =
-    Net.call net ~timeout:0.3 ~src:a ~dst:"raw" ~port:"p" payload (fun r ->
+    Net.call net ~category:"call" ~timeout:0.3 ~src:a ~dst:"raw" ~port:"p" payload (fun r ->
         answers := r :: !answers)
   in
   call (String.make (8 lsl 20) 'x');
@@ -744,7 +748,7 @@ let test_remote_client_names_bounded () =
 let test_remote_raw_requests () =
   let module Frame = Oasis_util.Frame in
   with_remote @@ fun backend net c client _ ->
-  let call dst port req = await backend (Net.call net ~src:c ~dst ~port req) in
+  let call dst port req = await backend (Net.call net ~category:"call" ~src:c ~dst ~port req) in
   let f = Frame.fields in
   let place = f [ "place"; "User"; f [ "Su1" ] ] in
   let owner =

@@ -72,52 +72,109 @@ let test_engine_cancel_timer () =
   checkb "cancelled timer silent" false !fired;
   checkb "cancelled" true (Engine.cancelled tm)
 
-(* Cancelled timers leave the queue once they are more than half of it and
-   more than the floor, and the live events around them keep their order. *)
-let test_engine_cancelled_timers_compact () =
+(* A cancelled timer leaves the queue at once, never moves the clock, and
+   the live events around it keep their order. *)
+let test_engine_cancel_leaves_queue () =
   let e = Engine.create () in
   let fired = ref [] in
   for i = 1 to 10 do
     Engine.schedule e ~delay:(float_of_int (i * 1000)) (fun () -> fired := i :: !fired)
   done;
-  let timers =
-    List.init 10_000 (fun i ->
-        Engine.timer e ~delay:(float_of_int i) (fun () -> Alcotest.fail "cancelled timer fired"))
-  in
+  let never () = Alcotest.fail "cancelled timer fired" in
+  let late = Engine.timer e ~delay:50_000.0 never in
+  checki "armed" 11 (Engine.pending e);
+  Engine.cancel late;
+  checki "a cancel drops pending at once" 10 (Engine.pending e);
+  let timers = List.init 10_000 (fun i -> Engine.timer e ~delay:(float_of_int i) never) in
   List.iter Engine.cancel timers;
-  checkb "a burst of cancelled timers is dropped" true
-    (Engine.pending e <= Engine.compact_floor + 10);
+  checki "10,000 cancels leave only the live events" 10 (Engine.pending e);
   (* A call-timer churn: each timer is cancelled once the next is armed. *)
   let prev = ref None and peak = ref 0 in
   for _ = 1 to 10_000 do
-    let tm = Engine.timer e ~delay:2.0 ignore in
+    let tm = Engine.timer e ~delay:2.0 never in
+    peak := max !peak (Engine.pending e);
     Option.iter Engine.cancel !prev;
-    prev := Some tm;
-    peak := max !peak (Engine.pending e)
+    prev := Some tm
   done;
-  checkb "churn peaks within the floor plus the live events" true
-    (!peak <= Engine.compact_floor + 12);
+  Option.iter Engine.cancel !prev;
+  checki "churn peaks at the live events plus two" 12 !peak;
   Engine.run e;
-  Alcotest.(check (list int)) "live events fire in order" (List.init 10 succ) (List.rev !fired)
+  Alcotest.(check (list int)) "live events fire in order" (List.init 10 succ) (List.rev !fired);
+  checkf "the clock stops at the last live event" 10_000.0 (Engine.now e)
 
-(* Cancelling a timer after it fired does not count it as queued: were it
-   counted, the floor would be passed one cancel early. *)
-let test_engine_cancel_after_fire_not_counted () =
+(* Cancelling a timer after it fired, or a second time, changes nothing,
+   even once its queue handle names a live timer armed since. *)
+let test_engine_cancel_after_fire_or_twice () =
   let e = Engine.create () in
   let early = List.init 10 (fun _ -> Engine.timer e ~delay:1.0 ignore) in
   Engine.run e;
-  List.iter Engine.cancel early;
   let live = ref 0 in
   for _ = 1 to 100 do
     ignore (Engine.timer e ~delay:3.0 (fun () -> incr live))
   done;
-  let arm () = Engine.timer e ~delay:2.0 (fun () -> Alcotest.fail "cancelled timer fired") in
-  List.iter Engine.cancel (List.init Engine.compact_floor (fun _ -> arm ()));
-  checki "at the floor nothing is dropped" (100 + Engine.compact_floor) (Engine.pending e);
-  Engine.cancel (arm ());
-  checki "one past the floor drops every cancelled timer" 100 (Engine.pending e);
+  List.iter Engine.cancel early;
+  checki "a cancel after firing leaves the queue alone" 100 (Engine.pending e);
+  let tm = Engine.timer e ~delay:2.0 (fun () -> Alcotest.fail "cancelled timer fired") in
+  Engine.cancel tm;
+  ignore (Engine.timer e ~delay:2.5 (fun () -> incr live));
+  Engine.cancel tm;
+  checki "a second cancel changes nothing" 101 (Engine.pending e);
   Engine.run e;
-  checki "no live timer lost" 100 !live
+  checki "no live timer lost" 101 !live
+
+(* Random runs of [schedule], [timer], [cancel] and [step] against a
+   reference list of the queued events ordered by (deadline, sequence).
+   Each event is named by its insertion sequence, which is also the
+   order of the operations that queued it.  After every operation
+   [pending] equals the reference's length, and after every step the
+   events run so far are the reference's. *)
+let prop_engine_runs_by_deadline_then_sequence =
+  QCheck.Test.make ~name:"engine runs live events by (deadline, sequence)" ~count:500
+    QCheck.(list_of_size Gen.(0 -- 80) (pair (int_bound 5) (int_bound 9)))
+    (fun ops ->
+      let e = Engine.create () in
+      let queued = ref [] and ran = ref [] and expected = ref [] in
+      let timers = Hashtbl.create 16 and next = ref 0 in
+      let arm delay =
+        let id = !next in
+        incr next;
+        queued := List.merge compare !queued [ (Engine.now e +. delay, id) ];
+        (id, fun () -> ran := id :: !ran)
+      in
+      let op (kind, x) =
+        let delay = float_of_int x *. 0.5 in
+        (match kind with
+        | 0 | 1 ->
+            let _, action = arm delay in
+            Engine.schedule e ~delay action;
+            true
+        | 2 | 3 ->
+            let id, action = arm delay in
+            Hashtbl.replace timers id (Engine.timer e ~delay action);
+            true
+        | 4 ->
+            (* The [x]th event back, if a timer: queued, fired or cancelled. *)
+            let id = !next - 1 - x in
+            Option.iter
+              (fun tm ->
+                Engine.cancel tm;
+                queued := List.filter (fun (_, id') -> id' <> id) !queued)
+              (Hashtbl.find_opt timers id);
+            true
+        | _ ->
+            let had = !queued <> [] in
+            let stepped = Engine.step e in
+            (match !queued with
+            | [] -> ()
+            | (_, id) :: rest ->
+                queued := rest;
+                expected := id :: !expected);
+            (stepped = had) && !ran = !expected)
+        && Engine.pending e = List.length !queued
+      in
+      let ok = List.for_all op ops in
+      Engine.run e;
+      ok && List.rev !ran = List.rev_append !expected (List.map snd !queued))
 
 let test_engine_every () =
   let e = Engine.create () in
@@ -269,7 +326,7 @@ let test_trace_ctx_rides_net_send () =
   let a = Net.add_host net "a" and b = Net.add_host net "b" in
   let remote_ctx = ref None in
   Trace.with_span tr "send-side" (fun () ->
-      Net.send net ~src:a ~dst:b (fun () -> remote_ctx := Trace.current tr));
+      Net.send net ~category:"msg" ~src:a ~dst:b (fun () -> remote_ctx := Trace.current tr));
   Engine.run e;
   (match (!remote_ctx, Trace.spans tr) with
   | Some ctx, [ s ] ->
@@ -289,7 +346,7 @@ let test_trace_ctx_rides_retried_rpc () =
   Engine.schedule e ~delay:2.0 (fun () -> Net.heal net a b);
   let seen = ref None in
   Trace.with_span tr "origin" (fun () ->
-      Net.rpc net ~timeout:0.5 ~attempts:5 ~src:a ~dst:b
+      Net.rpc net ~category:"rpc" ~timeout:0.5 ~attempts:5 ~src:a ~dst:b
         (fun reply ->
           seen := Trace.current tr;
           reply (Ok ()))
@@ -341,7 +398,7 @@ let test_net_send_latency () =
   let e, net = make_net ~latency:(Net.Fixed 0.25) () in
   let a = Net.add_host net "a" and b = Net.add_host net "b" in
   let arrived = ref 0.0 in
-  Net.send net ~src:a ~dst:b (fun () -> arrived := Engine.now e);
+  Net.send net ~category:"msg" ~src:a ~dst:b (fun () -> arrived := Engine.now e);
   Engine.run e;
   checkf "one hop latency" 0.25 !arrived
 
@@ -349,7 +406,7 @@ let test_net_same_host_instant () =
   let e, net = make_net ~latency:(Net.Fixed 0.25) () in
   let a = Net.add_host net "a" in
   let arrived = ref (-1.0) in
-  Net.send net ~src:a ~dst:a (fun () -> arrived := Engine.now e);
+  Net.send net ~category:"msg" ~src:a ~dst:a (fun () -> arrived := Engine.now e);
   Engine.run e;
   checkf "local delivery" 0.0 !arrived
 
@@ -357,7 +414,7 @@ let test_net_rpc_roundtrip () =
   let e, net = make_net ~latency:(Net.Fixed 0.1) () in
   let a = Net.add_host net "a" and b = Net.add_host net "b" in
   let got = ref None and at = ref 0.0 in
-  Net.rpc net ~src:a ~dst:b
+  Net.rpc net ~category:"rpc" ~src:a ~dst:b
     (fun reply -> reply (Ok 42))
     (fun r ->
       got := Some r;
@@ -371,11 +428,11 @@ let test_net_partition_blocks () =
   let a = Net.add_host net "a" and b = Net.add_host net "b" in
   Net.partition net a b;
   let arrived = ref false in
-  Net.send net ~src:a ~dst:b (fun () -> arrived := true);
+  Net.send net ~category:"msg" ~src:a ~dst:b (fun () -> arrived := true);
   Engine.run ~until:5.0 e;
   checkb "blocked" false !arrived;
   Net.heal net a b;
-  Net.send net ~src:a ~dst:b (fun () -> arrived := true);
+  Net.send net ~category:"msg" ~src:a ~dst:b (fun () -> arrived := true);
   Engine.run ~until:10.0 e;
   checkb "healed" true !arrived
 
@@ -384,7 +441,9 @@ let test_net_rpc_timeout_on_partition () =
   let a = Net.add_host net "a" and b = Net.add_host net "b" in
   Net.partition net a b;
   let result = ref None in
-  Net.rpc net ~timeout:1.0 ~src:a ~dst:b (fun reply -> reply (Ok ())) (fun r -> result := Some r);
+  Net.rpc net ~category:"rpc" ~timeout:1.0 ~src:a ~dst:b
+    (fun reply -> reply (Ok ()))
+    (fun r -> result := Some r);
   Engine.run ~until:5.0 e;
   checkb "timed out" true (!result = Some (Error "timeout"))
 
@@ -393,7 +452,7 @@ let test_net_loss () =
   let a = Net.add_host net "a" and b = Net.add_host net "b" in
   Net.set_loss net 1.0;
   let arrived = ref false in
-  Net.send net ~src:a ~dst:b (fun () -> arrived := true);
+  Net.send net ~category:"msg" ~src:a ~dst:b (fun () -> arrived := true);
   Engine.run ~until:1.0 e;
   checkb "all lost" false !arrived;
   checki "loss accounted" 1 (Stats.count (Net.stats net) "msg.lost")
@@ -419,11 +478,11 @@ let test_net_link_latency_override () =
   let a = Net.add_host net "a" and b = Net.add_host net "b" in
   Net.set_link_latency net a b (Net.Fixed 2.0);
   let at = ref 0.0 in
-  Net.send net ~src:a ~dst:b (fun () -> at := Engine.now e);
+  Net.send net ~category:"msg" ~src:a ~dst:b (fun () -> at := Engine.now e);
   Engine.run e;
   checkf "slow link" 2.0 !at;
   let back = ref 0.0 in
-  Net.send net ~src:b ~dst:a (fun () -> back := Engine.now e);
+  Net.send net ~category:"msg" ~src:b ~dst:a (fun () -> back := Engine.now e);
   Engine.run e;
   checkf "reverse default" 2.1 !back
 
@@ -435,17 +494,20 @@ let test_net_find_host () =
   checkb "found" true (match Net.find_host net "alpha" with Some h -> h == a | None -> false);
   checkb "missing" true (Net.find_host net "beta" = None)
 
-(* An answered call lets go of its continuation at once: its timeout stays
-   queued to its deadline, tag and all, but holds only the emptied cell.
-   The block only the continuation holds is made in a non-inlined
-   function, so no stack slot of the test pins it. *)
+(* An answered call lets go of its continuation at once, and its timeout
+   leaves the queue with it.  Under the model checker's scheduler (here
+   one that always takes the default) the timeout stays queued to its
+   deadline, tag and all, but holds only the emptied cell.  The block only
+   the continuation holds is made in a non-inlined function, so no stack
+   slot of the test pins it. *)
 let[@inline never] issue_holding weak i issue =
   let block = Bytes.make 8 'k' in
   Weak.set weak i (Some block);
   issue (fun r -> ignore (Sys.opaque_identity (block, r)))
 
-let test_net_answered_call_releases_continuation () =
+let answered_calls ~explored () =
   let e, net = make_net ~latency:(Net.Fixed 0.1) () in
+  if explored then Engine.set_scheduler e (Some (fun _ -> None));
   let a = Net.add_host net "a" and b = Net.add_host net "b" in
   Net.bind net b ~port:"echo" (fun payload reply -> reply (Ok payload));
   let answered = ref 0 in
@@ -455,10 +517,13 @@ let test_net_answered_call_releases_continuation () =
   in
   let weak = Weak.create 3 in
   issue_holding weak 0 (fun k ->
-      Net.rpc net ~src:a ~dst:b (fun reply -> reply (Ok ())) (counted k));
+      Net.rpc net ~category:"rpc" ~src:a ~dst:b (fun reply -> reply (Ok ())) (counted k));
   issue_holding weak 1 (fun k ->
-      Net.rpc net ~attempts:5 ~src:a ~dst:b (fun reply -> reply (Ok ())) (counted k));
-  issue_holding weak 2 (fun k -> Net.call net ~src:a ~dst:"b" ~port:"echo" "ping" (counted k));
+      Net.rpc net ~category:"rpc" ~attempts:5 ~src:a ~dst:b
+        (fun reply -> reply (Ok ()))
+        (counted k));
+  issue_holding weak 2 (fun k ->
+      Net.call net ~category:"call" ~src:a ~dst:"b" ~port:"echo" "ping" (counted k));
   Engine.run ~until:1.0 e;
   checki "all three answered" 3 !answered;
   Gc.full_major ();
@@ -469,11 +534,16 @@ let test_net_answered_call_releases_continuation () =
     List.filter (fun ev -> ev.Engine.ev_tag = "t:a") (Engine.events e)
     |> List.map (fun ev -> ev.Engine.ev_at)
   in
-  Alcotest.(check (list (float 1e-9))) "timeouts still queued" [ 2.0; 2.0; 2.0 ] timeouts;
+  if explored then
+    Alcotest.(check (list (float 1e-9))) "timeouts still queued" [ 2.0; 2.0; 2.0 ] timeouts
+  else Alcotest.(check (list (float 1e-9))) "no timeout left queued" [] timeouts;
   Engine.run e;
   checki "answered once each" 3 !answered;
   checki "no timeout counted" 0 (Stats.count (Net.stats net) "rpc.timeout");
   checki "no late reply counted" 0 (Stats.count (Net.stats net) "rpc.late_reply")
+
+let test_net_answered_call_releases_continuation = answered_calls ~explored:false
+let test_net_explored_call_keeps_timeout = answered_calls ~explored:true
 
 let prop_uniform_latency_in_range =
   QCheck.Test.make ~name:"uniform latency within bounds" ~count:50 QCheck.unit (fun () ->
@@ -481,7 +551,7 @@ let prop_uniform_latency_in_range =
       let net = Net.create ~latency:(Net.Uniform (0.1, 0.2)) e in
       let a = Net.add_host net "a" and b = Net.add_host net "b" in
       let at = ref 0.0 in
-      Net.send net ~src:a ~dst:b (fun () -> at := Engine.now e);
+      Net.send net ~category:"msg" ~src:a ~dst:b (fun () -> at := Engine.now e);
       Engine.run e;
       !at >= 0.1 && !at < 0.2)
 
@@ -498,9 +568,11 @@ let () =
           Alcotest.test_case "run until" `Quick test_engine_until;
           Alcotest.test_case "nested schedule" `Quick test_engine_nested_schedule;
           Alcotest.test_case "cancel timer" `Quick test_engine_cancel_timer;
-          Alcotest.test_case "cancelled timers compact" `Quick test_engine_cancelled_timers_compact;
-          Alcotest.test_case "cancel after fire not counted" `Quick
-            test_engine_cancel_after_fire_not_counted;
+          Alcotest.test_case "cancel leaves the queue at once" `Quick
+            test_engine_cancel_leaves_queue;
+          Alcotest.test_case "cancel after fire or twice changes nothing" `Quick
+            test_engine_cancel_after_fire_or_twice;
+          qt prop_engine_runs_by_deadline_then_sequence;
           Alcotest.test_case "every" `Quick test_engine_every;
           Alcotest.test_case "negative delay clamped" `Quick test_engine_negative_delay_clamped;
         ] );
@@ -534,6 +606,8 @@ let () =
           Alcotest.test_case "find host" `Quick test_net_find_host;
           Alcotest.test_case "answered call releases its continuation" `Quick
             test_net_answered_call_releases_continuation;
+          Alcotest.test_case "explored call keeps its timeout queued" `Quick
+            test_net_explored_call_keeps_timeout;
           qt prop_uniform_latency_in_range;
         ] );
     ]

@@ -289,7 +289,7 @@ let test_remote_decoder_fuzz () =
   in
   List.iter
     (fun v ->
-      Net.call net ~src:c ~dst:"s0" ~port:Remote.shard_port v (function
+      Net.call net ~category:"call" ~src:c ~dst:"s0" ~port:Remote.shard_port v (function
         | Error "malformed request" -> Alcotest.failf "a valid request was refused"
         | _ -> ()))
     valid;
@@ -338,7 +338,7 @@ let test_remote_decoder_fuzz () =
   let answers = Array.make (2 * Array.length mutations) [] in
   let send i req =
     let dst, port = targets.(i mod 2) in
-    Net.call net ~src:c ~dst ~port req (fun r -> answers.(i) <- r :: answers.(i))
+    Net.call net ~category:"call" ~src:c ~dst ~port req (fun r -> answers.(i) <- r :: answers.(i))
   in
   Array.iteri
     (fun i m ->

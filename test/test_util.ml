@@ -732,7 +732,7 @@ let pqueue_pop q =
 
 let test_pqueue_order () =
   let q = Pqueue.create ~vacant:"" in
-  List.iter (fun (p, v) -> Pqueue.push q p v) [ (3.0, "c"); (1.0, "a"); (2.0, "b") ];
+  List.iter (fun (p, v) -> ignore (Pqueue.push q p v)) [ (3.0, "c"); (1.0, "a"); (2.0, "b") ];
   let pop () = match pqueue_pop q with Some (_, v) -> v | None -> "?" in
   let x1 = pop () in
   let x2 = pop () in
@@ -741,7 +741,7 @@ let test_pqueue_order () =
 
 let test_pqueue_fifo_ties () =
   let q = Pqueue.create ~vacant:"" in
-  List.iter (fun v -> Pqueue.push q 1.0 v) [ "first"; "second"; "third" ];
+  List.iter (fun v -> ignore (Pqueue.push q 1.0 v)) [ "first"; "second"; "third" ];
   let pop () = match pqueue_pop q with Some (_, v) -> v | None -> "?" in
   let x1 = pop () in
   let x2 = pop () in
@@ -762,7 +762,7 @@ let prop_pqueue_pop_sorted =
     QCheck.(small_list (float_bound_inclusive 100.0))
     (fun priorities ->
       let q = Pqueue.create ~vacant:0 in
-      List.iteri (fun i p -> Pqueue.push q p i) priorities;
+      List.iteri (fun i p -> ignore (Pqueue.push q p i)) priorities;
       let rec drain acc =
         match pqueue_pop q with Some (p, _) -> drain (p :: acc) | None -> List.rev acc
       in
@@ -774,39 +774,48 @@ let prop_pqueue_length =
     QCheck.(small_list (float_bound_inclusive 10.0))
     (fun ps ->
       let q = Pqueue.create ~vacant:() in
-      List.iter (fun p -> Pqueue.push q p ()) ps;
+      List.iter (fun p -> ignore (Pqueue.push q p ())) ps;
       let n1 = Pqueue.length q = List.length ps in
       ignore (pqueue_pop q);
       let n2 = Pqueue.length q = max 0 (List.length ps - 1) in
       n1 && n2)
 
-(* Random pushes, cancels (marking a queued entry dead), rebuilds that drop
-   the dead, removals by sequence number, snapshots and pops, against a
-   reference list kept sorted by (priority, insertion order).  Each value is
-   its entry's insertion sequence number.  Coarse priorities make ties
-   common. *)
-let prop_pqueue_filter_keeps_order =
-  QCheck.Test.make ~name:"pqueue rebuild keeps pop order" ~count:1000
+(* Random pushes, removals by handle, removals by sequence number,
+   snapshots and pops, against a reference list kept sorted by (priority,
+   insertion order).  Each value is its entry's insertion sequence number,
+   and [handles] maps it to the handle its push returned.  Coarse
+   priorities make ties common. *)
+let prop_pqueue_removals_keep_order =
+  QCheck.Test.make ~name:"pqueue removals keep pop order" ~count:1000
     QCheck.(list_of_size Gen.(0 -- 60) (pair (int_bound 7) (int_bound 20)))
     (fun ops ->
       let q = Pqueue.create ~vacant:(-1) in
-      let reference = ref [] and dead = Hashtbl.create 16 and next = ref 0 in
-      let live id = not (Hashtbl.mem dead id) in
+      let reference = ref [] and handles = Hashtbl.create 16 and next = ref 0 in
       let step (op, x) =
         match op with
         | 0 | 1 | 2 ->
             let entry = (float_of_int x, !next) in
-            Pqueue.push q (fst entry) (snd entry);
+            Hashtbl.replace handles !next (Pqueue.push q (fst entry) (snd entry));
             incr next;
             reference := List.merge compare !reference [ entry ];
             true
-        | 3 ->
-            Option.iter (fun (_, id) -> Hashtbl.replace dead id ()) (List.nth_opt !reference x);
-            true
-        | 4 ->
-            Pqueue.filter_inplace q live;
-            reference := List.filter (fun (_, id) -> live id) !reference;
-            Pqueue.length q = List.length !reference
+        | 3 -> (
+            match List.nth_opt !reference x with
+            | None -> true
+            | Some (_, id) ->
+                Pqueue.remove q (Hashtbl.find handles id);
+                reference := List.filter (fun (_, id') -> id' <> id) !reference;
+                Pqueue.length q = List.length !reference)
+        | 4 -> (
+            (* A departed entry's handle, unless a queued entry now holds
+               it, names nothing. *)
+            let queued h = List.exists (fun (_, id) -> Hashtbl.find handles id = h) !reference in
+            match Hashtbl.find_opt handles x with
+            | Some h when not (queued h) -> (
+                match Pqueue.remove q h with
+                | () -> false
+                | exception Invalid_argument _ -> true)
+            | _ -> true)
         | 5 ->
             (* The [x]th queued entry or, when fewer are queued, sequence
                number [x], which may have departed or never been pushed. *)
@@ -828,7 +837,7 @@ let prop_pqueue_filter_keeps_order =
 
 let test_pqueue_to_list_nondestructive () =
   let q = Pqueue.create ~vacant:0 in
-  List.iter (fun p -> Pqueue.push q p (int_of_float p)) [ 2.0; 1.0; 3.0 ];
+  List.iter (fun p -> ignore (Pqueue.push q p (int_of_float p))) [ 2.0; 1.0; 3.0 ];
   let snapshot = Pqueue.to_list q in
   checki "still 3" 3 (Pqueue.length q);
   Alcotest.(check (list int)) "snapshot sorted" [ 1; 2; 3 ] (List.map snd snapshot)
@@ -841,7 +850,7 @@ let[@inline never] fill_and_drain q weak =
   for i = 0 to Weak.length weak - 1 do
     let v = Bytes.make 8 (Char.chr (65 + i)) in
     Weak.set weak i (Some v);
-    Pqueue.push q (float_of_int i) v
+    ignore (Pqueue.push q (float_of_int i) v)
   done;
   (* Pop the three earliest, remove one by sequence, keep the rest. *)
   for _ = 1 to 3 do
@@ -980,7 +989,7 @@ let () =
           Alcotest.test_case "empty" `Quick test_pqueue_empty;
           qt prop_pqueue_pop_sorted;
           qt prop_pqueue_length;
-          qt prop_pqueue_filter_keeps_order;
+          qt prop_pqueue_removals_keep_order;
           Alcotest.test_case "to_list" `Quick test_pqueue_to_list_nondestructive;
           Alcotest.test_case "departed values are not pinned" `Quick
             test_pqueue_releases_departed;
