@@ -84,11 +84,6 @@ let cancel tm =
 
 let cancelled tm = tm.state = cancelled_state
 
-let settle tm =
-  match tm.home with
-  | Some { scheduler = Some _; _ } -> ()
-  | _ -> cancel tm
-
 let every t ?tag ~period action =
   if period <= 0.0 then invalid_arg "Engine.every: period must be positive";
   (* The handle returned to the caller is distinct from the queued one-shot

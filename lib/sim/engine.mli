@@ -56,14 +56,6 @@ val cancel : timer -> unit
     O(log n), so it never advances the clock to its deadline.  Cancelling
     it again, or after it fired, changes nothing. *)
 
-val settle : timer -> unit
-(** What the timer guards has happened (a call's reply arrived), so its
-    action has nothing left to do.  Without a scheduler installed this is
-    {!cancel}.  With one installed (see {!set_scheduler}) the timer stays
-    queued and runs at its deadline, so {!events}, which the model checker
-    branches on and fingerprints, lists it as if nothing had been
-    answered; the caller's action must then do nothing. *)
-
 val cancelled : timer -> bool
 
 val every : t -> ?tag:string -> period:float -> (unit -> unit) -> timer

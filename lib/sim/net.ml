@@ -235,11 +235,9 @@ let retrying t c ~attempts ~backoff ~src once k =
    may call later, from any engine event.
 
    The caller's continuation waits in [pending], which the reply or the
-   timeout empties, whichever comes first.  The reply settles the timeout
-   ([Engine.settle]): it leaves the queue, unless the model checker's
-   scheduler is installed, which branches on queued timeouts; the timeout
-   then finds [pending] empty and does nothing.  [reply] is built here, so
-   the request's delivery closure captures only it and [handler]. *)
+   timeout empties, whichever comes first.  The reply cancels the timeout,
+   which leaves the queue at once.  [reply] is built here, so the
+   request's delivery closure captures only it and [handler]. *)
 let rpc_once t c size ~timeout ~src ~dst handler k =
   let pending = ref (Some k) in
   let ctx = Trace.current t.trace in
@@ -264,7 +262,7 @@ let rpc_once t c size ~timeout ~src ~dst handler k =
             Stats.incr t.stats (c.cat_name ^ ".late_reply")
         | Some k ->
             pending := None;
-            Engine.settle timer;
+            Engine.cancel timer;
             k result)
   in
   send_as t c size ~src ~dst (fun () -> handler reply)

@@ -110,15 +110,10 @@ val rpc :
 
     The continuation waits in one mutable cell, which the reply or the
     timeout empties, whichever comes first, so an answered call lets go of
-    it as soon as the reply arrives.  The reply also settles the timeout
-    ({!Engine.settle}), which leaves the queue at once: an answered call
-    leaves no event behind.  While the model checker's scheduler is
-    installed the timeout stays queued to its deadline instead, with its
-    sequence number and [t:] tag, and fires holding only the emptied cell
-    and the caller's trace context: the model checker branches on
-    {!Engine.events} and fingerprints them, so its schedules and reports
-    are those of a timeout that is never cancelled.  This holds for
-    {!call} to a host of this process too, which runs on [rpc]. *)
+    it as soon as the reply arrives.  The reply also cancels the timeout
+    ({!Engine.cancel}), which leaves the queue at once: an answered call
+    leaves no event behind.  This holds for {!call} to a host of this
+    process too, which runs on [rpc]. *)
 
 val retry_attempts : int
 (** The attempt budget (5) of the library's requests that must survive a

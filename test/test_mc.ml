@@ -34,13 +34,13 @@ let check_work ?(what = "") (rp : Explore.report) ~runs ~decisions ~distinct ~sl
 let test_golf_club_exhaustive () =
   let rp = Explore.explore Scenarios.golf_club (quick_params 10) in
   checkb "exhaustive within budget" true rp.Explore.rp_exhaustive;
-  check_work rp ~runs:1624 ~decisions:16240 ~distinct:889 ~sleep:29 ~fp:1764;
+  check_work rp ~runs:859 ~decisions:8494 ~distinct:668 ~sleep:19 ~fp:1250;
   checki "no violations" 0 (List.length rp.Explore.rp_violations)
 
 let test_mssa_exhaustive () =
   let rp = Explore.explore Scenarios.mssa (quick_params 12) in
   checkb "exhaustive within budget" true rp.Explore.rp_exhaustive;
-  check_work rp ~runs:289 ~decisions:2496 ~distinct:201 ~sleep:1 ~fp:523;
+  check_work rp ~runs:79 ~decisions:410 ~distinct:58 ~sleep:1 ~fp:25;
   checki "no violations" 0 (List.length rp.Explore.rp_violations)
 
 let test_cross_shard_fire_exhaustive () =
@@ -50,7 +50,7 @@ let test_cross_shard_fire_exhaustive () =
      cross-shard ModifiedBatch digest. *)
   let rp = Explore.explore Scenarios.cross_shard_fire (quick_params 10) in
   checkb "exhaustive within budget" true rp.Explore.rp_exhaustive;
-  check_work rp ~runs:2899 ~decisions:28990 ~distinct:1659 ~sleep:428 ~fp:1328;
+  check_work rp ~runs:2878 ~decisions:28780 ~distinct:1681 ~sleep:429 ~fp:1293;
   checki "no violations" 0 (List.length rp.Explore.rp_violations)
 
 let test_replica_failover_exhaustive () =
@@ -75,16 +75,16 @@ let test_reduction_sound_on_clean_scenario () =
   checkb "reduced exhaustive" true reduced.Explore.rp_exhaustive;
   checki "naive finds nothing" 0 (List.length naive.Explore.rp_violations);
   checki "reduced finds nothing" 0 (List.length reduced.Explore.rp_violations);
-  check_work ~what:"naive " naive ~runs:525 ~decisions:3150 ~distinct:0 ~sleep:0 ~fp:0;
-  check_work ~what:"reduced " reduced ~runs:220 ~decisions:1320 ~distinct:119 ~sleep:8 ~fp:49;
+  check_work ~what:"naive " naive ~runs:431 ~decisions:2586 ~distinct:0 ~sleep:0 ~fp:0;
+  check_work ~what:"reduced " reduced ~runs:190 ~decisions:1140 ~distinct:114 ~sleep:8 ~fp:49;
   checkb "reduction strictly cheaper" true (reduced.Explore.rp_runs < naive.Explore.rp_runs)
 
 let test_reduction_sound_on_buggy_scenario () =
   let p = quick_params 6 in
   let naive = Explore.explore Scenarios.planted { p with reduce = false } in
   let reduced = Explore.explore Scenarios.planted p in
-  check_work ~what:"naive " naive ~runs:664 ~decisions:3984 ~distinct:0 ~sleep:0 ~fp:0;
-  check_work ~what:"reduced " reduced ~runs:189 ~decisions:1134 ~distinct:104 ~sleep:5 ~fp:63;
+  check_work ~what:"naive " naive ~runs:146 ~decisions:760 ~distinct:0 ~sleep:0 ~fp:0;
+  check_work ~what:"reduced " reduced ~runs:110 ~decisions:581 ~distinct:78 ~sleep:1 ~fp:12;
   checkb "naive finds the bug" true (naive.Explore.rp_violations <> []);
   checkb "reduced still finds the bug" true (reduced.Explore.rp_violations <> []);
   let inv cx = cx.Explore.cx_invariant in
@@ -140,10 +140,7 @@ let test_regression_planted_replay () =
   let r =
     replay_file "planted_lost_revocation.json"
       ~picks:
-        [
-          "t:h.door"; "a:revoke-alice"; "t:h.gate"; "d:h.door"; "t:h.door"; "t:h.door"; "d:h.gate";
-          "a:crash-door";
-        ]
+        [ "a:revoke-alice"; "t:h.gate"; "d:h.door"; "t:h.door"; "d:h.gate"; "a:crash-door" ]
   in
   checkb "replayed schedule still violates lost-revocation" true
     (List.exists (fun (i, _) -> i = "lost-revocation") r.Explore.r_violations)

@@ -495,19 +495,15 @@ let test_net_find_host () =
   checkb "missing" true (Net.find_host net "beta" = None)
 
 (* An answered call lets go of its continuation at once, and its timeout
-   leaves the queue with it.  Under the model checker's scheduler (here
-   one that always takes the default) the timeout stays queued to its
-   deadline, tag and all, but holds only the emptied cell.  The block only
-   the continuation holds is made in a non-inlined function, so no stack
-   slot of the test pins it. *)
+   leaves the queue with it.  The block only the continuation holds is
+   made in a non-inlined function, so no stack slot of the test pins it. *)
 let[@inline never] issue_holding weak i issue =
   let block = Bytes.make 8 'k' in
   Weak.set weak i (Some block);
   issue (fun r -> ignore (Sys.opaque_identity (block, r)))
 
-let answered_calls ~explored () =
+let test_net_answered_call_releases_continuation () =
   let e, net = make_net ~latency:(Net.Fixed 0.1) () in
-  if explored then Engine.set_scheduler e (Some (fun _ -> None));
   let a = Net.add_host net "a" and b = Net.add_host net "b" in
   Net.bind net b ~port:"echo" (fun payload reply -> reply (Ok payload));
   let answered = ref 0 in
@@ -534,16 +530,11 @@ let answered_calls ~explored () =
     List.filter (fun ev -> ev.Engine.ev_tag = "t:a") (Engine.events e)
     |> List.map (fun ev -> ev.Engine.ev_at)
   in
-  if explored then
-    Alcotest.(check (list (float 1e-9))) "timeouts still queued" [ 2.0; 2.0; 2.0 ] timeouts
-  else Alcotest.(check (list (float 1e-9))) "no timeout left queued" [] timeouts;
+  Alcotest.(check (list (float 1e-9))) "no timeout left queued" [] timeouts;
   Engine.run e;
   checki "answered once each" 3 !answered;
   checki "no timeout counted" 0 (Stats.count (Net.stats net) "rpc.timeout");
   checki "no late reply counted" 0 (Stats.count (Net.stats net) "rpc.late_reply")
-
-let test_net_answered_call_releases_continuation = answered_calls ~explored:false
-let test_net_explored_call_keeps_timeout = answered_calls ~explored:true
 
 let prop_uniform_latency_in_range =
   QCheck.Test.make ~name:"uniform latency within bounds" ~count:50 QCheck.unit (fun () ->
@@ -606,8 +597,6 @@ let () =
           Alcotest.test_case "find host" `Quick test_net_find_host;
           Alcotest.test_case "answered call releases its continuation" `Quick
             test_net_answered_call_releases_continuation;
-          Alcotest.test_case "explored call keeps its timeout queued" `Quick
-            test_net_explored_call_keeps_timeout;
           qt prop_uniform_latency_in_range;
         ] );
     ]
