@@ -48,7 +48,7 @@ let default_params = { depth = 12; window = 0.1; max_branch = 3; max_runs = 100_
 
 type decision = {
   d_fp : int64;
-      (* world fingerprint at hook entry; 0 when not reducing, and at the
+      (* world fingerprint before the pick; 0 when not reducing, and at the
          decisions the schedule's own choices fix *)
   d_eligible : Engine.event array;
   d_choice : int;
@@ -74,19 +74,24 @@ let host_of_tag tag =
 
 let rec take n = function [] -> [] | x :: tl -> if n <= 0 then [] else x :: take (n - 1) tl
 
+(* The engine runs its earliest event wherever the run cannot branch:
+   before the scenario's band, past it, and once the depth is spent.  The
+   earliest deadline never decreases, so those steps come before the first
+   decision, while the sleep set is empty, or after the last. *)
 let run_schedule ?seed ?twin (spec : Scenario.t) params schedule =
   let w = Scenario.instantiate ?seed spec in
   let engine = w.Scenario.w_engine in
   let prng = Net.prng w.Scenario.w_net in
   let lo, hi = spec.Scenario.sc_window in
+  let horizon = spec.Scenario.sc_horizon in
   let schedule = Array.of_list schedule in
   let decisions = ref [] in
   let ndec = ref 0 in
   let sleep = ref [] in  (* (seq, tag) of pending events currently asleep *)
   let last = ref None in  (* tag of the event picked last step + draws then *)
-  let sched evs =
-    (* Attribute PRNG draws to the event executed since the previous hook
-       call, and wake the sleeping events that do not commute with it. *)
+  let decide evs =
+    (* Attribute PRNG draws to the event picked at the previous step, and
+       wake the sleeping events that do not commute with it. *)
     (match !last with
     | None -> ()
     | Some (tag, d0) ->
@@ -102,52 +107,57 @@ let run_schedule ?seed ?twin (spec : Scenario.t) params schedule =
     let default = List.hd evs in
     let min_at = default.Engine.ev_at in
     let chosen =
-      if min_at < lo || min_at > hi || !ndec >= params.depth then default
-      else begin
-        let eligible =
-          take params.max_branch
-            (List.filter (fun e -> e.Engine.ev_at <= min_at +. params.window) evs)
-        in
-        match eligible with
-        | [] | [ _ ] -> default
-        | _ ->
-            let eligible = Array.of_list eligible in
-            let k = !ndec in
-            let choice = if k < Array.length schedule then schedule.(k) else 0 in
-            let choice = if choice >= Array.length eligible then 0 else choice in
-            (* [explore] reads the fingerprint only past the replayed
-               prefix, where this run's decisions are new. *)
-            let fp =
-              if params.reduce && k >= Array.length schedule then Scenario.fingerprint w else 0L
-            in
-            Scenario.check_safety w spec;
-            decisions :=
-              {
-                d_fp = fp;
-                d_eligible = eligible;
-                d_choice = choice;
-                d_sleep = List.sort compare (List.map fst !sleep);
-              }
-              :: !decisions;
-            incr ndec;
-            if params.reduce then
-              (* Branches below the chosen one are explored as siblings of
-                 this node; their continuations cover running them first, so
-                 they sleep in this child until something dependent runs. *)
-              for i = 0 to choice - 1 do
-                let e = eligible.(i) in
-                if not (List.mem_assoc e.Engine.ev_seq !sleep) then
-                  sleep := (e.Engine.ev_seq, e.Engine.ev_tag) :: !sleep
-              done;
-            eligible.(choice)
-      end
+      let eligible =
+        take params.max_branch
+          (List.filter (fun e -> e.Engine.ev_at <= min_at +. params.window) evs)
+      in
+      match eligible with
+      | [] | [ _ ] -> default
+      | _ ->
+          let eligible = Array.of_list eligible in
+          let k = !ndec in
+          let choice = if k < Array.length schedule then schedule.(k) else 0 in
+          let choice = if choice >= Array.length eligible then 0 else choice in
+          (* [explore] reads the fingerprint only past the replayed
+             prefix, where this run's decisions are new. *)
+          let fp =
+            if params.reduce && k >= Array.length schedule then Scenario.fingerprint w else 0L
+          in
+          Scenario.check_safety w spec;
+          decisions :=
+            {
+              d_fp = fp;
+              d_eligible = eligible;
+              d_choice = choice;
+              d_sleep = List.sort compare (List.map fst !sleep);
+            }
+            :: !decisions;
+          incr ndec;
+          if params.reduce then
+            (* Branches below the chosen one are explored as siblings of
+               this node; their continuations cover running them first, so
+               they sleep in this child until something dependent runs. *)
+            for i = 0 to choice - 1 do
+              let e = eligible.(i) in
+              if not (List.mem_assoc e.Engine.ev_seq !sleep) then
+                sleep := (e.Engine.ev_seq, e.Engine.ev_tag) :: !sleep
+            done;
+          eligible.(choice)
     in
     last := Some (chosen.Engine.ev_tag, Prng.draws prng);
-    Some chosen.Engine.ev_seq
+    chosen.Engine.ev_seq
   in
-  Engine.set_scheduler engine (Some sched);
-  Engine.run ~until:spec.Scenario.sc_horizon engine;
-  Engine.set_scheduler engine None;
+  let rec go () =
+    match Engine.next_at engine with
+    | Some at when at <= horizon ->
+        if at < lo || at > hi || !ndec >= params.depth then ignore (Engine.step engine)
+        else Engine.step_seq engine (decide (Engine.events engine));
+        go ()
+    | _ -> ()
+  in
+  go ();
+  (* Move the clock to the horizon, as an uninterrupted run does. *)
+  Engine.run ~until:horizon engine;
   Scenario.check_final ?twin w spec;
   let decisions = List.rev !decisions in
   {

@@ -3,8 +3,8 @@
     Stateless (CHESS-style) model checking over {!Scenario} specs: a
     schedule is the list of choice indices taken at counted decision points,
     and each run re-executes the whole deterministic scenario under its
-    schedule via the engine's single-step scheduler hook
-    ({!Oasis_sim.Engine.set_scheduler}).  Depth-first search over schedule
+    schedule, driving the engine one event at a time
+    ({!Oasis_sim.Engine.step_seq}).  Depth-first search over schedule
     prefixes covers every reachable interleaving of message deliveries,
     timers, stable-storage flushes, scenario actions and fault injections
     inside the scenario's branching window, up to the depth bound — reduced
@@ -28,7 +28,7 @@ val default_params : params
 
 type decision = {
   d_fp : int64;
-      (** world fingerprint at hook entry; [0L] when not reducing, and at
+      (** world fingerprint before the pick; [0L] when not reducing, and at
           the decisions the schedule's own choices fix *)
   d_eligible : Oasis_sim.Engine.event array;
   d_choice : int;

@@ -1,7 +1,5 @@
 type event = { ev_at : float; ev_seq : int; ev_tag : string }
 
-type scheduler = event list -> int option
-
 (* An external substrate driving the engine in real time (see
    [Oasis_backend.Backend_unix]).  Without one, the engine is the classic
    deterministic discrete-event simulator: time is virtual and jumps from
@@ -34,7 +32,6 @@ and t = {
   mutable now : float;
   queue : timer Oasis_util.Pqueue.t;
   self : t option;  (* [Some t], every timer's [home] *)
-  mutable scheduler : scheduler option;
   source : source option;
   mutable stopped : bool;
 }
@@ -47,7 +44,7 @@ let vacant_timer = { state = idle; action = ignore; tag = ""; home = None }
 
 let create ?source () =
   let queue = Oasis_util.Pqueue.create ~vacant:vacant_timer in
-  let rec t = { now = 0.0; queue; self = Some t; scheduler = None; source; stopped = false } in
+  let rec t = { now = 0.0; queue; self = Some t; source; stopped = false } in
   t
 
 let now t = match t.source with Some s -> s.src_now () | None -> t.now
@@ -104,42 +101,35 @@ let events t =
     (fun (at, seq, tm) -> { ev_at = at; ev_seq = seq; ev_tag = tm.tag })
     (Oasis_util.Pqueue.entries t.queue)
 
-let set_scheduler t s = t.scheduler <- s
+let next_at t =
+  if Oasis_util.Pqueue.is_empty t.queue then None else Some (Oasis_util.Pqueue.min_prio t.queue)
 
 (* [tm] has just left the queue: a cancel from here on leaves the queue
    alone.  Only live events are queued. *)
 let exec t at tm =
   t.now <- fmax t.now at;
   tm.state <- idle;
-  tm.action ();
-  true
+  tm.action ()
 
 (* The earliest event, whose deadline [at] the caller has just read. *)
 let exec_min t at = exec t at (Oasis_util.Pqueue.take_min t.queue)
 
-let default_step t =
-  (not (Oasis_util.Pqueue.is_empty t.queue)) && exec_min t (Oasis_util.Pqueue.min_prio t.queue)
-
 let step t =
-  match t.scheduler with
-  | None -> default_step t
-  | Some pick -> (
-      match events t with
-      | [] -> false
-      | evs -> (
-          match pick evs with
-          | None -> default_step t
-          | Some seq -> (
-              match Oasis_util.Pqueue.remove_seq t.queue seq with
-              | Some (at, tm) -> exec t at tm
-              | None -> default_step t (* stale choice; fall back to earliest *))))
+  if Oasis_util.Pqueue.is_empty t.queue then false
+  else begin
+    exec_min t (Oasis_util.Pqueue.min_prio t.queue);
+    true
+  end
+
+let step_seq t seq =
+  match Oasis_util.Pqueue.remove_seq t.queue seq with
+  | Some (at, tm) -> exec t at tm
+  | None -> invalid_arg "Engine.step_seq: no queued event has this sequence"
 
 let stop t = t.stopped <- true
 
 (* Real-time loop: timers fire when the external clock passes their
-   deadline; between deadlines the source waits (dispatching I/O).  The
-   single-step scheduler hook does not apply here — adversarial reordering
-   is a virtual-time instrument. *)
+   deadline; between deadlines the source waits (dispatching I/O). *)
 let run_real t s ?until () =
   t.stopped <- false;
   let continue = ref true in
@@ -154,7 +144,7 @@ let run_real t s ?until () =
           if (not t.stopped) && not (Oasis_util.Pqueue.is_empty t.queue) then begin
             let at = Oasis_util.Pqueue.min_prio t.queue in
             if at <= t.now then begin
-              ignore (exec_min t at);
+              exec_min t at;
               t.now <- s.src_now ();
               fire ()
             end
@@ -188,12 +178,11 @@ let run ?until t =
           let at = Oasis_util.Pqueue.min_prio t.queue in
           match until with
           | Some u when at > u ->
-              (* With a scheduler installed, [now] may already have run ahead
-                 of [until] (the scheduler executes events out of earliest-
-                 first order); never move time backwards. *)
+              (* A caller that ran a later event first ([step_seq]) may
+                 have moved [now] past [until]; never move time backwards. *)
               t.now <- fmax t.now u;
               continue := false
-          | _ -> ignore (step t)
+          | _ -> exec_min t at
       done
 
 let pending t = Oasis_util.Pqueue.length t.queue

@@ -63,9 +63,7 @@ val every : t -> ?tag:string -> period:float -> (unit -> unit) -> timer
     cancelling the returned timer stops the series. *)
 
 val step : t -> bool
-(** Execute the next pending event; [false] if the queue is empty.  With a
-    scheduler installed (see {!set_scheduler}), the scheduler picks which
-    pending event runs instead of the earliest-deadline default. *)
+(** Execute the earliest pending event; [false] if the queue is empty. *)
 
 val run : ?until:float -> t -> unit
 (** Drain the event queue, or stop once the next event lies beyond [until]
@@ -76,8 +74,7 @@ val run : ?until:float -> t -> unit
     called from a handler, or the queue is empty and the source reports no
     further external work.
 
-    {!step} without a scheduler, and the real-time loop, take events without
-    allocating: they read the earliest deadline and take its event off the
+    {!step} and the real-time loop take events without allocating: they read the earliest deadline and take its event off the
     flat queue ({!Oasis_util.Pqueue.min_prio},
     {!Oasis_util.Pqueue.take_min}).  Scheduling an event still allocates its
     timer record, its closure and its deadline as a boxed float, and taking
@@ -99,23 +96,29 @@ val pending_tagged : t -> string -> int
     whose periodic timers are static has a constant tagged-pending count
     at quiescence. *)
 
-(** {1 Single-step scheduling (model checking)} *)
+(** {1 Single-step scheduling (model checking)}
+
+    The model checker ({!Oasis_mc.Explore}) drives the engine one event at
+    a time: it reads {!next_at}, runs the earliest event with {!step}
+    where it does not branch, and where it does, lists {!events} and runs
+    its pick with {!step_seq}. *)
 
 type event = { ev_at : float; ev_seq : int; ev_tag : string }
 (** A queued event: its deadline, its queue-lifetime-unique insertion
     sequence (stable across deterministic replays of the same prefix) and
     its tag. *)
 
-type scheduler = event list -> int option
-(** Consulted by {!step} with the queued events in earliest-first
-    order; returns the [ev_seq] to execute next, or [None] for the default
-    (earliest) choice.  Executing an event whose deadline lies beyond the
-    earliest one advances virtual time to that deadline; earlier events then
-    run late, at the advanced clock — this is exactly the adversarial
-    reordering the model checker explores. *)
-
 val events : t -> event list
 (** The queued events, earliest first, sorted afresh on every call. *)
 
-val set_scheduler : t -> scheduler option -> unit
-(** Install or remove the single-step scheduler hook. *)
+val next_at : t -> float option
+(** The earliest queued deadline, in O(1); [None] when the queue is
+    empty. *)
+
+val step_seq : t -> int -> unit
+(** [step_seq t seq] executes the queued event whose [ev_seq] is [seq].
+    Running an event whose deadline lies beyond the earliest one advances
+    virtual time to that deadline; earlier events then run late, at the
+    advanced clock: this is the adversarial reordering the model checker
+    explores.  Raises [Invalid_argument] when no queued event has that
+    sequence. *)

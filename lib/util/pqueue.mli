@@ -59,5 +59,5 @@ val entries : 'a t -> (float * int * 'a) list
 val remove_seq : 'a t -> int -> (float * 'a) option
 (** Remove and return the entry with the given insertion sequence, or
     [None] when no such entry is queued.  O(n) scan plus O(log n) repair;
-    only the model checker's single-step scheduler uses it, on the small
-    queues of bounded scenarios. *)
+    only {!Oasis_sim.Engine.step_seq} uses it, for the model checker's
+    picks on the small queues of bounded scenarios. *)

@@ -122,24 +122,29 @@ let test_engine_cancel_after_fire_or_twice () =
   Engine.run e;
   checki "no live timer lost" 101 !live
 
-(* Random runs of [schedule], [timer], [cancel] and [step] against a
-   reference list of the queued events ordered by (deadline, sequence).
-   Each event is named by its insertion sequence, which is also the
-   order of the operations that queued it.  After every operation
-   [pending] equals the reference's length, and after every step the
-   events run so far are the reference's. *)
+(* Random runs of [schedule], [timer], [cancel], [step_seq] and [step]
+   against a reference list of the queued events ordered by (deadline,
+   sequence).  Each event is named by its insertion sequence, which is
+   also the order of the operations that queued it.  The reference's
+   clock is the latest deadline run so far.  After every operation
+   [pending], [next_at] and [now] agree with the reference, and after
+   every step the events run so far are the reference's. *)
 let prop_engine_runs_by_deadline_then_sequence =
   QCheck.Test.make ~name:"engine runs live events by (deadline, sequence)" ~count:500
-    QCheck.(list_of_size Gen.(0 -- 80) (pair (int_bound 5) (int_bound 9)))
+    QCheck.(list_of_size Gen.(0 -- 80) (pair (int_bound 6) (int_bound 9)))
     (fun ops ->
       let e = Engine.create () in
       let queued = ref [] and ran = ref [] and expected = ref [] in
-      let timers = Hashtbl.create 16 and next = ref 0 in
+      let timers = Hashtbl.create 16 and next = ref 0 and clock = ref 0.0 in
       let arm delay =
         let id = !next in
         incr next;
-        queued := List.merge compare !queued [ (Engine.now e +. delay, id) ];
+        queued := List.merge compare !queued [ (!clock +. delay, id) ];
         (id, fun () -> ran := id :: !ran)
+      in
+      let run_ref (at, id) =
+        clock := Float.max !clock at;
+        expected := id :: !expected
       in
       let op (kind, x) =
         let delay = float_of_int x *. 0.5 in
@@ -161,16 +166,37 @@ let prop_engine_runs_by_deadline_then_sequence =
                 queued := List.filter (fun (_, id') -> id' <> id) !queued)
               (Hashtbl.find_opt timers id);
             true
+        | 5 -> (
+            (* Run the [x]th listed event by its sequence; with none
+               queued, a sequence never pushed is refused. *)
+            let listed =
+              List.map (fun ev -> (ev.Engine.ev_at, ev.Engine.ev_seq)) (Engine.events e)
+            in
+            listed = !queued
+            &&
+            match !queued with
+            | [] -> (
+                match Engine.step_seq e !next with
+                | () -> false
+                | exception Invalid_argument _ -> true)
+            | q ->
+                let ((_, id) as picked) = List.nth q (x mod List.length q) in
+                Engine.step_seq e id;
+                queued := List.filter (fun (_, id') -> id' <> id) q;
+                run_ref picked;
+                !ran = !expected)
         | _ ->
             let had = !queued <> [] in
             let stepped = Engine.step e in
             (match !queued with
             | [] -> ()
-            | (_, id) :: rest ->
+            | first :: rest ->
                 queued := rest;
-                expected := id :: !expected);
+                run_ref first);
             (stepped = had) && !ran = !expected)
         && Engine.pending e = List.length !queued
+        && Engine.now e = !clock
+        && Engine.next_at e = match !queued with [] -> None | (at, _) :: _ -> Some at
       in
       let ok = List.for_all op ops in
       Engine.run e;
