@@ -60,6 +60,8 @@ let create disk ~name ~snapshot_every ~blacklist =
    - [H role args]       re-hire: drop the blacklist entry
    - [I key deps rbrs]   certificate issued over record [key]
    - [V key]             record [key] explicitly invalidated
+   - [B epoch]           a replica group's epoch barrier: the log is a
+                         prefix of that epoch's stream; replay skips it
 
    A snapshot payload is the same records (current blacklist, then each
    issued record followed by its [V] if dead) joined with ['\x1c'];
@@ -69,6 +71,15 @@ let create disk ~name ~snapshot_every ~blacklist =
 let rec_fire (role, argskey) = String.concat "\x1f" [ "F"; Hex.encode role; Hex.encode argskey ]
 let rec_hire (role, argskey) = String.concat "\x1f" [ "H"; Hex.encode role; Hex.encode argskey ]
 let rec_invalidate key = String.concat "\x1f" [ "V"; key ]
+let barrier epoch = String.concat "\x1f" [ "B"; string_of_int epoch ]
+
+let last_barrier records =
+  List.fold_left
+    (fun acc r ->
+      match String.split_on_char '\x1f' r with
+      | [ "B"; e ] -> ( match int_of_string_opt e with Some e -> e | None -> acc)
+      | _ -> acc)
+    0 records
 
 let enc_dep = function
   | Ext (peer, rkey) -> String.concat "\x1d" [ "E"; Hex.encode peer; rkey ]

@@ -93,9 +93,8 @@ val scan_delay : t -> float
 val replay : t -> int
 (** Rebuild the mirror and the blacklist from the snapshot, then the whole
     log; returns the number of records applied.  Every record is an
-    idempotent upsert, so an untruncated log over a snapshot is harmless,
-    and unknown record tags (a replica group's epoch barriers) are
-    skipped. *)
+    idempotent upsert, so an untruncated log over a snapshot is harmless;
+    epoch barriers ({!barrier}) and unknown record tags are skipped. *)
 
 type entry =
   | Dead
@@ -134,6 +133,16 @@ val follower_append : t -> string -> unit
 
 val log_records : t -> string list
 (** The durable (synced) prefix of the log, decoded. *)
+
+val barrier : int -> string
+(** The epoch barrier record of the given epoch.  A promotion appends it
+    to the stream, so a log's content carries its own reconciliation
+    history; {!replay} skips it. *)
+
+val last_barrier : string list -> int
+(** The epoch of the last barrier among the records, or 0 when there is
+    none: the last epoch whose stream the log is known to be a prefix
+    of. *)
 
 val log_rewrite : t -> string list -> (unit -> unit) -> unit
 (** Atomically replace the log with exactly [records] and run the callback

@@ -113,23 +113,6 @@ let check_waiters t =
   t.g_waiters <- wait;
   List.iter (fun (_, k) -> k ()) (List.rev fire)
 
-(* --- epoch barriers --- *)
-
-(* A barrier is an ordinary stream record shaped like a journal record with
-   the reserved tag "B" ({!Journal.replay} skips unknown tags), so a
-   log's content carries its own reconciliation history: [last_barrier] of
-   a member's log is the last epoch whose stream the log is known to be a
-   prefix of. *)
-let barrier epoch = String.concat "\x1f" [ "B"; string_of_int epoch ]
-
-let last_barrier records =
-  List.fold_left
-    (fun acc r ->
-      match String.split_on_char '\x1f' r with
-      | [ "B"; e ] -> ( match int_of_string_opt e with Some e -> e | None -> acc)
-      | _ -> acc)
-    0 records
-
 (* --- the receiver-side log cache --- *)
 
 let set_cache m recs =
@@ -366,7 +349,7 @@ let promote t ~member:j ~from_epoch =
               let won =
                 List.fold_left
                   (fun best log ->
-                    let score = (last_barrier log, List.length log) in
+                    let score = (Journal.last_barrier log, List.length log) in
                     match best with
                     | Some (bscore, _) when bscore >= score -> best
                     | _ -> Some (score, log))
@@ -374,7 +357,7 @@ let promote t ~member:j ~from_epoch =
                   (mine :: List.map snd !replies)
                 |> function Some (_, log) -> log | None -> mine
               in
-              let full = won @ [ barrier target ] in
+              let full = won @ [ Journal.barrier target ] in
               Journal.log_rewrite (journal cand) full (fun () ->
                   if t.g_epoch = target && Net.host_up t.g_net cand.m_host then
                     Service.recover cand.m_svc ~on_done:(fun () ->
