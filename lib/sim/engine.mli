@@ -74,13 +74,14 @@ val run : ?until:float -> t -> unit
     called from a handler, or the queue is empty and the source reports no
     further external work.
 
-    {!step} and the real-time loop take events without allocating: they read the earliest deadline and take its event off the
-    flat queue ({!Oasis_util.Pqueue.min_prio},
-    {!Oasis_util.Pqueue.take_min}).  Scheduling an event still allocates its
-    timer record, its closure and its deadline as a boxed float, and taking
-    it boxes the deadline again for the clock; a timer's record reaches its
-    engine through an option allocated once per engine.  Cancelling a
-    queued timer allocates nothing. *)
+    {!step}, and the loop in either mode, take events without allocating:
+    they read the earliest deadline and take its event off the flat queue
+    ({!Oasis_util.Pqueue.min_prio}, {!Oasis_util.Pqueue.take_min}).
+    Scheduling an event still allocates its timer record, its closure and
+    its deadline as a boxed float, and taking it boxes the deadline again
+    for the clock; a timer's record reaches its engine through an option
+    allocated once per engine.  Cancelling a queued timer allocates
+    nothing. *)
 
 val stop : t -> unit
 (** Make a running real-time {!run} loop return after the current handler.
