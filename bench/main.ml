@@ -697,11 +697,11 @@ Member(u) <- Login.LoggedOn(u, h)* <|* Chair : (u in staff)*
       ("wal-append-frame", 500_000, wal_loop);
     ]
   in
-  (* One loop per process cannot tell a 10% change from the machine's
-     drift, so the rows are timed in rounds: each round runs one loop of
-     every row in turn, and a row prints its median over the rounds.  A
-     loop allocates the same in every round, so a row whose minor words
-     differ between rounds fails the experiment. *)
+  (* A single timed loop reads whatever else the host was doing during it,
+     so the rows are timed in rounds: each round runs one loop of every
+     row in turn, and a row prints its median over the rounds.  A loop
+     allocates the same in every round, so a row whose minor words differ
+     between rounds fails the experiment. *)
   let rounds = 7 in
   let time_loop (_, n, loop) =
     let w0 = Gc.minor_words () and t0 = Sys.time () in
