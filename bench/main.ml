@@ -733,7 +733,8 @@ let e10 () =
     let engine = Engine.create () in
     let net = Net.create ~latency:(Net.Fixed 0.005) engine in
     let reg = Service.create_registry () in
-    let site = Site.create net reg ~name:"S" ~rooms:[ "r1" ] ~heartbeat:0.5 () in
+    let tokens = Oasis_esec.Policy.tokens reg in
+    let site = Site.create net (Site.directory ()) ~name:"S" ~rooms:[ "r1" ] ~heartbeat:0.5 () in
     Site.register_badge site ~badge:7 ~user:"me";
     let nsvc =
       Result.get_ok
@@ -746,13 +747,13 @@ OwnsBadge(u, b) <-
     let rules =
       Result.get_ok (Oasis_esec.Erdl.parse "allow Namer.OwnsBadge(u, b) : Seen(b, *)")
     in
-    if policed then Oasis_esec.Policy.install (Site.master site) ~registry:reg ~rules;
+    if policed then Oasis_esec.Policy.install (Site.master site) ~tokens ~rules;
     let upstream = Site.master site in
     let target =
       if proxied then
         Oasis_esec.Policy.Proxy.broker
           (Oasis_esec.Policy.Proxy.create net (Net.add_host net "proxyh") ~name:"S-export"
-             ~upstream ~registry:reg ~rules ())
+             ~upstream ~tokens ~rules ())
       else upstream
     in
     Engine.run ~until:1.0 engine;
@@ -764,7 +765,7 @@ OwnsBadge(u, b) <-
     let got_at = ref None in
     Broker.connect net chost target
       ~credentials:
-        (if policed || proxied then [ Oasis_esec.Policy.token_of_cert cert ] else [])
+        (if policed || proxied then [ Oasis_esec.Policy.token_of_cert tokens cert ] else [])
       ~on_result:(function
         | Ok s ->
             ignore
@@ -797,11 +798,11 @@ let e11 () =
   header "E11: inter-site badge protocol messages (fig 6.2) vs naive broadcast";
   let engine = Engine.create () in
   let net = Net.create ~latency:(Net.Fixed 0.005) engine in
-  let reg = Service.create_registry () in
+  let directory = Site.directory () in
   let nsites = 3 in
   let sites =
     List.init nsites (fun i ->
-        Site.create net reg
+        Site.create net directory
           ~name:(Printf.sprintf "Site%d" i)
           ~rooms:[ "a"; "b"; "c"; "d" ] ~heartbeat:1.0 ())
   in

@@ -30,11 +30,12 @@ let () =
   let engine = Engine.create () in
   let net = Net.create ~latency:(Net.Fixed 0.01) engine in
   let registry = Service.create_registry () in
+  let directory = Site.directory () in
 
   (* Three sites, as in the dissertation's Cambridge / ORL / PARC setting. *)
   let sites =
     List.map
-      (fun (name, rooms) -> Site.create net registry ~name ~rooms ~heartbeat:0.5 ())
+      (fun (name, rooms) -> Site.create net directory ~name ~rooms ~heartbeat:0.5 ())
       [
         ("Cambridge", [ "T14"; "T15"; "library"; "machine-room" ]);
         ("ORL", [ "lab1"; "lab2" ]);
@@ -121,7 +122,8 @@ OwnsBadge(u, b) <-
   let rules =
     Result.get_ok (Oasis_esec.Erdl.parse "allow Namer.OwnsBadge(u, b) : Seen(b, *)")
   in
-  Oasis_esec.Policy.install (Site.master cambridge) ~registry ~rules;
+  let tokens = Oasis_esec.Policy.tokens registry in
+  Oasis_esec.Policy.install (Site.master cambridge) ~tokens ~rules;
   let ph = Principal.Host.create "monitor" in
   let me = Principal.Host.new_vci ph (Principal.Host.boot_domain ph) in
   let my_cert =
@@ -131,7 +133,7 @@ OwnsBadge(u, b) <-
   let watcher = Net.add_host net "secure-watcher" in
   let mine = ref 0 and others = ref 0 in
   Broker.connect net watcher (Site.master cambridge)
-    ~credentials:[ Oasis_esec.Policy.token_of_cert my_cert ]
+    ~credentials:[ Oasis_esec.Policy.token_of_cert tokens my_cert ]
     ~on_result:(function
       | Ok s ->
           ignore

@@ -10,6 +10,7 @@ type home_record = {
 
 type t = {
   s_net : Net.t;
+  s_directory : directory;
   s_name : string;
   s_rooms : string list;
   s_host : Net.host;
@@ -20,17 +21,20 @@ type t = {
   s_user_badge : (string, int) Hashtbl.t;  (* namer db: user -> badge *)
 }
 
-(* The per-simulation site directory: the paper's name server, through which
+(* A world's site directory: the paper's name server, through which its
    sites resolve each other's Masters and Namers. *)
-let directory : (string, t) Hashtbl.t = Hashtbl.create 8
+and directory = (string, t) Hashtbl.t
 
-let create net _registry ~name ~rooms ?(heartbeat = 1.0) () =
+let directory () : directory = Hashtbl.create 8
+
+let create net directory ~name ~rooms ?(heartbeat = 1.0) () =
   let host = Net.add_host net ("site." ^ name) in
   let master = Broker.create_server net host ~name:("Master@" ^ name) ~heartbeat () in
   let namer = Broker.create_server net host ~name:("Namer@" ^ name) ~heartbeat ~retention:1e9 () in
   let t =
     {
       s_net = net;
+      s_directory = directory;
       s_name = name;
       s_rooms = rooms;
       s_host = host;
@@ -83,7 +87,7 @@ let badge_arrived_at_home t ~badge ~at_site =
       if not (String.equal old_site at_site) then begin
         hr.hr_site <- at_site;
         (* Invalidate the cache at the previous holder (if not home itself). *)
-        (match Hashtbl.find_opt directory old_site with
+        (match Hashtbl.find_opt t.s_directory old_site with
         | Some prev when not (String.equal old_site t.s_name) ->
             Net.send t.s_net ~category:"badge.purge" ~src:t.s_host ~dst:prev.s_host (fun () ->
                 Hashtbl.remove prev.s_foreign badge)
@@ -111,7 +115,7 @@ let sight t ~badge ~home ~room =
   else if not known then begin
     (* Foreign, previously unknown badge: consult its home (fig 6.2). *)
     ignore (Broker.signal t.s_namer "BadgeArrived" [ Value.Int badge ]);
-    match Hashtbl.find_opt directory home with
+    match Hashtbl.find_opt t.s_directory home with
     | None -> ()
     | Some home_site ->
         (* Reliable: a lost lookup would leave the badge anonymous here

@@ -17,14 +17,21 @@
 
 type t
 
+type directory
+(** A world's site directory, the paper's name server, through which its
+    sites find each other.  Names mean nothing outside their world. *)
+
+val directory : unit -> directory
+
 val create :
   Oasis_sim.Net.t ->
-  Oasis_core.Service.registry ->
+  directory ->
   name:string ->
   rooms:string list ->
   ?heartbeat:float ->
   unit ->
   t
+(** A site, entered in the directory under [name] in place of any other. *)
 
 val name : t -> string
 val rooms : t -> string list

@@ -4,36 +4,38 @@ module Service = Oasis_core.Service
 module Cert = Oasis_core.Cert
 
 (* Token conveyance for certificates-in-session-credentials.  The token
-   embeds the marshalled payload; a side table recovers the full
+   embeds the marshalled payload; the world's side table recovers the full
    certificate (the simulation's stand-in for wire marshalling). *)
-let cert_table : (string, Cert.rmc) Hashtbl.t = Hashtbl.create 64
+type tokens = { tk_registry : Service.registry; tk_certs : (string, Cert.rmc) Hashtbl.t }
 
-let token_of_cert cert =
+let tokens registry = { tk_registry = registry; tk_certs = Hashtbl.create 64 }
+
+let token_of_cert tokens cert =
   let token = "cert:" ^ cert.Cert.service ^ ":" ^ cert.Cert.rmc_sig in
-  Hashtbl.replace cert_table token cert;
+  Hashtbl.replace tokens.tk_certs token cert;
   token
 
-let resolve_token registry token =
-  match Hashtbl.find_opt cert_table token with
+let resolve_token tokens token =
+  match Hashtbl.find_opt tokens.tk_certs token with
   | None -> None
   | Some cert -> (
-      match Service.find_service registry cert.Cert.service with
+      match Service.find_service tokens.tk_registry cert.Cert.service with
       | None -> None
       | Some issuer -> (
           match Service.validate_for_peer issuer cert with
           | Ok (roles, args, _) -> Some (cert.Cert.service, roles, args)
           | Error _ -> None))
 
-let visibility_of registry rules credentials =
-  let creds = List.filter_map (resolve_token registry) credentials in
+let visibility_of tokens rules credentials =
+  let creds = List.filter_map (resolve_token tokens) credentials in
   Erdl.instantiate rules ~creds
 
-let install broker ~registry ~rules =
+let install broker ~tokens ~rules =
   Broker.set_admission broker (fun ~credentials ->
-      let vis = visibility_of registry rules credentials in
+      let vis = visibility_of tokens rules credentials in
       vis.Erdl.vis_allowed <> []);
   Broker.set_registration_filter broker (fun ~credentials tpl ->
-      let vis = visibility_of registry rules credentials in
+      let vis = visibility_of tokens rules credentials in
       Erdl.filter vis tpl)
 
 module Proxy = struct
@@ -47,7 +49,7 @@ module Proxy = struct
   let broker t = t.p_broker
   let upstream_registrations t = t.p_upstream_regs
 
-  let create net host ~name ~upstream ~registry ~rules ?(heartbeat = 1.0) () =
+  let create net host ~name ~upstream ~tokens ~rules ?(heartbeat = 1.0) () =
     let proxy_broker = Broker.create_server net host ~name ~heartbeat () in
     let t =
       {
@@ -71,9 +73,9 @@ module Proxy = struct
        any visibility at all; their registrations are narrowed by that
        policy, then mirrored upstream. *)
     Broker.set_admission proxy_broker (fun ~credentials ->
-        (visibility_of registry rules credentials).Erdl.vis_allowed <> []);
+        (visibility_of tokens rules credentials).Erdl.vis_allowed <> []);
     Broker.set_registration_filter proxy_broker (fun ~credentials tpl ->
-        match Erdl.filter (visibility_of registry rules credentials) tpl with
+        match Erdl.filter (visibility_of tokens rules credentials) tpl with
         | None -> None
         | Some narrowed ->
             let mirror () =

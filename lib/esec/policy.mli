@@ -9,13 +9,19 @@
     {!Erdl.filter} — the event server never monitors what the client cannot
     see. *)
 
-val token_of_cert : Oasis_core.Cert.rmc -> string
+type tokens
+(** A world's token store: a token means nothing in another world's. *)
+
+val tokens : Oasis_core.Service.registry -> tokens
+(** An empty store, whose tokens the registry's services validate. *)
+
+val token_of_cert : tokens -> Oasis_core.Cert.rmc -> string
 (** Turn a certificate into a session-credential token (also performs the
     marshalling a real transport would). *)
 
 val install :
   Oasis_events.Broker.server ->
-  registry:Oasis_core.Service.registry ->
+  tokens:tokens ->
   rules:Erdl.rule list ->
   unit
 (** Arm the broker's admission control and registration filter with the
@@ -33,7 +39,7 @@ module Proxy : sig
     Oasis_sim.Net.host ->
     name:string ->
     upstream:Oasis_events.Broker.server ->
-    registry:Oasis_core.Service.registry ->
+    tokens:tokens ->
     rules:Erdl.rule list ->
     ?heartbeat:float ->
     unit ->

@@ -18,12 +18,19 @@ module V = Oasis_rdl.Value
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
 
-type world = { engine : Engine.t; net : Net.t; reg : Service.registry }
+type world = {
+  engine : Engine.t;
+  net : Net.t;
+  reg : Service.registry;
+  sites : Site.directory;
+  tokens : Policy.tokens;
+}
 
 let make_world () =
   let engine = Engine.create () in
   let net = Net.create ~latency:(Net.Fixed 0.005) engine in
-  { engine; net; reg = Service.create_registry () }
+  let reg = Service.create_registry () in
+  { engine; net; reg; sites = Site.directory (); tokens = Policy.tokens reg }
 
 let run w dt = Engine.run ~until:(Engine.now w.engine +. dt) w.engine
 
@@ -31,7 +38,7 @@ let run w dt = Engine.run ~until:(Engine.now w.engine +. dt) w.engine
 
 let test_home_registration_and_owner () =
   let w = make_world () in
-  let cl = Site.create w.net w.reg ~name:"CL" ~rooms:[ "T14"; "T15" ] () in
+  let cl = Site.create w.net w.sites ~name:"CL" ~rooms:[ "T14"; "T15" ] () in
   Site.register_badge cl ~badge:12 ~user:"rjh21";
   checkb "owner known" true (Site.owner cl ~badge:12 = Some "rjh21");
   checkb "unknown badge" true (Site.owner cl ~badge:99 = None);
@@ -39,7 +46,7 @@ let test_home_registration_and_owner () =
 
 let test_sighting_signals_seen () =
   let w = make_world () in
-  let cl = Site.create w.net w.reg ~name:"CL" ~rooms:[ "T14" ] () in
+  let cl = Site.create w.net w.sites ~name:"CL" ~rooms:[ "T14" ] () in
   Site.register_badge cl ~badge:12 ~user:"rjh21";
   let client = Net.add_host w.net "watcher" in
   let got = ref [] in
@@ -64,9 +71,9 @@ let test_intersite_protocol_fig62 () =
      info from A; when the badge moves to C, A purges B and signals
      MovedSite. *)
   let w = make_world () in
-  let a = Site.create w.net w.reg ~name:"A" ~rooms:[ "a1" ] () in
-  let b = Site.create w.net w.reg ~name:"B" ~rooms:[ "b1" ] () in
-  let c = Site.create w.net w.reg ~name:"C" ~rooms:[ "c1" ] () in
+  let a = Site.create w.net w.sites ~name:"A" ~rooms:[ "a1" ] () in
+  let b = Site.create w.net w.sites ~name:"B" ~rooms:[ "b1" ] () in
+  let c = Site.create w.net w.sites ~name:"C" ~rooms:[ "c1" ] () in
   Site.register_badge a ~badge:7 ~user:"karen";
   (* Watch MovedSite events at A's namer. *)
   let moved = ref [] in
@@ -98,8 +105,8 @@ let test_intersite_message_efficiency () =
   (* E11's property: repeated sightings of a cached foreign badge cost no
      inter-site messages. *)
   let w = make_world () in
-  let a = Site.create w.net w.reg ~name:"A" ~rooms:[ "a1" ] () in
-  let b = Site.create w.net w.reg ~name:"B" ~rooms:[ "b1"; "b2" ] () in
+  let a = Site.create w.net w.sites ~name:"A" ~rooms:[ "a1" ] () in
+  let b = Site.create w.net w.sites ~name:"B" ~rooms:[ "b1"; "b2" ] () in
   ignore a;
   Site.register_badge a ~badge:7 ~user:"karen";
   Site.sight b ~badge:7 ~home:"A" ~room:"b1";
@@ -113,8 +120,8 @@ let test_intersite_message_efficiency () =
 
 let test_home_badge_returning () =
   let w = make_world () in
-  let a = Site.create w.net w.reg ~name:"A" ~rooms:[ "a1" ] () in
-  let b = Site.create w.net w.reg ~name:"B" ~rooms:[ "b1" ] () in
+  let a = Site.create w.net w.sites ~name:"A" ~rooms:[ "a1" ] () in
+  let b = Site.create w.net w.sites ~name:"B" ~rooms:[ "b1" ] () in
   Site.register_badge a ~badge:7 ~user:"karen";
   Site.sight b ~badge:7 ~home:"A" ~room:"b1";
   run w 1.0;
@@ -124,11 +131,25 @@ let test_home_badge_returning () =
   checkb "back home" true (Site.home_location a ~badge:7 = Some "A");
   checkb "B purged on return" true (Site.owner b ~badge:7 = None)
 
+let test_worlds_share_no_sites () =
+  (* Site names mean nothing outside their world: a second world's site A
+     must not answer the first world's lookups for A. *)
+  let w = make_world () in
+  let a = Site.create w.net w.sites ~name:"A" ~rooms:[ "a1" ] () in
+  let b = Site.create w.net w.sites ~name:"B" ~rooms:[ "b1" ] () in
+  Site.register_badge a ~badge:7 ~user:"karen";
+  let w2 = make_world () in
+  ignore (Site.create w2.net w2.sites ~name:"A" ~rooms:[ "a1" ] ());
+  Site.sight b ~badge:7 ~home:"A" ~room:"b1";
+  run w 1.0;
+  checkb "B learned the owner" true (Site.owner b ~badge:7 = Some "karen");
+  checkb "home tracks location" true (Site.home_location a ~badge:7 = Some "B")
+
 let test_namer_dbregister_pattern () =
   (* §6.3.3: atomic lookup+register via retrospective registration — no race
      between reading OwnsBadge and hearing about later changes. *)
   let w = make_world () in
-  let cl = Site.create w.net w.reg ~name:"CL" ~rooms:[ "T14" ] () in
+  let cl = Site.create w.net w.sites ~name:"CL" ~rooms:[ "T14" ] () in
   Site.register_badge cl ~badge:12 ~user:"rjh21";
   run w 1.0;
   let client = Net.add_host w.net "monitor" in
@@ -158,8 +179,8 @@ let test_namer_dbregister_pattern () =
 
 let test_workload_generates_sightings () =
   let w = make_world () in
-  let a = Site.create w.net w.reg ~name:"A" ~rooms:[ "a1"; "a2"; "a3" ] () in
-  let b = Site.create w.net w.reg ~name:"B" ~rooms:[ "b1"; "b2" ] () in
+  let a = Site.create w.net w.sites ~name:"A" ~rooms:[ "a1"; "a2"; "a3" ] () in
+  let b = Site.create w.net w.sites ~name:"B" ~rooms:[ "b1"; "b2" ] () in
   let wl =
     Workload.create w.engine ~seed:7L ~sites:[ a; b ] ~people_per_site:5 ~mean_dwell:1.0
       ~travel_probability:0.2 ()
@@ -173,9 +194,7 @@ let test_workload_generates_sightings () =
 let test_workload_deterministic () =
   let run_once () =
     let w = make_world () in
-    (* Fresh directory entries shadow older ones because Site.create
-       replaces by name. *)
-    let a = Site.create w.net w.reg ~name:"A" ~rooms:[ "a1"; "a2" ] () in
+    let a = Site.create w.net w.sites ~name:"A" ~rooms:[ "a1"; "a2" ] () in
     let wl = Workload.create w.engine ~seed:99L ~sites:[ a ] ~people_per_site:3 () in
     Workload.start wl;
     Engine.run ~until:30.0 w.engine;
@@ -248,7 +267,7 @@ let test_erdl_no_credentials_no_visibility () =
 
 let badge_policy_world () =
   let w = make_world () in
-  let site = Site.create w.net w.reg ~name:"CL" ~rooms:[ "T14"; "T15" ] () in
+  let site = Site.create w.net w.sites ~name:"CL" ~rooms:[ "T14"; "T15" ] () in
   Site.register_badge site ~badge:12 ~user:"rjh21";
   Site.register_badge site ~badge:13 ~user:"other";
   (* An OASIS service issues OwnsBadge role certificates. *)
@@ -262,7 +281,7 @@ OwnsBadge(u, b) <-
 |} ())
   in
   let rules = parse_rules "allow Namer.OwnsBadge(u, b) : Seen(b, *)" in
-  Policy.install (Site.master site) ~registry:w.reg ~rules;
+  Policy.install (Site.master site) ~tokens:w.tokens ~rules;
   (w, site, nsvc)
 
 let fresh_vci =
@@ -287,7 +306,7 @@ let test_policy_admission_and_filtering () =
   (* With a certificate: admitted, but sees only own badge. *)
   let got = ref [] in
   Broker.connect w.net client (Site.master site)
-    ~credentials:[ Policy.token_of_cert my_cert ]
+    ~credentials:[ Policy.token_of_cert w.tokens my_cert ]
     ~on_result:(function
       | Ok s ->
           ignore
@@ -314,7 +333,7 @@ let test_policy_revoked_credential_no_visibility () =
   let client = Net.add_host w.net "monitor" in
   let refused = ref false in
   Broker.connect w.net client (Site.master site)
-    ~credentials:[ Policy.token_of_cert my_cert ]
+    ~credentials:[ Policy.token_of_cert w.tokens my_cert ]
     ~on_result:(function Error _ -> refused := true | Ok _ -> ())
     ();
   run w 1.0;
@@ -325,7 +344,7 @@ let test_remote_policy_proxy () =
      that applies the exporting site's policy; the Master itself stays
      unpoliced for trusted local infrastructure. *)
   let w = make_world () in
-  let site = Site.create w.net w.reg ~name:"CLX" ~rooms:[ "T14"; "T15" ] () in
+  let site = Site.create w.net w.sites ~name:"CLX" ~rooms:[ "T14"; "T15" ] () in
   Site.register_badge site ~badge:12 ~user:"rjh21";
   Site.register_badge site ~badge:13 ~user:"other";
   let nsvc_host = Net.add_host w.net "namersvcx" in
@@ -341,7 +360,7 @@ OwnsBadge(u, b) <-
   let rules = parse_rules "allow NamerX.OwnsBadge(u, b) : Seen(b, *)" in
   let proxy =
     Policy.Proxy.create w.net proxy_host ~name:"CL-export" ~upstream:(Site.master site)
-      ~registry:w.reg ~rules ()
+      ~tokens:w.tokens ~rules ()
   in
   run w 1.0;
   let me = fresh_vci () in
@@ -351,7 +370,7 @@ OwnsBadge(u, b) <-
   let remote_client = Net.add_host w.net "remote" in
   let got = ref [] in
   Broker.connect w.net remote_client (Policy.Proxy.broker proxy)
-    ~credentials:[ Policy.token_of_cert my_cert ]
+    ~credentials:[ Policy.token_of_cert w.tokens my_cert ]
     ~on_result:(function
       | Ok s ->
           ignore
@@ -376,6 +395,7 @@ let () =
           Alcotest.test_case "inter-site protocol (fig 6.2)" `Quick test_intersite_protocol_fig62;
           Alcotest.test_case "message efficiency" `Quick test_intersite_message_efficiency;
           Alcotest.test_case "home badge returning" `Quick test_home_badge_returning;
+          Alcotest.test_case "worlds share no sites" `Quick test_worlds_share_no_sites;
           Alcotest.test_case "namer DBRegister" `Quick test_namer_dbregister_pattern;
         ] );
       ( "workload",

@@ -391,8 +391,7 @@ module Site = Oasis_badge.Site
 let test_composite_service_resignals () =
   let engine = Engine.create () in
   let net = Net.create ~latency:(Net.Fixed 0.01) engine in
-  let reg = Service.create_registry () in
-  let site = Site.create net reg ~name:"CSite" ~rooms:[ "r1"; "r2" ] ~heartbeat:0.5 () in
+  let site = Site.create net (Site.directory ()) ~name:"CSite" ~rooms:[ "r1"; "r2" ] ~heartbeat:0.5 () in
   Site.register_badge site ~badge:1 ~user:"a";
   Site.register_badge site ~badge:2 ~user:"b";
   (* The composite server subscribes to the site's Master. *)
@@ -445,8 +444,7 @@ let test_composite_over_composite () =
      re-signalled stream — the independence property of §6.8.2. *)
   let engine = Engine.create () in
   let net = Net.create ~latency:(Net.Fixed 0.01) engine in
-  let reg = Service.create_registry () in
-  let site = Site.create net reg ~name:"CSite2" ~rooms:[ "r1" ] ~heartbeat:0.5 () in
+  let site = Site.create net (Site.directory ()) ~name:"CSite2" ~rooms:[ "r1" ] ~heartbeat:0.5 () in
   Site.register_badge site ~badge:1 ~user:"a";
   Site.register_badge site ~badge:2 ~user:"b";
   let cs_host = Net.add_host net "cshost2" in
@@ -488,9 +486,11 @@ let test_three_site_policies () =
   let engine = Engine.create () in
   let net = Net.create ~latency:(Net.Fixed 0.005) engine in
   let reg = Service.create_registry () in
-  let cam = Site.create net reg ~name:"Cam" ~rooms:[ "r" ] () in
-  let orl = Site.create net reg ~name:"Orl" ~rooms:[ "r" ] () in
-  let parc = Site.create net reg ~name:"Parc" ~rooms:[ "r" ] () in
+  let tokens = Oasis_esec.Policy.tokens reg in
+  let sites = Site.directory () in
+  let cam = Site.create net sites ~name:"Cam" ~rooms:[ "r" ] () in
+  let orl = Site.create net sites ~name:"Orl" ~rooms:[ "r" ] () in
+  let parc = Site.create net sites ~name:"Parc" ~rooms:[ "r" ] () in
   List.iter (fun s -> Site.register_badge s ~badge:1 ~user:"me") [ cam; orl; parc ];
   List.iter (fun s -> Site.register_badge s ~badge:2 ~user:"other") [ cam; orl; parc ];
   let nsvc =
@@ -505,7 +505,7 @@ OwnsBadge(u, b) <-
   in
   let install site rules_text =
     let rules = Result.get_ok (Oasis_esec.Erdl.parse rules_text) in
-    Oasis_esec.Policy.install (Site.master site) ~registry:reg ~rules
+    Oasis_esec.Policy.install (Site.master site) ~tokens ~rules
   in
   install cam "allow Namer3.LoggedOn(u) : Seen(*, *)";
   install orl "allow Namer3.OwnsBadge(u, b) : Seen(b, *)";
@@ -517,7 +517,7 @@ OwnsBadge(u, b) <-
   let owns =
     Service.issue_arbitrary nsvc ~client:me ~roles:[ "OwnsBadge" ] ~args:[ V.Str "me"; V.Int 1 ]
   in
-  let creds = List.map Oasis_esec.Policy.token_of_cert [ logged; owns ] in
+  let creds = List.map (Oasis_esec.Policy.token_of_cert tokens) [ logged; owns ] in
   let watch site =
     let host = Net.add_host net ("w-" ^ Site.name site) in
     let mine = ref 0 and others = ref 0 and admitted = ref false in

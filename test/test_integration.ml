@@ -33,8 +33,7 @@ let test_together_over_brokers () =
      detect Roger and Giles in the same room, distributed end to end. *)
   let engine = Engine.create () in
   let net = Net.create ~latency:(Net.Fixed 0.01) engine in
-  let reg = Service.create_registry () in
-  let a = Site.create net reg ~name:"A" ~rooms:[ "T14"; "T15" ] ~heartbeat:0.5 () in
+  let a = Site.create net (Site.directory ()) ~name:"A" ~rooms:[ "T14"; "T15" ] ~heartbeat:0.5 () in
   Site.register_badge a ~badge:1 ~user:"roger";
   Site.register_badge a ~badge:2 ~user:"giles";
   let monitor_host = Net.add_host net "monitor" in
@@ -68,9 +67,9 @@ let test_without_over_brokers_waits_for_slow_site () =
      heals and then decides correctly against the late B. *)
   let engine = Engine.create () in
   let net = Net.create ~latency:(Net.Fixed 0.01) engine in
-  let reg = Service.create_registry () in
-  let fast = Site.create net reg ~name:"Fast" ~rooms:[ "f1" ] ~heartbeat:0.5 () in
-  let slow = Site.create net reg ~name:"Slow" ~rooms:[ "s1" ] ~heartbeat:0.5 () in
+  let sites = Site.directory () in
+  let fast = Site.create net sites ~name:"Fast" ~rooms:[ "f1" ] ~heartbeat:0.5 () in
+  let slow = Site.create net sites ~name:"Slow" ~rooms:[ "s1" ] ~heartbeat:0.5 () in
   Site.register_badge fast ~badge:1 ~user:"alice";
   Site.register_badge slow ~badge:2 ~user:"bob";
   let monitor_host = Net.add_host net "monitor" in
@@ -108,9 +107,9 @@ let test_without_over_brokers_waits_for_slow_site () =
 let test_without_over_brokers_fires_when_clear () =
   let engine = Engine.create () in
   let net = Net.create ~latency:(Net.Fixed 0.01) engine in
-  let reg = Service.create_registry () in
-  let fast = Site.create net reg ~name:"Fast2" ~rooms:[ "f1" ] ~heartbeat:0.5 () in
-  let slow = Site.create net reg ~name:"Slow2" ~rooms:[ "s1" ] ~heartbeat:0.5 () in
+  let sites = Site.directory () in
+  let fast = Site.create net sites ~name:"Fast2" ~rooms:[ "f1" ] ~heartbeat:0.5 () in
+  let slow = Site.create net sites ~name:"Slow2" ~rooms:[ "s1" ] ~heartbeat:0.5 () in
   Site.register_badge fast ~badge:1 ~user:"alice";
   let monitor_host = Net.add_host net "monitor2" in
   let sessions = ref [] in
@@ -221,7 +220,8 @@ let test_secured_monitor_under_workload () =
   let engine = Engine.create () in
   let net = Net.create ~latency:(Net.Fixed 0.005) engine in
   let reg = Service.create_registry () in
-  let site = Site.create net reg ~name:"HQ" ~rooms:[ "r1"; "r2"; "r3" ] ~heartbeat:0.5 () in
+  let tokens = Oasis_esec.Policy.tokens reg in
+  let site = Site.create net (Site.directory ()) ~name:"HQ" ~rooms:[ "r1"; "r2"; "r3" ] ~heartbeat:0.5 () in
   let wl = Workload.create engine ~seed:3L ~sites:[ site ] ~people_per_site:4 ~mean_dwell:2.0 () in
   (* Namer-issued ownership certificates drive ERDL policy on the Master. *)
   let nsvc_host = Net.add_host net "namersvc" in
@@ -238,7 +238,7 @@ OwnsBadge(u, b) <-
     | Ok r -> r
     | Error e -> Alcotest.failf "erdl: %s" e
   in
-  Oasis_esec.Policy.install (Site.master site) ~registry:reg ~rules;
+  Oasis_esec.Policy.install (Site.master site) ~tokens ~rules;
   Workload.start wl;
   (* A user may only watch their own badge. *)
   let person = List.hd (Workload.people wl) in
@@ -250,7 +250,7 @@ OwnsBadge(u, b) <-
   let monitor_host = Net.add_host net "monitor" in
   let mine = ref 0 and others = ref 0 in
   Broker.connect net monitor_host (Site.master site)
-    ~credentials:[ Oasis_esec.Policy.token_of_cert my_cert ]
+    ~credentials:[ Oasis_esec.Policy.token_of_cert tokens my_cert ]
     ~on_result:(function
       | Ok s ->
           ignore
