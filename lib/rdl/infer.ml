@@ -22,10 +22,6 @@ exception Fail of string
 
 let fail fmt = Format.kasprintf (fun msg -> raise (Fail msg)) fmt
 
-(* Source line of the item being checked, for located error reporting
-   ([infer_located]).  Updated as the passes walk the rolefile. *)
-let cur_line = ref 0
-
 let unify_exn ctx a b =
   match Ty.unify a b with Ok () -> () | Error msg -> fail "%s: %s" ctx msg
 
@@ -42,7 +38,14 @@ let unify_literal ctx ty v =
 
 let infer_located ?(callbacks = no_callbacks) rolefile =
   let sigs : (string, Ty.t list) Hashtbl.t = Hashtbl.create 16 in
-  cur_line := 0;
+  (* The line of the item being checked, for located errors, and the last
+     type variable's number: both per rolefile, so a report never depends
+     on what the process inferred before. *)
+  let cur_line = ref 0 and last_var = ref 0 in
+  let fresh () =
+    incr last_var;
+    Ty.var !last_var
+  in
   try
     (* Pass 1: explicit declarations. *)
     List.iter
@@ -52,7 +55,7 @@ let infer_located ?(callbacks = no_callbacks) rolefile =
         let types =
           List.map
             (fun p ->
-              match List.assoc_opt p d.param_types with Some ty -> ty | None -> Ty.fresh ())
+              match List.assoc_opt p d.param_types with Some ty -> ty | None -> fresh ())
             d.params
         in
         Hashtbl.replace sigs d.decl_name types)
@@ -67,7 +70,7 @@ let infer_located ?(callbacks = no_callbacks) rolefile =
             if List.length types <> List.length args then
               fail "role %s used with %d argument(s) but declared with %d" name
                 (List.length args) (List.length types)
-        | None -> Hashtbl.replace sigs name (List.map (fun _ -> Ty.fresh ()) args))
+        | None -> Hashtbl.replace sigs name (List.map (fun _ -> fresh ()) args))
       (entries rolefile);
     (* Per-statement inference. *)
     let infer_entry e =
@@ -77,7 +80,7 @@ let infer_located ?(callbacks = no_callbacks) rolefile =
         match Hashtbl.find_opt vars v with
         | Some ty -> ty
         | None ->
-            let ty = Ty.fresh () in
+            let ty = fresh () in
             Hashtbl.replace vars v ty;
             ty
       in
@@ -125,7 +128,7 @@ let infer_located ?(callbacks = no_callbacks) rolefile =
                 List.iter2 (unify_exn ("function " ^ fname)) expected arg_tys;
                 ret
             | Some (None, ret) -> ret
-            | None -> Ty.fresh ())
+            | None -> fresh ())
       in
       (* Two set types with different alphabets still compare/subset
          sensibly when one side is a literal (e.g. [{x} subset r] with

@@ -1,11 +1,7 @@
 type t = Int | Str | Set of string | Obj of string | Var of var ref
 and var = Unbound of int | Link of t
 
-let counter = ref 0
-
-let fresh () =
-  incr counter;
-  Var (ref (Unbound !counter))
+let var n = Var (ref (Unbound n))
 
 let rec repr = function
   | Var ({ contents = Link t } as r) ->

@@ -14,8 +14,9 @@ type t =
 
 and var = Unbound of int | Link of t
 
-val fresh : unit -> t
-(** A fresh unification variable. *)
+val var : int -> t
+(** [var n] is a fresh unification variable, printed ['t<n>]: the number
+    only names it ({!Infer} numbers from 1 in every rolefile). *)
 
 val repr : t -> t
 (** Follow links to the representative. *)

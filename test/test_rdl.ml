@@ -93,13 +93,13 @@ let test_ty_unify_basic () =
   checkb "set alphabets differ" true (Result.is_error (Ty.unify (Ty.Set "rw") (Ty.Set "rx")))
 
 let test_ty_unify_vars () =
-  let v = Ty.fresh () in
+  let v = Ty.var 1 in
   checkb "var binds" true (Ty.unify v Ty.Int = Ok ());
   checkb "bound var ground" true (Ty.is_ground v);
   checkb "transitively int" true (Ty.equal v Ty.Int)
 
 let test_ty_unify_var_chain () =
-  let a = Ty.fresh () and b = Ty.fresh () in
+  let a = Ty.var 1 and b = Ty.var 2 in
   checkb "var/var" true (Ty.unify a b = Ok ());
   checkb "chain binds both" true (Ty.unify a (Ty.Obj "userid") = Ok ());
   checkb "b resolved" true (Ty.equal b (Ty.Obj "userid"))
@@ -382,6 +382,21 @@ let test_infer_unresolved_reported () =
   let r = infer_ok {|Foo(x) <- Ext.Thing(x)|} in
   checkb "x unresolved" true (List.mem ("Foo", 0) r.Infer.unresolved)
 
+(* Type variables are named per rolefile, so a signature prints the same
+   however many rolefiles the process inferred before it. *)
+let test_infer_names_repeat () =
+  let printed () =
+    let r = infer_ok "R(x) <-\nS(y) <-" in
+    String.concat "; "
+      (List.map
+         (fun role ->
+           let tys = Option.get (Infer.signature r role) in
+           role ^ "(" ^ String.concat ", " (List.map Ty.to_string tys) ^ ")")
+         [ "R"; "S" ])
+  in
+  let first = printed () in
+  Alcotest.(check string) "same names the second time" first (printed ())
+
 let test_infer_external_callback () =
   let callbacks =
     {
@@ -576,6 +591,7 @@ let () =
           Alcotest.test_case "arity conflict" `Quick test_infer_arity_conflict;
           Alcotest.test_case "undefined local role" `Quick test_infer_undefined_local_role;
           Alcotest.test_case "unresolved reported" `Quick test_infer_unresolved_reported;
+          Alcotest.test_case "variable names repeat" `Quick test_infer_names_repeat;
           Alcotest.test_case "external callback" `Quick test_infer_external_callback;
           Alcotest.test_case "group callback" `Quick test_infer_group_callback;
         ] );
