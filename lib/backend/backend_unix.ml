@@ -57,6 +57,7 @@ type t = {
   b_pending : (string, call) Hashtbl.t;
   mutable b_next_id : int;
   b_disks : (int, Disk.t) Hashtbl.t;
+  b_read : Bytes.t;  (* [read]'s buffer; its bytes are fed to a reader at once *)
 }
 
 let now t () = Int64.to_float (Int64.sub (Monotonic_clock.now ()) t.b_t0) *. 1e-9
@@ -160,13 +161,11 @@ let drain_conn t c =
   in
   go ()
 
-let read_chunk = Bytes.create 65536
-
 let on_readable t c =
-  match Unix.read c.c_fd read_chunk 0 (Bytes.length read_chunk) with
+  match Unix.read c.c_fd t.b_read 0 (Bytes.length t.b_read) with
   | 0 -> close_conn t c
   | n ->
-      Frame.Reader.feed c.c_frames read_chunk 0 n;
+      Frame.Reader.feed c.c_frames t.b_read 0 n;
       drain_conn t c
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
   | exception Unix.Unix_error (_, _, _) -> close_conn t c
@@ -389,6 +388,7 @@ let create ?data_dir ?seed ?(latency = Net.Fixed 0.0) () =
       b_pending = Hashtbl.create 64;
       b_next_id = 0;
       b_disks = Hashtbl.create 8;
+      b_read = Bytes.create 65536;
     }
   in
   let source =
