@@ -24,9 +24,7 @@ type span = {
 type t = {
   clock : unit -> float;  (* deterministic sim-time source *)
   mutable enabled : bool;
-  ring : span option array;  (* finished spans, circular *)
-  mutable head : int;  (* next write slot *)
-  mutable stored : int;
+  finished : span Queue.t;  (* oldest first, at most [capacity] *)
   mutable dropped : int;
   mutable next_trace : int;
   mutable next_span : int;
@@ -41,9 +39,7 @@ let create clock =
   {
     clock;
     enabled = false;
-    ring = Array.make capacity None;
-    head = 0;
-    stored = 0;
+    finished = Queue.create ();
     dropped = 0;
     next_trace = 1;
     next_span = 1;
@@ -55,9 +51,7 @@ let enabled t = t.enabled
 let set_enabled t on = t.enabled <- on
 
 let clear t =
-  Array.fill t.ring 0 capacity None;
-  t.head <- 0;
-  t.stored <- 0;
+  Queue.clear t.finished;
   t.dropped <- 0;
   Hashtbl.reset t.open_tbl
 
@@ -125,9 +119,11 @@ let finish t sp =
   if sp != null_span && Float.is_nan sp.sp_end then begin
     sp.sp_end <- t.clock ();
     Hashtbl.remove t.open_tbl sp.sp_id;
-    if t.ring.(t.head) <> None then t.dropped <- t.dropped + 1 else t.stored <- t.stored + 1;
-    t.ring.(t.head) <- Some sp;
-    t.head <- (t.head + 1) mod capacity
+    if Queue.length t.finished = capacity then begin
+      ignore (Queue.take t.finished);
+      t.dropped <- t.dropped + 1
+    end;
+    Queue.add sp t.finished
   end
 
 let with_span t ?parent name f =
@@ -143,15 +139,7 @@ let with_span t ?parent name f =
       f
   end
 
-let spans t =
-  (* Oldest first: the slot after [head] (when full) is the oldest survivor. *)
-  let acc = ref [] in
-  for i = capacity - 1 downto 0 do
-    match t.ring.((t.head + i) mod capacity) with
-    | Some sp -> acc := sp :: !acc
-    | None -> ()
-  done;
-  !acc
+let spans t = List.of_seq (Queue.to_seq t.finished)
 
 let open_spans t = Hashtbl.fold (fun _ sp acc -> sp :: acc) t.open_tbl []
 let dropped t = t.dropped

@@ -13,8 +13,8 @@
     Tracing is {b disabled by default} and, when disabled, every operation
     is a no-op returning a shared null span — instrumentation must not
     change behaviour or message counts of un-traced runs.  Finished spans
-    land in a bounded ring buffer (oldest evicted, counted by {!dropped});
-    the clock is the deterministic sim clock, so traces replay identically
+    land in a bounded queue (oldest evicted, counted by {!dropped}), which
+    holds nothing until a span finishes; the clock is the deterministic sim clock, so traces replay identically
     for a given seed. *)
 
 type t
@@ -28,8 +28,8 @@ type ctx
 
 val create : (unit -> float) -> t
 (** [create clock] — [clock] is the deterministic time source (e.g.
-    [fun () -> Engine.now engine]).  The finished-span ring buffer holds
-    4096 spans, and drops the oldest past that. *)
+    [fun () -> Engine.now engine]).  It keeps the newest 4096 finished
+    spans, and drops the oldest past that. *)
 
 val enabled : t -> bool
 val set_enabled : t -> bool -> unit
@@ -42,8 +42,8 @@ val start : t -> ?parent:ctx -> string -> span
     fresh trace is rooted here.  Returns the null span when disabled. *)
 
 val finish : t -> span -> unit
-(** Stamp the end time and move the span into the ring buffer.  Idempotent;
-    no-op on the null span. *)
+(** Stamp the end time and keep the span among the finished ones.
+    Idempotent; no-op on the null span. *)
 
 val add_attr : span -> string -> string -> unit
 
@@ -67,7 +67,7 @@ val open_spans : t -> span list
     after a burst has settled usually means lost instrumentation. *)
 
 val dropped : t -> int
-(** Finished spans evicted by ring-buffer overflow since the last {!clear}. *)
+(** Finished spans evicted past the 4096 kept since the last {!clear}. *)
 
 val span_name : span -> string
 val span_trace : span -> int

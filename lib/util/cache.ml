@@ -15,16 +15,17 @@ type ('k, 'v) t = {
   mutable old : ('k, 'v) Hashtbl.t;
 }
 
+(* The first young generation grows from empty.  A rotation creates the
+   next at [half], where it never resizes (one created small doubles only
+   past two entries per bucket, so it would stop at [half / 2] buckets).
+   Nothing iterates the tables, so their bucket counts change no result. *)
 let create cap =
   if cap < 2 then invalid_arg "Cache.create: cap must be >= 2";
-  let half = max 1 (cap / 2) in
-  { cap; half; young = Hashtbl.create half; old = Hashtbl.create half }
+  { cap; half = cap / 2; young = Hashtbl.create 1; old = Hashtbl.create 1 }
 
 let rotate t =
-  let drop = t.old in
   t.old <- t.young;
-  Hashtbl.reset drop;
-  t.young <- drop
+  t.young <- Hashtbl.create t.half
 
 let set t k v =
   if not (Hashtbl.mem t.young k) && Hashtbl.length t.young >= t.half then rotate t;
@@ -49,5 +50,5 @@ let length t = Hashtbl.length t.young + Hashtbl.length t.old
 let capacity t = t.cap
 
 let clear t =
-  Hashtbl.reset t.young;
-  Hashtbl.reset t.old
+  t.young <- Hashtbl.create 1;
+  t.old <- Hashtbl.create 1

@@ -9,7 +9,8 @@
 type ('k, 'v) t
 
 val create : int -> ('k, 'v) t
-(** [create cap] bounds the cache to at most [cap] entries.
+(** [create cap] bounds the cache to at most [cap] entries.  It preallocates
+    nothing: its tables grow as entries arrive.
     Raises [Invalid_argument] if [cap < 2]. *)
 
 val find : ('k, 'v) t -> 'k -> 'v option

@@ -6,6 +6,7 @@ module Siphash = Oasis_util.Siphash
 module Signing = Oasis_util.Signing
 module Bitset = Oasis_util.Bitset
 module Pqueue = Oasis_util.Pqueue
+module Cache = Oasis_util.Cache
 module Hex = Oasis_util.Hex
 module Frame = Oasis_util.Frame
 
@@ -900,6 +901,57 @@ let test_json_sorted_key_order_independent () =
   Alcotest.(check string) "arrays untouched" (Json.to_string arr)
     (Json.to_string (Json.sorted arr))
 
+(* --- cache --- *)
+
+(* The cache against a reference two-generation model: association lists,
+   newest first, for the young and the old generation.  The model promotes
+   an old hit into the young generation, so a cache that did not would
+   lose the entry at the next rotation and answer a later [find]
+   differently.  Values are the operation's index, so a stale value shows. *)
+let prop_cache_model =
+  QCheck.Test.make ~name:"cache = two-generation model" ~count:500
+    QCheck.(pair (int_range 2 9) (list_of_size Gen.(0 -- 80) (pair (int_bound 15) (int_bound 11))))
+    (fun (cap, ops) ->
+      let c = Cache.create cap in
+      let young = ref [] and old = ref [] in
+      let set k v =
+        if (not (List.mem_assoc k !young)) && List.length !young >= cap / 2 then begin
+          old := !young;
+          young := []
+        end;
+        young := (k, v) :: List.remove_assoc k !young
+      in
+      let step i (op, k) =
+        let agrees =
+          match op with
+          | 0 | 1 | 2 | 3 | 4 | 5 ->
+              Cache.set c k i;
+              set k i;
+              true
+          | 6 | 7 | 8 | 9 | 10 | 11 ->
+              let expected =
+                match (List.assoc_opt k !young, List.assoc_opt k !old) with
+                | (Some _ as hit), _ -> hit
+                | None, (Some v as hit) ->
+                    old := List.remove_assoc k !old;
+                    set k v;
+                    hit
+                | None, None -> None
+              in
+              Cache.find c k = expected
+          | 12 -> Cache.mem c k = (List.mem_assoc k !young || List.mem_assoc k !old)
+          | 13 -> Cache.length c = List.length !young + List.length !old
+          | _ ->
+              Cache.clear c;
+              young := [];
+              old := [];
+              true
+        in
+        agrees && Cache.length c <= cap
+      in
+      let rec run i = function [] -> true | op :: rest -> step i op && run (i + 1) rest in
+      Cache.capacity c = cap && run 0 ops)
+
 let qt = QCheck_alcotest.to_alcotest
 
 let () =
@@ -994,6 +1046,7 @@ let () =
           Alcotest.test_case "departed values are not pinned" `Quick
             test_pqueue_releases_departed;
         ] );
+      ("cache", [ qt prop_cache_model ]);
       ( "json",
         [
           Alcotest.test_case "sorted keys are order-independent" `Quick
