@@ -97,8 +97,6 @@ type t = {
       (* run [recover] automatically from the host-restart hook; a replica
          group disables this and drives recovery through its epoch/promote
          protocol instead *)
-  mutable sv_crypto_checks : int;
-  mutable sv_cache_hits : int;
   mutable sv_swept_at : int;  (* [Credrec.allocations] at the last sweep *)
   mutable sv_sweep_live : int;  (* live records the last sweep left *)
   mutable sv_on_sweep : (unit -> unit) list;
@@ -130,8 +128,6 @@ let broker t = Coherence.broker t.sv_coherence
 let rolefile t = t.sv_rolefile
 let registry t = t.sv_registry
 let role_bits t = t.sv_role_bits
-let crypto_checks t = t.sv_crypto_checks
-let cache_hits t = t.sv_cache_hits
 let audit_capacity = 4096
 
 let audit_log t =
@@ -230,11 +226,9 @@ let verify_rmc_sig t cert =
   let payload = Cert.rmc_payload cert in
   match Cache.find t.sv_sig_cache payload with
   | Some verified when String.equal verified cert.Cert.rmc_sig ->
-      t.sv_cache_hits <- t.sv_cache_hits + 1;
       Stats.bump t.sv_sig_hit 1;
       true
   | _ ->
-      t.sv_crypto_checks <- t.sv_crypto_checks + 1;
       Stats.bump t.sv_sig_miss 1;
       let ok = Cert.verify_rmc_payload ~length:sig_length t.sv_secrets ~payload cert in
       if ok then Cache.set t.sv_sig_cache payload cert.Cert.rmc_sig;
@@ -1528,8 +1522,6 @@ let create net host reg ~name:sv_name ?(rolefile_id = "main") ~rolefile ?(funcs 
       sv_residuals = Cache.create 4096;
       sv_journal = journal;
       sv_auto_recover = true;
-      sv_crypto_checks = 0;
-      sv_cache_hits = 0;
       sv_arms = Hashtbl.create 16;
       sv_swept_at = 0;
       sv_sweep_live = 0;

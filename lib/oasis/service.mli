@@ -298,15 +298,10 @@ val audit_capacity : int
 val audit_log : t -> audit_entry list
 (** The newest {!audit_capacity} entries at most, newest first. *)
 
-val crypto_checks : t -> int
-(** Signature computations performed (cache misses). *)
-
-val cache_hits : t -> int
-
 val sig_cache_size : t -> int
-(** Entries currently held by the (capped) signature cache; hit/miss
-    counters also land in the net's {!Oasis_sim.Stats} under
-    [oasis.sigcache.*]. *)
+(** Entries currently held by the (capped) signature cache.  Its outcomes
+    are counted in the net's {!Oasis_sim.Stats}: [oasis.sigcache.hit], and
+    [oasis.sigcache.miss] for each signature computed. *)
 
 val residual_cache_size : t -> int
 (** Entries in the compiled-residual cache ([oasis.residual.*] counters). *)

@@ -10,6 +10,7 @@ module Principal = Oasis_core.Principal
 module Interop = Oasis_core.Interop
 module Engine = Oasis_sim.Engine
 module Net = Oasis_sim.Net
+module Stats = Oasis_sim.Stats
 module V = Oasis_rdl.Value
 
 let checkb = Alcotest.(check bool)
@@ -738,13 +739,15 @@ let test_validation_cache () =
   let w, login, conf = conference_world () in
   let jmb, jmb_cert = logged_on login "jmb" "ely" in
   let chair = entry_ok w conf ~client:jmb ~role:"Chair" ~creds:[ jmb_cert ] () in
-  let before = Service.crypto_checks conf in
+  let stats = Net.stats w.net in
+  let misses = Stats.count stats "oasis.sigcache.miss" in
+  let hits = Stats.count stats "oasis.sigcache.hit" in
   for _ = 1 to 50 do
     ignore (Service.validate conf ~client:jmb chair)
   done;
-  let crypto_used = Service.crypto_checks conf - before in
+  let crypto_used = Stats.count stats "oasis.sigcache.miss" - misses in
   checkb "at most one crypto check for 50 validations" true (crypto_used <= 1);
-  checkb "cache hits recorded" true (Service.cache_hits conf >= 49)
+  checkb "cache hits recorded" true (Stats.count stats "oasis.sigcache.hit" - hits >= 49)
 
 let test_rolling_secret_invalidates_old_certs () =
   let w, login, conf = conference_world () in
@@ -1025,8 +1028,6 @@ Worker(u) <- Login.LoggedOn(u, h)* /\ Badge.Holder(u)*
     (Service.validate lab ~client:vci worker = Ok ())
 
 (* --- cache bounds and counters --- *)
-
-module Stats = Oasis_sim.Stats
 
 (* The signature-verification cache must stay within its cap of 1024
    under churn (two-generation eviction), and hits/misses must be
