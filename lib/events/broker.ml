@@ -686,15 +686,6 @@ let deregister reg =
         | Some ss -> ss.ss_regs <- List.remove_assoc reg_id ss.ss_regs)
   end
 
-let pre_register session tpl =
-  let srv = session.s_server in
-  Net.send session.s_net ~category:"evt.preregister" ~size:96 ~src:session.s_host
-    ~dst:srv.b_host (fun () ->
-      (* Retention is server-wide and shared between clients (§6.8.1), so
-         pre-registration costs the server nothing extra per client; it is
-         accounted so experiments can compare traffic. *)
-      ignore tpl)
-
 let horizon session = session.s_horizon
 let stale session = session.s_stale
 let on_horizon session f = session.s_on_horizon <- f :: session.s_on_horizon

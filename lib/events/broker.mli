@@ -16,9 +16,11 @@
       session {e stale} and surfaces it (OASIS turns this into credential
       records entering the [Unknown] state, §4.10);
     - {e pre-registration} and {e retrospective registration} (§6.8.1): the
-      server retains recent events for a bounded period; a registration with
-      [~since] immediately replays retained matching events from that time
-      before going live, closing the registration race;
+      server retains recent events for a bounded period, for every client
+      at once, so no client declares its interest in advance; a
+      registration with [~since] immediately replays retained matching
+      events from that time before going live, closing the registration
+      race;
     - {e crash recovery}: a host crash ({!Oasis_sim.Net.crash_host}) wipes
       the server's volatile per-session delivery state but not its
       retained-event log (stable storage) or its monotone identifier
@@ -143,10 +145,6 @@ val register :
     client host after notification latency.  Duplicate-suppressed. *)
 
 val deregister : registration -> unit
-
-val pre_register : session -> Event.template -> unit
-(** Declare future interest so the server keeps matching events buffered
-    (accounted; retention in this implementation is server-wide). *)
 
 val horizon : session -> float
 (** Latest event-horizon timestamp received from this server (the client's

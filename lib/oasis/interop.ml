@@ -57,7 +57,6 @@ module Loader = struct
            ~args:[ Value.Str program ])
     else Error ("host " ^ host ^ " is not trusted by the loader")
 
-  let trust_host t h = Hashtbl.replace t.l_trusted h ()
   let distrust_host t h = Hashtbl.remove t.l_trusted h
 end
 

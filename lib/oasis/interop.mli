@@ -42,7 +42,6 @@ module Loader : sig
       central loader's ruling on "the assumed integrity of the client
       host". *)
 
-  val trust_host : t -> string -> unit
   val distrust_host : t -> string -> unit
 end
 
