@@ -290,8 +290,26 @@ let disk_ops dir =
         Hashtbl.add files name f;
         f
   in
+  (* Reads [len] durable bytes at [off] into [b] at [boff]; stops short
+     at the end of the file. *)
+  let read_durable f off b boff len =
+    ignore (Unix.lseek f.rf_fd off Unix.SEEK_SET);
+    let rec go got =
+      if got < len then
+        match Unix.read f.rf_fd b (boff + got) (len - got) with 0 -> got | n -> go (got + n)
+      else got
+    in
+    go 0
+  in
   {
-    Disk.o_append = (fun ~file data -> Buffer.add_string (rfile file).rf_pending data);
+    Disk.o_append =
+      (fun ~file data off len -> Buffer.add_substring (rfile file).rf_pending data off len);
+    o_append_frame =
+      (fun ~file key payload ->
+        let f = rfile file in
+        let off = f.rf_durable + Buffer.length f.rf_pending in
+        Frame.add key f.rf_pending payload;
+        off);
     o_fsync =
       (fun ~file k ->
         let f = rfile file in
@@ -329,17 +347,24 @@ let disk_ops dir =
     o_read =
       (fun ~file ->
         let f = rfile file in
-        ignore (Unix.lseek f.rf_fd 0 Unix.SEEK_SET);
         let b = Bytes.create f.rf_durable in
-        let rec go off =
-          if off < f.rf_durable then
-            match Unix.read f.rf_fd b off (f.rf_durable - off) with
-            | 0 -> off
-            | n -> go (off + n)
-          else off
-        in
-        let got = go 0 in
+        let got = read_durable f 0 b 0 f.rf_durable in
         Bytes.sub_string b 0 got);
+    o_read_range =
+      (fun ~file ~off ~len ->
+        let f = rfile file in
+        let total = f.rf_durable + Buffer.length f.rf_pending in
+        let off = min (max off 0) total in
+        let len = min (max len 0) (total - off) in
+        let b = Bytes.create len in
+        (* The durable part from the file, the rest from the buffer. *)
+        let durable = max 0 (min len (f.rf_durable - off)) in
+        let got = read_durable f off b 0 durable in
+        if got < durable then Bytes.sub_string b 0 got
+        else begin
+          Buffer.blit f.rf_pending (off + durable - f.rf_durable) b durable (len - durable);
+          Bytes.unsafe_to_string b
+        end);
     o_durable_size = (fun ~file -> (rfile file).rf_durable);
     o_unsynced = (fun ~file -> Buffer.length (rfile file).rf_pending);
     o_scan_delay = (fun ~bytes:_ -> 0.0);

@@ -282,7 +282,9 @@ let lookup j key =
 let set_quorum j quorum = j.quorum <- Some quorum
 let set_ship j obs = Wal.on_append j.wal obs
 let sync j k = Wal.sync j.wal k
-let follower_append j line = Wal.follower_append j.wal line
+let follower_append j frames off len = Wal.follower_append j.wal frames off len
+let frame_end j s off = Wal.frame_end j.wal s off
+let log_bytes j ~off ~len = Wal.read j.wal ~off ~len
 let log_records j = Wal.recover j.wal
 
 (* Mirror bookkeeping is not rebuilt here: only replicated journals

@@ -108,8 +108,9 @@ val lookup : t -> string -> entry option
 
 (** {1 Replication (driven by {!Replica})}
 
-    A replica group runs K services under one name.  The primary's log is
-    the group's record stream; backups journal shipped copies of it. *)
+    A replica group runs K services under one name, so every member's log
+    has one file name and one frame key.  The primary's log is the
+    group's record stream; backups append its frames as they lie. *)
 
 val set_quorum : t -> ((unit -> unit) -> unit) -> unit
 (** From now on {!ack} waits for the given write-quorum hook instead of
@@ -117,19 +118,31 @@ val set_quorum : t -> ((unit -> unit) -> unit) -> unit
     member's log must stay a prefix of the stream in global record
     coordinates (see DESIGN.md). *)
 
-val set_ship : t -> (string -> unit) option -> unit
-(** Install (or clear) the observer of local appends
-    ({!Oasis_store.Wal.on_append}).  Only the group's primary carries one. *)
+val set_ship : t -> (int -> int -> unit) option -> unit
+(** Install (or clear) the observer of local appends, which sees each
+    frame's offset and length in the log ({!Oasis_store.Wal.on_append}).
+    Only the group's primary carries one. *)
 
 val sync : t -> (unit -> unit) -> unit
 (** Run the callback once everything appended to the local log so far is
     durable. *)
 
-val follower_append : t -> string -> unit
-(** Journal one record shipped from the primary's stream: same framing and
-    group commit as a local append, but invisible to the ship observer and
-    to the mirror and checkpoint bookkeeping (a backup rebuilds its mirror
-    by {!replay} at promotion). *)
+val follower_append : t -> string -> int -> int -> unit
+(** [follower_append j s off len] journals the checked frame at
+    [s.[off .. off + len - 1]], shipped from the primary's log, unchanged
+    ({!Oasis_store.Wal.follower_append}): same group commit as a local
+    append, but invisible to the ship observer and to the mirror and
+    checkpoint bookkeeping (a backup rebuilds its mirror by {!replay} at
+    promotion). *)
+
+val frame_end : t -> string -> int -> int
+(** [frame_end j s off] is the offset past the frame at [off] in [s] when
+    its checksum under this log's key holds, and [-1] otherwise
+    ({!Oasis_store.Wal.frame_end}). *)
+
+val log_bytes : t -> off:int -> len:int -> string
+(** The [len] bytes of the log at [off], its buffered tail included: the
+    frames a primary ships. *)
 
 val log_records : t -> string list
 (** The durable (synced) prefix of the log, decoded. *)

@@ -4,6 +4,14 @@
    logical record stream (the primary's append order, in global
    coordinates — compaction is disabled for replicated services).
 
+   The stream is held once, in the primary's WAL.  The primary keeps only
+   each record's frame offset there; a ship reads a batch's frames from
+   its device as one byte range, buffered tail included.  Every member
+   runs under one service name, so every member's WAL has one file name
+   and one frame key: a backup checks each shipped frame's checksum where
+   it lies and appends the checked frames to its own WAL unchanged, so
+   its bytes equal the primary's.
+
    A member can fall OFF that invariant: a primary that syncs records
    locally, fails to ship them, and crashes leaves an unacked tail on its
    disk that the next epoch overwrites with different records at the same
@@ -12,10 +20,15 @@
    - every promotion appends an {e epoch barrier} record to the stream
      (skipped by Service replay), so a log's own content names the last
      epoch it was reconciled with;
-   - shipping verifies content, not just counts: after a promotion resets
-     every ack cursor to 0, the first batches re-walk each backup's log
-     against the stream and rewrite the log at the first divergence (and
-     truncate any tail reaching past the stream's end).
+   - shipping verifies content, not just counts: a backup that re-reads
+     its log after a crash or a promotion keeps what it read as a
+     {e verification view}, and after a promotion resets every ack cursor
+     to 0, the first batches re-walk the log against the stream and
+     rewrite it at the first divergence (and truncate any tail reaching
+     past the stream's end).  Once the re-walk has passed the view's end
+     the view is dropped.  A member WITHOUT a view holds a log that is a
+     prefix of the current stream, so a record it already holds needs no
+     comparison.
 
    Promotion then picks, among the candidate's and all reachable peers'
    full logs, the one with the greatest (last barrier epoch, length) —
@@ -30,9 +43,7 @@
 module Net = Oasis_sim.Net
 module Engine = Oasis_sim.Engine
 module Stats = Oasis_sim.Stats
-module Wal = Oasis_store.Wal
 module Frame = Oasis_util.Frame
-module Siphash = Oasis_util.Siphash
 
 type member = {
   m_svc : Service.t;
@@ -40,8 +51,11 @@ type member = {
   m_host : Net.host;
   mutable m_acked : int;  (* primary's view: stream records durable at this member *)
   mutable m_have : int;  (* receiver's view: records in its local log *)
-  mutable m_log : string array;  (* receiver's cache of those records, [0..m_have) *)
-  mutable m_have_dirty : bool;  (* rebuild [m_log]/[m_have] from disk before trusting *)
+  mutable m_view : string array;
+      (* the log as re-read from disk, which shipped records are checked
+         against until the re-walk passes its end; [||] when the log is
+         known to be a stream prefix *)
+  mutable m_have_dirty : bool;  (* re-read [m_have] and [m_view] from disk before trusting *)
   mutable m_inflight : bool;  (* one ship RPC outstanding to this member *)
   mutable m_promoting : bool;  (* this member has a promotion fetch in flight *)
   mutable m_last_hb : float;  (* when this member last heard the primary *)
@@ -52,12 +66,14 @@ type t = {
   g_engine : Engine.t;
   g_name : string;
   g_members : member array;
-  g_stream_key : Siphash.key;  (* checksum key of shipped record batches *)
   mutable g_primary : int;
   mutable g_epoch : int;
   mutable g_ready : bool;  (* primary finished its promotion replay *)
-  mutable g_log : string array;  (* the stream, oldest first; grows by doubling *)
+  mutable g_offs : int array;
+      (* each stream record's frame offset in the primary's WAL, oldest
+         first; grows by doubling *)
   mutable g_count : int;
+  mutable g_end : int;  (* the offset past the last record's frame *)
   mutable g_local_durable : int;  (* stream records known durable at the primary *)
   mutable g_waiters : (int * (unit -> unit)) list;  (* newest first *)
   mutable g_on_promote : (Service.t -> unit) list;
@@ -75,7 +91,20 @@ let replica_count t = Array.length t.g_members
 let promotions t = t.g_promotions
 let members t = Array.to_list (Array.map (fun m -> m.m_svc) t.g_members)
 let member t i = t.g_members.(i).m_svc
-let stream t = Array.to_list (Array.sub t.g_log 0 t.g_count)
+
+(* The records of the well-formed frames in [s] from [off] on. *)
+let[@tail_mod_cons] rec records_from j s off =
+  match Journal.frame_end j s off with
+  | -1 -> []
+  | e -> String.sub s (off + Frame.header) (e - off - Frame.header) :: records_from j s e
+
+let stream t =
+  if t.g_count = 0 then []
+  else
+    let j = journal t.g_members.(t.g_primary) in
+    let off = t.g_offs.(0) in
+    records_from j (Journal.log_bytes j ~off ~len:(t.g_end - off)) 0
+
 let on_promote t f = t.g_on_promote <- f :: t.g_on_promote
 
 (* Majority quorum for BOTH acks and promotion: any promotion majority
@@ -92,14 +121,15 @@ let heartbeat = 0.2
 let lease = 0.45
 let stagger = 0.15
 
-let push_log t line =
-  if t.g_count = Array.length t.g_log then begin
-    let bigger = Array.make (max 64 (2 * Array.length t.g_log)) "" in
-    Array.blit t.g_log 0 bigger 0 t.g_count;
-    t.g_log <- bigger
+let push_frame t off len =
+  if t.g_count = Array.length t.g_offs then begin
+    let bigger = Array.make (max 64 (2 * Array.length t.g_offs)) 0 in
+    Array.blit t.g_offs 0 bigger 0 t.g_count;
+    t.g_offs <- bigger
   end;
-  t.g_log.(t.g_count) <- line;
-  t.g_count <- t.g_count + 1
+  t.g_offs.(t.g_count) <- off;
+  t.g_count <- t.g_count + 1;
+  t.g_end <- off + len
 
 let durable_at t i = if i = t.g_primary then t.g_local_durable else t.g_members.(i).m_acked
 
@@ -113,30 +143,93 @@ let check_waiters t =
   t.g_waiters <- wait;
   List.iter (fun (_, k) -> k ()) (List.rev fire)
 
-(* --- the receiver-side log cache --- *)
+(* --- the receiver's log --- *)
 
-let set_cache m recs =
-  let n = List.length recs in
-  let log = Array.make (max 64 n) "" in
-  List.iteri (fun i r -> log.(i) <- r) recs;
-  m.m_log <- log;
+let set_log m n =
   m.m_have <- n;
+  m.m_view <- [||];
   m.m_have_dirty <- false
 
-let reload m = if m.m_have_dirty then set_cache m (Journal.log_records (journal m))
+let reload m =
+  if m.m_have_dirty then begin
+    let view = Array.of_list (Journal.log_records (journal m)) in
+    set_log m (Array.length view);
+    m.m_view <- view
+  end
 
-let cache_push m r =
-  if m.m_have = Array.length m.m_log then begin
-    let bigger = Array.make (max 64 (2 * Array.length m.m_log)) "" in
-    Array.blit m.m_log 0 bigger 0 m.m_have;
-    m.m_log <- bigger
-  end;
-  m.m_log.(m.m_have) <- r;
-  m.m_have <- m.m_have + 1
+(* The first [k] records of the member's log: from the view when it
+   reaches that far, else read from the log's own bytes. *)
+let log_prefix m k =
+  if k <= Array.length m.m_view then Array.to_list (Array.sub m.m_view 0 k)
+  else
+    let j = journal m in
+    List.filteri (fun i _ -> i < k) (records_from j (Journal.log_bytes j ~off:0 ~len:max_int) 0)
 
 (* --- log shipping (primary -> one backup, one RPC in flight each) --- *)
 
 let ship_batch = 256
+
+(* At backup [m]: take in the shipped [frames], stream records
+   [start, start + n), walking them where they lie and checking each
+   frame's checksum.  A record the log already holds is compared with the
+   verification view, if there is one (without a view the log is a stream
+   prefix and holds the same record); each record past the log's end is
+   appended as it lies. *)
+let receive t m ~start ~total frames reply =
+  let j = journal m in
+  let repair fixed =
+    Journal.log_rewrite j fixed (fun () ->
+        set_log m (List.length fixed);
+        Stats.incr (Net.stats t.g_net) "repl.repair";
+        reply (Ok m.m_have))
+  in
+  let rec walk i off =
+    match Journal.frame_end j frames off with
+    | -1 -> verified i
+    | e ->
+        let pos = start + i in
+        if pos >= m.m_have then begin
+          Journal.follower_append j frames off (e - off);
+          m.m_have <- pos + 1;
+          walk (i + 1) e
+        end
+        else if
+          pos < Array.length m.m_view
+          && not
+               (String.equal m.m_view.(pos)
+                  (String.sub frames (off + Frame.header) (e - off - Frame.header)))
+        then
+          (* Verify the overlap against the stream instead of blindly
+             skipping it: after a failover our tail may be a dead epoch's
+             unacked appends under different content at the same
+             positions.  Diverged at [pos]: everything from there on is
+             the dead epoch's junk; replace it with the shipped stream
+             content. *)
+          repair (log_prefix m pos @ records_from j frames off)
+        else walk (i + 1) e
+  and verified n =
+    if start + n >= total && m.m_have > start + n then
+      (* Verified up to the stream's end as of this ship; the remaining
+         tail reaches past it — a dead epoch's junk.  Truncate. *)
+      repair (log_prefix m (start + n))
+    else begin
+      (* The re-walk has passed the view's end: the log is a stream
+         prefix again. *)
+      if start + n >= Array.length m.m_view then m.m_view <- [||];
+      (* Ack only the content-verified prefix [0, start+n): when our log
+         runs past the shipped batch but the batch stops short of the
+         stream's end, the tail beyond [start+n] has not been compared yet
+         and may be a dead epoch's junk.  Acking [m_have] here would mark
+         those positions quorum-durable, advance the primary's cursor past
+         them, and leave the divergence unrepaired forever — the quorum
+         intersection argument dies with it. *)
+      let have = min m.m_have (start + n) in
+      (* The ack rides the backup's own group commit: an acked record is
+         durable AT THIS MEMBER, not merely received. *)
+      Journal.sync j (fun () -> reply (Ok have))
+    end
+  in
+  walk 0 0
 
 let rec ship_to t j =
   let p = t.g_members.(t.g_primary) in
@@ -155,17 +248,19 @@ let rec ship_to t j =
     let start = max 0 m.m_acked in
     let total = t.g_count in
     let n = min (total - start) ship_batch in
-    let records = Array.to_list (Array.sub t.g_log start n) in
-    (* Framed exactly as the WAL frames them (length + SipHash under the
-       group's stream key): the receiver re-validates before applying. *)
-    let payload = Frame.encode_all t.g_stream_key records in
+    (* The batch's frames, one byte range of the primary's WAL read from
+       its device (buffered tail included): the receiver checks them where
+       they lie before it appends them. *)
+    let off = t.g_offs.(start) in
+    let stop = if start + n = total then t.g_end else t.g_offs.(start + n) in
+    let frames = Journal.log_bytes (journal p) ~off ~len:(stop - off) in
     Net.rpc t.g_net ~category:"repl.ship"
-      ~size:(32 + String.length payload)
+      ~size:(32 + String.length frames)
       ~timeout:(3.0 *. heartbeat) ~src:p.m_host ~dst:m.m_host
       (fun reply ->
         (* At the backup.  Drain the group-commit buffer first: the log
-           repair below may rewrite the WAL, which must not race a
-           buffered append from an earlier epoch's ship. *)
+           repair may rewrite the WAL, which must not race a buffered
+           append from an earlier epoch's ship. *)
         if t.g_epoch <> epoch then reply (Error "stale epoch")
         else
           Journal.sync (journal m) (fun () ->
@@ -176,63 +271,7 @@ let rec ship_to t j =
                   (* We lack records below [start]: tell the primary how
                      far we really are so it rewinds its cursor. *)
                   reply (Ok m.m_have)
-                else begin
-                  let records =
-                    Array.of_list (Frame.decode t.g_stream_key payload)
-                  in
-                  let n = Array.length records in
-                  (* Verify the overlap against the stream instead of
-                     blindly skipping it: after a failover our tail may be
-                     a dead epoch's unacked appends under different
-                     content at the same positions. *)
-                  let overlap = min m.m_have (start + n) - start in
-                  let rec first_div i =
-                    if i >= overlap then None
-                    else if String.equal m.m_log.(start + i) records.(i) then
-                      first_div (i + 1)
-                    else Some i
-                  in
-                  let repair fixed =
-                    Journal.log_rewrite (journal m) fixed (fun () ->
-                        set_cache m fixed;
-                        Stats.incr (Net.stats t.g_net) "repl.repair";
-                        reply (Ok m.m_have))
-                  in
-                  match first_div 0 with
-                  | Some i ->
-                      (* Diverged at [start + i]: everything from there on
-                         is the dead epoch's junk; replace it with the
-                         shipped stream content. *)
-                      repair
-                        (Array.to_list (Array.sub m.m_log 0 (start + i))
-                        @ Array.to_list (Array.sub records i (n - i)))
-                  | None ->
-                      for i = m.m_have - start to n - 1 do
-                        Journal.follower_append (journal m) records.(i);
-                        cache_push m records.(i)
-                      done;
-                      if start + n >= total && m.m_have > start + n then
-                        (* Verified up to the stream's end as of this
-                           ship; the remaining tail reaches past it — a
-                           dead epoch's junk.  Truncate. *)
-                        repair (Array.to_list (Array.sub m.m_log 0 (start + n)))
-                      else begin
-                        (* Ack only the content-verified prefix [0, start+n):
-                           when our log runs past the shipped batch but the
-                           batch stops short of the stream's end, the tail
-                           beyond [start+n] has not been compared yet and may
-                           be a dead epoch's junk.  Acking [m_have] here would
-                           mark those positions quorum-durable, advance the
-                           primary's cursor past them, and leave the
-                           divergence unrepaired forever — the quorum
-                           intersection argument dies with it. *)
-                        let have = min m.m_have (start + n) in
-                        (* The ack rides the backup's own group commit: an
-                           acked record is durable AT THIS MEMBER, not
-                           merely received. *)
-                        Journal.sync (journal m) (fun () -> reply (Ok have))
-                      end
-                end
+                else receive t m ~start ~total frames reply
               end))
       (fun result ->
         (* Back at the primary. *)
@@ -247,6 +286,14 @@ let rec ship_to t j =
   end
 
 let ship_all t = Array.iteri (fun j _ -> ship_to t j) t.g_members
+
+(* The primary's ship observer: the stream's next record is the frame just
+   appended to its WAL. *)
+let observe t =
+  Some
+    (fun off len ->
+      push_frame t off len;
+      ship_all t)
 
 (* --- the quorum ack hook ({!Journal.ack} lands here) --- *)
 
@@ -333,11 +380,7 @@ let promote t ~member:j ~from_epoch =
               Journal.set_ship (journal m) None
             end)
           t.g_members;
-        Journal.set_ship (journal cand)
-          (Some
-             (fun line ->
-               push_log t line;
-               ship_all t));
+        Journal.set_ship (journal cand) (observe t);
         Stats.incr (Net.stats t.g_net) "repl.promote";
         (* Replay phase.  First make the candidate's own buffered tail
            durable (shipped records still in its group-commit window must
@@ -364,14 +407,21 @@ let promote t ~member:j ~from_epoch =
                         if t.g_epoch = target && Net.host_up t.g_net cand.m_host then begin
                           (* Rebuild the stream bookkeeping from what we
                              actually hold: anything beyond it was never
-                             quorum-acked and is gone for good. *)
+                             quorum-acked and is gone for good.  The
+                             rewrite framed [full] from offset 0. *)
                           let n = List.length full in
-                          let log = Array.make (max 64 n) "" in
-                          List.iteri (fun i r -> log.(i) <- r) full;
-                          t.g_log <- log;
+                          let offs = Array.make (max 64 n) 0 in
+                          t.g_end <-
+                            List.fold_left
+                              (fun (i, off) r ->
+                                offs.(i) <- off;
+                                (i + 1, off + Frame.header + String.length r))
+                              (0, 0) full
+                            |> snd;
+                          t.g_offs <- offs;
                           t.g_count <- n;
                           t.g_local_durable <- n;
-                          set_cache cand full;
+                          set_log cand n;
                           Service.reregister cand.m_svc;
                           t.g_ready <- true;
                           List.iter
@@ -445,6 +495,11 @@ let create net ~members:svcs =
   if Array.length svcs = 0 then invalid_arg "Replica.create: empty group";
   if Array.length svcs > 1 && Array.exists (fun s -> Option.is_none (Service.journal s)) svcs then
     invalid_arg "Replica.create: every member of a replicated group needs a disk";
+  let name = Service.name svcs.(0) in
+  (* One name, one WAL file name, one frame key: a backup appends the
+     primary's frames as they lie. *)
+  if Array.exists (fun s -> Service.name s <> name) svcs then
+    invalid_arg "Replica.create: every member of a group needs the same service name";
   let engine = Net.engine net in
   let now = Engine.now engine in
   let members =
@@ -456,7 +511,7 @@ let create net ~members:svcs =
           m_host = Service.host svc;
           m_acked = 0;
           m_have = 0;
-          m_log = Array.make 64 "";
+          m_view = [||];
           m_have_dirty = false;
           m_inflight = false;
           m_promoting = false;
@@ -464,19 +519,18 @@ let create net ~members:svcs =
         })
       svcs
   in
-  let name = Service.name svcs.(0) in
   let t =
     {
       g_net = net;
       g_engine = engine;
       g_name = name;
       g_members = members;
-      g_stream_key = Wal.key ("repl:" ^ name);
       g_primary = 0;
       g_epoch = 0;
       g_ready = true;
-      g_log = Array.make 64 "";
+      g_offs = Array.make 64 0;
       g_count = 0;
+      g_end = 0;
       g_local_durable = 0;
       g_waiters = [];
       g_on_promote = [];
@@ -512,11 +566,7 @@ let create net ~members:svcs =
              ~tag:("t:" ^ Net.host_name m.m_host)
              ~period:heartbeat (tick t j)))
       members;
-    Journal.set_ship (journal members.(0))
-      (Some
-         (fun line ->
-           push_log t line;
-           ship_all t))
+    Journal.set_ship (journal members.(0)) (observe t)
   end;
   t
 

@@ -4,14 +4,17 @@
     A replica group runs K full services under ONE service name (so they
     share name-derived signing secrets: certificates issued by any epoch's
     primary verify at every later primary) on K distinct hosts.  The
-    primary serves every request; its WAL append stream — in {e global}
-    record coordinates, compaction disabled (see {!Journal.set_quorum})
-    — is shipped to backups as checksum-framed batches over the simulated
-    network ({!Oasis_util.Frame}), journalled by {!Journal.follower_append},
-    and acked only once durable at the receiver.  Client acks
-    ({!Journal.ack}) wait for a majority write quorum (⌈(K+1)/2⌉): losing
-    any minority of replicas — including the primary and its disk — loses
-    no acknowledged operation.
+    primary serves every request, and its WAL — in {e global} record
+    coordinates, compaction disabled (see {!Journal.set_quorum}) — is the
+    group's record stream, held nowhere else: the primary keeps only each
+    record's frame offset in it, and ships a batch over the simulated
+    network as one byte range of checksummed frames ({!Oasis_util.Frame})
+    read from its device.  One name means one WAL file name, and so one
+    frame key: a backup checks each frame where it lies, appends it to its
+    own WAL unchanged ({!Journal.follower_append}), and acks only once it
+    is durable there.  Client acks ({!Journal.ack}) wait for a majority
+    write quorum (⌈(K+1)/2⌉): losing any minority of replicas — including
+    the primary and its disk — loses no acknowledged operation.
 
     {b Failover} is deterministic lease/epoch promotion on the sim clock:
     the primary heartbeats every 0.2 s; a backup whose lease
@@ -24,11 +27,12 @@
     winning log is the greatest (last barrier, length) — VSR's view-change
     rule — so a dead epoch's unacked tail on a rejoining disk can never
     outrank a log carrying later acked records; shipping then repairs such
-    tails by content comparison ({!Journal.log_rewrite}).  Double
-    promotion in one epoch commits exactly once; a candidate that dies
-    mid-replay is superseded at the next lease expiry.  A restarted
-    ex-primary re-promotes itself through the same path, re-fetching any
-    acked suffix its crash lost.
+    tails by content comparison against the log a backup re-read after
+    its crash or the promotion, which it keeps only until shipping has
+    re-walked it ({!Journal.log_rewrite}).  Double promotion in one epoch
+    commits exactly once; a candidate that dies mid-replay is superseded
+    at the next lease expiry.  A restarted ex-primary re-promotes itself
+    through the same path, re-fetching any acked suffix its crash lost.
 
     Members never cancel or re-arm timers: each has one static periodic
     timer whose primary/backup behaviour is decided by data per tick, so
@@ -46,9 +50,12 @@ type t
 
 val create : Oasis_sim.Net.t -> members:Service.t array -> t
 (** Wrap [members] (same name, distinct hosts; index 0 is the initial
-    primary, and only it should be registry-registered) into a group.  For
-    K >= 2 every member needs a journal (raises [Invalid_argument]
-    otherwise); [create] installs the quorum-ack and ship hooks on the
+    primary, and only it should be registry-registered) into a group.
+    Raises [Invalid_argument] when the members' service names differ:
+    their WALs would frame under different keys, and a backup appends the
+    primary's frames as they lie.  For K >= 2 every member needs a journal
+    (raises [Invalid_argument] otherwise); [create] installs the
+    quorum-ack and ship hooks on the
     journals, disables per-member auto-recovery, and arms the static
     heartbeat/lease timers: a 0.2 s heartbeat, a 0.45 s lease and a
     0.15 s stagger — failover in under a second of sim time.  Use odd K:
@@ -75,7 +82,8 @@ val promotions : t -> int
 
 val stream : t -> string list
 (** The authoritative record stream, oldest first (epoch barriers
-    included).  At quiescence every live member's durable log
+    included), read from the primary's WAL, its buffered tail included.
+    At quiescence every live member's durable log
     ({!Journal.log_records}) is a prefix of it — the log-shipping
     invariant; a freshly rejoined member may briefly hold a dead epoch's
     tail until shipping repairs it. *)

@@ -7,6 +7,7 @@
 module Net = Oasis_sim.Net
 module Engine = Oasis_sim.Engine
 module Siphash = Oasis_util.Siphash
+module Decimal = Oasis_util.Decimal
 module Value = Oasis_rdl.Value
 module Broker = Oasis_events.Broker
 
@@ -23,18 +24,32 @@ module Ring = struct
     r_points : (int64 * int) array;  (* (point, shard id), ascending unsigned *)
   }
 
-  let point id v = Siphash.hash ring_key (Printf.sprintf "%d/%d" id v)
-
+  (* Shard [id]'s vnode [v] is the point of the name "<id>/<v>".  Every
+     name is spelled into one buffer and hashed where it lies. *)
   let of_ids ~vnodes ids =
+    let ids = Array.of_list ids in
+    let n = Array.length ids * vnodes in
+    let b = Buffer.create (8 * n) in
+    let ends = Array.make (n + 1) 0 in
+    Array.iteri
+      (fun i id ->
+        for v = 0 to vnodes - 1 do
+          Decimal.add_int b id;
+          Buffer.add_char b '/';
+          Decimal.add_int b v;
+          ends.((i * vnodes) + v + 1) <- Buffer.length b
+        done)
+      ids;
+    let names = Buffer.contents b in
     let pts =
-      List.concat_map (fun id -> List.init vnodes (fun v -> (point id v, id))) ids
-      |> Array.of_list
+      Array.init n (fun k ->
+          (Siphash.hash_sub ring_key names ends.(k) (ends.(k + 1) - ends.(k)), ids.(k / vnodes)))
     in
     Array.sort
       (fun (p1, i1) (p2, i2) ->
         match Int64.unsigned_compare p1 p2 with 0 -> compare i1 i2 | c -> c)
       pts;
-    { r_vnodes = vnodes; r_ids = List.sort compare ids; r_points = pts }
+    { r_vnodes = vnodes; r_ids = List.sort compare (Array.to_list ids); r_points = pts }
 
   let make ?(vnodes = 64) ~shards () =
     if shards < 1 then invalid_arg "Ring.make: shards must be >= 1";

@@ -2,6 +2,7 @@ module Net = Oasis_sim.Net
 module Engine = Oasis_sim.Engine
 module Stats = Oasis_sim.Stats
 module Prng = Oasis_util.Prng
+module Frame = Oasis_util.Frame
 
 (* One byte file: [data] is everything ever appended this incarnation,
    [synced] the length of the durable prefix.  A crash truncates [data] to
@@ -15,17 +16,20 @@ type sim = {
 }
 
 (* A real stable-storage device, injected by a backend ([lib/backend]):
-   the same contract as the simulated device — [o_append] buffers,
-   [o_fsync] makes the buffered prefix durable and calls back (possibly
-   synchronously), [o_read] returns the durable prefix only — against
-   actual files.  Keeping it a closure record keeps [lib/store] free of
-   any unix dependency. *)
+   the same contract as the simulated device — [o_append] and
+   [o_append_frame] buffer, [o_fsync] makes the buffered prefix durable
+   and calls back (possibly synchronously), [o_read] returns the durable
+   prefix only and [o_read_range] a range of everything appended —
+   against actual files.  Keeping it a closure record keeps [lib/store]
+   free of any unix dependency. *)
 type ops = {
-  o_append : file:string -> string -> unit;
+  o_append : file:string -> string -> int -> int -> unit;
+  o_append_frame : file:string -> Oasis_util.Siphash.key -> string -> int;
   o_fsync : file:string -> (unit -> unit) -> unit;
   o_write_atomic : file:string -> string -> (unit -> unit) -> unit;
   o_truncate : file:string -> unit;
   o_read : file:string -> string;
+  o_read_range : file:string -> off:int -> len:int -> string;
   o_durable_size : file:string -> int;
   o_unsynced : file:string -> int;
   o_scan_delay : bytes:int -> float;
@@ -49,9 +53,9 @@ let net t = t.d_net
 let real t = match t.d_impl with Ops _ -> true | Sim _ -> false
 
 let file s name =
-  match Hashtbl.find_opt s.d_files name with
-  | Some f -> f
-  | None ->
+  match Hashtbl.find s.d_files name with
+  | f -> f
+  | exception Not_found ->
       let f = { data = Buffer.create 256; synced = 0 } in
       Hashtbl.add s.d_files name f;
       f
@@ -99,17 +103,35 @@ let create net host =
 
 let create_ops net host ops = make net host (Ops ops)
 
-let append t ~file:name data =
+let append_sub t ~file:name data off len =
   match t.d_impl with
   | Ops o ->
-      o.o_append ~file:name data;
-      Stats.sample t.d_write (String.length data)
+      o.o_append ~file:name data off len;
+      Stats.sample t.d_write len
   | Sim s ->
       if Net.host_up t.d_net t.d_host then begin
         let f = file s name in
-        Buffer.add_string f.data data;
-        Stats.sample t.d_write (String.length data)
+        Buffer.add_substring f.data data off len;
+        Stats.sample t.d_write len
       end
+
+let append t ~file data = append_sub t ~file data 0 (String.length data)
+
+let append_frame t ~file:name key payload =
+  let off =
+    match t.d_impl with
+    | Ops o -> o.o_append_frame ~file:name key payload
+    | Sim s ->
+        if Net.host_up t.d_net t.d_host then begin
+          let f = file s name in
+          let off = Buffer.length f.data in
+          Frame.add key f.data payload;
+          off
+        end
+        else -1
+  in
+  if off >= 0 then Stats.sample t.d_write (Frame.header + String.length payload);
+  off
 
 let flush_delay pending = fsync_latency +. (float_of_int pending /. write_bandwidth)
 
@@ -196,6 +218,14 @@ let read t ~file:name =
   | Sim s ->
       let f = file s name in
       Buffer.sub f.data 0 f.synced
+
+let read_range t ~file:name ~off ~len =
+  match t.d_impl with
+  | Ops o -> o.o_read_range ~file:name ~off ~len
+  | Sim s ->
+      let f = file s name in
+      let off = min (max off 0) (Buffer.length f.data) in
+      Buffer.sub f.data off (min (max len 0) (Buffer.length f.data - off))
 
 let durable_size t ~file:name =
   match t.d_impl with Ops o -> o.o_durable_size ~file:name | Sim s -> (file s name).synced

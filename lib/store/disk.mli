@@ -28,11 +28,13 @@ val create : Oasis_sim.Net.t -> Oasis_sim.Net.host -> t
     bytes at 2e8 bytes/second. *)
 
 type ops = {
-  o_append : file:string -> string -> unit;
+  o_append : file:string -> string -> int -> int -> unit;
+  o_append_frame : file:string -> Oasis_util.Siphash.key -> string -> int;
   o_fsync : file:string -> (unit -> unit) -> unit;
   o_write_atomic : file:string -> string -> (unit -> unit) -> unit;
   o_truncate : file:string -> unit;
   o_read : file:string -> string;
+  o_read_range : file:string -> off:int -> len:int -> string;
   o_durable_size : file:string -> int;
   o_unsynced : file:string -> int;
   o_scan_delay : bytes:int -> float;
@@ -40,12 +42,15 @@ type ops = {
 }
 (** A real stable-storage device, injected by a backend
     ({!Oasis_backend.Backend_unix}): the same contract as the simulated
-    device — [o_append] buffers, [o_fsync] makes the buffered prefix
-    durable and calls back (synchronously is fine), [o_read] returns the
-    durable prefix only — implemented against actual files.  A closure
-    record rather than a functor keeps [lib/store] free of any unix
-    dependency, so every existing test and model-checking schedule stays
-    deterministic. *)
+    device — [o_append] buffers a substring ({!append_sub}),
+    [o_append_frame] frames a record into the buffer and returns its
+    offset ({!append_frame}), [o_fsync] makes the buffered prefix durable
+    and calls back (synchronously is fine), [o_read] returns the durable
+    prefix only and [o_read_range] a range of everything appended,
+    buffered bytes included ({!read_range}) — implemented against actual
+    files.  A closure record rather than a functor keeps [lib/store] free
+    of any unix dependency, so every existing test and model-checking
+    schedule stays deterministic. *)
 
 val create_ops : Oasis_sim.Net.t -> Oasis_sim.Net.host -> ops -> t
 (** Wrap a real device behind the {!t} interface.  Byte accounting still
@@ -64,6 +69,19 @@ val append : t -> file:string -> string -> unit
 (** Buffer bytes at the end of [file].  Instant (page cache); not durable
     until a subsequent {!fsync} completes.  Ignored while the host is
     down. *)
+
+val append_sub : t -> file:string -> string -> int -> int -> unit
+(** [append_sub t ~file s off len] is {!append} of [s.[off .. off + len - 1]],
+    buffered from where the bytes lie: a replica appends the frames it was
+    shipped this way. *)
+
+val append_frame : t -> file:string -> Oasis_util.Siphash.key -> string -> int
+(** [append_frame t ~file key payload] buffers the frame
+    {!Oasis_util.Frame.encode}[ key payload] at the end of [file]: the
+    header, its checksum computed over [payload], and then the payload are
+    written straight into the write buffer, with no framed copy between.
+    Returns the frame's offset in [file], or [-1] when the host is down
+    (nothing is buffered). *)
 
 val fsync : t -> file:string -> (unit -> unit) -> unit
 (** Make everything appended so far durable.  The callback fires once the
@@ -86,6 +104,11 @@ val truncate : t -> file:string -> unit
 val read : t -> file:string -> string
 (** Current durable contents (after a crash this includes any torn tail
     that survived). *)
+
+val read_range : t -> file:string -> off:int -> len:int -> string
+(** The [len] bytes at [off] of everything appended to [file], its
+    unsynced buffer included; shorter when the file ends first.  After a
+    crash only what survived is there to read. *)
 
 val durable_size : t -> file:string -> int
 val unsynced : t -> file:string -> int

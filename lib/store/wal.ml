@@ -14,10 +14,10 @@ type t = {
   mutable w_armed : bool;  (* a timer-tick flush is scheduled *)
   mutable w_on_durable : (unit -> unit) list;  (* reverse order *)
   mutable w_appended : int;
-  mutable w_observer : (string -> unit) option;
-      (* replication ship hook: sees every payload entering the log via
-         [append] (the authoritative stream), but NOT via
-         [follower_append] — records arriving from the stream must not
+  mutable w_observer : (int -> int -> unit) option;
+      (* replication ship hook: sees the offset and length of every frame
+         entering the log via [append] (the authoritative stream), but NOT
+         via [follower_append] — frames arriving from the stream must not
          re-enter it *)
   w_appends : Stats.counter;  (* "store.wal.append" *)
   w_batches : Stats.counter;  (* "store.fsync.batch" *)
@@ -78,15 +78,16 @@ let flush t =
     Disk.fsync t.w_disk ~file:t.w_file (fun () -> List.iter (fun k -> k ()) callbacks)
   end
 
-let append_common t ?on_durable ~notify payload =
-  let framed = Frame.encode t.w_key payload in
-  Disk.append t.w_disk ~file:t.w_file framed;
+(* The bookkeeping of one frame of [len] bytes just buffered. *)
+let count_frame t ?on_durable len =
   t.w_appended <- t.w_appended + 1;
-  t.w_pending_bytes <- t.w_pending_bytes + String.length framed;
+  t.w_pending_bytes <- t.w_pending_bytes + len;
   t.w_pending_records <- t.w_pending_records + 1;
   (match on_durable with Some k -> t.w_on_durable <- k :: t.w_on_durable | None -> ());
-  Stats.sample t.w_appends (String.length framed);
-  (if notify then match t.w_observer with Some obs -> obs payload | None -> ());
+  Stats.sample t.w_appends len
+
+(* Commit what is pending with its group. *)
+let commit t =
   if t.w_fsync_each || t.w_pending_bytes >= flush_bytes then flush t
   else if not t.w_armed then begin
     (* One-shot arming: the first uncommitted append starts the clock; the
@@ -97,9 +98,23 @@ let append_common t ?on_durable ~notify payload =
         flush t)
   end
 
-let append t ?on_durable payload = append_common t ?on_durable ~notify:true payload
-let follower_append t payload = append_common t ~notify:false payload
+let append t ?on_durable payload =
+  let off = Disk.append_frame t.w_disk ~file:t.w_file t.w_key payload in
+  let len = Frame.header + String.length payload in
+  count_frame t ?on_durable len;
+  (* The observer runs before the group commit, which may flush: a replica
+     ships the frame ahead of the primary's own fsync. *)
+  (match t.w_observer with Some obs when off >= 0 -> obs off len | _ -> ());
+  commit t
+
+let follower_append t frames off len =
+  Disk.append_sub t.w_disk ~file:t.w_file frames off len;
+  count_frame t len;
+  commit t
+
 let on_append t obs = t.w_observer <- obs
+let frame_end t s off = Frame.check t.w_key s off
+let read t ~off ~len = Disk.read_range t.w_disk ~file:t.w_file ~off ~len
 
 let sync t k =
   if t.w_pending_records = 0 then k ()

@@ -34,18 +34,32 @@ val append : t -> ?on_durable:(unit -> unit) -> string -> unit
 (** Append one record.  [on_durable] fires when the record's group commit
     completes; after a crash, callbacks for unflushed records never fire. *)
 
-val on_append : t -> (string -> unit) option -> unit
-(** Install (or clear) the {e ship observer}: it sees every payload entering
-    the log through {!append} — the authoritative record stream a
-    replication layer forwards to followers.  Payloads arriving via
-    {!follower_append} are invisible to it (they already came from the
-    stream). *)
+val on_append : t -> (int -> int -> unit) option -> unit
+(** Install (or clear) the {e ship observer}: it is called with the offset
+    and length of every frame entering the log through {!append} — the
+    authoritative record stream a replication layer forwards to
+    followers, which it reads back from the log with {!read}.  It runs
+    before the append's group commit, and not for a frame the device
+    dropped (its host down).  Frames arriving via {!follower_append} are
+    invisible to it (they already came from the stream). *)
 
-val follower_append : t -> string -> unit
-(** Append a record that arrived {e from} the stream (a replicated copy of
-    a primary's append): same framing, buffering and group commit as
+val follower_append : t -> string -> int -> int -> unit
+(** [follower_append t s off len] appends the frame at
+    [s.[off .. off + len - 1]] unchanged: a frame that arrived {e from}
+    the stream, as it lay in a primary's log, and was checked with
+    {!frame_end}.  Every log of one file name frames under one key, so
+    the bytes equal the primary's.  Same buffering and group commit as
     {!append}, but the ship observer is not notified, so a follower never
     re-ships what it was shipped. *)
+
+val frame_end : t -> string -> int -> int
+(** [frame_end t s off] is the offset past the frame at [off] in [s] when
+    it is complete and its checksum under this log's key holds, and [-1]
+    otherwise ({!Oasis_util.Frame.check}). *)
+
+val read : t -> off:int -> len:int -> string
+(** The [len] bytes of the log at [off], its buffered tail included
+    ({!Disk.read_range}). *)
 
 val flush : t -> unit
 (** Force the group commit now (no-op when nothing is pending). *)

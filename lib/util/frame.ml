@@ -18,6 +18,11 @@ let encode key payload =
   write b 0 key payload;
   Bytes.unsafe_to_string b
 
+let add key b payload =
+  Hex.add_fixed8 b (String.length payload);
+  Hex.add_int64 b (Siphash.hash key payload);
+  Buffer.add_string b payload
+
 let encode_all key payloads =
   let total = List.fold_left (fun acc p -> acc + header + String.length p) 0 payloads in
   let b = Bytes.create total in
@@ -43,13 +48,16 @@ let frame_end ~max_len key s ~off ~stop =
       off + header + len
     else raise Corrupt
 
+let check key s off =
+  match frame_end ~max_len:max_int key s ~off ~stop:(String.length s) with
+  | e -> e
+  | exception Corrupt -> -1
+
 let decode key s =
-  let stop = String.length s in
   let rec go off acc =
-    match frame_end ~max_len:max_int key s ~off ~stop with
+    match check key s off with
     | -1 -> List.rev acc
     | e -> go e (String.sub s (off + header) (e - off - header) :: acc)
-    | exception Corrupt -> List.rev acc
   in
   go 0 []
 

@@ -1,6 +1,7 @@
 (** Checksummed frames: the one byte format under every write-ahead-log
-    record, snapshot, replica ship batch and TCP message; and the field
-    packing of every message on the wire.
+    record (a replica ship batch is a run of them, as they lie in the
+    primary's log), snapshot and TCP message; and the field packing of
+    every message on the wire.
 
     {v [length: 8 hex][SipHash-2-4 of payload: 16 hex][payload] v}
 
@@ -15,16 +16,23 @@
     Frames are written and checked where their bytes lie: a writer puts
     the payload (or its fields) in place, then the header, whose checksum
     is computed over the payload's bytes in the same buffer
-    ({!Siphash.hash_sub}); a decoder verifies the checksum in the buffer it
-    reads before it copies out a payload or a field.  Every function here
-    writes the same bytes for the same input: {!write_fields} is
-    [encode key (fields l)], byte for byte. *)
+    ({!Siphash.hash_sub}), or ({!add}) computes the header over the
+    payload's own string and appends both to a buffer; a decoder verifies
+    the checksum in the buffer it reads before it copies out a payload or
+    a field.  Every function here writes the same bytes for the same
+    input: {!write_fields} is [encode key (fields l)], byte for byte. *)
 
 val header : int
 (** Header bytes before the payload: 24. *)
 
 val encode : Siphash.key -> string -> string
 (** One frame. *)
+
+val add : Siphash.key -> Buffer.t -> string -> unit
+(** [add key b payload] appends the frame {!encode} returns to [b]: the
+    header, its checksum computed over [payload] where it lies, then the
+    payload.  A storage device frames a log record into its write buffer
+    this way. *)
 
 val encode_all : Siphash.key -> string list -> string
 (** The frames of the payloads, in order, in one string. *)
@@ -33,6 +41,12 @@ val decode : Siphash.key -> string -> string list
 (** Every payload of the longest prefix of well-formed frames: decoding
     stops at the first incomplete or corrupt frame, so a torn or corrupted
     log tail yields the records before it.  Total on arbitrary input. *)
+
+val check : Siphash.key -> string -> int -> int
+(** [check key s off] is the offset past the frame at [off] in [s] when
+    that frame is complete and well-formed, its checksum verified where
+    it lies, and [-1] otherwise.  {!decode} keeps the payloads of the
+    frames it accepts from offset 0 on. *)
 
 exception Corrupt
 

@@ -119,6 +119,14 @@ let put_int64 b off x =
   Bytes.set_int64_be b off (word8 (Int64.shift_right_logical x 32));
   Bytes.set_int64_be b (off + 8) (word8 x)
 
+let add_fixed8 b n =
+  if n < 0 || n lsr 32 <> 0 then invalid_arg "Hex.add_fixed8: value does not fit 8 digits";
+  Buffer.add_int64_be b (word8 (Int64.of_int n))
+
+let add_int64 b x =
+  Buffer.add_int64_be b (word8 (Int64.shift_right_logical x 32));
+  Buffer.add_int64_be b (word8 x)
+
 let equal_int64 s off x =
   Int64.equal (String.get_int64_be s off) (word8 (Int64.shift_right_logical x 32))
   && Int64.equal (String.get_int64_be s (off + 8)) (word8 x)

@@ -7,7 +7,8 @@
     and parse the length, checksum and identifier fields of
     {!Frame}, the TCP envelope and {!Signing.Rolling} key ids;
     {!add_int} writes the variable-width fields of record refs and role
-    sets.  None goes through [Printf].  The frame header's fields (8 digits
+    sets, and {!add_fixed8} and {!add_int64} a frame header into a
+    device's buffer.  None goes through [Printf].  The frame header's fields (8 digits
     of length, 16 of checksum) are written, parsed and compared one 64-bit
     word at a time; the other widths a digit at a time. *)
 
@@ -42,6 +43,14 @@ val get_int : string -> int -> width:int -> int
 val put_int64 : bytes -> int -> int64 -> unit
 (** Sixteen lowercase hex digits of the 64-bit word at [off]
     ([Printf "%016Lx"]). *)
+
+val add_fixed8 : Buffer.t -> int -> unit
+(** [add_fixed8 b n] appends the eight digits [put_int ~width:8] writes.
+    @raise Invalid_argument if [n] is negative or needs more than eight
+    digits. *)
+
+val add_int64 : Buffer.t -> int64 -> unit
+(** Appends the sixteen digits {!put_int64} writes. *)
 
 val equal_int64 : string -> int -> int64 -> bool
 (** [equal_int64 s off x]: the 16 characters at [off] are exactly what

@@ -174,6 +174,47 @@ let test_fsync_crash_tail fl () =
   | Sim -> ());
   checki "fresh device has no unsynced bytes" 0 (Disk.unsynced disk' ~file:"log")
 
+(* The range read a replica group's primary ships from, same on both
+   substrates: it returns bytes appended before their fsync, a framed
+   append lands where it says, and after a crash (a reopened device, for
+   real files) only what survived is there to read. *)
+let test_read_range fl () =
+  with_backend fl @@ fun backend ub ->
+  let net = Backend.net backend in
+  let h = Net.add_host net "h" in
+  let disk = Backend.disk backend h in
+  let synced = ref false in
+  Disk.append disk ~file:"log" "durable-prefix";
+  Disk.fsync disk ~file:"log" (fun () -> synced := true);
+  run_until_done backend ~deadline:2.0 (fun () -> !synced);
+  Disk.append disk ~file:"log" "+unsynced-tail";
+  let range off len = Disk.read_range disk ~file:"log" ~off ~len in
+  checks "a range across the synced prefix's end" "prefix+unsynced" (range 8 15);
+  checks "the buffered tail, short at the file's end" "+unsynced-tail" (range 14 100);
+  checks "past the end" "" (range 100 4);
+  let key = Oasis_util.Siphash.key_of_string "oasis.wal:log" in
+  let off = Disk.append_frame disk ~file:"log" key "record" in
+  checki "a frame's offset is the file's length" 28 off;
+  checks "the frame's bytes, unsynced" (Oasis_util.Frame.encode key "record") (range off 30);
+  let appended = range 0 max_int in
+  let disk' =
+    match (fl, ub) with
+    | Ux, Some b -> Backend_unix.reopen_disk b h
+    | _ ->
+        Net.crash_host net h;
+        Net.restart_host net h;
+        disk
+  in
+  let survived = Disk.read_range disk' ~file:"log" ~off:0 ~len:max_int in
+  checks "only the surviving prefix is readable" (Disk.read disk' ~file:"log") survived;
+  checkb "what survived is a prefix of what was appended" true
+    (String.length survived >= 14
+    && String.length survived <= String.length appended
+    && String.sub appended 0 (String.length survived) = survived);
+  match fl with
+  | Ux -> checks "the real device keeps the synced prefix" "durable-prefix" survived
+  | Sim -> ()
+
 let conformance fl =
   [
     Alcotest.test_case (flavour_name fl ^ ": clock domain") `Quick (test_clock_domain fl);
@@ -187,6 +228,7 @@ let conformance fl =
     Alcotest.test_case
       (flavour_name fl ^ ": fsync crash-tail contract")
       `Quick (test_fsync_crash_tail fl);
+    Alcotest.test_case (flavour_name fl ^ ": range read") `Quick (test_read_range fl);
   ]
 
 (* --- the real wire: loopback TCP with the WAL's length+SipHash framing --- *)

@@ -118,6 +118,52 @@ let test_ring_balance () =
         counts)
     [ 8; 16 ]
 
+(* The ring's points are the SipHashes of the vnode names "<id>/<v>":
+   placement equals that of a ring spelled with [Printf], on made rings
+   and on rings grown and shrunk. *)
+let test_ring_matches_printf_names () =
+  let key = Oasis_util.Siphash.key_of_string "oasis.shard.ring.v1" in
+  let reference ~vnodes ids =
+    let pts =
+      List.concat_map
+        (fun id ->
+          List.init vnodes (fun v ->
+              (Oasis_util.Siphash.hash key (Printf.sprintf "%d/%d" id v), id)))
+        ids
+      |> Array.of_list
+    in
+    Array.sort
+      (fun (p1, i1) (p2, i2) ->
+        match Int64.unsigned_compare p1 p2 with 0 -> compare i1 i2 | c -> c)
+      pts;
+    fun k ->
+      let h = Oasis_util.Siphash.hash key k in
+      match Array.find_opt (fun (p, _) -> Int64.unsigned_compare p h >= 0) pts with
+      | Some (_, id) -> id
+      | None -> snd pts.(0)
+  in
+  let keys = List.init 2000 (fun i -> Printf.sprintf "Member(u%d)" i) in
+  List.iter
+    (fun (vnodes, shards) ->
+      let ring = Shard.Ring.make ~vnodes ~shards () in
+      let grown = Shard.Ring.add_shard ring in
+      let shrunk = Shard.Ring.remove_shard grown 0 in
+      List.iter
+        (fun (label, ring, ids) ->
+          let want = reference ~vnodes ids in
+          List.iter
+            (fun k ->
+              checki
+                (Printf.sprintf "%s ring (%d vnodes, %d shards): %s" label vnodes shards k)
+                (want k) (Shard.Ring.owner ring k))
+            keys)
+        [
+          ("made", ring, List.init shards Fun.id);
+          ("grown", grown, List.init (shards + 1) Fun.id);
+          ("shrunk", shrunk, List.init shards (fun i -> i + 1));
+        ])
+    [ (1, 1); (7, 3); (64, 12) ]
+
 (* Removing an id the ring does not hold used to be a silent no-op; it
    must raise like [make] does, and a real removal must still work. *)
 let test_ring_remove_unknown_raises () =
@@ -517,6 +563,33 @@ let assert_stream_prefixes w club label =
         (Replica.members g))
     (Shard.replica_groups club)
 
+(* The stream is held once: a backup appends the frames it is shipped as
+   they lie in the primary's WAL, so at quiescence every live member's
+   WAL bytes are the primary's up to the member's length.  Nothing is
+   buffered then, so the bytes read are the durable ones. *)
+let assert_wal_bytes_prefixes w club label =
+  let wal_bytes svc =
+    let j = Option.get (Service.journal svc) in
+    let bytes = Journal.log_bytes j ~off:0 ~len:max_int in
+    checki (label ^ ": the WAL is all durable") (Journal.stored_bytes j) (String.length bytes);
+    bytes
+  in
+  Array.iteri
+    (fun i g ->
+      let primary = wal_bytes (Replica.primary g) in
+      List.iteri
+        (fun j svc ->
+          if Net.host_up w.w_net (Service.host svc) then begin
+            let mine = wal_bytes svc in
+            checkb
+              (Printf.sprintf "%s: shard %d replica %d WAL bytes are the primary's prefix" label i j)
+              true
+              (String.length mine <= String.length primary
+              && String.equal mine (String.sub primary 0 (String.length mine)))
+          end)
+        (Replica.members g))
+    (Shard.replica_groups club)
+
 let fire_member w club creds u =
   ignore
     (until_ok w ("fire-" ^ u) 8 (fun k ->
@@ -534,6 +607,7 @@ let test_log_shipping_prefix () =
   in
   quiesce ();
   assert_stream_prefixes w club "after setup";
+  assert_wal_bytes_prefixes w club "after setup";
   let f = Net.fault w.w_net in
   let g0 = Shard.replica_group club 0 in
   (* A backup crash loses its unsynced tail; the primary's cursor rewinds
@@ -611,6 +685,7 @@ let test_repair_divergence_past_first_batch () =
     (not (List.exists (fun r -> String.length r >= 1 && r.[0] = 'D') rejoined));
   checkb "ex-primary's log is a stream prefix again" true
     (is_prefix rejoined (Replica.stream g));
+  assert_wal_bytes_prefixes w club "after the repair";
   (* And the group still quorum-acks new writes over the repaired logs. *)
   fire_member w club creds "u4";
   srun w 3.0;
@@ -618,7 +693,30 @@ let test_repair_divergence_past_first_batch () =
     (Shard.blacklisted club ~role:"Member" ~args:[ V.Str "u4" ]);
   quiesce ();
   assert_stream_prefixes w club "after repair and new appends";
+  assert_wal_bytes_prefixes w club "after repair and new appends";
   ignore login
+
+(* A backup appends the primary's frames unchanged, which is sound only
+   when every member frames under the same key: the key derives from the
+   WAL's file name, and that from the service name. *)
+let test_create_refuses_mixed_names () =
+  let engine = Engine.create () in
+  let net = Net.create ~latency:(Net.Fixed 0.005) engine in
+  let reg = Service.create_registry () in
+  let member ~name ~host ~register =
+    let h = Net.add_host net host in
+    match
+      Service.create net h reg ~name ~rolefile:login_rolefile
+        ~disk:(Oasis_store.Disk.create net h) ~register ()
+    with
+    | Ok s -> s
+    | Error e -> Alcotest.failf "%s: %s" name e
+  in
+  let a = member ~name:"Login" ~host:"h.a" ~register:true in
+  let b = member ~name:"Logon" ~host:"h.b" ~register:false in
+  match Replica.create net ~members:[| a; b |] with
+  | _ -> Alcotest.fail "a group of two service names was accepted"
+  | exception Invalid_argument _ -> ()
 
 let test_failover_idempotent () =
   let w, login, club = make_world ~replicas:3 ~seed:31L ~shards:1 () in
@@ -989,6 +1087,8 @@ let () =
           Alcotest.test_case "balance within 2x ideal" `Quick test_ring_balance;
           Alcotest.test_case "remove of unknown shard raises" `Quick
             test_ring_remove_unknown_raises;
+          Alcotest.test_case "points of the Printf-spelled vnode names" `Quick
+            test_ring_matches_printf_names;
         ] );
       ( "router",
         [
@@ -1009,6 +1109,8 @@ let () =
             test_single_replica_crash_costs_nothing;
           Alcotest.test_case "revocation survives an unbatched issuer's failover" `Quick
             test_unbatched_failover_revocation;
+          Alcotest.test_case "members of two service names are refused" `Quick
+            test_create_refuses_mixed_names;
         ] );
       ( "differential",
         [

@@ -446,7 +446,16 @@ let test_frame_pinned () =
   let payloads = [ ""; "a"; String.make 300 'z'; "x\000y" ] in
   let framed = Frame.encode_all key payloads in
   checks "encode_all concatenates" (String.concat "" (List.map (Frame.encode key) payloads)) framed;
-  Alcotest.(check (list string)) "decode inverts" payloads (Frame.decode key framed)
+  Alcotest.(check (list string)) "decode inverts" payloads (Frame.decode key framed);
+  let b = Buffer.create 16 in
+  List.iter (Frame.add key b) payloads;
+  checks "add appends what encode returns" framed (Buffer.contents b);
+  let rec ends off = match Frame.check key framed off with -1 -> [] | e -> e :: ends e in
+  Alcotest.(check (list int)) "check finds each frame's end" [ 24; 49; 373; 400 ] (ends 0);
+  let torn = String.sub framed 0 399 in
+  checki "a torn frame does not check" (-1) (Frame.check key torn 373);
+  checki "nor does a frame under another key" (-1)
+    (Frame.check (Siphash.key_of_string "oasis.wal:other") framed 24)
 
 (* The field packing, pinned byte for byte: the TCP envelope and the
    shard/router requests are written in it. *)
